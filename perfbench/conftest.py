@@ -1,0 +1,9 @@
+"""Puts the package source and the benchmark's own modules on sys.path for its tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
