@@ -5,7 +5,7 @@ from ququart_hubbard import gates, mapping, resources, transpile
 if __name__ == "__main__":
     reports = []
     for lattice in ("1x8", "2x4"):
-        geometry = resources.geometry_for_lattice(lattice)
+        geometry = mapping.parse_geometry(lattice)
         qfm = resources.qfm_resources(geometry)
         reports.extend([qfm, resources.qubit_baseline_resources(lattice)])
         # cross-check the table against an actually emitted circuit

@@ -32,7 +32,6 @@ from .mapping import (
 from .oracle import (
     ExactPropagator,
     GreensSeries,
-    exact_evolve,
     exact_population,
     fermionic_hamiltonian,
     gf_fourier,
@@ -78,7 +77,6 @@ __all__ = [
     "product_state",
     "ExactPropagator",
     "GreensSeries",
-    "exact_evolve",
     "exact_population",
     "fermionic_hamiltonian",
     "gf_fourier",

@@ -1,0 +1,259 @@
+"""The toolkit's acceptance criteria, shared by `ququart-hubbard validate`
+and tests/test_acceptance.py.
+
+CHECKS is the ordered registry. Each entry runs one criterion at fixed
+parameters and seeds and returns a CheckResult; a failed criterion is a
+result with passed=False, not an exception. Quantitative anchors are
+exactly stated constants plus agreement with the occupation-number
+reference; dynamics comparisons use the deterministic configurations
+documented inline.
+"""
+
+from collections.abc import Callable
+from dataclasses import dataclass
+
+import numpy as np
+
+from .. import emulate, gates, linalg, mapping, oracle, resources, transpile
+from ..gamma import make_gamma_set
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    number: int
+    description: str
+    passed: bool
+    detail: str = ""
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        suffix = f"  [{self.detail}]" if self.detail else ""
+        return f"[{status}] criterion {self.number}: {self.description}{suffix}"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry; entries sharing a name differ by case."""
+
+    name: str
+    run: Callable[[], CheckResult]
+    case: str = ""
+
+
+def clifford_algebra_exact() -> CheckResult:
+    g = make_gamma_set()
+    eye = np.eye(4)
+    ok = True
+    for a in range(1, 5):
+        for b in range(1, 5):
+            anti = g.gamma(a) @ g.gamma(b) + g.gamma(b) @ g.gamma(a)
+            expected = 2 * eye if a == b else 0 * eye
+            ok = ok and np.array_equal(anti, expected)
+        tilde_anti = g.gamma(a) @ g.tilde + g.tilde @ g.gamma(a)
+        ok = ok and np.array_equal(tilde_anti, 0 * eye)
+    ok = ok and np.array_equal(g.tilde, -g.gamma(1) @ g.gamma(2) @ g.gamma(3) @ g.gamma(4))
+    return CheckResult(1, "Clifford algebra relations hold exactly", ok)
+
+
+def fermionic_relations_to_four_sites() -> CheckResult:
+    worst = 0.0
+    for L in range(1, 5):
+        ops = {
+            (m, s, kind): mapping.map_fermion(m, s, kind, L).matrix
+            for m in range(1, L + 1)
+            for s in mapping.SPINS
+            for kind in ("annihilate", "create")
+        }
+        eye = np.eye(4**L)
+        for (m1, s1, k1), op1 in ops.items():
+            for (m2, s2, k2), op2 in ops.items():
+                anti = op1 @ op2 + op2 @ op1
+                same_mode = k1 != k2 and (m1, s1) == (m2, s2)
+                expected = eye if same_mode else 0 * eye
+                worst = max(worst, float(np.max(np.abs(anti - expected))))
+    return CheckResult(2, "fermionic anticommutator table for L=1..4 within 1e-12",
+                       worst < 1e-12, f"worst {worst:.2e}")
+
+
+def spectrum_equivalence() -> CheckResult:
+    worst = 0.0
+    for geom in (mapping.chain(2), mapping.chain(3), mapping.ladder(2, 2)):
+        for J, v in ((1.0, 0.0), (1.0, 2.0), (0.0, 3.0), (1.0, 8.0)):
+            mapped = mapping.dense_hamiltonian(mapping.build_mapped_hamiltonian(geom, J, v))
+            exact = oracle.fermionic_hamiltonian(geom, J, v)
+            gap = float(np.max(np.abs(np.linalg.eigvalsh(mapped) - np.linalg.eigvalsh(exact))))
+            worst = max(worst, gap)
+    return CheckResult(3, "mapped vs exact spectra within 1e-10 (chain 2/3, ladder 2x2)",
+                       worst < 1e-10, f"worst {worst:.2e}")
+
+
+SYNTHESIS_TAUS = (0.3, 0.7, 1.2, np.pi / 2)
+
+
+def schmidt_structure() -> CheckResult:
+    details = []
+    for term in transpile.HOPPING_TERM_IDS:
+        for tau in SYNTHESIS_TAUS:
+            target = transpile.hopping_target(term, tau)
+            dec = transpile.osd(target)
+            coeffs = np.sort(dec.coefficients)[::-1]
+            nonzero = coeffs[coeffs > 1e-10]
+            expected = np.sort([4 * abs(np.cos(tau)), 4 * abs(np.sin(tau))])[::-1]
+            expected_rank = int(np.sum(expected > 1e-10))
+            # at tau = pi/2 the cos coefficient is a numerical zero and the
+            # two-term structure degenerates to rank 1
+            if len(nonzero) != expected_rank:
+                details.append(f"term {term} tau {tau:.3f} rank {len(nonzero)}")
+            if expected_rank == 2:
+                measured = (
+                    nonzero[1] / nonzero[0]
+                    if abs(np.tan(tau)) <= 1
+                    else nonzero[0] / nonzero[1]
+                )
+                if abs(measured - abs(np.tan(tau))) > 1e-9 * max(1.0, abs(np.tan(tau))):
+                    details.append(f"term {term} tau {tau:.3f} ratio {measured}")
+            residual = float(np.max(np.abs(dec.reconstruct() - target)))
+            if residual > 1e-10:
+                details.append(f"term {term} tau {tau:.3f} residual {residual:.1e}")
+    return CheckResult(4, "two-term Schmidt structure with |tan tau| ratio",
+                       not details, "; ".join(details))
+
+
+def transpiler_fidelity() -> CheckResult:
+    worst = 0.0
+    for term in transpile.HOPPING_TERM_IDS:
+        for tau in SYNTHESIS_TAUS:
+            circuit = transpile.transpile_hopping(term, tau)
+            distance = linalg.phase_aligned_distance(
+                gates.circuit_unitary(circuit), transpile.hopping_target(term, tau)
+            )
+            worst = max(worst, distance)
+    return CheckResult(5, "transpiled circuits match targets within 1e-8 (optimal phase)",
+                       worst <= 1e-8, f"worst {worst:.2e}")
+
+
+TAU_GRID = np.arange(0.5, 5.01, 0.5)
+
+
+def trotter_convergence(geom, tokens) -> CheckResult:
+    # J=1, v=2: interaction active, dynamics well inside the plotted regime
+    errors = {}
+    for steps in (5, 10, 30):
+        rows = emulate.population_grid(geom, 1.0, 2.0, tokens, TAU_GRID, steps)
+        errors[steps] = emulate.max_population_error(rows)
+    decreasing = errors[5] > errors[10] > errors[30]
+    converged = errors[30] <= 0.05
+    return CheckResult(
+        6,
+        f"Trotter population error decreases over n=5,10,30 and <=0.05 at n=30 ({geom.label})",
+        decreasing and converged,
+        f"errors {errors[5]:.3f} > {errors[10]:.3f} > {errors[30]:.3f}",
+    )
+
+
+def greens_functions() -> CheckResult:
+    times = np.arange(0.0, 5.01, 0.25)
+    worst = 0.0
+    # chain(3), J=1, v=1, one up particle at site 1 and one down at site 2:
+    # exactly three structurally non-zero spin-up components (j = 1)
+    for i in (1, 2, 3):
+        circ, orac = emulate.lesser_gf_pair(
+            mapping.chain(3), 1.0, 1.0, ("u", "d", "0"), i, 1, "up", times, steps=30
+        )
+        worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
+    # chain(4), same state as the population study: the two down-spin
+    # diagonal components at the occupied sites
+    for i, j in ((2, 2), (4, 4)):
+        circ, orac = emulate.lesser_gf_pair(
+            mapping.chain(4), 1.0, 1.0, ("u", "ud", "u", "d"), i, j, "down", times, steps=30
+        )
+        worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
+    gf_ok = worst <= 0.05
+
+    # retarded-route spectral function: sum rule at the default grid, and
+    # positivity on a refined grid where quadrature error sits below 1e-6
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    eta = 0.1
+    omegas = np.arange(-12.0, 12.0 + 1e-9, 0.01)
+    default_times = np.arange(0.0, 40.0 + 1e-9, 0.05)
+    series = oracle.retarded_series(h, 1.0, 1, 1, "up", default_times, 2, 1.0, 2.0)
+    sum_rule = float(np.trapezoid(oracle.spectral(series, eta, omegas), omegas))
+    fine_times = np.arange(0.0, 120.0 + 1e-9, 0.01)
+    fine_series = oracle.retarded_series(h, 1.0, 1, 1, "up", fine_times, 2, 1.0, 2.0)
+    min_a = float(np.min(oracle.spectral(fine_series, eta, omegas)))
+    spectral_ok = abs(sum_rule - 1.0) <= 0.02 and min_a >= -1e-6
+    return CheckResult(
+        7,
+        "lesser GF circuit-vs-oracle <=0.05; spectral A>=-1e-6 with unit sum rule",
+        gf_ok and spectral_ok,
+        f"worst GF dev {worst:.4f}, sum rule {sum_rule:.4f}, min A {min_a:.2e}",
+    )
+
+
+def _one_step_tally(geom) -> gates.GateTally:
+    mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
+    return gates.count_gates(transpile.trotter_step_circuit(mh, 1.0, 1))
+
+
+def resource_constants() -> CheckResult:
+    bond = _one_step_tally(mapping.chain(2))
+    checks = (
+        bond.two_qudit == 8,
+        bond.single_qudit_physical == 32,
+        _one_step_tally(mapping.chain(8)).two_qudit == 56,
+        _one_step_tally(mapping.ladder(2, 4)).two_qudit == 80,
+        resources.qfm_resources(mapping.chain(8)).two_body_gates_per_step == 56,
+        resources.qfm_resources(mapping.ladder(2, 4)).two_body_gates_per_step == 80,
+        resources.qubit_baseline_resources("1x8").two_body_gates_per_step == 64,
+        resources.qubit_baseline_resources("2x4").two_body_gates_per_step == 112,
+    )
+    return CheckResult(8, "emitted tallies reproduce 8/32 per bond, 56/80 qfm, 64/112 qubit",
+                       all(checks))
+
+
+def simulator_invariants() -> CheckResult:
+    rng = np.random.default_rng(99)
+    # permutation identities, exact
+    cs = gates.csum_matrix()
+    ok = np.array_equal(np.linalg.matrix_power(cs, 4), np.eye(16))
+    ok = ok and np.array_equal(cs @ gates.csum_matrix(adjoint=True), np.eye(16))
+    # norm preservation and inverse round trips on random gates
+    worst_norm = 0.0
+    worst_round = 0.0
+    for _ in range(20):
+        state = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state /= np.linalg.norm(state)
+        j = int(rng.integers(0, 3))
+        k = int(rng.integers(j + 1, 4))
+        ops = [
+            gates.Rotation(int(rng.integers(3)), j, k,
+                           str(rng.choice(["x", "y", "z"])), float(rng.normal())),
+            gates.Csum(0, int(1 + rng.integers(2)), adjoint=bool(rng.integers(2))),
+        ]
+        out = state
+        for op in ops:
+            out = gates.apply(out, op, 3)
+            worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
+        back = out
+        for op in reversed(ops):
+            back = gates.apply(back, gates.gate_inverse(op), 3)
+        worst_round = max(worst_round, float(np.max(np.abs(back - state))))
+    ok = ok and worst_norm <= 1e-12 and worst_round <= 1e-10
+    return CheckResult(9, "norm preservation, gate inverses, csum permutation identities",
+                       ok, f"norm drift {worst_norm:.1e}, round trip {worst_round:.1e}")
+
+
+CHECKS = (
+    Check("criterion_1_clifford_algebra_exact", clifford_algebra_exact),
+    Check("criterion_2_fermionic_relations_to_four_sites", fermionic_relations_to_four_sites),
+    Check("criterion_3_spectrum_equivalence", spectrum_equivalence),
+    Check("criterion_4_schmidt_structure", schmidt_structure),
+    Check("criterion_5_transpiler_fidelity", transpiler_fidelity),
+    Check("criterion_6_trotter_convergence",
+          lambda: trotter_convergence(mapping.chain(2), ("u", "d")), "chain2-half-filling"),
+    Check("criterion_6_trotter_convergence",
+          lambda: trotter_convergence(mapping.chain(4), ("u", "ud", "u", "d")), "chain4-mixed"),
+    Check("criterion_7_greens_functions", greens_functions),
+    Check("criterion_8_resource_constants", resource_constants),
+    Check("criterion_9_simulator_invariants", simulator_invariants),
+)

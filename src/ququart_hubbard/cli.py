@@ -10,17 +10,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import emulate, gates, mapping, oracle, resources, transpile
+from . import acceptance, emulate, gates, mapping, oracle, resources, transpile
 from .errors import ConfigInvalid, QuquartError, SynthesisResidual, UnsupportedLattice
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .oracle import _fmt
 
 
 @dataclass
@@ -40,7 +37,6 @@ class RunConfig:
     dt: float = 0.05
     beta: float = 1.0
     out: str = "out"
-    seed: int = 1234
     baseline: bool = False
     parallel_bonds: bool = True
 
@@ -86,6 +82,8 @@ class RunConfig:
         return mapping.parse_geometry(self.geometry)
 
     def parsed_pairs(self) -> list:
+        """(i, j, spin) triples with both sites checked against the geometry."""
+        sites = self.geometry_obj().site_count
         out = []
         for chunk in self.pairs.split(";"):
             chunk = chunk.strip()
@@ -97,7 +95,14 @@ class RunConfig:
             spin = {"u": "up", "d": "down"}.get(parts[2], parts[2])
             if spin not in ("up", "down"):
                 raise ConfigInvalid(f"pairs: unknown spin {parts[2]!r}")
-            out.append((int(parts[0]), int(parts[1]), spin))
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ConfigInvalid(f"pairs: site indices must be integers, got {chunk!r}")
+            for site in (i, j):
+                if not 1 <= site <= sites:
+                    raise ConfigInvalid(f"pairs: site {site} outside 1..{sites}")
+            out.append((i, j, spin))
         if not out:
             raise ConfigInvalid("pairs: empty")
         return out
@@ -271,7 +276,7 @@ def cmd_greens(config: RunConfig) -> int:
 
 
 def cmd_resources(config: RunConfig) -> int:
-    geometry = resources.geometry_for_lattice(config.geometry)
+    geometry = config.geometry_obj()
     reports = [resources.qfm_resources(geometry, parallel_bonds=config.parallel_bonds)]
     if config.baseline:
         reports.append(resources.qubit_baseline_resources(geometry.label))
@@ -286,115 +291,11 @@ def cmd_resources(config: RunConfig) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except AssertionError as exc:
-            checks.append((name, False, str(exc)))
-
-    def clifford():
-        from .gamma import make_gamma_set
-
-        g = make_gamma_set()
-        ops = [g.gamma(i) for i in range(1, 5)]
-        eye = np.eye(4)
-        for a in range(4):
-            for b in range(4):
-                anti = ops[a] @ ops[b] + ops[b] @ ops[a]
-                expected = 2 * eye if a == b else 0 * eye
-                assert np.array_equal(anti, expected), f"({a + 1},{b + 1})"
-            anti = ops[a] @ g.tilde + g.tilde @ ops[a]
-            assert np.array_equal(anti, 0 * eye)
-        assert np.array_equal(g.tilde, -ops[0] @ ops[1] @ ops[2] @ ops[3])
-
-    def fermionic_relations():
-        for L in (1, 2, 3):
-            ops = {
-                (m, s, k): mapping.map_fermion(m, s, k, L).matrix
-                for m in range(1, L + 1)
-                for s in mapping.SPINS
-                for k in ("annihilate", "create")
-            }
-            eye = np.eye(4**L)
-            for (m, s, _), a in [(key, val) for key, val in ops.items() if key[2] == "annihilate"]:
-                for (m2, s2, _), b in [(key, val) for key, val in ops.items() if key[2] == "create"]:
-                    anti = a @ b + b @ a
-                    expected = eye if (m, s) == (m2, s2) else 0 * eye
-                    assert np.max(np.abs(anti - expected)) < 1e-12
-
-    def spectrum():
-        geometry = mapping.chain(2)
-        mh = mapping.build_mapped_hamiltonian(geometry, 1.0, 2.0)
-        dense = mapping.dense_hamiltonian(mh)
-        exact = oracle.fermionic_hamiltonian(geometry, 1.0, 2.0)
-        gap = np.max(np.abs(np.linalg.eigvalsh(dense) - np.linalg.eigvalsh(exact)))
-        assert gap < 1e-10, f"spectrum gap {gap:.2e}"
-
-    def osd_checks():
-        for term in (1, 2, 3, 4):
-            report = transpile.synthesis_report(term, 0.7)
-            coeffs = [c for c in report["schmidt_coefficients"] if c > 1e-10]
-            assert len(coeffs) == 2, f"term {term} rank {len(coeffs)}"
-            assert report["residual_norm"] <= 1e-8
-        # random-unitary reconstruction
-        herm = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        herm = herm + herm.conj().T
-        from .linalg import expm
-
-        u = expm(herm, 0.7)
-        dec = transpile.osd(u)
-        assert np.max(np.abs(dec.reconstruct() - u)) < 1e-10
-
-    def gate_counts():
-        tally = gates.count_gates(transpile.transpile_hopping(1, 0.7))
-        assert tally.two_qudit == 2
-        mh = mapping.build_mapped_hamiltonian(mapping.chain(2), 1.0, 2.0)
-        tally = gates.count_gates(transpile.trotter_step_circuit(mh, 1.0, 1))
-        assert tally.two_qudit == 8 and tally.single_qudit_physical == 32
-        mh8 = mapping.build_mapped_hamiltonian(mapping.chain(8), 1.0, 2.0)
-        assert gates.count_gates(transpile.trotter_step_circuit(mh8, 1.0, 1)).two_qudit == 56
-        mh24 = mapping.build_mapped_hamiltonian(mapping.ladder(2, 4), 1.0, 2.0)
-        assert gates.count_gates(transpile.trotter_step_circuit(mh24, 1.0, 1)).two_qudit == 80
-        assert resources.qubit_baseline_resources("1x8").two_body_gates_per_step == 64
-        assert resources.qubit_baseline_resources("2x4").two_body_gates_per_step == 112
-
-    def simulator():
-        cs = gates.csum_matrix()
-        assert np.array_equal(np.linalg.matrix_power(cs, 4), np.eye(16))
-        assert np.array_equal(cs @ gates.csum_matrix(adjoint=True), np.eye(16))
-        state = rng.normal(size=64) + 1j * rng.normal(size=64)
-        state /= np.linalg.norm(state)
-        ops = [
-            gates.Rotation(0, 0, 2, "x", 0.7),
-            gates.Csum(1, 2),
-            gates.Rotation(2, 1, 3, "y", -1.1),
-        ]
-        out = state
-        for op in ops:
-            out = gates.apply(out, op, 3)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-        back = out
-        for op in reversed(ops):
-            back = gates.apply(back, gates.gate_inverse(op), 3)
-        assert np.max(np.abs(back - state)) < 1e-10
-
-    check("clifford algebra relations", clifford)
-    check("fermionic anticommutators (L<=3)", fermionic_relations)
-    check("spectrum equivalence chain(2)", spectrum)
-    check("schmidt decomposition + synthesis residuals", osd_checks)
-    check("gate count identities", gate_counts)
-    check("simulator invariants", simulator)
-
     failed = False
-    for name, ok, message in checks:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({message})" if message else ""
-        print(f"[{status}] {name}{suffix}")
-        failed = failed or not ok
+    for check in acceptance.CHECKS:
+        result = check.run()
+        print(result.line(), flush=True)
+        failed = failed or not result.passed
     return 2 if failed else 0
 
 
@@ -418,7 +319,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, dest="dt", help="time-grid spacing")
     parser.add_argument("--beta", type=float, dest="beta", help="inverse temperature")
     parser.add_argument("--out", dest="out", help="output directory")
-    parser.add_argument("--seed", type=int, dest="seed", help="seed for randomized checks")
     parser.add_argument("--baseline", action="store_const", const=True, dest="baseline",
                         help="include the qubit zig-zag comparison")
     parser.add_argument("--sequential-bonds", action="store_const", const=False,
@@ -437,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("evolve", "compare Trotter-circuit populations against the exact reference"),
         ("greens", "compute Green's functions (circuit and exact lanes)"),
         ("resources", "gate-count and duration estimates"),
-        ("validate", "run the built-in invariant suite"),
+        ("validate", "run the acceptance criteria"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)

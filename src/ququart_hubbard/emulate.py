@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, mapping, oracle, transpile
+from .errors import UnsupportedLattice
+from .gamma import DIM
 from .mapping import SPINS, LatticeGeometry
 from .oracle import GreensSeries
-
-DIM = 4
 
 
 def site_level_probabilities(state: np.ndarray, site_count: int) -> np.ndarray:
@@ -45,6 +45,16 @@ def circuit_populations(state: np.ndarray, site_count: int) -> dict:
     return out
 
 
+def _require_chain(geometry: LatticeGeometry) -> None:
+    """Refuse circuit dynamics off chains: emitted ladder rung circuits omit
+    the intervening Gt string, so their populations would be wrong."""
+    if geometry.kind != "chain":
+        raise UnsupportedLattice(
+            f"circuit dynamics on {geometry.label} are not supported: "
+            "rung circuits omit the intervening Gt string"
+        )
+
+
 @dataclass(frozen=True)
 class PopulationRow:
     tau: float
@@ -68,6 +78,7 @@ def population_grid(
     steps: int,
 ) -> list:
     """Trotter-circuit vs exact populations for every (tau, site, spin)."""
+    _require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     prop = oracle.ExactPropagator(h_exact)
@@ -113,6 +124,7 @@ def lesser_gf_circuit(
     circuit for total time t; the mapped ladder operators supply c_i, c_j.
     Global phases of U cancel between the two propagated vectors.
     """
+    _require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     L = geometry.site_count
     c_i = mapping.map_fermion(i, spin, "annihilate", L).matrix

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import gamma
 from .errors import DimensionTooLarge, InvalidSubspace, SiteOutOfRange
-
-DIM = 4
+from .gamma import DIM
 
 
 @dataclass(frozen=True)
@@ -75,21 +74,21 @@ def _op_sites(op: GateOp):
     return (op.control, op.target)
 
 
-def xtilde_matrix(dim: int = DIM) -> np.ndarray:
-    """Cyclic level decrement: |j+1 mod d> -> |j>."""
-    m = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        m[j, (j + 1) % dim] = 1.0
+def xtilde_matrix() -> np.ndarray:
+    """Cyclic level decrement: |j+1 mod 4> -> |j>."""
+    m = np.zeros((DIM, DIM), dtype=complex)
+    for j in range(DIM):
+        m[j, (j + 1) % DIM] = 1.0
     return m
 
 
-def csum_matrix(dim: int = DIM, adjoint: bool = False) -> np.ndarray:
+def csum_matrix(adjoint: bool = False) -> np.ndarray:
     """Controlled-sum permutation on the (control, target) pair."""
-    xt = xtilde_matrix(dim)
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    shift = np.eye(dim, dtype=complex)
-    for n in range(dim):
-        proj = np.zeros((dim, dim), dtype=complex)
+    xt = xtilde_matrix()
+    m = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+    shift = np.eye(DIM, dtype=complex)
+    for n in range(DIM):
+        proj = np.zeros((DIM, DIM), dtype=complex)
         proj[n, n] = 1.0
         m += np.kron(proj, shift)
         shift = shift @ xt
@@ -97,20 +96,16 @@ def csum_matrix(dim: int = DIM, adjoint: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _cached_gate_matrix(op: GateOp) -> np.ndarray:
+def gate_matrix(op: GateOp) -> np.ndarray:
+    """Read-only local operator of a gate op: 4x4 for rotations; for csum the
+    16x16 permutation as a (4, 4, 4, 4) tensor indexed
+    [control out, target out, control in, target in]."""
     if isinstance(op, Rotation):
         m = gamma.rotation(op.j, op.k, op.axis, op.phi)
     else:
-        m = csum_matrix(DIM, op.adjoint).reshape(DIM, DIM, DIM, DIM)
+        m = csum_matrix(op.adjoint).reshape(DIM, DIM, DIM, DIM)
     m.flags.writeable = False
     return m
-
-
-def gate_matrix(op: GateOp) -> np.ndarray:
-    """Local matrix of a gate op: 4x4 for rotations, 16x16 for csum."""
-    if isinstance(op, Rotation):
-        return gamma.rotation(op.j, op.k, op.axis, op.phi)
-    return csum_matrix(DIM, op.adjoint)
 
 
 def gate_inverse(op: GateOp) -> GateOp:
@@ -132,11 +127,11 @@ def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
         if not 0 <= s < site_count:
             raise SiteOutOfRange(f"site {s} outside register of {site_count}")
     if isinstance(op, Rotation):
-        m = _cached_gate_matrix(op)
+        m = gate_matrix(op)
         psi = np.tensordot(m, psi, axes=([1], [op.site]))
         psi = np.moveaxis(psi, 0, op.site)
     else:
-        g = _cached_gate_matrix(op)
+        g = gate_matrix(op)
         psi = np.tensordot(g, psi, axes=([2, 3], [op.control, op.target]))
         psi = np.moveaxis(psi, [0, 1], [op.control, op.target])
     return psi.reshape(state.shape)

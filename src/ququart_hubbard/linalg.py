@@ -26,10 +26,6 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) < tol)
@@ -65,15 +61,6 @@ def svd(m: np.ndarray):
         return np.linalg.svd(np.asarray(m, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-
-
-def normalize(state: np.ndarray) -> np.ndarray:
-    """Return state scaled to unit norm."""
-    state = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(state)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return state / norm
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

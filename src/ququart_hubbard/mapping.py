@@ -34,10 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionTooLarge, SiteOutOfRange, UnsupportedLattice
-from .gamma import make_gamma_set
+from .gamma import DIM, make_gamma_set
 from .linalg import kron_all
 
-DIM = 4
 SPIN_UP = "up"
 SPIN_DOWN = "down"
 SPINS = (SPIN_UP, SPIN_DOWN)
@@ -219,14 +218,8 @@ def resolve_int_prefactor() -> float:
     Computed from the mapped operator product and checked to be exact; the
     typeset constant in front of the bracket is not trusted.
     """
-    g, _ = _local_operators()
     n_product = mapped_number_operator(1, SPIN_UP, 1) @ mapped_number_operator(1, SPIN_DOWN, 1)
-    bracket = (
-        np.eye(DIM)
-        - 1j * g.gamma(1) @ g.gamma(2)
-        - 1j * g.gamma(3) @ g.gamma(4)
-        + g.tilde
-    )
+    bracket = interaction_bracket()
     p = np.vdot(bracket, n_product) / np.vdot(bracket, bracket)
     if abs(p.imag) > 1e-14 or np.max(np.abs(n_product - p.real * bracket)) > 1e-14:
         raise ArithmeticError("interaction bracket does not match N_up N_dn")

@@ -108,30 +108,11 @@ class ExactPropagator:
         coeffs = self.evecs.conj().T @ state
         return self.evecs @ (np.exp(-1j * self.evals * t) * coeffs)
 
-    def unitary(self, t: float) -> np.ndarray:
-        return (self.evecs * np.exp(-1j * self.evals * t)) @ self.evecs.conj().T
-
-
-def exact_evolve(h: np.ndarray, tokens, t: float) -> np.ndarray:
-    return ExactPropagator(h).evolve(fock_state(tokens), t)
-
 
 def exact_population(h: np.ndarray, tokens, t: float, site: int, spin: str) -> float:
-    L = len(tokens)
-    psi = exact_evolve(h, tokens, t)
-    n = number_operator(site, spin, L)
+    psi = ExactPropagator(h).evolve(fock_state(tokens), t)
+    n = number_operator(site, spin, len(tokens))
     return float(np.real(np.vdot(psi, n @ psi)))
-
-
-def population_series(prop: ExactPropagator, tokens, times, site: int, spin: str) -> np.ndarray:
-    L = len(tokens)
-    n = number_operator(site, spin, L)
-    psi0 = fock_state(tokens)
-    out = np.empty(len(times))
-    for idx, t in enumerate(times):
-        psi = prop.evolve(psi0, t)
-        out[idx] = np.real(np.vdot(psi, n @ psi))
-    return out
 
 
 # --- Green's functions ------------------------------------------------------

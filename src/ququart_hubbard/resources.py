@@ -12,7 +12,7 @@ splits are not modeled.
 from dataclasses import dataclass
 
 from .errors import UnsupportedLattice
-from .mapping import LatticeGeometry, chain, ladder
+from .mapping import LatticeGeometry
 
 TWO_QUDIT_PER_BOND = 8
 SINGLE_QUDIT_PER_BOND = 32
@@ -111,17 +111,6 @@ def qubit_baseline_resources(lattice: str) -> ResourceReport:
         est_step_duration=None,
         layers=entry["layers"],
     )
-
-
-def geometry_for_lattice(lattice: str) -> LatticeGeometry:
-    key = lattice.strip().lower().replace(" ", "")
-    if key == "1x8":
-        return chain(8)
-    if key == "2x4":
-        return ladder(2, 4)
-    from .mapping import parse_geometry
-
-    return parse_geometry(lattice)
 
 
 def format_table(reports) -> str:

@@ -32,11 +32,10 @@ import numpy as np
 
 from . import gates
 from .errors import SynthesisResidual
+from .gamma import DIM
 from .gates import Circuit, Csum, Rotation
 from .linalg import kron, phase_aligned_distance
 from .mapping import MappedHamiltonian, hopping_local_factors
-
-DIM = 4
 
 HOPPING_TERM_IDS = (1, 2, 3, 4)
 
@@ -164,27 +163,21 @@ def _middle_ops(term_id: int, tau: float, site: int) -> list:
     return ops
 
 
-@lru_cache(maxsize=4096)
-def _hopping_term_ops_cached(term_id: int, tau: float, control: int, target: int) -> tuple:
-    p, q = correction_pair(term_id)
-    pre = [gates.gate_inverse(op) for op in reversed(_local_unitary_ops(p, control))]
-    pre += [gates.gate_inverse(op) for op in reversed(_local_unitary_ops(q, target))]
-    ops = list(pre)
-    ops.append(Csum(control, target, adjoint=True))
-    ops.extend(_middle_ops(term_id, tau, control))
-    ops.append(Csum(control, target, adjoint=False))
-    ops.extend(_local_unitary_ops(p, control))
-    ops.extend(_local_unitary_ops(q, target))
-    return tuple(ops)
-
-
 def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> list:
     """Gate sequence realizing e^{-i h_i tau} on (control, target)."""
     if term_id not in HOPPING_TERM_IDS:
         raise KeyError(f"hopping term id must be 1..4, got {term_id}")
     if tau == 0.0:
         return []
-    return list(_hopping_term_ops_cached(term_id, tau, control, target))
+    p, q = correction_pair(term_id)
+    ops = [gates.gate_inverse(op) for op in reversed(_local_unitary_ops(p, control))]
+    ops += [gates.gate_inverse(op) for op in reversed(_local_unitary_ops(q, target))]
+    ops.append(Csum(control, target, adjoint=True))
+    ops.extend(_middle_ops(term_id, tau, control))
+    ops.append(Csum(control, target, adjoint=False))
+    ops.extend(_local_unitary_ops(p, control))
+    ops.extend(_local_unitary_ops(q, target))
+    return ops
 
 
 def transpile_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> Circuit:
@@ -250,19 +243,17 @@ def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circu
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     geometry = mh.geometry
-    L = geometry.site_count
     dt = tau / steps
     term_angle = mh.J * dt / 2.0
-    ops = []
-    for _ in range(steps):
-        if mh.v != 0.0 and dt != 0.0:
-            for site in range(1, L + 1):
-                ops.extend(interaction_layer_ops(site - 1, mh.v, mh.int_prefactor, dt))
-        if term_angle != 0.0:
-            for layer in _bond_layers(geometry):
-                for a, b in layer:
-                    for term_id in HOPPING_TERM_IDS:
-                        ops.extend(hopping_term_ops(term_id, term_angle, a - 1, b - 1))
+    step = []
+    if mh.v != 0.0 and dt != 0.0:
+        for site in range(geometry.site_count):
+            step.extend(interaction_layer_ops(site, mh.v, mh.int_prefactor, dt))
+    if term_angle != 0.0:
+        for layer in _bond_layers(geometry):
+            for a, b in layer:
+                for term_id in HOPPING_TERM_IDS:
+                    step.extend(hopping_term_ops(term_id, term_angle, a - 1, b - 1))
     metadata = {
         "geometry": geometry.label,
         "J": mh.J,
@@ -270,7 +261,8 @@ def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circu
         "tau": tau,
         "steps": steps,
     }
-    return Circuit(L, tuple(ops), metadata)
+    # every step is the same op sequence
+    return Circuit(geometry.site_count, tuple(step) * steps, metadata)
 
 
 def synthesis_report(term_id: int, tau: float) -> dict:

@@ -2,8 +2,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from ququart_hubbard import gates, mapping
+from ququart_hubbard import acceptance, gates, mapping
 from ququart_hubbard.cli import main
 
 
@@ -113,12 +114,42 @@ def test_resources_bad_lattice_exits_one(capsys):
     assert code == 1
 
 
-def test_validate_passes(capsys):
-    code = run_cli("validate")
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("[PASS]") >= 6
+def fake_check(number, passed):
+    result = acceptance.CheckResult(number, "fake criterion", passed, "detail")
+    return acceptance.Check(f"criterion_{number}_fake", lambda: result)
+
+
+# the real registry runs once, in test_acceptance.py
+def test_validate_passes(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CHECKS", (fake_check(1, True),))
+    assert run_cli("validate") == 0
+    assert capsys.readouterr().out == "[PASS] criterion 1: fake criterion  [detail]\n"
+
+
+def test_validate_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CHECKS", (fake_check(1, False), fake_check(2, True)))
+    assert run_cli("validate") == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] criterion 1: fake criterion  [detail]",
+        "[PASS] criterion 2: fake criterion  [detail]",
+    ]
+
+
+@pytest.mark.parametrize("command", ["evolve", "greens"])
+def test_ladder_dynamics_refused(tmp_path, capsys, command):
+    code = run_cli(command, "--geometry", "ladder:2x2", "--init", "u,d,0,0",
+                   "--tau-stop", "0.5", "--tmax", "0.5", "--steps", "2", "--out", str(tmp_path))
+    assert code == 1
+    assert "ladder(2,2) are not supported" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("pairs", ["5,5,up", "0,1,up", "1,x,up"])
+def test_bad_pairs_exit_one(tmp_path, capsys, pairs):
+    code = run_cli("greens", "--geometry", "chain:3", "--init", "u,d,0", "--pairs", pairs,
+                   "--observables", "retarded_gf", "--out", str(tmp_path))
+    assert code == 1
+    assert "config error: pairs:" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -118,14 +118,6 @@ def test_hermitian_and_unitary_checks():
     assert not linalg.is_unitary(1.001 * np.eye(5))
 
 
-def test_normalize_unit_norm():
-    v = np.array([3.0, 4.0j])
-    n = linalg.normalize(v)
-    assert abs(np.vdot(n, n).real - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        linalg.normalize(np.zeros(3))
-
-
 def test_phase_aligned_distance_detects_phase_equality():
     u = scipy.linalg.expm(-1j * random_hermitian(4))
     assert linalg.phase_aligned_distance(np.exp(0.7j) * u, u) < 1e-12
