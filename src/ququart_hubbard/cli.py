@@ -20,6 +20,9 @@ from .errors import ConfigInvalid, QuquartError, SynthesisResidual, UnsupportedL
 from .oracle import _fmt
 
 
+OBSERVABLES = ("populations", "lesser_gf", "retarded_gf", "spectral")
+
+
 @dataclass
 class RunConfig:
     geometry: str = "chain:2"
@@ -51,6 +54,12 @@ class RunConfig:
             raise ConfigInvalid("dt: must be > 0")
         if self.t_max <= 0:
             raise ConfigInvalid("t_max: must be > 0")
+        unknown = [name for name in self.observables if name not in OBSERVABLES]
+        if unknown:
+            raise ConfigInvalid(
+                f"observables: unknown {', '.join(map(repr, unknown))}; "
+                f"choose from {','.join(OBSERVABLES)}"
+            )
         try:
             mapping.parse_geometry(self.geometry)
         except (UnsupportedLattice, ValueError) as exc:
@@ -313,7 +322,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau-step", type=float, dest="tau_step")
     parser.add_argument("--steps", type=int, dest="steps", help="Trotter step count")
     parser.add_argument("--pairs", help="Green's function pairs 'i,j,spin;...'")
-    parser.add_argument("--observables", help="comma list: populations,lesser_gf,retarded_gf,spectral")
+    parser.add_argument("--observables", help=f"comma list: {','.join(OBSERVABLES)}")
     parser.add_argument("--eta", type=float, dest="eta", help="spectral damping rate")
     parser.add_argument("--tmax", type=float, dest="t_max", help="time-grid extent")
     parser.add_argument("--dt", type=float, dest="dt", help="time-grid spacing")

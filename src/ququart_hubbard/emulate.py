@@ -137,8 +137,9 @@ def lesser_gf_circuit(
             bra, ket = removed, c_i @ psi0
         else:
             circuit = transpile.trotter_step_circuit(mh, t, steps)
-            bra = gates.simulate(circuit, removed)
-            ket = c_i @ gates.simulate(circuit, psi0)
+            # bra and ket propagate together as one (4^L, 2) batch
+            bra, ket = gates.simulate(circuit, np.column_stack([removed, psi0])).T
+            ket = c_i @ ket
         values[idx] = 1j * np.vdot(bra, ket)
     return GreensSeries(
         np.asarray(times, float), values, i, j, spin, "lesser",

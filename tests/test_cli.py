@@ -178,6 +178,15 @@ def test_unknown_config_field_exits_one(tmp_path):
     assert run_cli("evolve", "--config", str(path)) == 1
 
 
+@pytest.mark.parametrize("observables", ["bogus", "lesser_gf,spectrum", ""])
+def test_unknown_observable_exits_one(tmp_path, capsys, observables):
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d",
+                   "--observables", observables, "--out", str(tmp_path))
+    assert code == 1
+    assert "observables: unknown" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_deterministic_outputs(tmp_path):
     args = (
         "evolve", "--geometry", "chain:2", "--J", "1", "--v", "2", "--init", "u,d",

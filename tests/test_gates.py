@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import gamma, gates, linalg
+from ququart_hubbard import gamma, gates, linalg, mapping, transpile
 from ququart_hubbard.errors import DimensionTooLarge, InvalidSubspace, SiteOutOfRange
 from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation
 
@@ -174,6 +176,147 @@ def test_circuit_unitary_dimension_guard():
 def test_circuit_rejects_out_of_range_ops():
     with pytest.raises(SiteOutOfRange):
         Circuit(2, (Rotation(2, 0, 1, "x", 0.1),))
+
+
+@pytest.mark.parametrize("bad", [Rotation(3, 0, 1, "x", 0.1), Csum(0, -1), Csum(5, 1)])
+def test_circuit_rejects_one_bad_op_deep_in_repeated_steps(bad):
+    step = (Rotation(0, 0, 1, "z", 0.2, virtual=True), Csum(0, 1), Csum(1, 2, adjoint=True))
+    ops = step * 5000 + (bad,) + step * 10
+    with pytest.raises(SiteOutOfRange):
+        Circuit(3, ops)
+
+
+# --- fused simulation -------------------------------------------------------
+
+
+def fold(circuit, state):
+    """Gate-level reference: apply the ops one at a time."""
+    out = np.asarray(state, dtype=complex)
+    for op in circuit.ops:
+        out = gates.apply(out, op, circuit.site_count)
+    return out
+
+
+def fused_error(circuit, state):
+    return float(np.max(np.abs(gates.simulate(circuit, state) - fold(circuit, state))))
+
+
+def chain_circuit(sites, steps, tau=1.3):
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(sites), 1.0, 2.0)
+    return transpile.trotter_step_circuit(mh, tau, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 30])
+@pytest.mark.parametrize("sites", [2, 3, 4])
+def test_fused_matches_gate_level_on_emitted_chains(sites, steps):
+    circuit = chain_circuit(sites, steps)
+    assert fused_error(circuit, random_state(sites)) <= 1e-12
+
+
+def test_fused_matches_gate_level_on_one_chain8_step():
+    assert fused_error(chain_circuit(8, 1), random_state(8)) <= 1e-12
+
+
+@pytest.mark.parametrize("sites", [4, 8])
+def test_fused_step_is_one_block_per_bond(sites):
+    circuit = chain_circuit(sites, 5)
+    blocks = gates._fuse(circuit.ops[: len(circuit.ops) // 5])
+    assert len(blocks) == sites - 1
+    assert all(len(block_sites) == 2 for block_sites, _ in blocks)
+
+
+def test_fused_batch_matches_columns():
+    circuit = chain_circuit(3, 3)
+    batch = np.column_stack([random_state(3), random_state(3)])
+    out = gates.simulate(circuit, batch)
+    assert out.shape == (64, 2)
+    assert float(np.max(np.abs(out - fold(circuit, batch)))) <= 1e-12
+    for k in range(2):
+        assert np.array_equal(out[:, k], gates.simulate(circuit, batch[:, k]))
+
+
+def test_fused_json_reloaded_circuit(tmp_path):
+    circuit = chain_circuit(3, 4)
+    path = tmp_path / "circuit.json"
+    gates.save_circuit(circuit, path)
+    loaded = gates.load_circuit(path)
+    assert loaded.ops == circuit.ops
+    assert not any(a is b for a, b in zip(loaded.ops, circuit.ops))
+    assert len({id(op) for op in loaded.ops}) == len(loaded.ops)
+    state = random_state(3)
+    assert np.array_equal(gates.simulate(loaded, state), gates.simulate(circuit, state))
+    assert fused_error(loaded, state) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [2, 3, 5, 7, 0, -1, "3", None])
+def test_fused_ignores_wrong_steps_metadata(steps):
+    honest = chain_circuit(2, 3)
+    # the last step differs from the first two in one angle
+    tampered = list(honest.ops)
+    tampered[-1] = replace(tampered[-1], phi=tampered[-1].phi + 0.4)
+    lying = Circuit(2, tuple(tampered), {"steps": steps})
+    # 2 and 3 divide the op count but the copies differ; 5 and 7 do not divide it
+    assert len(tampered) % 6 == 0 and len(tampered) % 5 and len(tampered) % 7
+    assert fused_error(lying, random_state(2)) <= 1e-12
+
+
+def test_fused_empty_and_rotation_only_circuits():
+    state = random_state(2)
+    assert np.array_equal(gates.simulate(Circuit(2, (), {"steps": 4}), state), state)
+    rotations = (
+        Rotation(0, 0, 1, "x", 0.3),
+        Rotation(1, 1, 3, "y", -0.7),
+        Rotation(0, 0, 2, "z", 0.5, virtual=True),
+    )
+    circuit = Circuit(2, rotations * 3, {"steps": 3})
+    assert fused_error(circuit, state) <= 1e-12
+
+
+def test_fused_csum_with_control_above_target():
+    ops = (
+        Rotation(2, 0, 1, "x", 0.4),
+        Csum(2, 0),
+        Rotation(0, 1, 2, "y", 0.9),
+        Csum(0, 2, adjoint=True),  # joins the block opened as (2, 0)
+        Rotation(2, 2, 3, "x", -1.1),
+        Csum(2, 0, adjoint=True),
+        Csum(1, 0),
+        Rotation(0, 0, 3, "y", 0.2),
+    )
+    circuit = Circuit(3, ops)
+    assert len(gates._fuse(ops)) == 2
+    assert fused_error(circuit, random_state(3)) <= 1e-12
+
+
+def test_fused_rotation_before_any_two_site_gate():
+    ops = (
+        Rotation(1, 0, 1, "x", 0.6),  # waits for site 1's first block
+        Rotation(2, 1, 2, "y", -0.3),  # site 2 never meets a csum
+        Csum(0, 1),
+        Rotation(0, 2, 3, "x", 1.7),  # after site 0's last csum
+    )
+    circuit = Circuit(3, ops)
+    assert sorted(sites for sites, _ in gates._fuse(ops)) == [(0, 1), (2,)]
+    assert fused_error(circuit, random_state(3)) <= 1e-12
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_fused_matches_gate_level_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(int(rng.integers(0, 25))):
+        if rng.random() < 0.4:
+            control, target = (int(x) for x in rng.choice(3, size=2, replace=False))
+            ops.append(Csum(control, target, adjoint=bool(rng.integers(2))))
+        else:
+            j = int(rng.integers(0, 3))
+            k = int(rng.integers(j + 1, 4))
+            axis = str(rng.choice(["x", "y", "z"]))
+            ops.append(Rotation(int(rng.integers(3)), j, k, axis, float(rng.normal())))
+    repeats = int(rng.integers(1, 4))
+    circuit = Circuit(3, tuple(ops) * repeats, {"steps": repeats})
+    assert fused_error(circuit, random_state(3, rng)) <= 1e-12
 
 
 # --- tallies ----------------------------------------------------------------
