@@ -32,7 +32,7 @@ from .mapping import (
 from .oracle import (
     ExactPropagator,
     GreensSeries,
-    exact_population,
+    exact_populations,
     fermionic_hamiltonian,
     gf_fourier,
     lesser_gf,
@@ -77,7 +77,7 @@ __all__ = [
     "product_state",
     "ExactPropagator",
     "GreensSeries",
-    "exact_population",
+    "exact_populations",
     "fermionic_hamiltonian",
     "gf_fourier",
     "lesser_gf",

@@ -54,6 +54,8 @@ class RunConfig:
             raise ConfigInvalid("dt: must be > 0")
         if self.t_max <= 0:
             raise ConfigInvalid("t_max: must be > 0")
+        if not 0 <= self.beta < np.inf:
+            raise ConfigInvalid("beta: must be finite and >= 0")
         unknown = [name for name in self.observables if name not in OBSERVABLES]
         if unknown:
             raise ConfigInvalid(

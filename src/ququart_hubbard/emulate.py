@@ -14,7 +14,7 @@ import numpy as np
 from . import gates, mapping, oracle, transpile
 from .errors import UnsupportedLattice
 from .gamma import DIM
-from .mapping import SPINS, LatticeGeometry
+from .mapping import LatticeGeometry
 from .oracle import GreensSeries
 
 
@@ -81,25 +81,15 @@ def population_grid(
     _require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
-    prop = oracle.ExactPropagator(h_exact)
+    exact = oracle.exact_populations(h_exact, tokens, taus)
     psi0 = mapping.product_state(tokens)
-    fock0 = oracle.fock_state(tokens)
     L = geometry.site_count
-    number_ops = {
-        (s, spin): oracle.number_operator(s, spin, L)
-        for s in range(1, L + 1)
-        for spin in SPINS
-    }
     rows = []
-    for tau in taus:
+    for k, tau in enumerate(taus):
         circuit = transpile.trotter_step_circuit(mh, tau, steps)
-        state = gates.simulate(circuit, psi0)
-        circ_pops = circuit_populations(state, L)
-        psi_exact = prop.evolve(fock0, tau)
-        for s in range(1, L + 1):
-            for spin in SPINS:
-                exact = float(np.real(np.vdot(psi_exact, number_ops[(s, spin)] @ psi_exact)))
-                rows.append(PopulationRow(tau, steps, s, spin, circ_pops[(s, spin)], exact))
+        circ_pops = circuit_populations(gates.simulate(circuit, psi0), L)
+        for (s, spin), values in exact.items():
+            rows.append(PopulationRow(tau, steps, s, spin, circ_pops[(s, spin)], float(values[k])))
     return rows
 
 

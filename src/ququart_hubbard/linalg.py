@@ -1,16 +1,28 @@
 """Dense complex linear algebra substrate.
 
-Everything here operates on plain numpy arrays (complex128). Hilbert
-dimensions in this project stay at or below 4**6 = 4096, so dense storage
-and full factorizations are always affordable and exact to machine
-precision.
+Everything here operates on plain numpy arrays (complex128). Dense
+register operators must fit one memory budget (``dense_dim``), which
+admits L <= 6 sites; within it, dense storage and full factorizations
+are affordable and exact to machine precision.
 """
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonHermitianInput
+from .errors import ConvergenceFailure, DimensionTooLarge, NonHermitianInput
 
 DEFAULT_TOL = 1e-10
+DENSE_BUDGET_BYTES = 1 << 30  # one dense register operator, 1 GiB
+
+
+def dense_dim(site_count: int) -> int:
+    """4^L; raises DimensionTooLarge, before any allocation, when one dense
+    4^L x 4^L complex matrix would exceed DENSE_BUDGET_BYTES."""
+    dim = 4**site_count
+    if dim * dim * 16 > DENSE_BUDGET_BYTES:
+        raise DimensionTooLarge(f"{site_count} sites: a dense {dim} x {dim} complex matrix "
+                                f"needs {dim * dim * 16 / 2**30:g} GiB, over the "
+                                f"{DENSE_BUDGET_BYTES / 2**30:g} GiB budget")
+    return dim
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

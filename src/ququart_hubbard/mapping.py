@@ -33,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionTooLarge, SiteOutOfRange, UnsupportedLattice
+from .errors import SiteOutOfRange, UnsupportedLattice
 from .gamma import DIM, make_gamma_set
-from .linalg import kron_all
+from .linalg import dense_dim, kron_all
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
@@ -126,8 +126,7 @@ def map_fermion(site: int, spin: str, kind: str, site_count: int) -> MappedOpera
     """Dense register image of one fermionic ladder operator."""
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    if site_count > 6:
-        raise DimensionTooLarge("dense mapped operators limited to 6 sites")
+    dense_dim(site_count)
     g, _ = _local_operators()
     local = local_fermion_factor(spin, kind)
     factors = [g.tilde] * (site - 1) + [local] + [np.eye(DIM)] * (site_count - site)
@@ -273,11 +272,10 @@ def embed_factors(factor_map: dict, site_count: int) -> np.ndarray:
 
 
 def dense_hamiltonian(mh: MappedHamiltonian) -> np.ndarray:
-    """Full 4^L matrix of the mapped Hamiltonian (L <= 6)."""
+    """Full 4^L matrix of the mapped Hamiltonian (within the dense budget)."""
     L = mh.geometry.site_count
-    if L > 6:
-        raise DimensionTooLarge("dense assembly limited to 6 sites")
-    h = np.zeros((DIM**L, DIM**L), dtype=complex)
+    dim = dense_dim(L)
+    h = np.zeros((dim, dim), dtype=complex)
     for terms in mh.hop_terms:
         for term in terms:
             h += term.coefficient * embed_factors(term.factor_map(), L)

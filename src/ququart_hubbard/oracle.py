@@ -1,35 +1,30 @@
 """Exact occupation-number-basis reference for the spinful Hubbard chain/ladder.
 
-This is an independent implementation route: fermionic operators are built
-as sign-string kron products over 2L spin-orbital modes ordered
-(up_1, dn_1, up_2, dn_2, ...), the Hamiltonian is assembled directly from
+This is an independent implementation route. Configurations are numbered
+by the bit string (n_up1, n_dn1, n_up2, ...), first mode most significant.
+c or c^dag on one mode is a signed map of basis indices: it flips that
+bit with sign (-1)^(occupied modes preceding it), or annihilates the
+state. The Hamiltonian
 
-    H = -J sum_bonds sum_spin (c^dag_a c_b + h.c.) + v sum_m N_up N_dn,
+    H = -J sum_bonds sum_spin (c^dag_a c_b + h.c.) + v sum_m N_up N_dn
 
-and time evolution / Green's functions come from full eigendecomposition.
+is scattered from those maps with no matrix products. One
+eigendecomposition (``ExactPropagator``) evolves states over whole time
+grids and supplies the Lehmann sums of the thermal Green's function.
 Every circuit-lane result is validated against this module.
-
-Basis index convention: configurations are numbered lexicographically by
-the bit string (n_up1, n_dn1, n_up2, ...) with the first mode most
-significant; matrix elements carry (-1)^(occupied modes preceding the
-target mode).
 """
 
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionTooLarge, EmptySeries
-from .mapping import SPIN_DOWN, SPIN_UP, LatticeGeometry
+from .errors import EmptySeries
+from .linalg import dense_dim
+from .mapping import SPIN_DOWN, SPIN_UP, SPINS, LatticeGeometry
 
-_TOKEN_BITS = {"0": (0, 0), "u": (1, 0), "d": (0, 1), "ud": (1, 1)}
-
-_A_LOCAL = np.array([[0, 1], [0, 0]], dtype=complex)  # annihilate |1> -> |0>
-_SIGN = np.diag([1.0, -1.0]).astype(complex)
-_I2 = np.eye(2, dtype=complex)
+_TOKEN_BITS = {"0": "00", "u": "10", "d": "01", "ud": "11"}
 
 
 def mode_index(site: int, spin: str) -> int:
@@ -37,55 +32,64 @@ def mode_index(site: int, spin: str) -> int:
     return 2 * (site - 1) + (0 if spin == SPIN_UP else 1)
 
 
-@lru_cache(maxsize=None)
-def _mode_annihilator(mode: int, n_modes: int) -> np.ndarray:
-    factors = [_SIGN] * mode + [_A_LOCAL] + [_I2] * (n_modes - mode - 1)
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    out.flags.writeable = False
+def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
+    """c ("annihilate") or c^dag ("create") as a signed map of basis indices.
+
+    The operator sends basis state idx to sign[idx] * |target[idx]>; sign is
+    0 where it annihilates the state. target is a bijection, so a product
+    A B composes by indexing: (t_a[t_b], s_a[t_b] * s_b).
+    """
+    bit = 2 * site_count - 1 - mode_index(site, spin)
+    idx = np.arange(4**site_count)
+    occupied = (idx >> bit) & 1
+    allowed = occupied if kind == "annihilate" else 1 - occupied
+    sign = allowed * (-1.0) ** np.bitwise_count(idx >> (bit + 1))
+    return idx ^ (1 << bit), sign
+
+
+def _apply(op: tuple, psi: np.ndarray) -> np.ndarray:
+    """Index map applied to a state or to the columns of a (dim, k) array."""
+    target, sign = op
+    out = np.empty_like(psi)
+    out[target] = (psi.T * sign).T
     return out
+
+
+def occupation(site: int, spin: str, site_count: int) -> np.ndarray:
+    """Diagonal of the number operator N_{site,spin} (0.0 or 1.0 per basis state)."""
+    bit = 2 * site_count - 1 - mode_index(site, spin)
+    return ((np.arange(4**site_count) >> bit) & 1).astype(float)
 
 
 def fermion_operator(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:
     """Dense c or c^dag for (site, spin) on the 4^L occupation basis."""
-    if site_count > 6:
-        raise DimensionTooLarge("dense fermionic operators limited to 6 sites")
-    c = _mode_annihilator(mode_index(site, spin), 2 * site_count)
-    return c.conj().T.copy() if kind == "create" else c.copy()
-
-
-def number_operator(site: int, spin: str, site_count: int) -> np.ndarray:
-    c = fermion_operator(site, spin, "annihilate", site_count)
-    return c.conj().T @ c
+    dim = dense_dim(site_count)
+    target, sign = _ladder(site, spin, kind, site_count)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[target, np.arange(dim)] = sign
+    return out
 
 
 def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.ndarray:
     L = geometry.site_count
-    if L > 6:
-        raise DimensionTooLarge("exact diagonalization limited to 6 sites")
-    dim = 4**L
+    dim = dense_dim(L)
+    cols = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
     for a, b in geometry.bonds:
-        for spin in (SPIN_UP, SPIN_DOWN):
-            cdag_a = fermion_operator(a, spin, "create", L)
-            c_b = fermion_operator(b, spin, "annihilate", L)
-            hop = cdag_a @ c_b
-            h += -J * (hop + hop.conj().T)
+        for spin in SPINS:
+            t_a, s_a = _ladder(a, spin, "create", L)
+            t_b, s_b = _ladder(b, spin, "annihilate", L)
+            rows, amp = t_a[t_b], s_a[t_b] * s_b  # c^dag_a c_b
+            h[rows, cols] -= J * amp
+            h[cols, rows] -= J * amp
     for m in range(1, L + 1):
-        h += v * number_operator(m, SPIN_UP, L) @ number_operator(m, SPIN_DOWN, L)
+        h[cols, cols] += v * occupation(m, SPIN_UP, L) * occupation(m, SPIN_DOWN, L)
     return h
 
 
 def fock_index(tokens) -> int:
     """Basis index of a product configuration given per-site tokens."""
-    bits = []
-    for t in tokens:
-        bits.extend(_TOKEN_BITS[t])
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    return index
+    return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
 def fock_state(tokens) -> np.ndarray:
@@ -98,21 +102,30 @@ class ExactPropagator:
     """Cached eigendecomposition of a Hermitian Hamiltonian."""
 
     def __init__(self, h: np.ndarray):
-        self.h = np.asarray(h, dtype=complex)
-        self.evals, self.evecs = np.linalg.eigh(self.h)
+        self.evals, self.evecs = np.linalg.eigh(np.asarray(h, dtype=complex))
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
+    def phases(self, times) -> np.ndarray:
+        """(dim, T) matrix e^{-i E_n t} over the eigenvalues and a time grid."""
+        return np.exp(-1j * np.outer(self.evals, times))
+
+    def evolve(self, state: np.ndarray, times) -> np.ndarray:
+        """(dim, T) array whose column k is e^{-i H t_k} state.
+
+        Columns with t = 0 are ``state`` itself, bit for bit.
+        """
         state = np.asarray(state, dtype=complex)
-        if t == 0.0:
-            return state.copy()
+        times = np.asarray(times, dtype=float)
         coeffs = self.evecs.conj().T @ state
-        return self.evecs @ (np.exp(-1j * self.evals * t) * coeffs)
+        out = self.evecs @ (self.phases(times) * coeffs[:, None])
+        out[:, times == 0.0] = state[:, None]
+        return out
 
 
-def exact_population(h: np.ndarray, tokens, t: float, site: int, spin: str) -> float:
-    psi = ExactPropagator(h).evolve(fock_state(tokens), t)
-    n = number_operator(site, spin, len(tokens))
-    return float(np.real(np.vdot(psi, n @ psi)))
+def exact_populations(h: np.ndarray, tokens, times) -> dict:
+    """{(site, spin): <N>(t) over times} from the product state ``tokens``."""
+    L = len(tokens)
+    probs = np.abs(ExactPropagator(h).evolve(fock_state(tokens), times)) ** 2
+    return {(s, spin): occupation(s, spin, L) @ probs for s in range(1, L + 1) for spin in SPINS}
 
 
 # --- Green's functions ------------------------------------------------------
@@ -138,48 +151,36 @@ class GreensSeries:
 def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.ndarray:
     """G^<_{ij}(t) = i <psi0| c^dag_j(0) c_i(t) |psi0> for a pure state.
 
-    Evaluated as i <U(t) c_j psi0 | c_i U(t) psi0>, two propagations per
-    time sample.
+    Evaluated as i <U(t) c_j psi0 | c_i U(t) psi0>, both vectors propagated
+    over the whole grid at once.
     """
     L = len(tokens)
     prop = ExactPropagator(h)
-    c_i = fermion_operator(i, spin, "annihilate", L)
-    c_j = fermion_operator(j, spin, "annihilate", L)
     psi0 = fock_state(tokens)
-    removed = c_j @ psi0
-    out = np.empty(len(times), dtype=complex)
-    for idx, t in enumerate(times):
-        bra = prop.evolve(removed, t)
-        ket = c_i @ prop.evolve(psi0, t)
-        out[idx] = 1j * np.vdot(bra, ket)
-    return out
+    bra = prop.evolve(_apply(_ladder(j, spin, "annihilate", L), psi0), times)
+    ket = _apply(_ladder(i, spin, "annihilate", L), prop.evolve(psi0, times))
+    return 1j * np.sum(bra.conj() * ket, axis=0)
 
 
 def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) -> np.ndarray:
     """Thermal G^R_{ij}(t) = -i theta(t) <{c_i(t), c^dag_j(0)}>_beta.
 
     theta(0) = 0.5; t < 0 samples are zero. Uses the Lehmann form in the
-    eigenbasis, so a whole time grid costs one eigendecomposition.
+    eigenbasis, sum_nm A_nm e^{i (E_n - E_m) t}, evaluated as
+    sum_n conj(Q_n) (A Q)_n over the (dim, T) phase matrix Q = e^{-i E t}.
     """
-    h = np.asarray(h, dtype=complex)
-    dim = h.shape[0]
-    if dim > 4**4:
-        raise DimensionTooLarge("thermal trace limited to 4 sites")
-    L = int(round(np.log(dim) / np.log(4)))
-    evals, evecs = np.linalg.eigh(h)
-    shifted = evals - evals.min()  # avoid overflow in e^{-beta E}
+    prop = ExactPropagator(h)
+    vecs = prop.evecs
+    L = (vecs.shape[0].bit_length() - 1) // 2
+    shifted = prop.evals - prop.evals.min()  # avoid overflow in e^{-beta E}
     weights = np.exp(-beta * shifted)
-    z = weights.sum()
-    c = evecs.conj().T @ fermion_operator(i, spin, "annihilate", L) @ evecs
-    cdag = evecs.conj().T @ fermion_operator(j, spin, "create", L) @ evecs
-    pair = c * cdag.T  # C_nm * D_mn
-    rho_sum = weights[:, None] + weights[None, :]
-    amp = (rho_sum * pair) / z
-    freq = evals[:, None] - evals[None, :]
+    c = vecs.conj().T @ _apply(_ladder(i, spin, "annihilate", L), vecs)
+    cdag = vecs.conj().T @ _apply(_ladder(j, spin, "create", L), vecs)
+    amp = (weights[:, None] + weights[None, :]) * c * cdag.T / weights.sum()
     times = np.asarray(times, dtype=float)
     theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
-    phases = np.exp(1j * np.outer(times, freq.ravel()))
-    return -1j * theta * (phases @ amp.ravel())
+    q = prop.phases(times)
+    return -1j * theta * np.sum(q.conj() * (amp @ q), axis=0)
 
 
 def lesser_series(h, tokens, i, j, spin, times, J=np.nan, v=np.nan, init="") -> GreensSeries:
@@ -220,14 +221,10 @@ def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     if series.kind != "retarded" and len(times) > 1:
         weights[0] *= 0.5
     damped = series.values * np.exp(-eta * times) * weights
+    # uniform grid: e^{i w t_k} = e^{i w t_0} z^k with z = e^{i w dt}
     omegas = np.asarray(omegas, dtype=float)
-    out = np.empty(len(omegas), dtype=complex)
-    chunk = 512  # bound the e^{i w t} kernel memory
-    for start in range(0, len(omegas), chunk):
-        block = omegas[start : start + chunk]
-        kernel = np.exp(1j * np.outer(block, times))
-        out[start : start + chunk] = kernel @ damped
-    return out
+    z = np.exp(1j * omegas * dt)
+    return np.exp(1j * omegas * times[0]) * np.polynomial.polynomial.polyval(z, damped)
 
 
 def spectral(series: GreensSeries, eta: float, omegas) -> np.ndarray:

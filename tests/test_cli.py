@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, mapping
+from ququart_hubbard import acceptance, gates, mapping, oracle
 from ququart_hubbard.cli import main
 
 
@@ -185,6 +185,24 @@ def test_unknown_observable_exits_one(tmp_path, capsys, observables):
     assert code == 1
     assert "observables: unknown" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("beta", ["-1000", "-0.5", "inf", "nan"])
+def test_bad_beta_exits_one(tmp_path, capsys, beta):
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d",
+                   "--observables", "retarded_gf", "--beta", beta, "--out", str(tmp_path))
+    assert code == 1
+    assert "config error: beta:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_greens_retarded_on_five_sites(tmp_path):
+    code = run_cli("greens", "--geometry", "chain:5", "--init", "u,d,0,ud,u",
+                   "--observables", "retarded_gf", "--tmax", "1", "--dt", "0.5",
+                   "--out", str(tmp_path))
+    assert code == 0
+    series = oracle.series_from_csv((tmp_path / "gf_retarded_oracle_i1_j1_up.csv").read_text())
+    assert abs(series.values[0] - (-0.5j)) <= 1e-12
 
 
 def test_deterministic_outputs(tmp_path):
