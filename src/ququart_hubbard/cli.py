@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +119,26 @@ class RunConfig:
         return out
 
 
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
+_CONFIG_FIELDS = {name: f.type for name, f in RunConfig.__dataclass_fields__.items()}
+
+
+def _config_value(key: str, value):
+    """A config-file value checked against its RunConfig field's type: int
+    fields reject bool and float, float fields accept int, tau_stop may be
+    null, observables is a list of str."""
+    kind = _CONFIG_FIELDS[key]
+    if kind is tuple:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        raise ConfigInvalid(f"{key}: expected a list of strings, got {value!r}")
+    if kind == float | None:
+        if value is None:
+            return None
+        kind = float
+    accepted = (int, float) if kind is float else (kind,)
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigInvalid(f"{key}: expected {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -130,9 +149,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigInvalid(f"config: unknown field {key!r}")
-            if key == "observables":
-                value = tuple(value)
-            setattr(config, key, value)
+            setattr(config, key, _config_value(key, value))
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
@@ -183,18 +200,13 @@ def cmd_transpile(config: RunConfig) -> int:
     gates.save_circuit(circuit, circuit_path)
     term_angle = mh.J * tau / (2.0 * config.steps)
     reports = [transpile.synthesis_report(i, term_angle) for i in (1, 2, 3, 4)]
-    tally = gates.count_gates(circuit)
     report = {
         "geometry": geometry.label,
         "tau": tau,
         "steps": config.steps,
         "term_angle": term_angle,
         "terms": reports,
-        "circuit_tally": {
-            "two_qudit": tally.two_qudit,
-            "single_qudit_physical": tally.single_qudit_physical,
-            "virtual_z": tally.virtual_z,
-        },
+        "circuit_tally": asdict(gates.count_gates(circuit)),
     }
     report_path = out / "synthesis_report.json"
     with open(report_path, "w") as fh:

@@ -5,20 +5,16 @@ class QuquartError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonHermitianInput(QuquartError):
-    """A generator expected to be Hermitian failed the tolerance check."""
-
-
-class ConvergenceFailure(QuquartError):
-    """A dense factorization (SVD, eigendecomposition) did not converge."""
-
-
 class InvalidSubspace(QuquartError):
     """Two-level subspace indices are out of range or not ordered j < k."""
 
 
 class SiteOutOfRange(QuquartError):
     """A site index does not exist in the register or lattice."""
+
+
+class InvalidCircuit(QuquartError):
+    """A circuit field or circuit document entry is malformed."""
 
 
 class DimensionTooLarge(QuquartError):

@@ -1,7 +1,8 @@
 """Circuit representation and dense statevector simulator for ququart registers.
 
-A circuit is an ordered list of gate operations on a register of L
-four-level sites (register positions are 0-based). Two gate kinds exist:
+A circuit is one op sequence, `step`, applied `repeat` times to a register
+of L four-level sites (register positions are 0-based); `ops` is the flat
+sequence `step * repeat`. Two gate kinds exist:
 
   Rotation  -- single-qudit subspace rotation X/Y/Z^{jk}_phi; z-axis
                rotations may be flagged virtual (frame bookkeeping, zero
@@ -12,13 +13,11 @@ four-level sites (register positions are 0-based). Two gate kinds exist:
 
 Every gate, and every fused block, acts by one contraction of a local
 (4,)*2k tensor with the state reshaped to a (4,)*L tensor; no 4^L x 4^L
-embedding is ever materialized. `simulate` fuses greedily, as qsim's gate
-fuser does (Isakov et al., arXiv:2111.02396): rotations collect per site,
-and each CSUM multiplies into the latest block its two sites share or else
-opens a new 16x16 block, so a chain(L) Trotter step (about 100 ops per
-bond) collapses to L - 1 blocks. When the circuit is a verified repetition
-of one step (`metadata["steps"]`), that step is fused once and its block
-list replayed `steps` times.
+embedding is ever materialized. `simulate` fuses the step greedily, as
+qsim's gate fuser does (Isakov et al., arXiv:2111.02396): rotations
+collect per site, and each CSUM multiplies into the latest block its two
+sites share or else opens a new 16x16 block, so a chain(L) Trotter step
+(about 100 ops per bond) collapses to L - 1 blocks, applied `repeat` times.
 """
 
 import json
@@ -28,8 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import gamma
-from .errors import DimensionTooLarge, InvalidSubspace, SiteOutOfRange
+from .errors import InvalidCircuit, InvalidSubspace, SiteOutOfRange
 from .gamma import DIM
+from .linalg import dense_dim
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,24 @@ GateOp = Rotation | Csum
 @dataclass(frozen=True)
 class Circuit:
     site_count: int
-    ops: tuple = ()
+    step: tuple = ()
     metadata: dict = field(default_factory=dict)
+    repeat: int = 1
 
     def __post_init__(self):
-        # repeated Trotter steps share op objects: check each object once
-        for op in {id(op): op for op in self.ops}.values():
+        if type(self.repeat) is not int or self.repeat < 1:
+            raise InvalidCircuit(f"repeat must be an int >= 1, got {self.repeat!r}")
+        for op in self.step:
             for s in _op_sites(op):
                 if not 0 <= s < self.site_count:
                     raise SiteOutOfRange(
                         f"op {op} touches site {s}, register has {self.site_count}"
                     )
+
+    @property
+    def ops(self) -> tuple:
+        """The flat op sequence, `step` repeated `repeat` times."""
+        return self.step * self.repeat
 
 
 def _op_sites(op: GateOp):
@@ -183,41 +190,23 @@ def _fuse(ops) -> list:
     return blocks
 
 
-def _period(circuit: Circuit) -> int:
-    """Length of the op sequence that the circuit repeats: the
-    `metadata["steps"]` hint if the ops really are that many copies of one
-    step (identity-fast for emitted circuits, by value after JSON), else
-    the whole op list."""
-    ops = circuit.ops
-    steps = circuit.metadata.get("steps")
-    if isinstance(steps, int) and steps > 1 and len(ops) % steps == 0:
-        n = len(ops) // steps
-        if ops == ops[:n] * steps:
-            return n
-    return len(ops)
-
-
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
-    array of them: fuse one period of the ops into two-site blocks, then
-    apply the block list once per period."""
+    array of them: fuse the step into two-site blocks once, then apply the
+    block list `repeat` times."""
     state = np.asarray(state, dtype=complex)
-    period = _period(circuit)
-    blocks = _fuse(circuit.ops[:period])
+    blocks = _fuse(circuit.step)
     psi = state.reshape([DIM] * circuit.site_count + list(state.shape[1:]))
-    for _ in range(len(circuit.ops) // max(period, 1)):
+    for _ in range(circuit.repeat):
         for sites, u in blocks:
             psi = _contract(psi, u, sites)
     return psi.reshape(state.shape)
 
 
-def circuit_unitary(circuit: Circuit, max_sites: int = 4) -> np.ndarray:
-    """Dense unitary of the whole circuit (first op = rightmost factor)."""
-    if circuit.site_count > max_sites:
-        raise DimensionTooLarge(
-            f"dense circuit unitary limited to {max_sites} sites"
-        )
-    return simulate(circuit, np.eye(DIM**circuit.site_count, dtype=complex))
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Dense unitary of the whole circuit (first op = rightmost factor);
+    raises DimensionTooLarge past the dense budget (L > 6)."""
+    return simulate(circuit, np.eye(dense_dim(circuit.site_count), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -229,14 +218,15 @@ class GateTally:
 
 def count_gates(circuit: Circuit) -> GateTally:
     two = phys = virt = 0
-    for op in circuit.ops:
+    for op in circuit.step:
         if isinstance(op, Csum):
             two += 1
         elif op.virtual:
             virt += 1
         else:
             phys += 1
-    return GateTally(two, phys, virt)
+    n = circuit.repeat
+    return GateTally(two * n, phys * n, virt * n)
 
 
 def nonadjacent_x(m: int, phi: float, site: int = 0) -> list:
@@ -275,7 +265,7 @@ def nonadjacent_y(m: int, phi: float, site: int = 0) -> list:
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:
     ops = []
-    for op in circuit.ops:
+    for op in circuit.step:
         if isinstance(op, Rotation):
             ops.append(
                 {
@@ -297,7 +287,7 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
                     "adjoint": op.adjoint,
                 }
             )
-    doc = {"sites": circuit.site_count, "ops": ops}
+    doc = {"sites": circuit.site_count, "ops": ops, "repeat": circuit.repeat}
     if circuit.metadata:
         doc["metadata"] = dict(circuit.metadata)
     return doc
@@ -322,8 +312,8 @@ def circuit_from_json_dict(doc: dict) -> Circuit:
                 Csum(entry["control"], entry["target"], entry.get("adjoint", False))
             )
         else:
-            raise ValueError(f"unknown op kind {entry['kind']!r}")
-    return Circuit(doc["sites"], tuple(ops), doc.get("metadata", {}))
+            raise InvalidCircuit(f"unknown op kind {entry['kind']!r}")
+    return Circuit(doc["sites"], tuple(ops), doc.get("metadata", {}), doc.get("repeat", 1))
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -25,7 +25,7 @@ the evolution angle tau. Physical cost per bond per step: 8 two-qudit
 gates and exactly 32 non-virtual-Z single-qudit pulses.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -186,20 +186,21 @@ def transpile_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> C
     Raises SynthesisResidual if the assembled circuit misses the target by
     more than residual_tol at the optimal global phase.
     """
+    return _checked_hopping(term_id, tau, residual_tol)[0]
+
+
+def _checked_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> tuple:
+    """(circuit, residual) of transpile_hopping; the residual is computed once."""
     ops = hopping_term_ops(term_id, tau, control=0, target=1)
     circuit = Circuit(2, tuple(ops), {"term": term_id, "tau": tau})
-    residual = synthesis_residual(circuit, term_id, tau)
+    residual = phase_aligned_distance(
+        gates.circuit_unitary(circuit), hopping_target(term_id, tau)
+    )
     if residual > residual_tol:
         raise SynthesisResidual(
             f"term {term_id} at tau={tau:g}: residual {residual:.3e} > {residual_tol:g}"
         )
-    return circuit
-
-
-def synthesis_residual(circuit: Circuit, term_id: int, tau: float) -> float:
-    return phase_aligned_distance(
-        gates.circuit_unitary(circuit), hopping_target(term_id, tau)
-    )
+    return circuit, residual
 
 
 def interaction_layer_ops(site: int, v: float, prefactor: float, dt: float) -> list:
@@ -259,25 +260,18 @@ def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circu
         "J": mh.J,
         "v": mh.v,
         "tau": tau,
-        "steps": steps,
     }
-    # every step is the same op sequence
-    return Circuit(geometry.site_count, tuple(step) * steps, metadata)
+    return Circuit(geometry.site_count, tuple(step), metadata, repeat=steps)
 
 
 def synthesis_report(term_id: int, tau: float) -> dict:
     """Schmidt data, residual, and tally for one transpiled hopping term."""
-    circuit = transpile_hopping(term_id, tau)
+    circuit, residual = _checked_hopping(term_id, tau)
     decomposition = osd(hopping_target(term_id, tau))
-    tally = gates.count_gates(circuit)
     return {
         "term": term_id,
         "tau": tau,
         "schmidt_coefficients": [float(c) for c in decomposition.coefficients],
-        "residual_norm": synthesis_residual(circuit, term_id, tau),
-        "gate_tally": {
-            "two_qudit": tally.two_qudit,
-            "single_qudit_physical": tally.single_qudit_physical,
-            "virtual_z": tally.virtual_z,
-        },
+        "residual_norm": residual,
+        "gate_tally": asdict(gates.count_gates(circuit)),
     }

@@ -178,6 +178,21 @@ def test_unknown_config_field_exits_one(tmp_path):
     assert run_cli("evolve", "--config", str(path)) == 1
 
 
+@pytest.mark.parametrize(
+    "doc", [{"steps": "30"}, {"geometry": 5}, {"init": ["u", "d"]}, {"J": "1"}],
+    ids=["steps", "geometry", "init", "J"],
+)
+def test_config_wrong_type_exits_one(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"geometry": "chain:2", "init": "u,d", "tau_stop": 0.5,
+                                "steps": 2, **doc}))
+    out = tmp_path / "out"
+    code = run_cli("evolve", "--config", str(path), "--out", str(out))
+    assert code == 1
+    assert f"config error: {next(iter(doc))}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("observables", ["bogus", "lesser_gf,spectrum", ""])
 def test_unknown_observable_exits_one(tmp_path, capsys, observables):
     code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d",

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ququart_hubbard import gamma, gates, linalg, mapping, transpile
-from ququart_hubbard.errors import DimensionTooLarge, InvalidSubspace, SiteOutOfRange
+from ququart_hubbard.errors import (
+    DimensionTooLarge,
+    InvalidCircuit,
+    InvalidSubspace,
+    SiteOutOfRange,
+)
 from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation
 
 RNG = np.random.default_rng(7)
@@ -15,6 +22,11 @@ RNG = np.random.default_rng(7)
 def random_state(n_sites, rng=RNG):
     v = rng.normal(size=4**n_sites) + 1j * rng.normal(size=4**n_sites)
     return v / np.linalg.norm(v)
+
+
+def phase_overlap(a, b):
+    """|tr(a^dag b)| / dim; equals 1 iff a = e^{i theta} b for unitaries."""
+    return float(np.abs(np.trace(a.conj().T @ b)) / a.shape[0])
 
 
 # --- csum -------------------------------------------------------------------
@@ -169,8 +181,14 @@ def test_circuit_unitary_matches_column_folding():
 
 
 def test_circuit_unitary_dimension_guard():
-    with pytest.raises(DimensionTooLarge):
-        gates.circuit_unitary(Circuit(5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLarge, match="GiB budget"):
+            gates.circuit_unitary(Circuit(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_circuit_rejects_out_of_range_ops():
@@ -220,7 +238,7 @@ def test_fused_matches_gate_level_on_one_chain8_step():
 @pytest.mark.parametrize("sites", [4, 8])
 def test_fused_step_is_one_block_per_bond(sites):
     circuit = chain_circuit(sites, 5)
-    blocks = gates._fuse(circuit.ops[: len(circuit.ops) // 5])
+    blocks = gates._fuse(circuit.step)
     assert len(blocks) == sites - 1
     assert all(len(block_sites) == 2 for block_sites, _ in blocks)
 
@@ -241,8 +259,6 @@ def test_fused_json_reloaded_circuit(tmp_path):
     gates.save_circuit(circuit, path)
     loaded = gates.load_circuit(path)
     assert loaded.ops == circuit.ops
-    assert not any(a is b for a, b in zip(loaded.ops, circuit.ops))
-    assert len({id(op) for op in loaded.ops}) == len(loaded.ops)
     state = random_state(3)
     assert np.array_equal(gates.simulate(loaded, state), gates.simulate(circuit, state))
     assert fused_error(loaded, state) <= 1e-12
@@ -250,25 +266,29 @@ def test_fused_json_reloaded_circuit(tmp_path):
 
 @pytest.mark.parametrize("steps", [2, 3, 5, 7, 0, -1, "3", None])
 def test_fused_ignores_wrong_steps_metadata(steps):
+    # metadata never steers simulation; flat files written before `repeat`
+    # existed still carry a "steps" entry
     honest = chain_circuit(2, 3)
-    # the last step differs from the first two in one angle
+    # a flat circuit whose last step differs from the first two in one angle
     tampered = list(honest.ops)
     tampered[-1] = replace(tampered[-1], phi=tampered[-1].phi + 0.4)
-    lying = Circuit(2, tuple(tampered), {"steps": steps})
-    # 2 and 3 divide the op count but the copies differ; 5 and 7 do not divide it
-    assert len(tampered) % 6 == 0 and len(tampered) % 5 and len(tampered) % 7
-    assert fused_error(lying, random_state(2)) <= 1e-12
+    flat = Circuit(2, tuple(tampered))
+    state = random_state(2)
+    assert fused_error(flat, state) <= 1e-12
+    for circuit in (honest, flat):
+        relabelled = replace(circuit, metadata={"steps": steps, "tau": -1.0})
+        assert np.array_equal(gates.simulate(relabelled, state), gates.simulate(circuit, state))
 
 
 def test_fused_empty_and_rotation_only_circuits():
     state = random_state(2)
-    assert np.array_equal(gates.simulate(Circuit(2, (), {"steps": 4}), state), state)
+    assert np.array_equal(gates.simulate(Circuit(2, (), repeat=4), state), state)
     rotations = (
         Rotation(0, 0, 1, "x", 0.3),
         Rotation(1, 1, 3, "y", -0.7),
         Rotation(0, 0, 2, "z", 0.5, virtual=True),
     )
-    circuit = Circuit(2, rotations * 3, {"steps": 3})
+    circuit = Circuit(2, rotations, repeat=3)
     assert fused_error(circuit, state) <= 1e-12
 
 
@@ -315,7 +335,7 @@ def test_fused_matches_gate_level_on_random_circuits(seed):
             axis = str(rng.choice(["x", "y", "z"]))
             ops.append(Rotation(int(rng.integers(3)), j, k, axis, float(rng.normal())))
     repeats = int(rng.integers(1, 4))
-    circuit = Circuit(3, tuple(ops) * repeats, {"steps": repeats})
+    circuit = Circuit(3, tuple(ops), repeat=repeats)
     assert fused_error(circuit, random_state(3, rng)) <= 1e-12
 
 
@@ -352,20 +372,20 @@ def product_of(ops):
 @pytest.mark.parametrize("m", [0, 1])
 def test_nonadjacent_x_zero_angle(m):
     u = product_of(gates.nonadjacent_x(m, 0.0))
-    assert linalg.phase_overlap(u, np.eye(4)) > 1 - 1e-12
+    assert phase_overlap(u, np.eye(4)) > 1 - 1e-12
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_nonadjacent_x_known_angle(m):
     u = product_of(gates.nonadjacent_x(m, np.pi / 2))
     target = gamma.rotation(m, m + 2, "x", np.pi / 2)
-    assert linalg.phase_overlap(u, target) > 1 - 1e-10
+    assert phase_overlap(u, target) > 1 - 1e-10
 
 
 def test_nonadjacent_y_known_angle():
     u = product_of(gates.nonadjacent_y(1, 1.3))
     target = gamma.rotation(1, 3, "y", 1.3)
-    assert linalg.phase_overlap(u, target) > 1 - 1e-10
+    assert phase_overlap(u, target) > 1 - 1e-10
 
 
 @given(st.sampled_from([0, 1]), st.floats(-6, 6))
@@ -373,8 +393,8 @@ def test_nonadjacent_y_known_angle():
 def test_nonadjacent_sequences_match_direct(m, phi):
     ux = product_of(gates.nonadjacent_x(m, phi))
     uy = product_of(gates.nonadjacent_y(m, phi))
-    assert linalg.phase_overlap(ux, gamma.rotation(m, m + 2, "x", phi)) > 1 - 1e-10
-    assert linalg.phase_overlap(uy, gamma.rotation(m, m + 2, "y", phi)) > 1 - 1e-10
+    assert phase_overlap(ux, gamma.rotation(m, m + 2, "x", phi)) > 1 - 1e-10
+    assert phase_overlap(uy, gamma.rotation(m, m + 2, "y", phi)) > 1 - 1e-10
 
 
 def test_nonadjacent_rejects_overflow():
@@ -409,3 +429,43 @@ def test_circuit_json_round_trip(tmp_path):
     a = gates.simulate(circuit, state)
     b = gates.simulate(loaded, state)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("repeat", [0, -1, 1.5, True, "3"])
+def test_circuit_and_load_reject_bad_repeat(tmp_path, repeat):
+    step = (Csum(0, 1),)
+    with pytest.raises(InvalidCircuit):
+        Circuit(2, step, repeat=repeat)
+    doc = gates.circuit_to_json_dict(Circuit(2, step))
+    doc["repeat"] = repeat
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidCircuit):
+        gates.load_circuit(path)
+
+
+def test_circuit_json_keeps_repeat_and_writes_one_step(tmp_path):
+    circuit = chain_circuit(3, 5)
+    path = tmp_path / "circuit.json"
+    gates.save_circuit(circuit, path)
+    doc = json.loads(path.read_text())
+    assert doc["repeat"] == 5
+    assert len(doc["ops"]) == len(circuit.step) == len(circuit.ops) // 5
+    loaded = gates.load_circuit(path)
+    assert loaded == circuit and loaded.repeat == 5
+    assert gates.count_gates(loaded) == gates.count_gates(Circuit(3, circuit.ops))
+
+
+def test_flat_circuit_document_loads_with_repeat_one(tmp_path):
+    # the format before `repeat`: every step written out, "steps" in metadata
+    circuit = chain_circuit(2, 3)
+    doc = gates.circuit_to_json_dict(circuit)
+    doc["ops"] = doc["ops"] * doc.pop("repeat")
+    doc["metadata"]["steps"] = 3
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    loaded = gates.load_circuit(path)
+    assert loaded.repeat == 1 and loaded.ops == circuit.ops
+    state = random_state(2)
+    deviation = gates.simulate(loaded, state) - gates.simulate(circuit, state)
+    assert float(np.max(np.abs(deviation))) <= 1e-12

@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ququart_hubbard import linalg
-from ququart_hubbard.errors import NonHermitianInput
 from ququart_hubbard.gamma import I2, PAULI_X, PAULI_Z
 
 RNG = np.random.default_rng(20240517)
@@ -52,70 +50,6 @@ def test_kron_associative_close_on_floats():
     left = linalg.kron(linalg.kron(a, b), c)
     right = linalg.kron(a, linalg.kron(b, c))
     assert np.max(np.abs(left - right)) < 1e-14
-
-
-def test_expm_zero_generator():
-    assert np.allclose(linalg.expm(np.zeros((3, 3)), 2.3), np.eye(3))
-
-
-def test_expm_pauli_z_analytic():
-    assert np.allclose(linalg.expm(PAULI_Z, np.pi), -np.eye(2), atol=1e-14)
-
-
-def test_expm_matches_pade_reference():
-    h = random_hermitian(16)
-    ours = linalg.expm(h, 0.37)
-    reference = scipy.linalg.expm(-1j * 0.37 * h)
-    assert np.max(np.abs(ours - reference)) < 1e-10
-
-
-def test_expm_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NonHermitianInput):
-        linalg.expm(m, 1.0)
-
-
-@given(st.integers(0, 10_000), st.floats(-3, 3), st.floats(-3, 3))
-@settings(max_examples=25, deadline=None)
-def test_expm_additivity_and_adjoint(seed, t1, t2):
-    h = random_hermitian(8, np.random.default_rng(seed))
-    u1 = linalg.expm(h, t1)
-    u2 = linalg.expm(h, t2)
-    assert np.max(np.abs(u1 @ u2 - linalg.expm(h, t1 + t2))) < 1e-9
-    assert np.max(np.abs(u1.conj().T - linalg.expm(h, -t1))) < 1e-10
-
-
-def test_expm_unitary_output():
-    h = random_hermitian(12)
-    assert linalg.is_unitary(linalg.expm(h, 1.7), tol=1e-10)
-
-
-def test_svd_identity_singulars():
-    _, s, _ = linalg.svd(np.eye(4))
-    assert np.allclose(s, np.ones(4))
-
-
-def test_svd_rank_one_diagonal():
-    _, s, _ = linalg.svd(np.diag([3.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(s, [3.0, 0.0, 0.0, 0.0])
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=20, deadline=None)
-def test_svd_reconstruction(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    u, s, vh = linalg.svd(m)
-    assert np.max(np.abs(u @ np.diag(s) @ vh - m)) < 1e-10
-    assert np.all(np.diff(s) <= 1e-12)
-
-
-def test_hermitian_and_unitary_checks():
-    h = random_hermitian(5)
-    assert linalg.is_hermitian(h)
-    assert not linalg.is_hermitian(h + 1e-8 * 1j * np.eye(5))
-    assert linalg.is_unitary(np.eye(5))
-    assert not linalg.is_unitary(1.001 * np.eye(5))
 
 
 def test_phase_aligned_distance_detects_phase_equality():
