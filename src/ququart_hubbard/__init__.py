@@ -6,7 +6,7 @@ subspace-rotation gates, emulates the circuits on a dense statevector,
 and validates everything against an exact occupation-number reference.
 """
 
-from .gamma import GammaSet, GgmOperator, gamma_as_ggm, ggm, make_gamma_set, rotation
+from .gamma import GammaSet, ggm, make_gamma_set, rotation
 from .gates import (
     Circuit,
     Csum,
@@ -52,8 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GammaSet",
-    "GgmOperator",
-    "gamma_as_ggm",
     "ggm",
     "make_gamma_set",
     "rotation",

@@ -9,8 +9,9 @@ flags taking precedence. Exit codes: 0 success, 1 config error,
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,10 @@ class RunConfig:
     parallel_bonds: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, float | None) and value is not None and not math.isfinite(value):
+                raise ConfigInvalid(f"{f.name}: must be finite, got {value!r}")
         if self.tau_step <= 0:
             raise ConfigInvalid("tau_step: must be > 0")
         if self.steps < 1:
@@ -54,8 +59,8 @@ class RunConfig:
             raise ConfigInvalid("dt: must be > 0")
         if self.t_max <= 0:
             raise ConfigInvalid("t_max: must be > 0")
-        if not 0 <= self.beta < np.inf:
-            raise ConfigInvalid("beta: must be finite and >= 0")
+        if self.beta < 0:
+            raise ConfigInvalid("beta: must be >= 0")
         unknown = [name for name in self.observables if name not in OBSERVABLES]
         if unknown:
             raise ConfigInvalid(
@@ -303,7 +308,7 @@ def cmd_resources(config: RunConfig) -> int:
     reports = [resources.qfm_resources(geometry, parallel_bonds=config.parallel_bonds)]
     if config.baseline:
         reports.append(resources.qubit_baseline_resources(geometry.label))
-    print(json.dumps([r.to_json_dict() for r in reports], indent=1))
+    print(json.dumps([asdict(r) for r in reports], indent=1))
     print(resources.format_table(reports))
     if config.baseline:
         print(

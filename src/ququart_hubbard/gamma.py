@@ -9,12 +9,13 @@ where all pairs mutually anticommute, {Gi, Gj} = 2 delta_ij. Entries are
 small Gaussian integers, so products and anticommutators are exact in
 floating point.
 
-Subspace operators x/y/z^{jk} embed the Pauli matrices into the (j, k)
-two-level subspace of the four-level system; rotations follow the
-half-angle convention R = e^{-i (phi/2) g}.
+Subspace operators x/y/z^{jk} (`ggm`) embed the Pauli matrices into the
+(j, k) two-level subspace of the four-level system; `rotation` follows
+the half-angle convention R = e^{-i (phi/2) g} and is derived from `ggm`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,83 +60,27 @@ def make_gamma_set() -> GammaSet:
     return GammaSet(tuple(_frozen(g) for g in (g1, g2, g3, g4)), _frozen(tilde))
 
 
-def _check_subspace(j: int, k: int) -> None:
+_PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+
+@lru_cache(maxsize=None)
+def ggm(j: int, k: int, axis: Axis) -> np.ndarray:
+    """Pauli matrix `axis` embedded in the (j, k) two-level subspace."""
     if not (0 <= j < k <= DIM - 1):
         raise InvalidSubspace(f"need 0 <= j < k <= {DIM - 1}, got ({j}, {k})")
-
-
-@dataclass(frozen=True)
-class GgmOperator:
-    """Pauli matrix embedded in the (j, k) two-level subspace."""
-
-    j: int
-    k: int
-    axis: Axis
-    matrix: np.ndarray
-
-
-def ggm(j: int, k: int, axis: Axis) -> GgmOperator:
-    _check_subspace(j, k)
-    m = np.zeros((DIM, DIM), dtype=complex)
-    if axis == "x":
-        m[j, k] = 1.0
-        m[k, j] = 1.0
-    elif axis == "y":
-        m[j, k] = -1j
-        m[k, j] = 1j
-    elif axis == "z":
-        m[j, j] = 1.0
-        m[k, k] = -1.0
-    else:
+    if axis not in _PAULI:
         raise InvalidSubspace(f"unknown axis {axis!r}")
-    return GgmOperator(j, k, axis, _frozen(m))
+    m = np.zeros((DIM, DIM), dtype=complex)
+    m[[j, j, k, k], [j, k, j, k]] = _PAULI[axis].ravel()
+    return _frozen(m)
 
 
 def rotation(j: int, k: int, axis: Axis, phi: float) -> np.ndarray:
     """Subspace rotation e^{-i (phi/2) g^{jk}}, identity elsewhere.
 
-    Built in closed form rather than by matrix exponential; the generator
-    squares to the subspace projector, so the series terminates.
+    The generator g squares to the subspace projector P, so the series
+    terminates: I - P + cos(phi/2) P - i sin(phi/2) g.
     """
-    _check_subspace(j, k)
-    m = np.eye(DIM, dtype=complex)
-    c = np.cos(phi / 2.0)
-    s = np.sin(phi / 2.0)
-    if axis == "x":
-        m[j, j] = c
-        m[k, k] = c
-        m[j, k] = -1j * s
-        m[k, j] = -1j * s
-    elif axis == "y":
-        m[j, j] = c
-        m[k, k] = c
-        m[j, k] = -s
-        m[k, j] = s
-    elif axis == "z":
-        m[j, j] = np.exp(-1j * phi / 2.0)
-        m[k, k] = np.exp(1j * phi / 2.0)
-    else:
-        raise InvalidSubspace(f"unknown axis {axis!r}")
-    return m
-
-
-# Decomposition of each generator into subspace operators, canonical j < k
-# index order (y^{kj} = -y^{jk} absorbed into the signs).
-_GAMMA_GGM_TERMS = {
-    1: ((1.0, 0, 2, "x"), (1.0, 1, 3, "x")),
-    2: ((1.0, 0, 2, "y"), (1.0, 1, 3, "y")),
-    3: ((1.0, 0, 1, "x"), (-1.0, 2, 3, "x")),
-    4: ((1.0, 0, 1, "y"), (-1.0, 2, 3, "y")),
-    "tilde": ((1.0, 0, 1, "z"), (-1.0, 2, 3, "z")),
-}
-
-
-def gamma_as_ggm(index):
-    """Expansion of a generator as [(coefficient, GgmOperator), ...].
-
-    index is 1..4 or the string "tilde". The reconstructed sum equals the
-    corresponding GammaSet matrix exactly.
-    """
-    if index not in _GAMMA_GGM_TERMS:
-        raise KeyError(f"gamma index must be 1..4 or 'tilde', got {index!r}")
-    return [(c, ggm(j, k, axis)) for c, j, k, axis in _GAMMA_GGM_TERMS[index]]
+    g = ggm(j, k, axis)
+    p = g @ g
+    return np.eye(DIM) - p + np.cos(phi / 2.0) * p - 1j * np.sin(phi / 2.0) * g

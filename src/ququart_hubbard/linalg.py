@@ -24,11 +24,6 @@ def dense_dim(site_count: int) -> int:
     return dim
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (i*rb+k, j*cb+l) -> a[i,j]*b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(factors) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of matrices."""
     out = np.array([[1.0 + 0.0j]])

@@ -291,10 +291,6 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 def hamiltonian_to_json_dict(mh: MappedHamiltonian) -> dict:
     return {
         "geometry": {
@@ -326,35 +322,6 @@ def hamiltonian_to_json_dict(mh: MappedHamiltonian) -> dict:
     }
 
 
-def hamiltonian_from_json_dict(doc: dict) -> MappedHamiltonian:
-    geo = doc["geometry"]
-    bonds = tuple(tuple(b) for b in geo["bonds"])
-    geometry = LatticeGeometry(geo["kind"], geo["sites"], bonds, geo["label"])
-    hop_terms = tuple(
-        tuple(
-            HoppingTerm(
-                tuple(entry["bond"]),
-                t["index"],
-                _matrix_from_json(t["left"]),
-                _matrix_from_json(t["right"]),
-                tuple(t["string_sites"]),
-                t["coefficient"],
-            )
-            for t in entry["terms"]
-        )
-        for entry in doc["hop_terms"]
-    )
-    int_terms = tuple(_matrix_from_json(m) for m in doc["int_terms"])
-    return MappedHamiltonian(
-        geometry, doc["J"], doc["v"], hop_terms, int_terms, doc["int_prefactor"]
-    )
-
-
 def save_hamiltonian(mh: MappedHamiltonian, path) -> None:
     with open(path, "w") as fh:
         json.dump(hamiltonian_to_json_dict(mh), fh)
-
-
-def load_hamiltonian(path) -> MappedHamiltonian:
-    with open(path) as fh:
-        return hamiltonian_from_json_dict(json.load(fh))

@@ -183,10 +183,10 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     return -1j * theta * np.sum(q.conj() * (amp @ q), axis=0)
 
 
-def lesser_series(h, tokens, i, j, spin, times, J=np.nan, v=np.nan, init="") -> GreensSeries:
+def lesser_series(h, tokens, i, j, spin, times, J=np.nan, v=np.nan) -> GreensSeries:
     values = lesser_gf(h, tokens, i, j, spin, times)
     return GreensSeries(np.asarray(times, float), values, i, j, spin, "lesser",
-                        len(tokens), J, v, init or ",".join(tokens))
+                        len(tokens), J, v, ",".join(tokens))
 
 
 def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) -> GreensSeries:
@@ -251,30 +251,3 @@ def series_to_csv(series: GreensSeries) -> str:
     for t, val in zip(series.times, series.values):
         writer.writerow([_fmt(t), _fmt(val.real), _fmt(val.imag)])
     return buf.getvalue()
-
-
-def series_from_csv(text: str) -> GreensSeries:
-    lines = text.strip().splitlines()
-    meta = {}
-    if lines and lines[0].startswith("#"):
-        for item in lines[0][1:].split():
-            key, _, value = item.partition("=")
-            meta[key] = value
-        lines = lines[1:]
-    rows = list(csv.reader(lines))
-    data = [(float(t), complex(float(re), float(im))) for t, re, im in rows[1:]]
-    times = np.array([t for t, _ in data])
-    values = np.array([g for _, g in data])
-    return GreensSeries(
-        times,
-        values,
-        int(meta.get("i", 0)),
-        int(meta.get("j", 0)),
-        meta.get("spin", SPIN_UP),
-        meta.get("kind", "lesser"),
-        int(meta.get("L", 0)),
-        float(meta.get("J", "nan")),
-        float(meta.get("v", "nan")),
-        meta.get("init", ""),
-        meta.get("source", "oracle"),
-    )

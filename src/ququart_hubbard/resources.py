@@ -1,21 +1,20 @@
 """Gate-count and step-duration estimates: ququart encoding vs qubit zig-zag.
 
-Ququart counts are per Trotter step and derive from the transpiled bond
-pattern (8 two-qudit gates and 32 physical single-qudit pulses per bond);
-the consistency tests tally actually emitted circuits so these constants
-cannot drift from the transpiler. The qubit baseline reproduces the
-published zig-zag layer sequences for the 1x8 and 2x4 lattices, whose
-aggregate two-qubit totals (64 and 112) are the contract; per-layer
-splits are not modeled.
+Ququart counts are tallied from the Trotter step the transpiler emits
+(`transpile.step_layers`), so they follow any change to the step. The
+critical path sums the slowest part of each layer (every part with
+`parallel_bonds=False`), at SINGLE_QUDIT_SECONDS per physical
+single-qudit pulse; virtual-Z rotations and CSUM durations are not
+modeled. The qubit baseline reproduces the published zig-zag layer
+sequences for the 1x8 and 2x4 lattices, whose aggregate two-qubit totals
+(64 and 112) are the contract; per-layer splits are not modeled.
 """
 
 from dataclasses import dataclass
 
+from . import gates, mapping, transpile
 from .errors import UnsupportedLattice
-from .mapping import LatticeGeometry
 
-TWO_QUDIT_PER_BOND = 8
-SINGLE_QUDIT_PER_BOND = 32
 SINGLE_QUDIT_SECONDS = 50e-9
 
 QUBIT_BASELINE = {
@@ -46,46 +45,32 @@ class ResourceReport:
     two_body_gates_per_step: int
     single_qudit_physical_per_step: int
     carriers: int
-    est_step_duration: float | None = None
+    est_step_duration_s: float | None = None
     layers: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "encoding": self.encoding,
-            "lattice": self.lattice,
-            "two_body_gates_per_step": self.two_body_gates_per_step,
-            "single_qudit_physical_per_step": self.single_qudit_physical_per_step,
-            "carriers": self.carriers,
-            "est_step_duration_s": self.est_step_duration,
-            "layers": list(self.layers),
-        }
 
-
-def _bond_layer_count(geometry: LatticeGeometry) -> int:
-    # parallel execution groups bonds into odd/even columns (+ rungs on ladders)
-    return 2 if geometry.kind == "chain" else 3
-
-
-def qfm_resources(
-    geometry: LatticeGeometry,
-    parallel_bonds: bool = True,
-    two_qudit_seconds: float | None = None,
-) -> ResourceReport:
+def qfm_resources(geometry: mapping.LatticeGeometry, parallel_bonds: bool = True) -> ResourceReport:
     """Per-step costs of the ququart encoding on a chain or 2-row ladder."""
     if geometry.kind not in ("chain", "ladder"):
         raise UnsupportedLattice(f"unsupported geometry kind {geometry.kind!r}")
-    bonds = geometry.bond_count
-    critical_bonds = _bond_layer_count(geometry) if parallel_bonds else bonds
-    duration = SINGLE_QUDIT_PER_BOND * critical_bonds * SINGLE_QUDIT_SECONDS
-    if two_qudit_seconds is not None:
-        duration += TWO_QUDIT_PER_BOND * critical_bonds * two_qudit_seconds
+    mh = mapping.build_mapped_hamiltonian(geometry, 1.0, 1.0)
+    layers = [
+        [gates.count_gates(gates.Circuit(geometry.site_count, tuple(part))) for part in layer]
+        for layer in transpile.step_layers(mh, 1.0)
+    ]
+    parts = [t for layer in layers for t in layer]
+    critical = (
+        sum(max(t.single_qudit_physical for t in layer) for layer in layers)
+        if parallel_bonds
+        else sum(t.single_qudit_physical for t in parts)
+    )
     return ResourceReport(
         encoding="qfm",
         lattice=geometry.label,
-        two_body_gates_per_step=TWO_QUDIT_PER_BOND * bonds,
-        single_qudit_physical_per_step=SINGLE_QUDIT_PER_BOND * bonds,
+        two_body_gates_per_step=sum(t.two_qudit for t in parts),
+        single_qudit_physical_per_step=sum(t.single_qudit_physical for t in parts),
         carriers=geometry.site_count,
-        est_step_duration=duration,
+        est_step_duration_s=critical * SINGLE_QUDIT_SECONDS,
     )
 
 
@@ -108,7 +93,6 @@ def qubit_baseline_resources(lattice: str) -> ResourceReport:
         two_body_gates_per_step=entry["total_two_qubit"],
         single_qudit_physical_per_step=0,
         carriers=2 * sites,
-        est_step_duration=None,
         layers=entry["layers"],
     )
 
@@ -117,7 +101,7 @@ def format_table(reports) -> str:
     headers = ("encoding", "lattice", "two-body/step", "1q physical/step", "carriers", "step time")
     rows = []
     for r in reports:
-        duration = "-" if r.est_step_duration is None else f"{r.est_step_duration * 1e6:.2f} us"
+        duration = "-" if r.est_step_duration_s is None else f"{r.est_step_duration_s * 1e6:.2f} us"
         rows.append(
             (
                 r.encoding,

@@ -21,8 +21,13 @@ and 4 additionally need a level-(1,2) swap on both qudits, realized as one
 physical X^{12}_pi pulse plus virtual-Z phases per side.
 
 Under the half-angle rotation convention the middle-layer angles are twice
-the evolution angle tau. Physical cost per bond per step: 8 two-qudit
-gates and exactly 32 non-virtual-Z single-qudit pulses.
+the evolution angle tau. Each piece costs 2 CSUMs, so a bond costs 8 per
+step.
+
+`step_layers` is the one definition of a Trotter step: an on-site
+virtual-Z layer, then the brick groups of bonds, each layer a list of
+site-disjoint parts. `trotter_step_circuit` flattens it, and
+`resources.qfm_resources` tallies gate counts and step time from it.
 """
 
 from dataclasses import asdict, dataclass
@@ -34,7 +39,7 @@ from . import gates
 from .errors import SynthesisResidual
 from .gamma import DIM
 from .gates import Circuit, Csum, Rotation
-from .linalg import kron, phase_aligned_distance
+from .linalg import phase_aligned_distance
 from .mapping import MappedHamiltonian, hopping_local_factors
 
 HOPPING_TERM_IDS = (1, 2, 3, 4)
@@ -49,11 +54,8 @@ class SchmidtDecomposition:
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
         for lam, a, b in zip(self.coefficients, self.left_ops, self.right_ops):
-            out += lam * kron(a, b)
+            out += lam * np.kron(a, b)
         return out
-
-    def rank(self, tol: float = 1e-10) -> int:
-        return int(np.sum(self.coefficients > tol))
 
 
 def realign(u: np.ndarray) -> np.ndarray:
@@ -75,7 +77,7 @@ def osd(u: np.ndarray) -> SchmidtDecomposition:
 def hopping_generator(term_id: int) -> np.ndarray:
     """Dense 16x16 generator h_i of one hopping piece on a bond."""
     left, right = hopping_local_factors()[term_id]
-    return kron(left, right)
+    return np.kron(left, right)
 
 
 def hopping_target(term_id: int, tau: float) -> np.ndarray:
@@ -170,14 +172,13 @@ def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> lis
     if tau == 0.0:
         return []
     p, q = correction_pair(term_id)
-    ops = [gates.gate_inverse(op) for op in reversed(_local_unitary_ops(p, control))]
-    ops += [gates.gate_inverse(op) for op in reversed(_local_unitary_ops(q, target))]
+    p_ops, q_ops = _local_unitary_ops(p, control), _local_unitary_ops(q, target)
+    ops = [gates.gate_inverse(op) for op in reversed(p_ops)]
+    ops += [gates.gate_inverse(op) for op in reversed(q_ops)]
     ops.append(Csum(control, target, adjoint=True))
     ops.extend(_middle_ops(term_id, tau, control))
     ops.append(Csum(control, target, adjoint=False))
-    ops.extend(_local_unitary_ops(p, control))
-    ops.extend(_local_unitary_ops(q, target))
-    return ops
+    return ops + p_ops + q_ops
 
 
 def transpile_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> Circuit:
@@ -231,37 +232,40 @@ def _bond_layers(geometry) -> list:
     return [layer for layer in (odd, even, rungs) if layer]
 
 
-def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circuit:
-    """First-order Trotter circuit for e^{-i H tau} with the given step count.
+def step_layers(mh: MappedHamiltonian, dt: float) -> list:
+    """One first-order Trotter step over dt, as layers of per-part op lists.
 
-    Each step applies the on-site virtual-Z layer, then per bond the four
-    hopping pieces at evolution angle J*tau/(2*steps) (the bond Hamiltonian
-    is (J/2) sum_i h_i and the four pieces commute). Bond ordering follows
-    the brick pattern: odd bonds, even bonds, then rungs for ladders. For
-    ladder rungs the emitted pair circuit covers the two endpoint factors;
-    intervening string factors are not synthesized by the pair ansatz.
+    The first layer holds one virtual-Z triple per site (the on-site
+    evolution; empty parts when v or dt is zero). Each further layer is one
+    brick group of `_bond_layers`, with one part per bond: the four hopping
+    pieces at evolution angle J*dt/2 (the bond Hamiltonian is
+    (J/2) sum_i h_i and the four pieces commute). The parts of one layer
+    share no site. For ladder rungs the pair circuit covers the two
+    endpoint factors; intervening string factors are not synthesized by the
+    pair ansatz.
     """
+    geometry = mh.geometry
+    term_angle = mh.J * dt / 2.0
+    onsite = mh.v != 0.0 and dt != 0.0
+    layers = [[interaction_layer_ops(site, mh.v, mh.int_prefactor, dt) if onsite else []
+               for site in range(geometry.site_count)]]
+    for layer in _bond_layers(geometry):
+        layers.append([
+            [op for term_id in HOPPING_TERM_IDS
+             for op in hopping_term_ops(term_id, term_angle, a - 1, b - 1)]
+            for a, b in layer
+        ])
+    return layers
+
+
+def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circuit:
+    """First-order Trotter circuit for e^{-i H tau}: the flattened
+    `step_layers` over dt = tau/steps, repeated `steps` times."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    geometry = mh.geometry
-    dt = tau / steps
-    term_angle = mh.J * dt / 2.0
-    step = []
-    if mh.v != 0.0 and dt != 0.0:
-        for site in range(geometry.site_count):
-            step.extend(interaction_layer_ops(site, mh.v, mh.int_prefactor, dt))
-    if term_angle != 0.0:
-        for layer in _bond_layers(geometry):
-            for a, b in layer:
-                for term_id in HOPPING_TERM_IDS:
-                    step.extend(hopping_term_ops(term_id, term_angle, a - 1, b - 1))
-    metadata = {
-        "geometry": geometry.label,
-        "J": mh.J,
-        "v": mh.v,
-        "tau": tau,
-    }
-    return Circuit(geometry.site_count, tuple(step), metadata, repeat=steps)
+    step = tuple(op for layer in step_layers(mh, tau / steps) for part in layer for op in part)
+    metadata = {"geometry": mh.geometry.label, "J": mh.J, "v": mh.v, "tau": tau}
+    return Circuit(mh.geometry.site_count, step, metadata, repeat=steps)
 
 
 def synthesis_report(term_id: int, tau: float) -> dict:

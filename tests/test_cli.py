@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, mapping, oracle
+from ququart_hubbard import acceptance, gates, mapping
 from ququart_hubbard.cli import main
 
 
@@ -211,13 +211,40 @@ def test_bad_beta_exits_one(tmp_path, capsys, beta):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,field",
+    [
+        ("greens", "--eta", "nan", "eta"),
+        ("evolve", "--J", "nan", "J"),
+        ("evolve", "--v", "inf", "v"),
+        ("evolve", "--tau-start", "nan", "tau_start"),
+        ("evolve", "--tau-stop", "-inf", "tau_stop"),
+        ("evolve", "--tau-step", "inf", "tau_step"),
+        ("greens", "--dt", "nan", "dt"),
+        ("greens", "--tmax", "inf", "t_max"),
+    ],
+    ids=["eta", "J", "v", "tau_start", "tau_stop", "tau_step", "dt", "t_max"],
+)
+def test_non_finite_value_exits_one(tmp_path, capsys, command, flag, value, field):
+    out = tmp_path / "out"
+    code = run_cli(command, "--geometry", "chain:2", "--init", "u,d",
+                   "--observables", "spectral" if command == "greens" else "populations",
+                   f"{flag}={value}", "--out", str(out))
+    assert code == 1
+    assert f"config error: {field}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_greens_retarded_on_five_sites(tmp_path):
     code = run_cli("greens", "--geometry", "chain:5", "--init", "u,d,0,ud,u",
                    "--observables", "retarded_gf", "--tmax", "1", "--dt", "0.5",
                    "--out", str(tmp_path))
     assert code == 0
-    series = oracle.series_from_csv((tmp_path / "gf_retarded_oracle_i1_j1_up.csv").read_text())
-    assert abs(series.values[0] - (-0.5j)) <= 1e-12
+    path = tmp_path / "gf_retarded_oracle_i1_j1_up.csv"
+    assert path.read_text().startswith("# i=1 j=1 spin=up kind=retarded L=5 ")
+    t, re, im = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
+    assert np.array_equal(t, [0.0, 0.5, 1.0])
+    assert abs(complex(re[0], im[0]) - (-0.5j)) <= 1e-12
 
 
 def test_deterministic_outputs(tmp_path):

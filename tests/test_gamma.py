@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ququart_hubbard.errors import InvalidSubspace
-from ququart_hubbard.gamma import gamma_as_ggm, ggm, make_gamma_set, rotation
+from ququart_hubbard.gamma import ggm, make_gamma_set, rotation
 
 GSET = make_gamma_set()
 ALL_FIVE = [GSET.gamma(i) for i in range(1, 5)] + [GSET.tilde]
@@ -52,18 +52,18 @@ def test_ggm_x_example():
     op = ggm(0, 1, "x")
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = expected[1, 0] = 1.0
-    assert np.array_equal(op.matrix, expected)
+    assert np.array_equal(op, expected)
 
 
 def test_ggm_z_example():
-    assert np.array_equal(ggm(0, 1, "z").matrix, np.diag([1, -1, 0, 0]).astype(complex))
+    assert np.array_equal(ggm(0, 1, "z"), np.diag([1, -1, 0, 0]).astype(complex))
 
 
 @pytest.mark.parametrize("j,k", subspaces)
 def test_ggm_commutator_closes(j, k):
-    x = ggm(j, k, "x").matrix
-    y = ggm(j, k, "y").matrix
-    z = ggm(j, k, "z").matrix
+    x = ggm(j, k, "x")
+    y = ggm(j, k, "y")
+    z = ggm(j, k, "z")
     assert np.array_equal(x @ y - y @ x, 2j * z)
 
 
@@ -92,7 +92,7 @@ def test_rotation_z_diagonal_form():
 def test_rotation_matches_exponential(axis, j, k):
     phi = 1.234
     direct = rotation(j, k, axis, phi)
-    via_expm = scipy.linalg.expm(-1j * (phi / 2.0) * ggm(j, k, axis).matrix)
+    via_expm = scipy.linalg.expm(-1j * (phi / 2.0) * ggm(j, k, axis))
     assert np.max(np.abs(direct - via_expm)) < 1e-12
 
 
@@ -114,6 +114,16 @@ def test_rotation_rejects_bad_subspace():
         rotation(3, 1, "x", 0.3)
 
 
+# each generator as a signed sum of subspace Paulis, (coefficient, j, k, axis)
+GAMMA_GGM_TERMS = {
+    1: ((1.0, 0, 2, "x"), (1.0, 1, 3, "x")),
+    2: ((1.0, 0, 2, "y"), (1.0, 1, 3, "y")),
+    3: ((1.0, 0, 1, "x"), (-1.0, 2, 3, "x")),
+    4: ((1.0, 0, 1, "y"), (-1.0, 2, 3, "y")),
+    "tilde": ((1.0, 0, 1, "z"), (-1.0, 2, 3, "z")),
+}
+
+
 @pytest.mark.parametrize("index,matrix", [
     (1, GSET.gamma(1)),
     (2, GSET.gamma(2)),
@@ -122,17 +132,5 @@ def test_rotation_rejects_bad_subspace():
     ("tilde", GSET.tilde),
 ])
 def test_gamma_ggm_reconstruction_exact(index, matrix):
-    total = np.zeros((4, 4), dtype=complex)
-    for coeff, op in gamma_as_ggm(index):
-        total += coeff * op.matrix
+    total = sum(c * ggm(j, k, axis) for c, j, k, axis in GAMMA_GGM_TERMS[index])
     assert np.array_equal(total, matrix)
-
-
-def test_gamma_one_decomposition_terms():
-    terms = gamma_as_ggm(1)
-    assert [(c, op.j, op.k, op.axis) for c, op in terms] == [(1.0, 0, 2, "x"), (1.0, 1, 3, "x")]
-
-
-def test_tilde_decomposition_terms():
-    terms = gamma_as_ggm("tilde")
-    assert [(c, op.j, op.k, op.axis) for c, op in terms] == [(1.0, 0, 1, "z"), (-1.0, 2, 3, "z")]

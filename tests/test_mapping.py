@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -192,13 +194,24 @@ def test_hamiltonian_json_round_trip(tmp_path):
     mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 2), 1.5, 2.5)
     path = tmp_path / "hamiltonian.json"
     mapping.save_hamiltonian(mh, path)
-    loaded = mapping.load_hamiltonian(path)
-    assert loaded.geometry == mh.geometry
-    assert loaded.J == mh.J and loaded.v == mh.v
-    assert loaded.int_prefactor == mh.int_prefactor
-    assert np.array_equal(
-        mapping.dense_hamiltonian(loaded), mapping.dense_hamiltonian(mh)
-    )
+    doc = json.loads(path.read_text())
+    assert doc["geometry"] == {"kind": "ladder", "sites": 4, "bonds": [[1, 2], [3, 4], [1, 3], [2, 4]],
+                               "label": "ladder(2,2)"}
+    assert (doc["J"], doc["v"], doc["int_prefactor"]) == (mh.J, mh.v, mh.int_prefactor)
+
+    def matrix(data):
+        data = np.array(data)
+        return data[..., 0] + 1j * data[..., 1]
+
+    for entry, terms in zip(doc["hop_terms"], mh.hop_terms, strict=True):
+        assert entry["bond"] == list(terms[0].bond)
+        for saved, term in zip(entry["terms"], terms, strict=True):
+            assert (saved["index"], saved["coefficient"]) == (term.index, term.coefficient)
+            assert saved["string_sites"] == list(term.string_sites)
+            assert np.array_equal(matrix(saved["left"]), term.left)
+            assert np.array_equal(matrix(saved["right"]), term.right)
+    for saved, local in zip(doc["int_terms"], mh.int_terms, strict=True):
+        assert np.array_equal(matrix(saved), local)
 
 
 def test_init_token_parsing():

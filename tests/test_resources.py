@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
 from ququart_hubbard import gates, mapping, resources, transpile
@@ -71,10 +74,20 @@ def test_duration_model_flags():
     geom = mapping.chain(8)
     parallel = resources.qfm_resources(geom, parallel_bonds=True)
     sequential = resources.qfm_resources(geom, parallel_bonds=False)
-    assert parallel.est_step_duration == pytest.approx(32 * 2 * 50e-9)
-    assert sequential.est_step_duration == pytest.approx(32 * 7 * 50e-9)
-    with_two_qudit = resources.qfm_resources(geom, parallel_bonds=False, two_qudit_seconds=200e-9)
-    assert with_two_qudit.est_step_duration == pytest.approx(32 * 7 * 50e-9 + 8 * 7 * 200e-9)
+    assert parallel.est_step_duration_s == pytest.approx(32 * 2 * 50e-9)
+    assert sequential.est_step_duration_s == pytest.approx(32 * 7 * 50e-9)
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [mapping.chain(n) for n in range(1, 9)] + [mapping.ladder(2, c) for c in range(2, 6)],
+    ids=lambda g: g.label,
+)
+def test_parallel_step_time_counts_emitted_bond_layers(geom):
+    parallel = resources.qfm_resources(geom, parallel_bonds=True).est_step_duration_s
+    sequential = resources.qfm_resources(geom, parallel_bonds=False).est_step_duration_s
+    assert parallel <= sequential
+    assert parallel == pytest.approx(len(transpile._bond_layers(geom)) * 32 * 50e-9)
 
 
 def test_report_serialization_and_table():
@@ -82,8 +95,37 @@ def test_report_serialization_and_table():
         resources.qfm_resources(mapping.ladder(2, 4)),
         resources.qubit_baseline_resources("2x4"),
     ]
-    doc = reports[0].to_json_dict()
+    doc = asdict(reports[0])
     assert doc["two_body_gates_per_step"] == 80
     table = resources.format_table(reports)
     assert "qfm" in table and "qubit_zigzag" in table
     assert "80" in table and "112" in table
+
+
+def _qfm(lattice, two_body, physical, seconds):
+    return {"encoding": "qfm", "lattice": lattice, "two_body_gates_per_step": two_body,
+            "single_qudit_physical_per_step": physical, "carriers": 8,
+            "est_step_duration_s": seconds, "layers": []}
+
+
+def _qubit(lattice, two_body, layers):
+    return {"encoding": "qubit_zigzag", "lattice": lattice, "two_body_gates_per_step": two_body,
+            "single_qudit_physical_per_step": 0, "carriers": 16,
+            "est_step_duration_s": None, "layers": layers}
+
+
+# pinned per-step costs; a change to the emitted step shows up here
+@pytest.mark.parametrize("geom,expected", [
+    (mapping.chain(8), [
+        _qfm("chain(8)", 56, 224, 3.2e-06),
+        _qubit("1x8", 64, ["fswap", "on-site", "fswap", "odd hopping", "even hopping"]),
+    ]),
+    (mapping.ladder(2, 4), [
+        _qfm("ladder(2,4)", 80, 320, 4.8e-06),
+        _qubit("2x4", 112, ["fswap", "on-site", "fswap", "vertical hopping", "fswap",
+                            "horizontal hopping 1", "fswap", "horizontal hopping 2"]),
+    ]),
+], ids=["1x8", "2x4"])
+def test_resources_json_pinned(geom, expected):
+    reports = [resources.qfm_resources(geom), resources.qubit_baseline_resources(geom.label)]
+    assert json.loads(json.dumps([asdict(r) for r in reports])) == expected
