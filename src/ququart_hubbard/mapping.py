@@ -265,22 +265,41 @@ def build_mapped_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> M
     return MappedHamiltonian(geometry, J, v, tuple(hop_terms), int_terms, prefactor)
 
 
-def embed_factors(factor_map: dict, site_count: int) -> np.ndarray:
-    """Dense register operator from a {site: 4x4} factor map."""
-    factors = [factor_map.get(s, np.eye(DIM)) for s in range(1, site_count + 1)]
-    return kron_all(factors)
+def _add_kron_string(h: np.ndarray, factors, coefficient: float) -> None:
+    """Add coefficient * (f_1 (x) ... (x) f_L) to the real matrix h.
+
+    The product is scattered from the nonzeros of the 4x4 factors, multiplied
+    left to right as a dense Kronecker product would be. Raises
+    ArithmeticError unless every entry is exactly real.
+    """
+    rows = cols = np.zeros(1, dtype=np.intp)
+    vals = np.ones(1, dtype=complex)
+    for f in factors:
+        f = np.asarray(f, dtype=complex)
+        r, c = np.nonzero(f)
+        rows = (rows[:, None] * DIM + r).ravel()
+        cols = (cols[:, None] * DIM + c).ravel()
+        vals = (vals[:, None] * f[r, c]).ravel()
+    vals = coefficient * vals
+    if np.any(vals.imag != 0.0):
+        raise ArithmeticError("mapped Hamiltonian term has entries that are not real")
+    h[rows, cols] += vals.real  # the entries of one product have distinct positions
 
 
 def dense_hamiltonian(mh: MappedHamiltonian) -> np.ndarray:
-    """Full 4^L matrix of the mapped Hamiltonian (within the dense budget)."""
+    """Full real (float64) 4^L matrix of the mapped Hamiltonian (within the
+    dense budget), scattered term by term from the tensor factors."""
     L = mh.geometry.site_count
     dim = dense_dim(L)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
+    eye = np.eye(DIM)
     for terms in mh.hop_terms:
         for term in terms:
-            h += term.coefficient * embed_factors(term.factor_map(), L)
+            factor_map = term.factor_map()
+            _add_kron_string(h, [factor_map.get(s, eye) for s in range(1, L + 1)],
+                             term.coefficient)
     for site, local in enumerate(mh.int_terms, start=1):
-        h += embed_factors({site: local}, L)
+        _add_kron_string(h, [local if s == site else eye for s in range(1, L + 1)], 1.0)
     return h
 
 

@@ -8,10 +8,20 @@ state. The Hamiltonian
 
     H = -J sum_bonds sum_spin (c^dag_a c_b + h.c.) + v sum_m N_up N_dn
 
-is scattered from those maps with no matrix products. One
-eigendecomposition (``ExactPropagator``) evolves states over whole time
-grids and supplies the Lehmann sums of the thermal Green's function.
-Every circuit-lane result is validated against this module.
+is scattered from those maps with no matrix products. J, v and every
+sign are real, so H is a float64 matrix and its eigendecomposition is a
+real one. An eigendecomposition (``ExactPropagator``) evolves a state over
+a whole time grid.
+
+H conserves N_up and N_dn, so a pure state is propagated only in its
+(N_up, N_dn) sector: the sorted basis indices sharing its spin counts
+(``sector_basis``; Weisse & Fehske, Lect. Notes Phys. 739 (2008)), with
+the block of H on them. ``exact_populations`` evolves the initial product
+state in its sector, and ``lesser_gf`` evolves psi0 and c_j psi0 in theirs,
+mapping c_i between the two with the signed index maps and
+``np.searchsorted``. The thermal Green's function keeps one full-space
+eigendecomposition for its Lehmann sums. Every circuit-lane result is
+validated against this module.
 """
 
 import csv
@@ -71,10 +81,11 @@ def fermion_operator(site: int, spin: str, kind: str, site_count: int) -> np.nda
 
 
 def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.ndarray:
+    """Dense real (float64) H on the 4^L occupation basis."""
     L = geometry.site_count
     dim = dense_dim(L)
     cols = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     for a, b in geometry.bonds:
         for spin in SPINS:
             t_a, s_a = _ladder(a, spin, "create", L)
@@ -92,17 +103,27 @@ def fock_index(tokens) -> int:
     return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
-def fock_state(tokens) -> np.ndarray:
-    state = np.zeros(4 ** len(tokens), dtype=complex)
-    state[fock_index(tokens)] = 1.0
-    return state
+def sector_basis(index: int, site_count: int) -> np.ndarray:
+    """Sorted basis indices with the same (N_up, N_dn) as basis state ``index``.
+
+    Up modes sit on the odd bits of an index, down modes on the even bits.
+    """
+    idx = np.arange(4**site_count)
+    same = np.ones(len(idx), dtype=bool)
+    for mask in (int("10" * site_count, 2), int("01" * site_count, 2)):
+        same &= np.bitwise_count(idx & mask) == (index & mask).bit_count()
+    return idx[same]
 
 
 class ExactPropagator:
-    """Cached eigendecomposition of a Hermitian Hamiltonian."""
+    """Cached eigendecomposition of a Hermitian Hamiltonian.
+
+    ``h`` goes to ``np.linalg.eigh`` as given, so a real symmetric H gets a
+    real eigendecomposition.
+    """
 
     def __init__(self, h: np.ndarray):
-        self.evals, self.evecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+        self.evals, self.evecs = np.linalg.eigh(np.asarray(h))
 
     def phases(self, times) -> np.ndarray:
         """(dim, T) matrix e^{-i E_n t} over the eigenvalues and a time grid."""
@@ -121,11 +142,23 @@ class ExactPropagator:
         return out
 
 
+def _sector_evolve(h: np.ndarray, basis: np.ndarray, index: int, times) -> np.ndarray:
+    """(len(basis), T) amplitudes of e^{-i H t} |index> on the sorted sector
+    ``basis`` that holds ``index``, from the block of H on that sector."""
+    state = np.zeros(len(basis), dtype=complex)
+    state[np.searchsorted(basis, index)] = 1.0
+    return ExactPropagator(h[np.ix_(basis, basis)]).evolve(state, times)
+
+
 def exact_populations(h: np.ndarray, tokens, times) -> dict:
-    """{(site, spin): <N>(t) over times} from the product state ``tokens``."""
+    """{(site, spin): <N>(t) over times} from the product state ``tokens``,
+    propagated in its (N_up, N_dn) sector."""
     L = len(tokens)
-    probs = np.abs(ExactPropagator(h).evolve(fock_state(tokens), times)) ** 2
-    return {(s, spin): occupation(s, spin, L) @ probs for s in range(1, L + 1) for spin in SPINS}
+    start = fock_index(tokens)
+    basis = sector_basis(start, L)
+    probs = np.abs(_sector_evolve(h, basis, start, times)) ** 2
+    return {(s, spin): occupation(s, spin, L)[basis] @ probs
+            for s in range(1, L + 1) for spin in SPINS}
 
 
 # --- Green's functions ------------------------------------------------------
@@ -151,15 +184,26 @@ class GreensSeries:
 def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.ndarray:
     """G^<_{ij}(t) = i <psi0| c^dag_j(0) c_i(t) |psi0> for a pure state.
 
-    Evaluated as i <U(t) c_j psi0 | c_i U(t) psi0>, both vectors propagated
-    over the whole grid at once.
+    Evaluated as i <U(t) c_j psi0 | c_i U(t) psi0>. psi0 is propagated in
+    its (N_up, N_dn) sector and c_j psi0 in the sector with one fewer
+    ``spin`` particle, each over the whole grid at once; c_i maps the first
+    sector into the second. Exactly zero when orbital j is empty.
     """
     L = len(tokens)
-    prop = ExactPropagator(h)
-    psi0 = fock_state(tokens)
-    bra = prop.evolve(_apply(_ladder(j, spin, "annihilate", L), psi0), times)
-    ket = _apply(_ladder(i, spin, "annihilate", L), prop.evolve(psi0, times))
-    return 1j * np.sum(bra.conj() * ket, axis=0)
+    times = np.asarray(times, dtype=float)
+    start = fock_index(tokens)
+    target_j, sign_j = _ladder(j, spin, "annihilate", L)
+    if sign_j[start] == 0.0:
+        return np.zeros(len(times), dtype=complex)
+    hole = int(target_j[start])  # c_j psi0 = sign_j[start] |hole>
+    source, removed = sector_basis(start, L), sector_basis(hole, L)
+    bra = sign_j[start] * _sector_evolve(h, removed, hole, times)
+    ket = _sector_evolve(h, source, start, times)
+    target_i, sign_i = _ladder(i, spin, "annihilate", L)
+    keep = sign_i[source] != 0.0  # c_i annihilates the rest
+    rows = np.searchsorted(removed, target_i[source[keep]])
+    c_ket = sign_i[source[keep], None] * ket[keep]
+    return 1j * np.sum(bra[rows].conj() * c_ket, axis=0)
 
 
 def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) -> np.ndarray:

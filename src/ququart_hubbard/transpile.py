@@ -232,20 +232,25 @@ def _bond_layers(geometry) -> list:
     return [layer for layer in (odd, even, rungs) if layer]
 
 
+def hopping_angle(J: float, dt: float) -> float:
+    """Evolution angle J*dt/2 of each hopping piece in a step over dt: the
+    bond Hamiltonian is (J/2) sum_i h_i and the four pieces commute."""
+    return J * dt / 2.0
+
+
 def step_layers(mh: MappedHamiltonian, dt: float) -> list:
     """One first-order Trotter step over dt, as layers of per-part op lists.
 
     The first layer holds one virtual-Z triple per site (the on-site
     evolution; empty parts when v or dt is zero). Each further layer is one
     brick group of `_bond_layers`, with one part per bond: the four hopping
-    pieces at evolution angle J*dt/2 (the bond Hamiltonian is
-    (J/2) sum_i h_i and the four pieces commute). The parts of one layer
+    pieces at evolution angle `hopping_angle(J, dt)`. The parts of one layer
     share no site. For ladder rungs the pair circuit covers the two
     endpoint factors; intervening string factors are not synthesized by the
     pair ansatz.
     """
     geometry = mh.geometry
-    term_angle = mh.J * dt / 2.0
+    term_angle = hopping_angle(mh.J, dt)
     onsite = mh.v != 0.0 and dt != 0.0
     layers = [[interaction_layer_ops(site, mh.v, mh.int_prefactor, dt) if onsite else []
                for site in range(geometry.site_count)]]

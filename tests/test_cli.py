@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, mapping
+from ququart_hubbard import acceptance, gates, linalg, mapping, transpile
 from ququart_hubbard.cli import main
 
 
@@ -21,6 +21,16 @@ def test_map_writes_hamiltonian_and_residual(tmp_path, capsys):
     assert "int_prefactor: 0.25" in out
     residual = float(out.split("spectrum residual vs exact reference:")[1].split()[0])
     assert residual < 1e-10
+
+
+def test_map_checks_the_spectrum_within_the_dense_budget(tmp_path, capsys, monkeypatch):
+    # chain:3 needs 64 x 64 x 16 B for one dense complex operator
+    for budget, checked in ((64 * 64 * 16, True), (64 * 64 * 16 - 1, False)):
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
+        assert run_cli("map", "--geometry", "chain:3", "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert ("spectrum residual vs exact reference:" in out) == checked
+        assert ("spectrum residual: skipped" in out) == (not checked)
 
 
 def test_map_ladder_bond_list(tmp_path, capsys):
@@ -71,6 +81,20 @@ def test_transpile_writes_circuit_and_report(tmp_path):
     assert max(t["residual_norm"] for t in report["terms"]) <= 1e-8
     circuit = gates.load_circuit(tmp_path / "circuit.json")
     assert circuit.site_count == 2
+
+
+def test_transpile_report_angle_is_the_emitted_angle(tmp_path):
+    # J*tau/(2 steps) and J*(tau/steps)/2 differ in the last bit here
+    code = run_cli("transpile", "--geometry", "chain:2", "--J", "1.3",
+                   "--tau-start", "0.13", "--steps", "30", "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads((tmp_path / "synthesis_report.json").read_text())
+    assert report["term_angle"] == transpile.hopping_angle(1.3, 0.13 / 30)
+    assert [t["tau"] for t in report["terms"]] == [report["term_angle"]] * 4
+    bond = [op for term_id in transpile.HOPPING_TERM_IDS
+            for op in transpile.hopping_term_ops(term_id, report["term_angle"], 0, 1)]
+    circuit = gates.load_circuit(tmp_path / "circuit.json")
+    assert list(circuit.step[-len(bond):]) == bond
 
 
 def test_circuit_json_resimulation_bit_identical(tmp_path):

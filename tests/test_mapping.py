@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,30 @@ import pytest
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import SiteOutOfRange, UnsupportedLattice
 from ququart_hubbard.gamma import make_gamma_set
+from ququart_hubbard.linalg import kron_all
 
 GSET = make_gamma_set()
+
+
+# --- dense Kronecker reference ----------------------------------------------
+# The construction dense_hamiltonian used before it scattered its terms:
+# every term as a dense Kronecker product of its 4x4 factors, summed in
+# complex arithmetic.
+
+
+def embed(factor_map, site_count):
+    return kron_all([factor_map.get(s, np.eye(4)) for s in range(1, site_count + 1)])
+
+
+def kron_all_hamiltonian(mh):
+    L = mh.geometry.site_count
+    h = np.zeros((4**L, 4**L), dtype=complex)
+    for terms in mh.hop_terms:
+        for term in terms:
+            h += term.coefficient * embed(term.factor_map(), L)
+    for site, local in enumerate(mh.int_terms, start=1):
+        h += embed({site: local}, L)
+    return h
 
 
 def anticommutator(a, b):
@@ -152,16 +175,15 @@ def test_hop_terms_hermitian():
     mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 2), 1.3, 0.7)
     for terms in mh.hop_terms:
         for term in terms:
-            dense = mapping.embed_factors(term.factor_map(), 4)
+            dense = embed(term.factor_map(), 4)
             assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
 
 
 def test_interaction_terms_local():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(3), 1.0, 2.0)
     for site, local in enumerate(mh.int_terms, start=1):
-        embedded = mapping.embed_factors({site: local}, 3)
-        reference = mapping.embed_factors({site: local}, 3)
-        assert np.array_equal(embedded, reference)
+        embedded = embed({site: local}, 3)
+        assert np.array_equal(embedded, kron_all([local if s == site else np.eye(4) for s in (1, 2, 3)]))
         assert local.shape == (4, 4)
 
 
@@ -179,6 +201,25 @@ def test_spectrum_matches_occupation_reference(geom, J, v):
     exact = oracle.fermionic_hamiltonian(geom, J, v)
     gap = np.max(np.abs(np.linalg.eigvalsh(mapped) - np.linalg.eigvalsh(exact)))
     assert gap < 1e-10
+
+
+@pytest.mark.parametrize("geom", [mapping.chain(1), mapping.chain(2), mapping.chain(4),
+                                  mapping.ladder(2, 2)], ids=lambda g: g.label)
+@pytest.mark.parametrize("J,v", [(1.0, 0.0), (1.0, 2.0), (0.0, 3.0), (1.0, 8.0), (0.7, -3.1)])
+def test_dense_hamiltonian_is_real_and_equals_kron_reference(geom, J, v):
+    mh = mapping.build_mapped_hamiltonian(geom, J, v)
+    dense = mapping.dense_hamiltonian(mh)
+    assert dense.dtype == np.float64
+    assert np.array_equal(dense, kron_all_hamiltonian(mh))
+
+
+def test_dense_hamiltonian_refuses_a_complex_term():
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    tilted = mh.int_terms[0].copy()  # Hermitian, but with imaginary entries
+    tilted[0, 1], tilted[1, 0] = 0.5j, -0.5j
+    bad = dataclasses.replace(mh, int_terms=(tilted,) + mh.int_terms[1:])
+    with pytest.raises(ArithmeticError, match="not real"):
+        mapping.dense_hamiltonian(bad)
 
 
 def test_mapped_hamiltonian_hermitian():

@@ -5,6 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import DimensionTooLarge, EmptySeries
@@ -47,6 +49,12 @@ def kron_hamiltonian(geometry, J, v):
     return h
 
 
+def fock_vector(tokens):
+    state = np.zeros(4 ** len(tokens), dtype=complex)
+    state[oracle.fock_index(tokens)] = 1.0
+    return state
+
+
 REFERENCE_GEOMETRIES = [mapping.chain(1), mapping.chain(2), mapping.chain(3),
                         mapping.chain(4), mapping.ladder(2, 2)]
 
@@ -66,8 +74,9 @@ def test_operators_equal_kronecker_reference(geometry):
 @pytest.mark.parametrize("geometry", REFERENCE_GEOMETRIES, ids=lambda g: g.label)
 def test_hamiltonian_equals_kronecker_reference(geometry):
     for J, v in ((1.0, 2.0), (0.7, -3.1), (0.0, 0.1)):
-        assert np.array_equal(oracle.fermionic_hamiltonian(geometry, J, v),
-                              kron_hamiltonian(geometry, J, v))
+        h = oracle.fermionic_hamiltonian(geometry, J, v)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, kron_hamiltonian(geometry, J, v))
 
 
 def test_single_site_spectrum():
@@ -134,7 +143,7 @@ def test_propagator_against_pade_expm():
     geom = mapping.chain(4)
     h = oracle.fermionic_hamiltonian(geom, 1.0, 2.0)
     prop = ExactPropagator(h)
-    psi0 = oracle.fock_state(("u", "ud", "u", "d"))
+    psi0 = fock_vector(("u", "ud", "u", "d"))
     tau = 2.5
     ours = prop.evolve(psi0, [tau])[:, 0]
     reference = scipy.linalg.expm(-1j * tau * h) @ psi0
@@ -143,7 +152,7 @@ def test_propagator_against_pade_expm():
 
 def test_evolve_grid_matches_expm_with_exact_origin():
     h = oracle.fermionic_hamiltonian(mapping.ladder(2, 2), 1.0, 2.0)
-    psi0 = oracle.fock_state(("ud", "u", "0", "d"))
+    psi0 = fock_vector(("ud", "u", "0", "d"))
     times = [0.0, 0.4, 1.3, 0.0, 7.9]
     out = ExactPropagator(h).evolve(psi0, times)
     assert out.shape == (len(psi0), len(times))
@@ -151,6 +160,104 @@ def test_evolve_grid_matches_expm_with_exact_origin():
     for k, t in enumerate(times):
         reference = scipy.linalg.expm(-1j * t * h) @ psi0
         assert np.max(np.abs(out[:, k] - reference)) < 1e-10
+
+
+# --- sector propagation against the full space ------------------------------
+# The full-space formula the sector code replaced: psi0 and c_j psi0 are
+# propagated on all 4^L states, by a second route (expm_multiply on the
+# sparse H, Al-Mohy & Higham 2011) that needs no eigendecomposition, and c
+# is a sparse Kronecker string.
+
+
+def sparse_annihilator(site, spin, site_count):
+    mode = oracle.mode_index(site, spin)
+    out = scipy.sparse.identity(1, format="csr")
+    for f in [SIGN] * mode + [A_LOCAL] + [I2] * (2 * site_count - mode - 1):
+        out = scipy.sparse.kron(out, f, format="csr")
+    return out
+
+
+def full_space_evolve(h, states, times):
+    """e^{-i H t} states over a uniform grid starting at 0, indexed [t, ...]."""
+    return expm_multiply(-1j * scipy.sparse.csr_array(h), states, start=0.0, stop=times[-1],
+                         num=len(times), endpoint=True)
+
+
+def full_space_lesser_gfs(h, tokens, components, times):
+    """{(i, j, spin): i <U(t) c_j psi0 | c_i U(t) psi0>}, with psi0 and every
+    c_j psi0 propagated as one batch."""
+    L = len(tokens)
+    psi0 = fock_vector(tokens)
+    sources = [psi0] + [sparse_annihilator(j, spin, L) @ psi0 for _, j, spin in components]
+    evolved = full_space_evolve(h, np.column_stack(sources), times)  # (T, 4^L, 1 + k)
+    out = {}
+    for k, (i, j, spin) in enumerate(components, start=1):
+        ket = sparse_annihilator(i, spin, L) @ evolved[:, :, 0].T
+        out[(i, j, spin)] = 1j * np.sum(evolved[:, :, k].T.conj() * ket, axis=0)
+    return out
+
+
+def full_space_populations(h, tokens, times):
+    L = len(tokens)
+    probs = np.abs(full_space_evolve(h, fock_vector(tokens), times).T) ** 2
+    return {(s, spin): oracle.occupation(s, spin, L) @ probs
+            for s in range(1, L + 1) for spin in mapping.SPINS}
+
+
+# Every geometry has an empty orbital; chain(1) and chain(3) have a spin
+# with no particles at all.
+SECTOR_CASES = [
+    pytest.param(geometry, tokens, id=geometry.label)
+    for geometry, tokens in (
+        (mapping.chain(1), ("u",)),
+        (mapping.chain(2), ("u", "d")),
+        (mapping.chain(3), ("u", "0", "u")),
+        (mapping.chain(4), ("u", "ud", "u", "d")),
+        (mapping.chain(5), ("ud", "0", "u", "d", "u")),
+        (mapping.ladder(2, 2), ("ud", "u", "0", "d")),
+        (mapping.ladder(2, 3), ("u", "d", "0", "ud", "u", "d")),
+    )
+]
+SECTOR_TIMES = np.linspace(0.0, 4.0, 17)
+
+
+@pytest.mark.parametrize("geometry,tokens", SECTOR_CASES)
+def test_sector_lesser_gf_matches_full_space(geometry, tokens):
+    L = geometry.site_count
+    h = oracle.fermionic_hamiltonian(geometry, 1.0, 2.0)
+    components = {(i, j, spin) for spin in mapping.SPINS
+                  for i, j in ((1, 1), (1, L), (L, 1), (L, (L + 1) // 2))}
+    components.add((1, 1 + tokens.index("0") if "0" in tokens else 1, "down"))
+    components = sorted(components)
+    references = full_space_lesser_gfs(h, tokens, components, SECTOR_TIMES)
+    for i, j, spin in components:
+        ours = oracle.lesser_gf(h, tokens, i, j, spin, SECTOR_TIMES)
+        assert np.max(np.abs(ours - references[(i, j, spin)])) <= 1e-12, (i, j, spin)
+        occupied = (spin == "up" and "u" in tokens[j - 1]) or (spin == "down" and "d" in tokens[j - 1])
+        if not occupied:
+            assert np.array_equal(ours, np.zeros(len(SECTOR_TIMES), dtype=complex))
+        # the t = 0 sample is exact: i <psi0| c^dag_j c_i |psi0>
+        assert ours[0] == (1j if i == j and occupied else 0.0)
+
+
+@pytest.mark.parametrize("geometry,tokens", SECTOR_CASES)
+def test_sector_populations_match_full_space(geometry, tokens):
+    h = oracle.fermionic_hamiltonian(geometry, 1.0, 2.0)
+    ours = oracle.exact_populations(h, tokens, SECTOR_TIMES)
+    reference = full_space_populations(h, tokens, SECTOR_TIMES)
+    assert ours.keys() == reference.keys()
+    for key in ours:
+        assert np.max(np.abs(ours[key] - reference[key])) <= 1e-12, key
+
+
+def test_sector_basis_holds_the_spin_counts():
+    tokens = ("u", "ud", "0", "d")
+    basis = oracle.sector_basis(oracle.fock_index(tokens), 4)
+    assert len(basis) == 6 * 6  # C(4,2) up placements x C(4,2) down placements
+    assert np.all(np.diff(basis) > 0)
+    for spin, count in (("up", 2), ("down", 2)):
+        n = sum(oracle.occupation(s, spin, 4) for s in range(1, 5))
+        assert np.all(n[basis] == count)
 
 
 def test_lesser_gf_equal_time_is_i_times_population():
