@@ -59,7 +59,7 @@ def fermionic_relations_to_four_sites() -> CheckResult:
     worst = 0.0
     for L in range(1, 5):
         ops = {
-            (m, s, kind): mapping.map_fermion(m, s, kind, L).matrix
+            (m, s, kind): mapping.map_fermion(m, s, kind, L)
             for m in range(1, L + 1)
             for s in mapping.SPINS
             for kind in ("annihilate", "create")

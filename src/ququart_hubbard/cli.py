@@ -255,23 +255,29 @@ def cmd_evolve(config: RunConfig) -> int:
 
 
 def cmd_greens(config: RunConfig) -> int:
-    out = _ensure_out(config)
     geometry = config.geometry_obj()
     tokens = config.require_init()
-    times = np.arange(0.0, config.t_max + 0.5 * config.dt, config.dt)
-    h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
+    pairs = config.parsed_pairs()
     observables = set(config.observables) if config.observables else {"lesser_gf"}
     if "populations" in observables:
         observables.discard("populations")
         observables.add("lesser_gf")
+    if "spectral" in observables:
+        for i, j, spin in pairs:
+            if i != j:
+                raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
+    out = _ensure_out(config)
+    times = np.arange(0.0, config.t_max + 0.5 * config.dt, config.dt)
+    h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
     worst = 0.0
-    for i, j, spin in config.parsed_pairs():
+    for i, j, spin in pairs:
         if "lesser_gf" in observables:
             # comparison grid: coarse circuit lane, dense oracle lane
             coarse = np.arange(0.0, min(config.t_max, 5.0) + 1e-12, 0.25)
-            circ, orac = emulate.lesser_gf_pair(
+            circ = emulate.lesser_gf_circuit(
                 geometry, config.J, config.v, tokens, i, j, spin, coarse, config.steps
             )
+            orac = oracle.lesser_series(h_exact, tokens, i, j, spin, coarse, config.J, config.v)
             for series, tag in ((circ, "circuit"), (orac, "oracle")):
                 path = out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv"
                 with open(path, "w") as fh:
@@ -287,7 +293,7 @@ def cmd_greens(config: RunConfig) -> int:
             with open(path, "w") as fh:
                 fh.write(oracle.series_to_csv(series))
             print(f"wrote {path}")
-            if "spectral" in observables and i == j:
+            if "spectral" in observables:
                 omegas = np.arange(-12.0, 12.0 + 1e-9, 0.01)
                 a_vals = oracle.spectral(series, config.eta, omegas)
                 spath = out / f"spectral_i{i}_{spin}.csv"

@@ -2,7 +2,8 @@
 
 The emulation pipeline: encode the initial occupation configuration as a
 register product state, run the Trotterized circuit, and read populations
-or two-point functions with the mapped operators. Every routine here has
+or two-point functions with the mapped operators, applied to the state
+factor by factor. No 4^L x 4^L matrix is formed. Every routine here has
 an exact counterpart in the occupation-number reference (oracle module);
 the comparison runners return both lanes side by side.
 """
@@ -111,26 +112,22 @@ def lesser_gf_circuit(
     """Lesser two-point function with Trotter-circuit Heisenberg evolution.
 
     G(t) = i <U(t) c_j psi0 | c_i U(t) psi0> with U(t) the step-count-steps
-    circuit for total time t; the mapped ladder operators supply c_i, c_j.
-    Global phases of U cancel between the two propagated vectors.
+    circuit for total time t; c_i and c_j act factor by factor through
+    `mapping.apply_fermion`. Global phases of U cancel between the two
+    propagated vectors.
     """
     _require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     L = geometry.site_count
-    c_i = mapping.map_fermion(i, spin, "annihilate", L).matrix
-    c_j = mapping.map_fermion(j, spin, "annihilate", L).matrix
     psi0 = mapping.product_state(tokens)
-    removed = c_j @ psi0
+    removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
     values = np.empty(len(times), dtype=complex)
     for idx, t in enumerate(times):
-        if t == 0.0:
-            bra, ket = removed, c_i @ psi0
-        else:
-            circuit = transpile.trotter_step_circuit(mh, t, steps)
-            # bra and ket propagate together as one (4^L, 2) batch
-            bra, ket = gates.simulate(circuit, np.column_stack([removed, psi0])).T
-            ket = c_i @ ket
-        values[idx] = 1j * np.vdot(bra, ket)
+        circuit = transpile.trotter_step_circuit(mh, t, steps)
+        # bra and ket propagate together as one (4^L, 2) batch; at t = 0
+        # the step is empty and the batch comes back unchanged
+        bra, ket = gates.simulate(circuit, np.column_stack([removed, psi0])).T
+        values[idx] = 1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))
     return GreensSeries(
         np.asarray(times, float), values, i, j, spin, "lesser",
         L, J, v, ",".join(tokens), source="circuit",

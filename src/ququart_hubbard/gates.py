@@ -29,7 +29,7 @@ import numpy as np
 from . import gamma
 from .errors import InvalidCircuit, InvalidSubspace, SiteOutOfRange
 from .gamma import DIM
-from .linalg import dense_dim
+from .linalg import contract, dense_dim
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,6 @@ def gate_inverse(op: GateOp) -> GateOp:
     return replace(op, adjoint=not op.adjoint)
 
 
-def _contract(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
-    """Apply a local (4,)*2k tensor, indexed [outs..., ins...], to axes
-    `sites` of psi; any further axes of psi ride along as a batch."""
-    k = len(sites)
-    psi = np.tensordot(m, psi, axes=(list(range(k, 2 * k)), list(sites)))
-    return np.moveaxis(psi, list(range(k)), list(sites))
-
-
 def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
     """Apply one gate to a statevector, returning a new vector.
 
@@ -148,7 +140,7 @@ def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
         if not 0 <= s < site_count:
             raise SiteOutOfRange(f"site {s} outside register of {site_count}")
     psi = state.reshape([DIM] * site_count + list(state.shape[1:]))
-    return _contract(psi, gate_matrix(op), sites).reshape(state.shape)
+    return contract(psi, gate_matrix(op), sites).reshape(state.shape)
 
 
 _EYE = np.eye(DIM, dtype=complex)
@@ -177,14 +169,14 @@ def _fuse(ops) -> list:
         b = latest.get(c)
         if b is not None and latest.get(t) == b:
             sites, u = blocks[b]
-            blocks[b][1] = _contract(u, local, (sites.index(c), sites.index(t)))
+            blocks[b][1] = contract(u, local, (sites.index(c), sites.index(t)))
         else:
             blocks.append([(c, t), local])
             latest[c] = latest[t] = len(blocks) - 1
     for s, m in pending.items():
         if s in latest:
             sites, u = blocks[latest[s]]
-            blocks[latest[s]][1] = _contract(u, m, (sites.index(s),))
+            blocks[latest[s]][1] = contract(u, m, (sites.index(s),))
         else:
             blocks.append([(s,), m])
     return blocks
@@ -199,7 +191,7 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     psi = state.reshape([DIM] * circuit.site_count + list(state.shape[1:]))
     for _ in range(circuit.repeat):
         for sites, u in blocks:
-            psi = _contract(psi, u, sites)
+            psi = contract(psi, u, sites)
     return psi.reshape(state.shape)
 
 

@@ -1,7 +1,8 @@
 """Dense complex linear algebra substrate.
 
-Everything here operates on plain numpy arrays (complex128). Dense
-register operators must fit one memory budget (``dense_dim``), which
+Everything here operates on plain numpy arrays (complex128). Local
+operators act on a register state by tensor contraction (``contract``).
+Dense register operators must fit one memory budget (``dense_dim``), which
 admits L <= 6 sites; within it, dense storage and full factorizations
 are affordable and exact to machine precision.
 """
@@ -24,12 +25,12 @@ def dense_dim(site_count: int) -> int:
     return dim
 
 
-def kron_all(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
+def contract(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
+    """Apply a local (4,)*2k tensor, indexed [outs..., ins...], to axes
+    `sites` of psi; any further axes of psi ride along as a batch."""
+    k = len(sites)
+    psi = np.tensordot(m, psi, axes=(list(range(k, 2 * k)), list(sites)))
+    return np.moveaxis(psi, list(range(k)), list(sites))
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

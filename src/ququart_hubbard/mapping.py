@@ -9,7 +9,10 @@ Clifford element Gt on all preceding sites times a local ladder factor,
 
 with spin up using the (G1, G2) pair and spin down the (G3, G4) pair.
 Anticommutation of the Gt string with every local factor reproduces the
-fermionic algebra exactly.
+fermionic algebra exactly. ``apply_fermion`` applies that string to a
+register state factor by factor, each 4x4 factor contracted into its own
+register axis, so no 4^L x 4^L matrix is formed; ``map_fermion`` is its
+dense image (the string applied to the identity), for the algebra checks.
 
 Under this map the hopping term on a bond (a, b) splits into four
 mutually commuting Hermitian pieces carrying a Gt string over any sites
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import SiteOutOfRange, UnsupportedLattice
 from .gamma import DIM, make_gamma_set
-from .linalg import dense_dim, kron_all
+from .linalg import contract, dense_dim
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
@@ -114,28 +117,32 @@ def local_fermion_factor(spin: str, kind: str) -> np.ndarray:
         raise ValueError(f"spin must be up/down and kind create/annihilate, got ({spin!r}, {kind!r})")
 
 
-@dataclass(frozen=True)
-class MappedOperator:
-    site: int
-    spin: str
-    kind: str
-    matrix: np.ndarray
-
-
-def map_fermion(site: int, spin: str, kind: str, site_count: int) -> MappedOperator:
-    """Dense register image of one fermionic ladder operator."""
+def apply_fermion(state: np.ndarray, site: int, spin: str, kind: str,
+                  site_count: int) -> np.ndarray:
+    """c ("annihilate") or c^dag ("create") on a register state, or on the
+    columns of a (4^L, k) batch: Gt on every site before `site`, then the
+    local ladder factor on `site`."""
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    dense_dim(site_count)
     g, _ = _local_operators()
     local = local_fermion_factor(spin, kind)
-    factors = [g.tilde] * (site - 1) + [local] + [np.eye(DIM)] * (site_count - site)
-    return MappedOperator(site, spin, kind, kron_all(factors))
+    state = np.asarray(state, dtype=complex)
+    psi = state.reshape([DIM] * site_count + list(state.shape[1:]))
+    for axis in range(site - 1):
+        psi = contract(psi, g.tilde, (axis,))
+    return contract(psi, local, (site - 1,)).reshape(state.shape)
+
+
+def map_fermion(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:
+    """Dense register image of one fermionic ladder operator (within the
+    dense budget)."""
+    eye = np.eye(dense_dim(site_count), dtype=complex)
+    return apply_fermion(eye, site, spin, kind, site_count)
 
 
 def mapped_number_operator(site: int, spin: str, site_count: int) -> np.ndarray:
-    cdag = map_fermion(site, spin, "create", site_count).matrix
-    c = map_fermion(site, spin, "annihilate", site_count).matrix
+    cdag = map_fermion(site, spin, "create", site_count)
+    c = map_fermion(site, spin, "annihilate", site_count)
     return cdag @ c
 
 

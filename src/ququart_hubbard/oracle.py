@@ -71,15 +71,6 @@ def occupation(site: int, spin: str, site_count: int) -> np.ndarray:
     return ((np.arange(4**site_count) >> bit) & 1).astype(float)
 
 
-def fermion_operator(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:
-    """Dense c or c^dag for (site, spin) on the 4^L occupation basis."""
-    dim = dense_dim(site_count)
-    target, sign = _ladder(site, spin, kind, site_count)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[target, np.arange(dim)] = sign
-    return out
-
-
 def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.ndarray:
     """Dense real (float64) H on the 4^L occupation basis."""
     L = geometry.site_count

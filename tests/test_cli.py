@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, linalg, mapping, transpile
+from ququart_hubbard import acceptance, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
 
 
@@ -123,6 +123,25 @@ def test_greens_writes_series(tmp_path, capsys):
     assert (tmp_path / "spectral_i1_up.csv").exists()
     header = (tmp_path / "gf_lesser_oracle_i1_j1_up.csv").read_text().splitlines()[0]
     assert header.startswith("#") and "kind=lesser" in header and "L=2" in header
+
+
+def test_greens_builds_the_exact_hamiltonian_once(tmp_path, monkeypatch):
+    calls = []
+    build = oracle.fermionic_hamiltonian
+    monkeypatch.setattr(oracle, "fermionic_hamiltonian", lambda *a: calls.append(a) or build(*a))
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--pairs", "1,1,up;2,1,up",
+                   "--steps", "2", "--tmax", "0.5", "--dt", "0.25",
+                   "--observables", "lesser_gf,retarded_gf", "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_greens_refuses_spectral_on_an_off_diagonal_pair(tmp_path, capsys):
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--pairs", "1,1,up;1,2,up",
+                   "--observables", "spectral", "--out", str(tmp_path))
+    assert code == 1
+    assert "config error: pairs: spectral needs i == j, got 1,2,up" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resources_prints_comparison(capsys):

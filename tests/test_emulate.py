@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ququart_hubbard import emulate, mapping, oracle
+from ququart_hubbard import emulate, linalg, mapping, oracle
 
 
 def test_circuit_populations_initial_state():
@@ -64,3 +66,27 @@ def test_lesser_gf_structural_zero_component():
     )
     assert np.max(np.abs(orac.values)) < 1e-12
     assert np.max(np.abs(circ.values)) < 1e-12
+
+
+def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
+    args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "d"), 2, 1, "up", [0.0, 0.4, 1.3], 3)
+    expected = emulate.lesser_gf_circuit(*args).values
+    # one dense chain(3) operator needs 64 x 64 x 16 B
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 64 * 64 * 16 - 1)
+    assert np.array_equal(emulate.lesser_gf_circuit(*args).values, expected)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_lesser_gf_circuit_runs_seven_sites(steps):
+    # one dense chain(7) operator would need 4 GiB; the state takes 256 kB
+    tokens = ("u", "d", "ud", "0", "u", "d", "ud")
+    tracemalloc.start()
+    try:
+        series = emulate.lesser_gf_circuit(mapping.chain(7), 1.0, 2.0, tokens, 3, 3, "down",
+                                           [0.0, 0.5], steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert series.values[0] == 1j  # n_(3, down) = 1 in psi0
+    assert np.isfinite(series.values[1])

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import gamma, gates, linalg, mapping, transpile
+from ququart_hubbard import gamma, gates, mapping, transpile
 from ququart_hubbard.errors import (
     DimensionTooLarge,
     InvalidCircuit,
@@ -89,7 +90,7 @@ def test_apply_matches_dense_embedding():
     state = random_state(3)
     op = Rotation(1, 1, 3, "y", 0.77)
     out = gates.apply(state, op, 3)
-    dense = linalg.kron_all([np.eye(4), gamma.rotation(1, 3, "y", 0.77), np.eye(4)])
+    dense = functools.reduce(np.kron, [np.eye(4), gamma.rotation(1, 3, "y", 0.77), np.eye(4)])
     assert np.max(np.abs(out - dense @ state)) < 1e-14
 
     op2 = Csum(0, 2)
@@ -102,7 +103,7 @@ def test_apply_matches_dense_embedding():
                 for d in range(4):
                     block = np.zeros((4, 4)); block[a, c] = 1
                     block2 = np.zeros((4, 4)); block2[b, d] = 1
-                    dense2 += g[a, b, c, d] * linalg.kron_all([block, np.eye(4), block2])
+                    dense2 += g[a, b, c, d] * functools.reduce(np.kron, [block, np.eye(4), block2])
     assert np.max(np.abs(out2 - dense2 @ state)) < 1e-14
 
 

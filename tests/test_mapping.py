@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import SiteOutOfRange, UnsupportedLattice
 from ququart_hubbard.gamma import make_gamma_set
-from ququart_hubbard.linalg import kron_all
 
 GSET = make_gamma_set()
 
@@ -19,7 +19,8 @@ GSET = make_gamma_set()
 
 
 def embed(factor_map, site_count):
-    return kron_all([factor_map.get(s, np.eye(4)) for s in range(1, site_count + 1)])
+    factors = [factor_map.get(s, np.eye(4)) for s in range(1, site_count + 1)]
+    return functools.reduce(np.kron, factors)
 
 
 def kron_all_hamiltonian(mh):
@@ -73,7 +74,7 @@ def test_parse_geometry_tokens():
 
 def test_single_site_annihilator_structure():
     # (1/2)(G1 - i G2) moves the first internal two-level factor: |0b> -> |1b>
-    op = mapping.map_fermion(1, "up", "annihilate", 1).matrix
+    op = mapping.map_fermion(1, "up", "annihilate", 1)
     expected = 0.5 * (GSET.gamma(1) - 1j * GSET.gamma(2))
     assert np.array_equal(op, expected)
     nonzero = {(r, c) for r, c in zip(*np.nonzero(op))}
@@ -83,14 +84,40 @@ def test_single_site_annihilator_structure():
 def test_site_out_of_range():
     with pytest.raises(SiteOutOfRange):
         mapping.map_fermion(3, "up", "create", 2)
+    with pytest.raises(SiteOutOfRange):
+        mapping.apply_fermion(np.zeros(16), 0, "up", "create", 2)
+
+
+def kron_fermion(site, spin, kind, site_count):
+    """c or c^dag as a Kronecker string: Gt on each site before `site`,
+    the local ladder factor on `site`, identities after it."""
+    factors = ([GSET.tilde] * (site - 1) + [mapping.local_fermion_factor(spin, kind)]
+               + [np.eye(4)] * (site_count - site))
+    return functools.reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_fermion_operators_equal_kronecker_strings(L):
+    rng = np.random.default_rng(L)
+    for site in range(1, L + 1):
+        for spin in mapping.SPINS:
+            for kind in ("annihilate", "create"):
+                reference = kron_fermion(site, spin, kind, L)
+                dense = mapping.map_fermion(site, spin, kind, L)
+                assert type(dense) is np.ndarray and np.array_equal(dense, reference)
+                for shape in ((4**L,), (4**L, 3)):
+                    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    applied = mapping.apply_fermion(state, site, spin, kind, L)
+                    assert applied.shape == shape
+                    assert np.array_equal(applied, reference @ state)
 
 
 @pytest.mark.parametrize("L", [1, 2])
 def test_anticommutation_suite(L):
     ops = {
         (m, s): (
-            mapping.map_fermion(m, s, "annihilate", L).matrix,
-            mapping.map_fermion(m, s, "create", L).matrix,
+            mapping.map_fermion(m, s, "annihilate", L),
+            mapping.map_fermion(m, s, "create", L),
         )
         for m in range(1, L + 1)
         for s in mapping.SPINS
@@ -105,8 +132,8 @@ def test_anticommutation_suite(L):
 
 
 def test_cross_site_anticommutator_with_string():
-    c1 = mapping.map_fermion(1, "up", "annihilate", 2).matrix
-    cdag2 = mapping.map_fermion(2, "down", "create", 2).matrix
+    c1 = mapping.map_fermion(1, "up", "annihilate", 2)
+    cdag2 = mapping.map_fermion(2, "down", "create", 2)
     assert np.max(np.abs(anticommutator(c1, cdag2))) < 1e-14
 
 
@@ -183,7 +210,8 @@ def test_interaction_terms_local():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(3), 1.0, 2.0)
     for site, local in enumerate(mh.int_terms, start=1):
         embedded = embed({site: local}, 3)
-        assert np.array_equal(embedded, kron_all([local if s == site else np.eye(4) for s in (1, 2, 3)]))
+        assert np.array_equal(embedded, functools.reduce(
+            np.kron, [local if s == site else np.eye(4) for s in (1, 2, 3)]))
         assert local.shape == (4, 4)
 
 

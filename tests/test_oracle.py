@@ -49,6 +49,14 @@ def kron_hamiltonian(geometry, J, v):
     return h
 
 
+def dense_ladder(site, spin, kind, site_count):
+    """The signed index map of c or c^dag scattered into a dense matrix."""
+    target, sign = oracle._ladder(site, spin, kind, site_count)
+    out = np.zeros((4**site_count, 4**site_count), dtype=complex)
+    out[target, np.arange(4**site_count)] = sign
+    return out
+
+
 def fock_vector(tokens):
     state = np.zeros(4 ** len(tokens), dtype=complex)
     state[oracle.fock_index(tokens)] = 1.0
@@ -67,7 +75,7 @@ def test_operators_equal_kronecker_reference(geometry):
             n = kron_operator(site, spin, "create", L) @ kron_operator(site, spin, "annihilate", L)
             assert np.array_equal(np.diag(oracle.occupation(site, spin, L)), n)
             for kind in ("annihilate", "create"):
-                assert np.array_equal(oracle.fermion_operator(site, spin, kind, L),
+                assert np.array_equal(dense_ladder(site, spin, kind, L),
                                       kron_operator(site, spin, kind, L))
 
 
@@ -111,8 +119,8 @@ def test_mode_anticommutators():
     eye = np.eye(4**L)
     for s1 in range(1, L + 1):
         for sp1 in mapping.SPINS:
-            c = oracle.fermion_operator(s1, sp1, "annihilate", L)
-            cdag = oracle.fermion_operator(s1, sp1, "create", L)
+            c = dense_ladder(s1, sp1, "annihilate", L)
+            cdag = dense_ladder(s1, sp1, "create", L)
             assert np.array_equal(c @ cdag + cdag @ c, eye)
             assert np.max(np.abs(c @ c)) == 0.0
 
@@ -322,7 +330,6 @@ def test_dense_builders_refuse_seven_sites_before_allocating():
     mh = mapping.build_mapped_hamiltonian(geometry, 1.0, 2.0)
     builders = (
         lambda: oracle.fermionic_hamiltonian(geometry, 1.0, 2.0),
-        lambda: oracle.fermion_operator(1, "up", "annihilate", 7),
         lambda: mapping.map_fermion(1, "up", "annihilate", 7),
         lambda: mapping.dense_hamiltonian(mh),
     )
