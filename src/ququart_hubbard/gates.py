@@ -11,17 +11,18 @@ sequence `step * repeat`. Two gate kinds exist:
                with Xt = sum_j |j><j+1 mod 4| (cyclic decrement), so
                Xt^4 = I.
 
-Every gate, and every fused block, acts by one contraction of a local
-(4,)*2k tensor with the state reshaped to a (4,)*L tensor; no 4^L x 4^L
-embedding is ever materialized. `simulate` fuses the step greedily, as
-qsim's gate fuser does (Isakov et al., arXiv:2111.02396): rotations
-collect per site, and each CSUM multiplies into the latest block its two
-sites share or else opens a new 16x16 block, so a chain(L) Trotter step
-(about 100 ops per bond) collapses to L - 1 blocks, applied `repeat` times.
+Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
+or two ascending sites, applied by `linalg.apply_local`: one np.matmul
+against the batch-leading (B, 4^L) state array, with no 4^L x 4^L
+embedding. `simulate` fuses the step greedily, as qsim's gate fuser does
+(Isakov et al., arXiv:2111.02396): rotations collect per site, and each
+CSUM multiplies into the latest block its two sites share or else opens a
+new 16x16 block, so a chain(L) Trotter step (about 100 ops per bond)
+collapses to L - 1 blocks, applied `repeat` times.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import gamma
 from .errors import InvalidCircuit, InvalidSubspace, SiteOutOfRange
 from .gamma import DIM
-from .linalg import contract, dense_dim
+from .linalg import apply_local, dense_dim
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,12 @@ class Circuit:
         return self.step * self.repeat
 
 
-def _op_sites(op: GateOp):
+def _op_sites(op: GateOp) -> tuple:
+    """The op's sites in ascending order, the order of its matrix's index."""
     if isinstance(op, Rotation):
         return (op.site,)
-    return (op.control, op.target)
+    c, t = op.control, op.target
+    return (c, t) if c < t else (t, c)
 
 
 def xtilde_matrix() -> np.ndarray:
@@ -110,23 +113,36 @@ def csum_matrix(adjoint: bool = False) -> np.ndarray:
     return m.conj().T if adjoint else m
 
 
-@lru_cache(maxsize=4096)
 def gate_matrix(op: GateOp) -> np.ndarray:
-    """Read-only local operator of a gate op: 4x4 for rotations; for csum the
-    16x16 permutation as a (4, 4, 4, 4) tensor indexed
-    [control out, target out, control in, target in]."""
+    """Read-only local matrix of a gate op: 4x4 for rotations; for csum the
+    16x16 permutation on the ascending pair of its sites (the control's
+    level is the major index only when control < target)."""
     if isinstance(op, Rotation):
-        m = gamma.rotation(op.j, op.k, op.axis, op.phi)
-    else:
-        m = csum_matrix(op.adjoint).reshape(DIM, DIM, DIM, DIM)
+        return _rotation_matrix(op.j, op.k, op.axis, op.phi)
+    return _csum_block(op.adjoint, op.control > op.target)
+
+
+@lru_cache(maxsize=4096)
+def _rotation_matrix(j: int, k: int, axis: str, phi: float) -> np.ndarray:
+    """Cached per rotation, not per op: the same pulse on other sites shares it."""
+    m = gamma.rotation(j, k, axis, phi)
+    m.flags.writeable = False
+    return m
+
+
+@lru_cache(maxsize=None)
+def _csum_block(adjoint: bool, control_above_target: bool) -> np.ndarray:
+    m = csum_matrix(adjoint)
+    if control_above_target:
+        m = m.reshape(DIM, DIM, DIM, DIM).transpose(1, 0, 3, 2).reshape(DIM * DIM, -1)
     m.flags.writeable = False
     return m
 
 
 def gate_inverse(op: GateOp) -> GateOp:
     if isinstance(op, Rotation):
-        return replace(op, phi=-op.phi)
-    return replace(op, adjoint=not op.adjoint)
+        return Rotation(op.site, op.j, op.k, op.axis, -op.phi, op.virtual)
+    return Csum(op.control, op.target, not op.adjoint)
 
 
 def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
@@ -134,29 +150,33 @@ def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
 
     Also accepts a batch of column vectors as a (4**L, batch) array.
     """
-    state = np.asarray(state, dtype=complex)
     sites = _op_sites(op)
     for s in sites:
         if not 0 <= s < site_count:
             raise SiteOutOfRange(f"site {s} outside register of {site_count}")
-    psi = state.reshape([DIM] * site_count + list(state.shape[1:]))
-    return contract(psi, gate_matrix(op), sites).reshape(state.shape)
+    return apply_local(state, [(sites, gate_matrix(op))], site_count)
 
 
 _EYE = np.eye(DIM, dtype=complex)
 
 
+def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b of two 4x4 matrices as a 16x16, by broadcasting (np.kron's
+    generic path costs several times more)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, -1)
+
+
 def _fuse(ops) -> list:
-    """Greedy two-site fusion of an op sequence into [sites, tensor] blocks.
+    """Greedy two-site fusion of an op sequence into [sites, matrix] blocks.
 
     Rotations collect per site into a pending 4x4. A CSUM takes the pending
     4x4s of its two sites with it and multiplies into the latest block on
-    both sites if they share one; otherwise it opens a new (4, 4, 4, 4)
-    block on (control, target). Pending 4x4s left at the end multiply into
-    the latest block on their site, or become one-site blocks. Folding ops
+    both sites if they share one; otherwise it opens a new 16x16 block on
+    its ascending sites. Pending 4x4s left at the end multiply into the
+    latest block on their site, or become one-site blocks. Folding ops
     into a block that later blocks do not touch is exact: they commute.
     """
-    blocks = []  # [sites, (4,)*2k tensor] in application order
+    blocks = []  # [ascending sites, 4^k x 4^k matrix] in application order
     latest = {}  # site -> index of the latest block on it
     pending = {}  # site -> product of the rotations not yet in a block
     for op in ops:
@@ -164,21 +184,21 @@ def _fuse(ops) -> list:
         if isinstance(op, Rotation):
             pending[op.site] = g @ pending.get(op.site, _EYE)
             continue
-        c, t = op.control, op.target
-        local = np.einsum("abcd,ce,df->abef", g, pending.pop(c, _EYE), pending.pop(t, _EYE))
-        b = latest.get(c)
-        if b is not None and latest.get(t) == b:
-            sites, u = blocks[b]
-            blocks[b][1] = contract(u, local, (sites.index(c), sites.index(t)))
+        a, b = _op_sites(op)
+        g = g @ _kron4(pending.pop(a, _EYE), pending.pop(b, _EYE))
+        k = latest.get(a)
+        if k is not None and latest.get(b) == k:
+            blocks[k][1] = g @ blocks[k][1]
         else:
-            blocks.append([(c, t), local])
-            latest[c] = latest[t] = len(blocks) - 1
+            blocks.append([(a, b), g])
+            latest[a] = latest[b] = len(blocks) - 1
     for s, m in pending.items():
-        if s in latest:
-            sites, u = blocks[latest[s]]
-            blocks[latest[s]][1] = contract(u, m, (sites.index(s),))
-        else:
+        k = latest.get(s)
+        if k is None:
             blocks.append([(s,), m])
+            continue
+        sites, u = blocks[k]
+        blocks[k][1] = (_kron4(m, _EYE) if s == sites[0] else _kron4(_EYE, m)) @ u
     return blocks
 
 
@@ -186,13 +206,7 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
     array of them: fuse the step into two-site blocks once, then apply the
     block list `repeat` times."""
-    state = np.asarray(state, dtype=complex)
-    blocks = _fuse(circuit.step)
-    psi = state.reshape([DIM] * circuit.site_count + list(state.shape[1:]))
-    for _ in range(circuit.repeat):
-        for sites, u in blocks:
-            psi = contract(psi, u, sites)
-    return psi.reshape(state.shape)
+    return apply_local(state, _fuse(circuit.step) * circuit.repeat, circuit.site_count)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

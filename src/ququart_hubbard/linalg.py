@@ -1,15 +1,19 @@
 """Dense complex linear algebra substrate.
 
 Everything here operates on plain numpy arrays (complex128). Local
-operators act on a register state by tensor contraction (``contract``).
-Dense register operators must fit one memory budget (``dense_dim``), which
-admits L <= 6 sites; within it, dense storage and full factorizations
-are affordable and exact to machine precision.
+operators act on a register state through one kernel, ``apply_local``:
+the state, or a batch of them, is held batch-leading as one contiguous
+(B, 4^L) array, and each one- or two-site operator is a single
+``np.matmul`` of its 4x4 or 16x16 matrix against a reshaped view of it.
+Dense register operators must fit one memory budget (``dense_dim``),
+which admits L <= 6 sites; within it, dense storage and full
+factorizations are affordable and exact to machine precision.
 """
 
 import numpy as np
 
 from .errors import DimensionTooLarge
+from .gamma import DIM
 
 DENSE_BUDGET_BYTES = 1 << 30  # one dense register operator, 1 GiB
 
@@ -25,12 +29,40 @@ def dense_dim(site_count: int) -> int:
     return dim
 
 
-def contract(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
-    """Apply a local (4,)*2k tensor, indexed [outs..., ins...], to axes
-    `sites` of psi; any further axes of psi ride along as a batch."""
-    k = len(sites)
-    psi = np.tensordot(m, psi, axes=(list(range(k, 2 * k)), list(sites)))
-    return np.moveaxis(psi, list(range(k)), list(sites))
+def apply_local(state: np.ndarray, blocks, site_count: int) -> np.ndarray:
+    """Apply local operators in order to a state of an L-site register,
+    (4^L,), or to the columns of a (4^L, B) batch; returns a new array of
+    the same shape.
+
+    Each block is (sites, m): one site, or two ascending sites, and its
+    4x4 or 16x16 matrix, whose index is the sites' levels with the first
+    site's level major. The batch is copied once into a contiguous
+    batch-leading (B, 4^L) array, so a block's inner matrix shapes never
+    depend on B and every column gets bit-identical arithmetic.
+    """
+    state = np.asarray(state, dtype=complex)
+    if state.shape[0] != DIM**site_count:
+        raise ValueError(f"state has {state.shape[0]} amplitudes, a register of "
+                         f"{site_count} sites has {DIM**site_count}")
+    psi = np.ascontiguousarray(state.T).reshape(-1, state.shape[0])
+    for sites, m in blocks:
+        psi = _apply_block(psi, m, sites)
+    return psi.reshape(state.shape[::-1]).T
+
+
+def _apply_block(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
+    """One matmul of m against the (B, 4^L) array psi. Sites (a, b) are
+    brought together by swapping the axis of the sites between them with
+    a's axis: a free view when b = a + 1, a copy of the state each way for
+    non-adjacent sites (ladder rungs)."""
+    a = sites[0]
+    head = psi.shape[0] * DIM**a
+    if len(sites) == 1:
+        return np.matmul(m, psi.reshape(head, DIM, -1)).reshape(psi.shape)
+    gap = DIM ** (sites[1] - a - 1)
+    x = psi.reshape(head, DIM, gap, DIM, -1).swapaxes(1, 2).reshape(head * gap, DIM * DIM, -1)
+    y = np.matmul(m, x).reshape(head, gap, DIM, DIM, -1).swapaxes(1, 2)
+    return y.reshape(psi.shape)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

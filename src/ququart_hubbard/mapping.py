@@ -10,9 +10,10 @@ Clifford element Gt on all preceding sites times a local ladder factor,
 with spin up using the (G1, G2) pair and spin down the (G3, G4) pair.
 Anticommutation of the Gt string with every local factor reproduces the
 fermionic algebra exactly. ``apply_fermion`` applies that string to a
-register state factor by factor, each 4x4 factor contracted into its own
-register axis, so no 4^L x 4^L matrix is formed; ``map_fermion`` is its
-dense image (the string applied to the identity), for the algebra checks.
+register state factor by factor, each 4x4 factor one ``linalg.apply_local``
+matmul on its own site of the batch-leading state array, so no 4^L x 4^L
+matrix is formed; ``map_fermion`` is its dense image (the string applied
+to the identity), for the algebra checks.
 
 Under this map the hopping term on a bond (a, b) splits into four
 mutually commuting Hermitian pieces carrying a Gt string over any sites
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import SiteOutOfRange, UnsupportedLattice
 from .gamma import DIM, make_gamma_set
-from .linalg import contract, dense_dim
+from .linalg import apply_local, dense_dim
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
@@ -125,12 +126,9 @@ def apply_fermion(state: np.ndarray, site: int, spin: str, kind: str,
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
     g, _ = _local_operators()
-    local = local_fermion_factor(spin, kind)
-    state = np.asarray(state, dtype=complex)
-    psi = state.reshape([DIM] * site_count + list(state.shape[1:]))
-    for axis in range(site - 1):
-        psi = contract(psi, g.tilde, (axis,))
-    return contract(psi, local, (site - 1,)).reshape(state.shape)
+    string = [((axis,), g.tilde) for axis in range(site - 1)]
+    return apply_local(state, string + [((site - 1,), local_fermion_factor(spin, kind))],
+                       site_count)
 
 
 def map_fermion(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:
@@ -152,6 +150,17 @@ def level_occupations() -> tuple:
     n_up = np.real(np.diag(mapped_number_operator(1, SPIN_UP, 1)))
     n_dn = np.real(np.diag(mapped_number_operator(1, SPIN_DOWN, 1)))
     return tuple((int(round(u)), int(round(d))) for u, d in zip(n_up, n_dn))
+
+
+def sector_labels(site_count: int) -> np.ndarray:
+    """N_up * (L + 1) + N_dn of every register basis state (first site's
+    level most significant), summed from the per-level occupations."""
+    n_up, n_dn = np.array(level_occupations()).T
+    per_level = n_up * (site_count + 1) + n_dn
+    labels = np.zeros(1, dtype=int)
+    for _ in range(site_count):
+        labels = (labels[:, None] + per_level).ravel()
+    return labels
 
 
 _OCC_TO_TOKEN = {(0, 0): "0", (1, 0): "u", (0, 1): "d", (1, 1): "ud"}

@@ -94,16 +94,19 @@ def fock_index(tokens) -> int:
     return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
-def sector_basis(index: int, site_count: int) -> np.ndarray:
-    """Sorted basis indices with the same (N_up, N_dn) as basis state ``index``.
-
-    Up modes sit on the odd bits of an index, down modes on the even bits.
-    """
+def sector_labels(site_count: int) -> np.ndarray:
+    """N_up * (L + 1) + N_dn of every basis state, read off its bits: up
+    modes sit on the odd bits of an index, down modes on the even bits."""
     idx = np.arange(4**site_count)
-    same = np.ones(len(idx), dtype=bool)
-    for mask in (int("10" * site_count, 2), int("01" * site_count, 2)):
-        same &= np.bitwise_count(idx & mask) == (index & mask).bit_count()
-    return idx[same]
+    n_up = np.bitwise_count(idx & int("10" * site_count, 2))
+    n_dn = np.bitwise_count(idx & int("01" * site_count, 2))
+    return n_up.astype(int) * (site_count + 1) + n_dn
+
+
+def sector_basis(index: int, site_count: int) -> np.ndarray:
+    """Sorted basis indices with the same (N_up, N_dn) as basis state ``index``."""
+    labels = sector_labels(site_count)
+    return np.flatnonzero(labels == labels[index])
 
 
 class ExactPropagator:

@@ -165,20 +165,26 @@ def _middle_ops(term_id: int, tau: float, site: int) -> list:
     return ops
 
 
+@lru_cache(maxsize=None)
+def _sandwich_ops(term_id: int, control: int, target: int) -> tuple:
+    """The tau-independent ops around a term's middle layer: (the inverse
+    corrections, then CSUM^dag), and (CSUM, then the corrections P, Q)."""
+    p, q = correction_pair(term_id)
+    p_ops, q_ops = _local_unitary_ops(p, control), _local_unitary_ops(q, target)
+    before = [gates.gate_inverse(op) for op in reversed(p_ops)]
+    before += [gates.gate_inverse(op) for op in reversed(q_ops)]
+    before.append(Csum(control, target, adjoint=True))
+    return tuple(before), (Csum(control, target, adjoint=False), *p_ops, *q_ops)
+
+
 def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> list:
     """Gate sequence realizing e^{-i h_i tau} on (control, target)."""
     if term_id not in HOPPING_TERM_IDS:
         raise KeyError(f"hopping term id must be 1..4, got {term_id}")
     if tau == 0.0:
         return []
-    p, q = correction_pair(term_id)
-    p_ops, q_ops = _local_unitary_ops(p, control), _local_unitary_ops(q, target)
-    ops = [gates.gate_inverse(op) for op in reversed(p_ops)]
-    ops += [gates.gate_inverse(op) for op in reversed(q_ops)]
-    ops.append(Csum(control, target, adjoint=True))
-    ops.extend(_middle_ops(term_id, tau, control))
-    ops.append(Csum(control, target, adjoint=False))
-    return ops + p_ops + q_ops
+    before, after = _sandwich_ops(term_id, control, target)
+    return [*before, *_middle_ops(term_id, tau, control), *after]
 
 
 def transpile_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> Circuit:

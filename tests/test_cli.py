@@ -1,10 +1,11 @@
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, linalg, mapping, oracle, transpile
+from ququart_hubbard import acceptance, cli, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
 
 
@@ -31,6 +32,39 @@ def test_map_checks_the_spectrum_within_the_dense_budget(tmp_path, capsys, monke
         out = capsys.readouterr().out
         assert ("spectrum residual vs exact reference:" in out) == checked
         assert ("spectrum residual: skipped" in out) == (not checked)
+
+
+@pytest.mark.parametrize("geometry", ["chain:3", "ladder:2x2"])
+def test_map_sector_spectra_equal_the_full_spectra(geometry):
+    geom = mapping.parse_geometry(geometry)
+    L = geom.site_count
+    mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
+    for h, labels in ((mapping.dense_hamiltonian(mh), mapping.sector_labels(L)),
+                      (oracle.fermionic_hamiltonian(geom, 1.0, 2.0), oracle.sector_labels(L))):
+        spectrum, leak = cli._sector_spectrum(h, labels)
+        assert leak == 0.0
+        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 1e-12
+
+
+def test_mapped_and_oracle_sector_labels_agree_on_product_states():
+    for tokens in itertools.product(mapping.TOKENS, repeat=3):
+        mapped = mapping.sector_labels(3)[np.flatnonzero(mapping.product_state(tokens))[0]]
+        assert mapped == oracle.sector_labels(3)[oracle.fock_index(tokens)]
+
+
+def test_map_fails_when_a_hamiltonian_couples_sectors(tmp_path, capsys, monkeypatch):
+    dense = mapping.dense_hamiltonian
+
+    def leaky(mh):
+        h = dense(mh)
+        h[0, 1] = h[1, 0] = 1e-9  # levels 0 and 1 of the last site differ in N_dn
+        return h
+
+    monkeypatch.setattr(mapping, "dense_hamiltonian", leaky)
+    assert run_cli("map", "--geometry", "chain:2", "--out", str(tmp_path)) == 2
+    out = capsys.readouterr().out
+    assert "FAILED, the mapped Hamiltonian couples (N_up, N_dn) sectors" in out
+    assert "spectrum residual vs exact reference" not in out
 
 
 def test_map_ladder_bond_list(tmp_path, capsys):

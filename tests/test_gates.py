@@ -321,22 +321,29 @@ def test_fused_rotation_before_any_two_site_gate():
     assert fused_error(circuit, random_state(3)) <= 1e-12
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_fused_matches_gate_level_on_random_circuits(seed):
-    rng = np.random.default_rng(seed)
+def random_ops(rng, sites, count):
+    """Random rotations and CSUMs on any site pair, adjacent or not, with
+    the control on either side of the target."""
     ops = []
-    for _ in range(int(rng.integers(0, 25))):
-        if rng.random() < 0.4:
-            control, target = (int(x) for x in rng.choice(3, size=2, replace=False))
+    for _ in range(count):
+        if sites > 1 and rng.random() < 0.4:
+            control, target = (int(x) for x in rng.choice(sites, size=2, replace=False))
             ops.append(Csum(control, target, adjoint=bool(rng.integers(2))))
         else:
             j = int(rng.integers(0, 3))
             k = int(rng.integers(j + 1, 4))
             axis = str(rng.choice(["x", "y", "z"]))
-            ops.append(Rotation(int(rng.integers(3)), j, k, axis, float(rng.normal())))
+            ops.append(Rotation(int(rng.integers(sites)), j, k, axis, float(rng.normal())))
+    return tuple(ops)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_fused_matches_gate_level_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    ops = random_ops(rng, 3, int(rng.integers(0, 25)))
     repeats = int(rng.integers(1, 4))
-    circuit = Circuit(3, tuple(ops), repeat=repeats)
+    circuit = Circuit(3, ops, repeat=repeats)
     assert fused_error(circuit, random_state(3, rng)) <= 1e-12
 
 
@@ -470,3 +477,22 @@ def test_flat_circuit_document_loads_with_repeat_one(tmp_path):
     state = random_state(2)
     deviation = gates.simulate(loaded, state) - gates.simulate(circuit, state)
     assert float(np.max(np.abs(deviation))) <= 1e-12
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_fused_batch_columns_are_bit_identical(sites, width, seed):
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(sites, random_ops(rng, sites, int(rng.integers(0, 30))),
+                      repeat=int(rng.integers(1, 4)))
+    batch = np.column_stack([random_state(sites, rng) for _ in range(width)])
+    out = gates.simulate(circuit, batch)
+    assert out.shape == batch.shape
+    for k in range(width):
+        assert np.array_equal(out[:, k], gates.simulate(circuit, batch[:, k]))
+    assert float(np.max(np.abs(out - fold(circuit, batch)))) <= 1e-12
+
+
+def test_simulate_rejects_a_state_of_the_wrong_size():
+    with pytest.raises(ValueError, match="amplitudes"):
+        gates.simulate(Circuit(2, (Csum(0, 1),)), random_state(3))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -264,3 +266,33 @@ def test_brick_pattern_orders_odd_before_even():
             if bond not in bonds_in_order:
                 bonds_in_order.append(bond)
     assert bonds_in_order == [(1, 2), (3, 4), (2, 3)]
+
+
+# SHA-256 of repr(step) for J = 1, v = 2, steps = 5, recorded before the
+# tau-independent correction pulses were cached: emission must not change
+# a single op or angle.
+STEP_DIGESTS = {
+    ("chain:4", 0.3): "c04a73a39407e8f87c9b122d611d230f30ecbe8b35a79f6619666d1d72f7dc25",
+    ("chain:4", 2.7): "423c492e6809f25fa8366dbb1dc77abc3ffed71a1e8162c9929433581dfd506c",
+    ("chain:8", 0.3): "b02bad9c916153ae4d4309e03e0790b7e8fd37680c18ed6f3c583a39dfcd4929",
+    ("chain:8", 2.7): "ceb80e47f97fa601aa25344f142cea0f60485b2cce01936ec1e4fef78a0d1bda",
+    ("ladder:2x4", 0.3): "a92b40f2cd740bd24f9110d0ff23400cc7ddbcf6ca67046f5cf1a0994e9abfea",
+    ("ladder:2x4", 2.7): "6c72e80c6707eb3252db6731214e214a4d363db31e1000830ee117fcbcefb98d",
+}
+
+
+@pytest.mark.parametrize("geometry, tau", sorted(STEP_DIGESTS))
+def test_emitted_step_is_pinned(geometry, tau):
+    mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
+    step = trotter_step_circuit(mh, tau, 5).step
+    assert hashlib.sha256(repr(step).encode()).hexdigest() == STEP_DIGESTS[(geometry, tau)]
+
+
+@pytest.mark.parametrize("term", transpile.HOPPING_TERM_IDS)
+def test_hopping_term_ops_result_is_the_callers_own(term):
+    first = transpile.hopping_term_ops(term, 0.4, 2, 1)
+    expected = list(first)
+    first.clear()
+    other = transpile.hopping_term_ops(term, 0.4, 2, 1)
+    other.reverse()
+    assert transpile.hopping_term_ops(term, 0.4, 2, 1) == expected
