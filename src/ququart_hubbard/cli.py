@@ -185,35 +185,18 @@ def cmd_map(config: RunConfig) -> int:
     print(f"wrote {path}")
     print(f"bonds: {list(geometry.bonds)}")
     print(f"int_prefactor: {_fmt(mh.int_prefactor)}")
-    L = geometry.site_count
     try:
-        mapped = _sector_spectrum(mapping.dense_hamiltonian(mh), mapping.sector_labels(L))
+        gap, *leaks = acceptance.spectrum_gap(geometry, config.J, config.v)
     except DimensionTooLarge:
         print("spectrum residual: skipped (register too large for dense check)")
         return 0
-    exact = _sector_spectrum(oracle.fermionic_hamiltonian(geometry, config.J, config.v),
-                             oracle.sector_labels(L))
-    for name, (_, leak) in (("mapped", mapped), ("exact", exact)):
+    for name, leak in zip(("mapped", "exact"), leaks):
         if leak:
             print(f"spectrum residual: FAILED, the {name} Hamiltonian couples (N_up, N_dn) "
                   f"sectors (max |entry| {leak:.3e})")
             return 2
-    print(f"spectrum residual vs exact reference: "
-          f"{float(np.max(np.abs(mapped[0] - exact[0]))):.3e}")
+    print(f"spectrum residual vs exact reference: {gap:.3e}")
     return 0
-
-
-def _sector_spectrum(h: np.ndarray, labels: np.ndarray) -> tuple:
-    """(sorted eigenvalues of h from one eigvalsh per sector block, largest
-    |entry| of h between different sectors). The spectrum is h's whole
-    spectrum only when that largest entry is 0."""
-    evals, leak = [], 0.0
-    for label in np.unique(labels):
-        inside = labels == label
-        rows = h[inside]
-        leak = max(leak, float(np.max(np.abs(rows[:, ~inside]), initial=0.0)))
-        evals.append(np.linalg.eigvalsh(rows[:, inside]))
-    return np.sort(np.concatenate(evals)), leak
 
 
 def cmd_transpile(config: RunConfig) -> int:

@@ -19,30 +19,19 @@ from .mapping import LatticeGeometry
 from .oracle import GreensSeries
 
 
-def site_level_probabilities(state: np.ndarray, site_count: int) -> np.ndarray:
-    """(L, 4) array of per-site level occupation probabilities."""
-    probs = np.abs(np.asarray(state).reshape([DIM] * site_count)) ** 2
-    out = np.empty((site_count, DIM))
-    for s in range(site_count):
-        axes = tuple(a for a in range(site_count) if a != s)
-        out[s] = probs.sum(axis=axes)
-    return out
-
-
 def circuit_populations(state: np.ndarray, site_count: int) -> dict:
     """{(site, spin): <N>} from a register statevector.
 
-    Number operators are diagonal in the register basis; the weights per
-    level follow from the derived level -> occupation assignment.
+    Number operators are diagonal in the register basis: each site's level
+    probabilities are weighted by the derived level -> (n_up, n_dn) table.
     """
-    occupations = mapping.level_occupations()
-    up_weights = np.array([occ[0] for occ in occupations], dtype=float)
-    dn_weights = np.array([occ[1] for occ in occupations], dtype=float)
-    level_probs = site_level_probabilities(state, site_count)
+    probs = np.abs(np.asarray(state)) ** 2
+    weights = np.array(mapping.level_occupations(), dtype=float)
     out = {}
     for s in range(1, site_count + 1):
-        out[(s, mapping.SPIN_UP)] = float(level_probs[s - 1] @ up_weights)
-        out[(s, mapping.SPIN_DOWN)] = float(level_probs[s - 1] @ dn_weights)
+        n_up, n_dn = probs.reshape(DIM ** (s - 1), DIM, -1).sum(axis=(0, 2)) @ weights
+        out[(s, mapping.SPIN_UP)] = float(n_up)
+        out[(s, mapping.SPIN_DOWN)] = float(n_dn)
     return out
 
 

@@ -8,8 +8,12 @@ sequence `step * repeat`. Two gate kinds exist:
                rotations may be flagged virtual (frame bookkeeping, zero
                physical cost).
   Csum      -- the two-qudit controlled-sum gate, sum_n |n><n| (x) Xt^n
-               with Xt = sum_j |j><j+1 mod 4| (cyclic decrement), so
-               Xt^4 = I.
+               with Xt = sum_j |j><j+1 mod 4| (cyclic decrement): the
+               permutation |n, m> -> |n, m - n mod 4>, so CSUM^4 = I.
+
+`nonadjacent` splits an X or Y rotation on levels (0,2) or (1,3) into
+three adjacent-level pulses. Circuit JSON writes and reads each op as its
+`_KINDS` name plus its dataclass fields.
 
 Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
 or two ascending sites, applied by `linalg.apply_local`: one np.matmul
@@ -43,6 +47,8 @@ class Rotation:
     virtual: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.j < self.k <= DIM - 1 or self.axis not in ("x", "y", "z"):
+            raise InvalidSubspace(f"no {self.axis!r} rotation on levels ({self.j}, {self.k})")
         if self.virtual and self.axis != "z":
             raise InvalidSubspace("only z-axis rotations can be virtual")
 
@@ -69,8 +75,9 @@ class Circuit:
     repeat: int = 1
 
     def __post_init__(self):
-        if type(self.repeat) is not int or self.repeat < 1:
-            raise InvalidCircuit(f"repeat must be an int >= 1, got {self.repeat!r}")
+        for name, value in (("sites", self.site_count), ("repeat", self.repeat)):
+            if type(value) is not int or value < 1:
+                raise InvalidCircuit(f"{name} must be an int >= 1, got {value!r}")
         for op in self.step:
             for s in _op_sites(op):
                 if not 0 <= s < self.site_count:
@@ -92,25 +99,12 @@ def _op_sites(op: GateOp) -> tuple:
     return (c, t) if c < t else (t, c)
 
 
-def xtilde_matrix() -> np.ndarray:
-    """Cyclic level decrement: |j+1 mod 4> -> |j>."""
-    m = np.zeros((DIM, DIM), dtype=complex)
-    for j in range(DIM):
-        m[j, (j + 1) % DIM] = 1.0
-    return m
-
-
 def csum_matrix(adjoint: bool = False) -> np.ndarray:
-    """Controlled-sum permutation on the (control, target) pair."""
-    xt = xtilde_matrix()
-    m = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    shift = np.eye(DIM, dtype=complex)
-    for n in range(DIM):
-        proj = np.zeros((DIM, DIM), dtype=complex)
-        proj[n, n] = 1.0
-        m += np.kron(proj, shift)
-        shift = shift @ xt
-    return m.conj().T if adjoint else m
+    """Controlled-sum permutation |n, m> -> |n, m - n mod 4> on the
+    (control, target) pair; the adjoint adds n instead."""
+    n, m = np.divmod(np.arange(DIM * DIM), DIM)
+    shift = n if adjoint else -n
+    return np.eye(DIM * DIM, dtype=complex)[:, n * DIM + (m + shift) % DIM]
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
@@ -235,64 +229,34 @@ def count_gates(circuit: Circuit) -> GateTally:
     return GateTally(two * n, phys * n, virt * n)
 
 
-def nonadjacent_x(m: int, phi: float, site: int = 0) -> list:
-    """X rotation between levels m and m+2 from adjacent-level pulses.
+def nonadjacent(axis: str, m: int, phi: float, site: int = 0) -> list:
+    """X or Y rotation between levels m and m+2 from adjacent-level pulses.
 
-    Circuit-order sequence [Y^{m,m+1}_pi, X^{m+1,m+2}_phi, Y^{m,m+1}_-pi];
-    the operator product reproduces X^{m,m+2}_phi exactly.
+    Circuit-order sequence [S^{m,m+1}_pi, X^{m+1,m+2}_phi', S^{m,m+1}_-pi];
+    the operator product reproduces axis^{m,m+2}_phi exactly. For axis x
+    the sandwich S is Y and phi' = phi; for axis y it is X, which under
+    the half-angle convention maps an x-type middle onto -y^{m,m+2}, so
+    phi' = -phi.
     """
-    if m + 2 > DIM - 1:
-        raise InvalidSubspace(f"levels ({m}, {m + 2}) outside 0..{DIM - 1}")
+    if axis not in ("x", "y") or not 0 <= m <= DIM - 3:
+        raise InvalidSubspace(f"no non-adjacent {axis!r} rotation on levels ({m}, {m + 2})")
+    outer, phi = ("y", phi) if axis == "x" else ("x", -phi)
     return [
-        Rotation(site, m, m + 1, "y", np.pi),
+        Rotation(site, m, m + 1, outer, np.pi),
         Rotation(site, m + 1, m + 2, "x", phi),
-        Rotation(site, m, m + 1, "y", -np.pi),
-    ]
-
-
-def nonadjacent_y(m: int, phi: float, site: int = 0) -> list:
-    """Y rotation between levels m and m+2 from adjacent-level pulses.
-
-    Under the half-angle convention the X_{+-pi} sandwich maps an x-type
-    middle onto -y^{m,m+2}, so the middle angle is negated to land on
-    Y^{m,m+2}_phi exactly.
-    """
-    if m + 2 > DIM - 1:
-        raise InvalidSubspace(f"levels ({m}, {m + 2}) outside 0..{DIM - 1}")
-    return [
-        Rotation(site, m, m + 1, "x", np.pi),
-        Rotation(site, m + 1, m + 2, "x", -phi),
-        Rotation(site, m, m + 1, "x", -np.pi),
+        Rotation(site, m, m + 1, outer, -np.pi),
     ]
 
 
 # --- circuit JSON -----------------------------------------------------------
 
 
+_KINDS = {"rot": Rotation, "csum": Csum}
+_KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
+
+
 def circuit_to_json_dict(circuit: Circuit) -> dict:
-    ops = []
-    for op in circuit.step:
-        if isinstance(op, Rotation):
-            ops.append(
-                {
-                    "kind": "rot",
-                    "site": op.site,
-                    "j": op.j,
-                    "k": op.k,
-                    "axis": op.axis,
-                    "phi": op.phi,
-                    "virtual": op.virtual,
-                }
-            )
-        else:
-            ops.append(
-                {
-                    "kind": "csum",
-                    "control": op.control,
-                    "target": op.target,
-                    "adjoint": op.adjoint,
-                }
-            )
+    ops = [{"kind": _KIND_NAMES[type(op)], **vars(op)} for op in circuit.step]
     doc = {"sites": circuit.site_count, "ops": ops, "repeat": circuit.repeat}
     if circuit.metadata:
         doc["metadata"] = dict(circuit.metadata)
@@ -300,26 +264,17 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_json_dict(doc: dict) -> Circuit:
-    ops = []
-    for entry in doc["ops"]:
-        if entry["kind"] == "rot":
-            ops.append(
-                Rotation(
-                    entry["site"],
-                    entry["j"],
-                    entry["k"],
-                    entry["axis"],
-                    entry["phi"],
-                    entry.get("virtual", False),
-                )
-            )
-        elif entry["kind"] == "csum":
-            ops.append(
-                Csum(entry["control"], entry["target"], entry.get("adjoint", False))
-            )
-        else:
-            raise InvalidCircuit(f"unknown op kind {entry['kind']!r}")
-    return Circuit(doc["sites"], tuple(ops), doc.get("metadata", {}), doc.get("repeat", 1))
+    """Inverse of `circuit_to_json_dict`. A missing key, an unknown op kind
+    or a missing or unknown op field raises InvalidCircuit; an op's own
+    check raises InvalidSubspace or SiteOutOfRange."""
+    try:
+        ops = []
+        for entry in doc["ops"]:
+            fields = dict(entry)
+            ops.append(_KINDS[fields.pop("kind")](**fields))
+        return Circuit(doc["sites"], tuple(ops), doc.get("metadata", {}), doc.get("repeat", 1))
+    except (KeyError, TypeError) as exc:
+        raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
 
 
 def save_circuit(circuit: Circuit, path) -> None:

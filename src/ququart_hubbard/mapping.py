@@ -58,10 +58,6 @@ class LatticeGeometry:
     bonds: tuple  # ((a, b), ...) with a < b
     label: str
 
-    @property
-    def bond_count(self) -> int:
-        return len(self.bonds)
-
 
 def chain(length: int) -> LatticeGeometry:
     if length < 1:

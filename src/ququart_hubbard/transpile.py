@@ -155,14 +155,8 @@ def _local_unitary_ops(u: np.ndarray, site: int) -> list:
 def _middle_ops(term_id: int, tau: float, site: int) -> list:
     """Middle single-qudit layer; angles are 2*tau under the half-angle
     convention. Non-adjacent rotations decompose into three pulses each."""
-    ops = []
-    for axis, m, sign in _MIDDLE_LAYER[term_id]:
-        phi = 2.0 * sign * tau
-        if axis == "x":
-            ops.extend(gates.nonadjacent_x(m, phi, site))
-        else:
-            ops.extend(gates.nonadjacent_y(m, phi, site))
-    return ops
+    return [op for axis, m, sign in _MIDDLE_LAYER[term_id]
+            for op in gates.nonadjacent(axis, m, 2.0 * sign * tau, site)]
 
 
 @lru_cache(maxsize=None)
@@ -187,25 +181,28 @@ def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> lis
     return [*before, *_middle_ops(term_id, tau, control), *after]
 
 
-def transpile_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> Circuit:
+RESIDUAL_TOL = 1e-8
+
+
+def transpile_hopping(term_id: int, tau: float) -> Circuit:
     """Two-qudit circuit for one hopping evolution, self-checked.
 
     Raises SynthesisResidual if the assembled circuit misses the target by
-    more than residual_tol at the optimal global phase.
+    more than RESIDUAL_TOL at the optimal global phase.
     """
-    return _checked_hopping(term_id, tau, residual_tol)[0]
+    return _checked_hopping(term_id, tau)[0]
 
 
-def _checked_hopping(term_id: int, tau: float, residual_tol: float = 1e-8) -> tuple:
+def _checked_hopping(term_id: int, tau: float) -> tuple:
     """(circuit, residual) of transpile_hopping; the residual is computed once."""
     ops = hopping_term_ops(term_id, tau, control=0, target=1)
     circuit = Circuit(2, tuple(ops), {"term": term_id, "tau": tau})
     residual = phase_aligned_distance(
         gates.circuit_unitary(circuit), hopping_target(term_id, tau)
     )
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise SynthesisResidual(
-            f"term {term_id} at tau={tau:g}: residual {residual:.3e} > {residual_tol:g}"
+            f"term {term_id} at tau={tau:g}: residual {residual:.3e} > {RESIDUAL_TOL:g}"
         )
     return circuit, residual
 

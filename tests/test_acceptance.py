@@ -9,6 +9,7 @@ from itertools import groupby
 
 import pytest
 
+from ququart_hubbard import acceptance, mapping
 from ququart_hubbard.acceptance import CHECKS
 
 
@@ -31,3 +32,19 @@ def _make_test(entries):
 
 for _name, _entries in groupby(CHECKS, key=lambda c: c.name):
     globals()[f"test_{_name}"] = _make_test(list(_entries))
+
+
+def test_criterion_3_fails_when_a_hamiltonian_couples_sectors(monkeypatch):
+    # the sector spectra never see an entry between sectors, so only the
+    # leak condition can catch it
+    dense = mapping.dense_hamiltonian
+
+    def leaky(mh):
+        h = dense(mh)
+        h[0, 1] = h[1, 0] = 1e-9  # levels 0 and 1 of the last site differ in N_dn
+        return h
+
+    monkeypatch.setattr(mapping, "dense_hamiltonian", leaky)
+    result = acceptance.spectrum_equivalence()
+    assert not result.passed
+    assert "sector leak 1.00e-09" in result.detail

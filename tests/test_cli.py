@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, cli, gates, linalg, mapping, oracle, transpile
+from ququart_hubbard import acceptance, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
 
 
@@ -41,7 +41,7 @@ def test_map_sector_spectra_equal_the_full_spectra(geometry):
     mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
     for h, labels in ((mapping.dense_hamiltonian(mh), mapping.sector_labels(L)),
                       (oracle.fermionic_hamiltonian(geom, 1.0, 2.0), oracle.sector_labels(L))):
-        spectrum, leak = cli._sector_spectrum(h, labels)
+        spectrum, leak = acceptance.sector_spectrum(h, labels)
         assert leak == 0.0
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 1e-12
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -379,19 +380,19 @@ def product_of(ops):
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_nonadjacent_x_zero_angle(m):
-    u = product_of(gates.nonadjacent_x(m, 0.0))
+    u = product_of(gates.nonadjacent("x", m, 0.0))
     assert phase_overlap(u, np.eye(4)) > 1 - 1e-12
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_nonadjacent_x_known_angle(m):
-    u = product_of(gates.nonadjacent_x(m, np.pi / 2))
+    u = product_of(gates.nonadjacent("x", m, np.pi / 2))
     target = gamma.rotation(m, m + 2, "x", np.pi / 2)
     assert phase_overlap(u, target) > 1 - 1e-10
 
 
 def test_nonadjacent_y_known_angle():
-    u = product_of(gates.nonadjacent_y(1, 1.3))
+    u = product_of(gates.nonadjacent("y", 1, 1.3))
     target = gamma.rotation(1, 3, "y", 1.3)
     assert phase_overlap(u, target) > 1 - 1e-10
 
@@ -399,19 +400,19 @@ def test_nonadjacent_y_known_angle():
 @given(st.sampled_from([0, 1]), st.floats(-6, 6))
 @settings(max_examples=40, deadline=None)
 def test_nonadjacent_sequences_match_direct(m, phi):
-    ux = product_of(gates.nonadjacent_x(m, phi))
-    uy = product_of(gates.nonadjacent_y(m, phi))
+    ux = product_of(gates.nonadjacent("x", m, phi))
+    uy = product_of(gates.nonadjacent("y", m, phi))
     assert phase_overlap(ux, gamma.rotation(m, m + 2, "x", phi)) > 1 - 1e-10
     assert phase_overlap(uy, gamma.rotation(m, m + 2, "y", phi)) > 1 - 1e-10
 
 
 def test_nonadjacent_rejects_overflow():
     with pytest.raises(InvalidSubspace):
-        gates.nonadjacent_x(2, 0.4)
+        gates.nonadjacent("x", 2, 0.4)
 
 
 def test_nonadjacent_counts_three_physical():
-    ops = gates.nonadjacent_x(0, 0.9)
+    ops = gates.nonadjacent("x", 0, 0.9)
     assert len(ops) == 3
     assert all(isinstance(op, Rotation) and not op.virtual for op in ops)
 
@@ -450,6 +451,47 @@ def test_circuit_and_load_reject_bad_repeat(tmp_path, repeat):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidCircuit):
         gates.load_circuit(path)
+
+
+MALFORMED_DOCUMENTS = {
+    "levels out of order": (lambda doc: doc["ops"][0].update(j=2, k=1), InvalidSubspace),
+    "unknown axis": (lambda doc: doc["ops"][0].update(axis="w"), InvalidSubspace),
+    "no sites": (lambda doc: doc.pop("sites"), InvalidCircuit),
+    "sites as a string": (lambda doc: doc.update(sites="2"), InvalidCircuit),
+    "unknown kind": (lambda doc: doc["ops"][1].update(kind="swap"), InvalidCircuit),
+    "unknown field": (lambda doc: doc["ops"][1].update(phase=0.5), InvalidCircuit),
+    "missing field": (lambda doc: doc["ops"][0].pop("phi"), InvalidCircuit),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
+    corrupt, error = MALFORMED_DOCUMENTS[case]
+    doc = gates.circuit_to_json_dict(Circuit(2, (Rotation(0, 0, 2, "x", 0.1), Csum(0, 1))))
+    corrupt(doc)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        gates.load_circuit(path)
+
+
+# SHA-256 of the save_circuit bytes for J = 1, v = 2, steps = 30, recorded
+# while the writer still spelled out every op field: the file format must
+# not move.
+CIRCUIT_FILE_DIGESTS = {
+    ("chain:8", 0.3): "7a6db8ba10567f06b17623ee22b26e321369ab1be9189cbc37d43c9b5c5e4c54",
+    ("chain:8", 2.7): "eba6e25cf7d32e99015d6ab135aa369bd28c7f25124d58a2d4443989e7212945",
+    ("ladder:2x4", 0.3): "02eee77e6c019141850ea6fd0749de6c16d66ac26f3cc6d04fc6294b7dfb574e",
+    ("ladder:2x4", 2.7): "f15ee8ed70e9ca4f94ac3e80a34c74d15659c2262dc2b416774163b1a8332d92",
+}
+
+
+@pytest.mark.parametrize("geometry, tau", sorted(CIRCUIT_FILE_DIGESTS))
+def test_saved_circuit_bytes_are_pinned(tmp_path, geometry, tau):
+    mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
+    path = tmp_path / "circuit.json"
+    gates.save_circuit(transpile.trotter_step_circuit(mh, tau, 30), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CIRCUIT_FILE_DIGESTS[(geometry, tau)]
 
 
 def test_circuit_json_keeps_repeat_and_writes_one_step(tmp_path):

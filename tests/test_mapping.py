@@ -50,7 +50,7 @@ def test_chain_bonds():
 def test_ladder_bond_inventory():
     geom = mapping.ladder(2, 4)
     assert geom.site_count == 8
-    assert geom.bond_count == 10  # 2*(N-1) horizontal + N rungs
+    assert len(geom.bonds) == 10  # 2*(N-1) horizontal + N rungs
     horizontal = ((1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8))
     rungs = ((1, 5), (2, 6), (3, 7), (4, 8))
     assert geom.bonds == horizontal + rungs

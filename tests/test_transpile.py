@@ -184,10 +184,11 @@ def test_zero_angle_transpiles_to_empty():
     assert transpile_hopping(3, 0.0).ops == ()
 
 
-def test_residual_gate_raises():
+def test_residual_gate_raises(monkeypatch):
+    # absurd tolerance turns the machine-precision residual into an error
+    monkeypatch.setattr(transpile, "RESIDUAL_TOL", 1e-20)
     with pytest.raises(SynthesisResidual):
-        # absurd tolerance turns the machine-precision residual into an error
-        transpile_hopping(1, 0.7, residual_tol=1e-20)
+        transpile_hopping(1, 0.7)
 
 
 def test_synthesis_report_contents():
