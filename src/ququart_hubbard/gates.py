@@ -1,8 +1,10 @@
 """Circuit representation and dense statevector simulator for ququart registers.
 
-A circuit is one op sequence, `step`, applied `repeat` times to a register
-of L four-level sites (register positions are 0-based); `ops` is the flat
-sequence `step * repeat`. Two gate kinds exist:
+A circuit is one step, applied `repeat` times to a register of L
+four-level sites (register positions are 0-based). The step is held as
+`segments`: each item is a gate op, or a `Segment`, an op tuple that fuses
+itself once and keeps its blocks. `step` is the flat op sequence and
+`ops` is `step * repeat`. Two gate kinds exist:
 
   Rotation  -- single-qudit subspace rotation X/Y/Z^{jk}_phi; z-axis
                rotations may be flagged virtual (frame bookkeeping, zero
@@ -13,21 +15,24 @@ sequence `step * repeat`. Two gate kinds exist:
 
 `nonadjacent` splits an X or Y rotation on levels (0,2) or (1,3) into
 three adjacent-level pulses. Circuit JSON writes and reads each op as its
-`_KINDS` name plus its dataclass fields.
+`_KINDS` name plus its dataclass fields, and each segment as a list of ops.
 
 Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
 or two ascending sites, applied by `linalg.apply_local`: one np.matmul
 against the batch-leading (B, 4^L) state array, with no 4^L x 4^L
 embedding. `simulate` fuses the step greedily, as qsim's gate fuser does
-(Isakov et al., arXiv:2111.02396): rotations collect per site, and each
-CSUM multiplies into the latest block its two sites share or else opens a
-new 16x16 block, so a chain(L) Trotter step (about 100 ops per bond)
-collapses to L - 1 blocks, applied `repeat` times.
+(Isakov et al., arXiv:2111.02396), from each gate op's matrix and each
+segment's cached blocks: one-site matrices collect per site, and each
+two-site matrix multiplies into the latest block its two sites share or
+else opens a new 16x16 block. Emitted steps hold each hopping piece's CSUM
+sandwiches as cached segments, so only its six middle pulses and the
+on-site triples are multiplied per tau; a chain(L) step collapses to
+L - 1 blocks, applied `repeat` times.
 """
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,10 +72,24 @@ class Csum:
 GateOp = Rotation | Csum
 
 
+class Segment(tuple):
+    """An op sequence kept together in a circuit. Its fused blocks are
+    computed on first use and kept, so a segment shared between circuits
+    (the cached CSUM sandwiches of `transpile`) is multiplied once."""
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple((sites, _frozen(m)) for sites, m in _fuse(self))
+
+    @cached_property
+    def sites(self) -> frozenset:
+        return frozenset(s for op in self for s in _op_sites(op))
+
+
 @dataclass(frozen=True)
 class Circuit:
     site_count: int
-    step: tuple = ()
+    segments: tuple = ()  # gate ops and Segments, in application order
     metadata: dict = field(default_factory=dict)
     repeat: int = 1
 
@@ -78,12 +97,18 @@ class Circuit:
         for name, value in (("sites", self.site_count), ("repeat", self.repeat)):
             if type(value) is not int or value < 1:
                 raise InvalidCircuit(f"{name} must be an int >= 1, got {value!r}")
-        for op in self.step:
-            for s in _op_sites(op):
+        for item in self.segments:
+            for s in item.sites if isinstance(item, Segment) else _op_sites(item):
                 if not 0 <= s < self.site_count:
                     raise SiteOutOfRange(
-                        f"op {op} touches site {s}, register has {self.site_count}"
+                        f"{item} touches site {s}, register has {self.site_count}"
                     )
+
+    @property
+    def step(self) -> tuple:
+        """The flat op sequence of one step, segments unpacked."""
+        return tuple(op for item in self.segments
+                     for op in (item if isinstance(item, Segment) else (item,)))
 
     @property
     def ops(self) -> tuple:
@@ -116,12 +141,15 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return _csum_block(op.adjoint, op.control > op.target)
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 @lru_cache(maxsize=4096)
 def _rotation_matrix(j: int, k: int, axis: str, phi: float) -> np.ndarray:
     """Cached per rotation, not per op: the same pulse on other sites shares it."""
-    m = gamma.rotation(j, k, axis, phi)
-    m.flags.writeable = False
-    return m
+    return _frozen(gamma.rotation(j, k, axis, phi))
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +157,7 @@ def _csum_block(adjoint: bool, control_above_target: bool) -> np.ndarray:
     m = csum_matrix(adjoint)
     if control_above_target:
         m = m.reshape(DIM, DIM, DIM, DIM).transpose(1, 0, 3, 2).reshape(DIM * DIM, -1)
-    m.flags.writeable = False
-    return m
+    return _frozen(m)
 
 
 def gate_inverse(op: GateOp) -> GateOp:
@@ -160,26 +187,39 @@ def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, -1)
 
 
-def _fuse(ops) -> list:
-    """Greedy two-site fusion of an op sequence into [sites, matrix] blocks.
+def _local_matrices(items):
+    """(sites, matrix) of each item: a gate op's own matrix, or the cached
+    blocks of a segment."""
+    for item in items:
+        if isinstance(item, Segment):
+            yield from item.blocks
+        else:
+            yield _op_sites(item), gate_matrix(item)
 
-    Rotations collect per site into a pending 4x4. A CSUM takes the pending
-    4x4s of its two sites with it and multiplies into the latest block on
-    both sites if they share one; otherwise it opens a new 16x16 block on
-    its ascending sites. Pending 4x4s left at the end multiply into the
-    latest block on their site, or become one-site blocks. Folding ops
-    into a block that later blocks do not touch is exact: they commute.
+
+def _fuse(items) -> list:
+    """Greedy two-site fusion of gate ops and segments into [sites, matrix]
+    blocks.
+
+    One-site matrices collect per site into a pending 4x4. A two-site
+    matrix takes the pending 4x4s of its sites with it and multiplies into
+    the latest block on both sites if they share one; otherwise it opens a
+    new 16x16 block on its ascending sites. Pending 4x4s left at the end
+    multiply into the latest block on their site, or become one-site
+    blocks. Folding a matrix into a block that later blocks do not touch
+    is exact: they commute.
     """
     blocks = []  # [ascending sites, 4^k x 4^k matrix] in application order
     latest = {}  # site -> index of the latest block on it
-    pending = {}  # site -> product of the rotations not yet in a block
-    for op in ops:
-        g = gate_matrix(op)
-        if isinstance(op, Rotation):
-            pending[op.site] = g @ pending.get(op.site, _EYE)
+    pending = {}  # site -> product of the one-site matrices not yet in a block
+    for sites, g in _local_matrices(items):
+        if len(sites) == 1:
+            s = sites[0]
+            pending[s] = g @ pending[s] if s in pending else g
             continue
-        a, b = _op_sites(op)
-        g = g @ _kron4(pending.pop(a, _EYE), pending.pop(b, _EYE))
+        a, b = sites
+        if a in pending or b in pending:
+            g = g @ _kron4(pending.pop(a, _EYE), pending.pop(b, _EYE))
         k = latest.get(a)
         if k is not None and latest.get(b) == k:
             blocks[k][1] = g @ blocks[k][1]
@@ -198,9 +238,9 @@ def _fuse(ops) -> list:
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
-    array of them: fuse the step into two-site blocks once, then apply the
-    block list `repeat` times."""
-    return apply_local(state, _fuse(circuit.step) * circuit.repeat, circuit.site_count)
+    array of them: fuse the step's segments into two-site blocks once, then
+    apply the block list `repeat` times."""
+    return apply_local(state, _fuse(circuit.segments) * circuit.repeat, circuit.site_count)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -255,8 +295,20 @@ _KINDS = {"rot": Rotation, "csum": Csum}
 _KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
 
 
+def _op_doc(op: GateOp) -> dict:
+    return {"kind": _KIND_NAMES[type(op)], **vars(op)}
+
+
+def _doc_op(entry: dict) -> GateOp:
+    fields = dict(entry)
+    return _KINDS[fields.pop("kind")](**fields)
+
+
 def circuit_to_json_dict(circuit: Circuit) -> dict:
-    ops = [{"kind": _KIND_NAMES[type(op)], **vars(op)} for op in circuit.step]
+    """The step as "ops": one entry per item, an op's object or a
+    segment's list of op objects."""
+    ops = [list(map(_op_doc, item)) if isinstance(item, Segment) else _op_doc(item)
+           for item in circuit.segments]
     doc = {"sites": circuit.site_count, "ops": ops, "repeat": circuit.repeat}
     if circuit.metadata:
         doc["metadata"] = dict(circuit.metadata)
@@ -268,18 +320,17 @@ def circuit_from_json_dict(doc: dict) -> Circuit:
     or a missing or unknown op field raises InvalidCircuit; an op's own
     check raises InvalidSubspace or SiteOutOfRange."""
     try:
-        ops = []
-        for entry in doc["ops"]:
-            fields = dict(entry)
-            ops.append(_KINDS[fields.pop("kind")](**fields))
-        return Circuit(doc["sites"], tuple(ops), doc.get("metadata", {}), doc.get("repeat", 1))
-    except (KeyError, TypeError) as exc:
+        items = tuple(Segment(map(_doc_op, entry)) if isinstance(entry, list) else _doc_op(entry)
+                      for entry in doc["ops"])
+        return Circuit(doc["sites"], items, doc.get("metadata", {}), doc.get("repeat", 1))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
 
 
 def save_circuit(circuit: Circuit, path) -> None:
+    # json.dumps without indent takes the C encoder; json.dump never does
     with open(path, "w") as fh:
-        json.dump(circuit_to_json_dict(circuit), fh, indent=1)
+        fh.write(json.dumps(circuit_to_json_dict(circuit)))
 
 
 def load_circuit(path) -> Circuit:

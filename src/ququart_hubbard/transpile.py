@@ -26,7 +26,9 @@ step.
 
 `step_layers` is the one definition of a Trotter step: an on-site
 virtual-Z layer, then the brick groups of bonds, each layer a list of
-site-disjoint parts. `trotter_step_circuit` flattens it, and
+site-disjoint parts. A hopping piece is its two tau-independent sandwiches,
+cached `gates.Segment`s that fuse once per process, around the six middle
+pulses. `trotter_step_circuit` joins the parts into one circuit step, and
 `resources.qfm_resources` tallies gate counts and step time from it.
 """
 
@@ -38,7 +40,7 @@ import numpy as np
 from . import gates
 from .errors import SynthesisResidual
 from .gamma import DIM
-from .gates import Circuit, Csum, Rotation
+from .gates import Circuit, Csum, Rotation, Segment
 from .linalg import phase_aligned_distance
 from .mapping import MappedHamiltonian, hopping_local_factors
 
@@ -161,24 +163,26 @@ def _middle_ops(term_id: int, tau: float, site: int) -> list:
 
 @lru_cache(maxsize=None)
 def _sandwich_ops(term_id: int, control: int, target: int) -> tuple:
-    """The tau-independent ops around a term's middle layer: (the inverse
-    corrections, then CSUM^dag), and (CSUM, then the corrections P, Q)."""
+    """The tau-independent segments around a term's middle layer: (the
+    inverse corrections, then CSUM^dag), and (CSUM, then the corrections
+    P, Q). Cached, so every circuit shares them and their fused blocks."""
     p, q = correction_pair(term_id)
     p_ops, q_ops = _local_unitary_ops(p, control), _local_unitary_ops(q, target)
     before = [gates.gate_inverse(op) for op in reversed(p_ops)]
     before += [gates.gate_inverse(op) for op in reversed(q_ops)]
     before.append(Csum(control, target, adjoint=True))
-    return tuple(before), (Csum(control, target, adjoint=False), *p_ops, *q_ops)
+    return Segment(before), Segment((Csum(control, target, adjoint=False), *p_ops, *q_ops))
 
 
 def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> list:
-    """Gate sequence realizing e^{-i h_i tau} on (control, target)."""
+    """Circuit items realizing e^{-i h_i tau} on (control, target): the
+    `before` segment, the six middle pulses, the `after` segment."""
     if term_id not in HOPPING_TERM_IDS:
         raise KeyError(f"hopping term id must be 1..4, got {term_id}")
     if tau == 0.0:
         return []
     before, after = _sandwich_ops(term_id, control, target)
-    return [*before, *_middle_ops(term_id, tau, control), *after]
+    return [before, *_middle_ops(term_id, tau, control), after]
 
 
 RESIDUAL_TOL = 1e-8
@@ -242,7 +246,8 @@ def hopping_angle(J: float, dt: float) -> float:
 
 
 def step_layers(mh: MappedHamiltonian, dt: float) -> list:
-    """One first-order Trotter step over dt, as layers of per-part op lists.
+    """One first-order Trotter step over dt, as layers of per-part lists of
+    circuit items (gate ops and segments).
 
     The first layer holds one virtual-Z triple per site (the on-site
     evolution; empty parts when v or dt is zero). Each further layer is one
@@ -259,19 +264,20 @@ def step_layers(mh: MappedHamiltonian, dt: float) -> list:
                for site in range(geometry.site_count)]]
     for layer in _bond_layers(geometry):
         layers.append([
-            [op for term_id in HOPPING_TERM_IDS
-             for op in hopping_term_ops(term_id, term_angle, a - 1, b - 1)]
+            [item for term_id in HOPPING_TERM_IDS
+             for item in hopping_term_ops(term_id, term_angle, a - 1, b - 1)]
             for a, b in layer
         ])
     return layers
 
 
 def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circuit:
-    """First-order Trotter circuit for e^{-i H tau}: the flattened
-    `step_layers` over dt = tau/steps, repeated `steps` times."""
+    """First-order Trotter circuit for e^{-i H tau}: the parts of
+    `step_layers` over dt = tau/steps joined into one step, repeated
+    `steps` times."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    step = tuple(op for layer in step_layers(mh, tau / steps) for part in layer for op in part)
+    step = tuple(item for layer in step_layers(mh, tau / steps) for part in layer for item in part)
     metadata = {"geometry": mh.geometry.label, "J": mh.J, "v": mh.v, "tau": tau}
     return Circuit(mh.geometry.site_count, step, metadata, repeat=steps)
 

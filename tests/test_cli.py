@@ -125,10 +125,10 @@ def test_transpile_report_angle_is_the_emitted_angle(tmp_path):
     report = json.loads((tmp_path / "synthesis_report.json").read_text())
     assert report["term_angle"] == transpile.hopping_angle(1.3, 0.13 / 30)
     assert [t["tau"] for t in report["terms"]] == [report["term_angle"]] * 4
-    bond = [op for term_id in transpile.HOPPING_TERM_IDS
-            for op in transpile.hopping_term_ops(term_id, report["term_angle"], 0, 1)]
+    bond = [item for term_id in transpile.HOPPING_TERM_IDS
+            for item in transpile.hopping_term_ops(term_id, report["term_angle"], 0, 1)]
     circuit = gates.load_circuit(tmp_path / "circuit.json")
-    assert list(circuit.step[-len(bond):]) == bond
+    assert list(circuit.segments[-len(bond):]) == bond
 
 
 def test_circuit_json_resimulation_bit_identical(tmp_path):

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import gamma, gates, mapping, transpile
+from ququart_hubbard import emulate, gamma, gates, mapping, transpile
 from ququart_hubbard.errors import (
     DimensionTooLarge,
     InvalidCircuit,
     InvalidSubspace,
     SiteOutOfRange,
 )
-from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation
+from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation, Segment
 
 RNG = np.random.default_rng(7)
 
@@ -196,6 +196,8 @@ def test_circuit_unitary_dimension_guard():
 def test_circuit_rejects_out_of_range_ops():
     with pytest.raises(SiteOutOfRange):
         Circuit(2, (Rotation(2, 0, 1, "x", 0.1),))
+    with pytest.raises(SiteOutOfRange):
+        Circuit(2, (Segment((Rotation(0, 0, 1, "x", 0.1), Csum(0, 2))),))
 
 
 @pytest.mark.parametrize("bad", [Rotation(3, 0, 1, "x", 0.1), Csum(0, -1), Csum(5, 1)])
@@ -240,9 +242,57 @@ def test_fused_matches_gate_level_on_one_chain8_step():
 @pytest.mark.parametrize("sites", [4, 8])
 def test_fused_step_is_one_block_per_bond(sites):
     circuit = chain_circuit(sites, 5)
-    blocks = gates._fuse(circuit.step)
-    assert len(blocks) == sites - 1
-    assert all(len(block_sites) == 2 for block_sites, _ in blocks)
+    for items in (circuit.segments, circuit.step):
+        blocks = gates._fuse(items)
+        assert len(blocks) == sites - 1
+        assert all(len(block_sites) == 2 for block_sites, _ in blocks)
+
+
+@pytest.mark.parametrize("geometry, tau", [
+    ("chain:4", 1.3), ("chain:8", 1.3), ("ladder:2x2", 0.9), ("chain:4", 0.0),
+])
+def test_segmented_fusion_matches_gate_level(geometry, tau):
+    geom = mapping.parse_geometry(geometry)
+    mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
+    circuit = transpile.trotter_step_circuit(mh, tau, 1)
+    segments = [item for item in circuit.segments if isinstance(item, Segment)]
+    # a before and an after sandwich per hopping piece; tau = 0 emits none
+    assert len(segments) == (0 if tau == 0.0 else 8 * len(geom.bonds))
+    assert fused_error(circuit, random_state(geom.site_count)) <= 1e-12
+
+
+def test_flat_op_is_a_one_op_segment():
+    circuit = chain_circuit(4, 3)
+    flat = Circuit(4, circuit.step, repeat=3)
+    twin = Circuit(4, tuple(Segment((op,)) for op in circuit.step), repeat=3)
+    assert flat.step == twin.step == circuit.step
+    state = random_state(4)
+    assert np.array_equal(gates.simulate(flat, state), gates.simulate(twin, state))
+    deviation = gates.simulate(circuit, state) - gates.simulate(flat, state)
+    assert float(np.max(np.abs(deviation))) <= 1e-12
+
+
+def test_each_sandwich_is_fused_once_across_the_greens_grid(monkeypatch):
+    # fresh sandwiches, so none carries blocks fused by an earlier test
+    transpile._sandwich_ops.cache_clear()
+    fused = []
+    original = gates._fuse
+
+    def counting_fuse(items):
+        if isinstance(items, Segment):
+            fused.append(items)
+        return original(items)
+
+    monkeypatch.setattr(gates, "_fuse", counting_fuse)
+    times = np.arange(0.0, 5.01, 0.25)
+    for i, j, spin in ((2, 2, "down"), (4, 4, "down")):
+        emulate.lesser_gf_circuit(mapping.chain(4), 1.0, 1.0, ("u", "ud", "u", "d"),
+                                  i, j, spin, times, 30)
+    # 3 bonds x 4 pieces x (before, after), each multiplied exactly once
+    assert len(fused) == len({id(segment) for segment in fused}) == 24
+    sandwiches = {transpile._sandwich_ops(term, a, a + 1)[k]
+                  for term in transpile.HOPPING_TERM_IDS for a in range(3) for k in (0, 1)}
+    assert {id(segment) for segment in fused} == {id(segment) for segment in sandwiches}
 
 
 def test_fused_batch_matches_columns():
@@ -461,6 +511,8 @@ MALFORMED_DOCUMENTS = {
     "unknown kind": (lambda doc: doc["ops"][1].update(kind="swap"), InvalidCircuit),
     "unknown field": (lambda doc: doc["ops"][1].update(phase=0.5), InvalidCircuit),
     "missing field": (lambda doc: doc["ops"][0].pop("phi"), InvalidCircuit),
+    "op as a string": (lambda doc: doc["ops"].__setitem__(1, "csum"), InvalidCircuit),
+    "segment of numbers": (lambda doc: doc["ops"].append([1, 2]), InvalidCircuit),
 }
 
 
@@ -476,13 +528,13 @@ def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
 
 
 # SHA-256 of the save_circuit bytes for J = 1, v = 2, steps = 30, recorded
-# while the writer still spelled out every op field: the file format must
-# not move.
+# when the writer took one entry per segment and dropped indentation: the
+# file format must not move.
 CIRCUIT_FILE_DIGESTS = {
-    ("chain:8", 0.3): "7a6db8ba10567f06b17623ee22b26e321369ab1be9189cbc37d43c9b5c5e4c54",
-    ("chain:8", 2.7): "eba6e25cf7d32e99015d6ab135aa369bd28c7f25124d58a2d4443989e7212945",
-    ("ladder:2x4", 0.3): "02eee77e6c019141850ea6fd0749de6c16d66ac26f3cc6d04fc6294b7dfb574e",
-    ("ladder:2x4", 2.7): "f15ee8ed70e9ca4f94ac3e80a34c74d15659c2262dc2b416774163b1a8332d92",
+    ("chain:8", 0.3): "b6e8853ee3f9e8b45f3e79f50cb42f2bf4888a882241be476a0692c84c30dc15",
+    ("chain:8", 2.7): "1b0f6c0376e3d3e04cca429977e8209dfccae072e28c2312c756ef35b4d3a8d7",
+    ("ladder:2x4", 0.3): "e2ab23f849bd9fd3261072c912ae8e1b0644807beadc0a1a0c05a3598e32db38",
+    ("ladder:2x4", 2.7): "22eb6059210105b50d6f8b3485543b0902bcccc4c7013d64d2f3e895b2252207",
 }
 
 
@@ -500,9 +552,12 @@ def test_circuit_json_keeps_repeat_and_writes_one_step(tmp_path):
     gates.save_circuit(circuit, path)
     doc = json.loads(path.read_text())
     assert doc["repeat"] == 5
-    assert len(doc["ops"]) == len(circuit.step) == len(circuit.ops) // 5
+    assert len(doc["ops"]) == len(circuit.segments)
+    assert sum(len(e) if isinstance(e, list) else 1 for e in doc["ops"]) == len(circuit.step)
+    assert len(circuit.step) == len(circuit.ops) // 5
     loaded = gates.load_circuit(path)
     assert loaded == circuit and loaded.repeat == 5
+    assert list(map(type, loaded.segments)) == list(map(type, circuit.segments))
     assert gates.count_gates(loaded) == gates.count_gates(Circuit(3, circuit.ops))
 
 
@@ -517,6 +572,21 @@ def test_flat_circuit_document_loads_with_repeat_one(tmp_path):
     loaded = gates.load_circuit(path)
     assert loaded.repeat == 1 and loaded.ops == circuit.ops
     state = random_state(2)
+    deviation = gates.simulate(loaded, state) - gates.simulate(circuit, state)
+    assert float(np.max(np.abs(deviation))) <= 1e-12
+
+
+def test_circuit_document_without_segments_loads(tmp_path):
+    # the format before segments: every entry of "ops" is one op object
+    circuit = chain_circuit(3, 4)
+    doc = gates.circuit_to_json_dict(Circuit(3, circuit.step, circuit.metadata, 4))
+    assert all(isinstance(entry, dict) for entry in doc["ops"])
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc, indent=1))
+    loaded = gates.load_circuit(path)
+    assert not any(isinstance(item, Segment) for item in loaded.segments)
+    assert loaded.ops == circuit.ops
+    state = random_state(3)
     deviation = gates.simulate(loaded, state) - gates.simulate(circuit, state)
     assert float(np.max(np.abs(deviation))) <= 1e-12
 
