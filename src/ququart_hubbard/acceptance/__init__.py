@@ -178,7 +178,7 @@ def trotter_convergence(geom, tokens) -> CheckResult:
 
 
 def greens_functions() -> CheckResult:
-    times = np.arange(0.0, 5.01, 0.25)
+    times = emulate.LESSER_TIMES
     worst = 0.0
     # chain(3), J=1, v=1, one up particle at site 1 and one down at site 2:
     # exactly three structurally non-zero spin-up components (j = 1)
@@ -200,7 +200,7 @@ def greens_functions() -> CheckResult:
     # positivity on a refined grid where quadrature error sits below 1e-6
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
     eta = 0.1
-    omegas = np.arange(-12.0, 12.0 + 1e-9, 0.01)
+    omegas = oracle.OMEGAS
     default_times = np.arange(0.0, 40.0 + 1e-9, 0.05)
     series = oracle.retarded_series(h, 1.0, 1, 1, "up", default_times, 2, 1.0, 2.0)
     sum_rule = float(np.trapezoid(oracle.spectral(series, eta, omegas), omegas))

@@ -10,8 +10,9 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,43 +27,50 @@ from .oracle import _fmt
 OBSERVABLES = ("populations", "lesser_gf", "retarded_gf", "spectral")
 
 
+def _option(default, help=None, flag=None, bound=None):
+    """A RunConfig field: its flag is `--name-with-dashes` unless named
+    here, and `bound` is a lower bound such as (">", 0)."""
+    return field(default=default, metadata={"help": help, "flag": flag, "bound": bound})
+
+
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
+
+
 @dataclass
 class RunConfig:
-    geometry: str = "chain:2"
-    J: float = 1.0
-    v: float = 2.0
-    init: str = "u,d"
-    tau_start: float = 0.5
-    tau_stop: float | None = 5.0
-    tau_step: float = 0.5
-    steps: int = 30
-    observables: tuple = ("populations",)
-    pairs: str = "1,1,up"
-    eta: float = 0.1
-    t_max: float = 40.0
-    dt: float = 0.05
-    beta: float = 1.0
-    out: str = "out"
-    baseline: bool = False
-    parallel_bonds: bool = True
+    """Every option, declared once: each field is a config key and a flag
+    on every subcommand, in this order in `--help`."""
+
+    geometry: str = _option("chain:2", "chain:L | ladder:2xN | 1x8 | 2x4")
+    J: float = _option(1.0, "hopping amplitude")
+    v: float = _option(2.0, "on-site interaction")
+    init: str = _option("u,d", "comma-separated site tokens from {0,u,d,ud}")
+    tau_start: float = _option(0.5)
+    tau_stop: float | None = _option(5.0)
+    tau_step: float = _option(0.5, bound=(">", 0))
+    steps: int = _option(30, "Trotter step count", bound=(">=", 1))
+    pairs: str = _option("1,1,up", "Green's function pairs 'i,j,spin;...'")
+    observables: tuple = _option(("populations",), f"comma list: {','.join(OBSERVABLES)}")
+    eta: float = _option(0.1, "spectral damping rate", bound=(">", 0))
+    t_max: float = _option(40.0, "time-grid extent", "--tmax", (">", 0))
+    dt: float = _option(0.05, "time-grid spacing", bound=(">", 0))
+    beta: float = _option(1.0, "inverse temperature", bound=(">=", 0))
+    out: str = _option("out", "output directory")
+    baseline: bool = _option(False, "include the qubit zig-zag comparison")
+    parallel_bonds: bool = _option(True, "duration model without bond parallelism",
+                                   "--sequential-bonds")
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in (float, float | None) and value is not None and not math.isfinite(value):
                 raise ConfigInvalid(f"{f.name}: must be finite, got {value!r}")
-        if self.tau_step <= 0:
-            raise ConfigInvalid("tau_step: must be > 0")
-        if self.steps < 1:
-            raise ConfigInvalid("steps: must be >= 1")
-        if self.eta <= 0:
-            raise ConfigInvalid("eta: must be > 0")
-        if self.dt <= 0:
-            raise ConfigInvalid("dt: must be > 0")
-        if self.t_max <= 0:
-            raise ConfigInvalid("t_max: must be > 0")
-        if self.beta < 0:
-            raise ConfigInvalid("beta: must be >= 0")
+            if f.metadata["bound"]:
+                op, low = f.metadata["bound"]
+                if not _BOUNDS[op](value, low):
+                    raise ConfigInvalid(f"{f.name}: must be {op} {low}")
+        if self.tau_stop is not None and self.tau_stop < self.tau_start:
+            raise ConfigInvalid("tau grid: stop precedes start")
         unknown = [name for name in self.observables if name not in OBSERVABLES]
         if unknown:
             raise ConfigInvalid(
@@ -91,10 +99,7 @@ class RunConfig:
 
     def tau_grid(self) -> np.ndarray:
         stop = self.tau_start if self.tau_stop is None else self.tau_stop
-        count = int(round((stop - self.tau_start) / self.tau_step)) + 1
-        if count < 1:
-            raise ConfigInvalid("tau grid: stop precedes start")
-        return self.tau_start + self.tau_step * np.arange(count)
+        return oracle.uniform_grid(self.tau_start, stop, self.tau_step)
 
     def geometry_obj(self) -> mapping.LatticeGeometry:
         return mapping.parse_geometry(self.geometry)
@@ -126,7 +131,7 @@ class RunConfig:
         return out
 
 
-_CONFIG_FIELDS = {name: f.type for name, f in RunConfig.__dataclass_fields__.items()}
+_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _config_value(key: str, value):
@@ -150,18 +155,21 @@ def _config_value(key: str, value):
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"config: {exc}")
+        if not isinstance(doc, dict):
+            raise ConfigInvalid(f"config: expected a JSON object, got {type(doc).__name__}")
         for key, value in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigInvalid(f"config: unknown field {key!r}")
             setattr(config, key, _config_value(key, value))
     for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
-            if key == "observables":
-                value = tuple(v.strip() for v in value.split(","))
             setattr(config, key, value)
     config.validate()
     return config
@@ -271,13 +279,12 @@ def cmd_greens(config: RunConfig) -> int:
             if i != j:
                 raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
     out = _ensure_out(config)
-    times = np.arange(0.0, config.t_max + 0.5 * config.dt, config.dt)
+    times = oracle.uniform_grid(0.0, config.t_max, config.dt)
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
     worst = 0.0
     for i, j, spin in pairs:
         if "lesser_gf" in observables:
-            # comparison grid: coarse circuit lane, dense oracle lane
-            coarse = np.arange(0.0, min(config.t_max, 5.0) + 1e-12, 0.25)
+            coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.t_max]
             circ = emulate.lesser_gf_circuit(
                 geometry, config.J, config.v, tokens, i, j, spin, coarse, config.steps
             )
@@ -298,14 +305,13 @@ def cmd_greens(config: RunConfig) -> int:
                 fh.write(oracle.series_to_csv(series))
             print(f"wrote {path}")
             if "spectral" in observables:
-                omegas = np.arange(-12.0, 12.0 + 1e-9, 0.01)
-                a_vals = oracle.spectral(series, config.eta, omegas)
+                a_vals = oracle.spectral(series, config.eta, oracle.OMEGAS)
                 spath = out / f"spectral_i{i}_{spin}.csv"
                 with open(spath, "w", newline="") as fh:
                     fh.write(f"# i={i} spin={spin} eta={_fmt(config.eta)} beta={_fmt(config.beta)}\n")
                     writer = csv.writer(fh)
                     writer.writerow(["omega", "a"])
-                    for w, a in zip(omegas, a_vals):
+                    for w, a in zip(oracle.OMEGAS, a_vals):
                         writer.writerow([_fmt(w), _fmt(a)])
                 print(f"wrote {spath}")
     if "lesser_gf" in observables:
@@ -340,27 +346,17 @@ def cmd_validate(config: RunConfig) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config document; flags override")
-    parser.add_argument("--geometry", help="chain:L | ladder:2xN | 1x8 | 2x4")
-    parser.add_argument("--J", type=float, dest="J", help="hopping amplitude")
-    parser.add_argument("--v", type=float, dest="v", help="on-site interaction")
-    parser.add_argument("--init", help="comma-separated site tokens from {0,u,d,ud}")
-    parser.add_argument("--tau-start", type=float, dest="tau_start")
-    parser.add_argument("--tau-stop", type=float, dest="tau_stop")
-    parser.add_argument("--tau-step", type=float, dest="tau_step")
-    parser.add_argument("--steps", type=int, dest="steps", help="Trotter step count")
-    parser.add_argument("--pairs", help="Green's function pairs 'i,j,spin;...'")
-    parser.add_argument("--observables", help=f"comma list: {','.join(OBSERVABLES)}")
-    parser.add_argument("--eta", type=float, dest="eta", help="spectral damping rate")
-    parser.add_argument("--tmax", type=float, dest="t_max", help="time-grid extent")
-    parser.add_argument("--dt", type=float, dest="dt", help="time-grid spacing")
-    parser.add_argument("--beta", type=float, dest="beta", help="inverse temperature")
-    parser.add_argument("--out", dest="out", help="output directory")
-    parser.add_argument("--baseline", action="store_const", const=True, dest="baseline",
-                        help="include the qubit zig-zag comparison")
-    parser.add_argument("--sequential-bonds", action="store_const", const=False,
-                        dest="parallel_bonds", help="duration model without bond parallelism")
+_COMMANDS = {
+    "map": (cmd_map, "build and serialize the mapped Hamiltonian"),
+    "transpile": (cmd_transpile, "emit a Trotter circuit and synthesis report"),
+    "evolve": (cmd_evolve, "compare Trotter-circuit populations against the exact reference"),
+    "greens": (cmd_greens, "compute Green's functions (circuit and exact lanes)"),
+    "resources": (cmd_resources, "gate-count and duration estimates"),
+    "validate": (cmd_validate, "run the acceptance criteria"),
+}
+
+# flag parsers by field type; a bool field is a bare flag for `not default`
+_FLAG_TYPES = {float | None: float, tuple: lambda text: tuple(v.strip() for v in text.split(","))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,34 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hubbard-model simulation toolkit for four-level qudits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("map", "build and serialize the mapped Hamiltonian"),
-        ("transpile", "emit a Trotter circuit and synthesis report"),
-        ("evolve", "compare Trotter-circuit populations against the exact reference"),
-        ("greens", "compute Green's functions (circuit and exact lanes)"),
-        ("resources", "gate-count and duration estimates"),
-        ("validate", "run the acceptance criteria"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", help="JSON config document; flags override")
+        for f in fields(RunConfig):
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+            parse = ({"action": "store_const", "const": not f.default} if f.type is bool
+                     else {"type": _FLAG_TYPES.get(f.type, f.type)})
+            p.add_argument(flag, dest=f.name, help=f.metadata["help"], **parse)
     return parser
-
-
-_COMMANDS = {
-    "map": cmd_map,
-    "transpile": cmd_transpile,
-    "evolve": cmd_evolve,
-    "greens": cmd_greens,
-    "resources": cmd_resources,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,11 @@ from .gamma import DIM
 from .mapping import LatticeGeometry
 from .oracle import GreensSeries
 
+# circuit-vs-oracle lesser GF comparison grid: `greens` (up to --tmax) and
+# acceptance criterion 7
+LESSER_TIMES = oracle.uniform_grid(0.0, 5.0, 0.25)
+LESSER_TIMES.flags.writeable = False
+
 
 def circuit_populations(state: np.ndarray, site_count: int) -> dict:
     """{(site, spin): <N>} from a register statevector.

@@ -32,6 +32,7 @@ Axis = str  # one of "x", "y", "z"
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
+    """Read-only contiguous complex m: m itself when it already is one."""
     m = np.ascontiguousarray(m, dtype=complex)
     m.flags.writeable = False
     return m

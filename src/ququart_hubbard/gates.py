@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gamma
 from .errors import InvalidCircuit, InvalidSubspace, SiteOutOfRange
-from .gamma import DIM
+from .gamma import DIM, _frozen
 from .linalg import apply_local, dense_dim
 
 
@@ -139,11 +139,6 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     if isinstance(op, Rotation):
         return _rotation_matrix(op.j, op.k, op.axis, op.phi)
     return _csum_block(op.adjoint, op.control > op.target)
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
 
 
 @lru_cache(maxsize=4096)

@@ -236,6 +236,17 @@ def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) 
 # --- frequency domain -------------------------------------------------------
 
 
+# the spectral-function grid of `greens` and acceptance criterion 7
+OMEGAS = np.arange(-12.0, 12.0 + 1e-9, 0.01)
+OMEGAS.flags.writeable = False
+
+
+def uniform_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... never past stop >= start; a stop within
+    1e-9 steps of a grid point counts as reaching it."""
+    return start + step * np.arange(int((stop - start) / step + 1e-9) + 1)
+
+
 def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     """Damped one-sided transform G(w) = sum_t dt e^{i w t} e^{-eta t} G(t).
 

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, linalg, mapping, oracle, transpile
+from ququart_hubbard import acceptance, cli, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
 
 
@@ -334,3 +335,103 @@ def test_deterministic_outputs(tmp_path):
     assert (tmp_path / "a" / "populations.csv").read_text() == (
         tmp_path / "b" / "populations.csv"
     ).read_text()
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _non_default(f):
+    """A valid value for field f that differs from its default where the
+    type allows it generically (bools, numbers)."""
+    if f.type is bool:
+        return not f.default
+    return f.default + 1 if f.type in (int, float, float | None) else f.default
+
+
+def test_every_field_is_one_flag_on_every_subcommand():
+    names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    subparsers = _subparsers()
+    assert list(subparsers) == list(cli._COMMANDS)
+    for command, sub in subparsers.items():
+        options = [a for a in sub._actions if a.dest not in ("help", "config")]
+        assert [a.dest for a in options] == names
+        for action, f in zip(options, dataclasses.fields(cli.RunConfig)):
+            [flag] = action.option_strings
+            value = _non_default(f)
+            if f.type is bool:
+                argv = [command, flag]
+            else:
+                argv = [command, flag, ",".join(value) if f.type is tuple else str(value)]
+            args = cli.build_parser().parse_args(argv)
+            assert all(getattr(args, name) is None for name in names if name != f.name)
+            config = cli._build_config(args)
+            assert config == dataclasses.replace(cli.RunConfig(), **{f.name: value})
+            assert type(getattr(config, f.name)) is type(f.default)
+
+
+def test_every_field_is_one_config_key(tmp_path):
+    path = tmp_path / "config.json"
+    for f in dataclasses.fields(cli.RunConfig):
+        value = _non_default(f)
+        path.write_text(json.dumps({f.name: list(value) if f.type is tuple else value}))
+        args = cli.build_parser().parse_args(["map", "--config", str(path)])
+        assert cli._build_config(args) == dataclasses.replace(cli.RunConfig(), **{f.name: value})
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--steps", "0", "steps: must be >= 1"),
+        ("--eta", "0", "eta: must be > 0"),
+        ("--dt", "-0.05", "dt: must be > 0"),
+        ("--tmax", "0", "t_max: must be > 0"),
+        ("--tau-step", "-0.5", "tau_step: must be > 0"),
+    ],
+    ids=["steps", "eta", "dt", "tmax", "tau_step"],
+)
+def test_value_below_its_bound_exits_one(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", f"{flag}={value}",
+                   "--out", str(out))
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{", "[1, 2]"], ids=["missing", "invalid", "not-object"])
+def test_bad_config_document_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("evolve", "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("config error: config: ")
+    assert not out.exists()
+
+
+def test_tau_grid_never_passes_its_stop(tmp_path):
+    code = run_cli("evolve", "--geometry", "chain:2", "--init", "u,d", "--tau-start", "0",
+                   "--tau-stop", "1", "--tau-step", "0.6", "--steps", "2", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "populations.csv") as fh:
+        assert {float(r["tau"]) for r in csv.DictReader(fh)} == {0.0, 0.6}
+
+
+def test_greens_time_grid_never_passes_tmax(tmp_path):
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--observables",
+                   "retarded_gf", "--tmax", "1", "--dt", "0.6", "--out", str(tmp_path))
+    assert code == 0
+    t = np.loadtxt(tmp_path / "gf_retarded_oracle_i1_j1_up.csv", delimiter=",", skiprows=2)[:, 0]
+    assert np.array_equal(t, [0.0, 0.6])
+
+
+@pytest.mark.parametrize("stop", ["0.8", "0.7"])
+def test_tau_stop_before_start_exits_one_before_output(tmp_path, capsys, stop):
+    out = tmp_path / "out"
+    code = run_cli("evolve", "--geometry", "chain:2", "--init", "u,d", "--tau-start", "1",
+                   "--tau-stop", stop, "--out", str(out))
+    assert code == 1
+    assert "config error: tau grid: stop precedes start" in capsys.readouterr().err
+    assert not out.exists()

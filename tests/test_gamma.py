@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ququart_hubbard.errors import InvalidSubspace
-from ququart_hubbard.gamma import ggm, make_gamma_set, rotation
+from ququart_hubbard.gamma import _frozen, ggm, make_gamma_set, rotation
 
 GSET = make_gamma_set()
 ALL_FIVE = [GSET.gamma(i) for i in range(1, 5)] + [GSET.tilde]
@@ -134,3 +134,11 @@ GAMMA_GGM_TERMS = {
 def test_gamma_ggm_reconstruction_exact(index, matrix):
     total = sum(c * ggm(j, k, axis) for c, j, k, axis in GAMMA_GGM_TERMS[index])
     assert np.array_equal(total, matrix)
+
+
+def test_frozen_keeps_a_contiguous_complex_array():
+    m = np.eye(4, dtype=complex)
+    assert _frozen(m) is m and not m.flags.writeable
+    real = np.eye(4)
+    frozen = _frozen(real)
+    assert frozen.dtype == complex and not frozen.flags.writeable and real.flags.writeable
