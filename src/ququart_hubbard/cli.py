@@ -52,8 +52,8 @@ class RunConfig:
     pairs: str = _option("1,1,up", "Green's function pairs 'i,j,spin;...'")
     observables: tuple = _option(("populations",), f"comma list: {','.join(OBSERVABLES)}")
     eta: float = _option(0.1, "spectral damping rate", bound=(">", 0))
-    t_max: float = _option(40.0, "time-grid extent", "--tmax", (">", 0))
-    dt: float = _option(0.05, "time-grid spacing", bound=(">", 0))
+    t_max: float = _option(oracle.RETARDED_T_MAX, "time-grid extent", "--tmax", (">", 0))
+    dt: float = _option(oracle.RETARDED_DT, "time-grid spacing", bound=(">", 0))
     beta: float = _option(1.0, "inverse temperature", bound=(">=", 0))
     out: str = _option("out", "output directory")
     baseline: bool = _option(False, "include the qubit zig-zag comparison")
@@ -69,8 +69,6 @@ class RunConfig:
                 op, low = f.metadata["bound"]
                 if not _BOUNDS[op](value, low):
                     raise ConfigInvalid(f"{f.name}: must be {op} {low}")
-        if self.tau_stop is not None and self.tau_stop < self.tau_start:
-            raise ConfigInvalid("tau grid: stop precedes start")
         unknown = [name for name in self.observables if name not in OBSERVABLES]
         if unknown:
             raise ConfigInvalid(
@@ -98,7 +96,10 @@ class RunConfig:
         return tokens
 
     def tau_grid(self) -> np.ndarray:
+        """evolve's taus; the one reader of tau_stop, so the one check on it."""
         stop = self.tau_start if self.tau_stop is None else self.tau_stop
+        if stop < self.tau_start:
+            raise ConfigInvalid("tau grid: stop precedes start")
         return oracle.uniform_grid(self.tau_start, stop, self.tau_step)
 
     def geometry_obj(self) -> mapping.LatticeGeometry:
@@ -236,12 +237,11 @@ def cmd_transpile(config: RunConfig) -> int:
 
 
 def cmd_evolve(config: RunConfig) -> int:
-    out = _ensure_out(config)
     geometry = config.geometry_obj()
     taus = config.tau_grid()
-    rows = emulate.population_grid(
-        geometry, config.J, config.v, config.require_init(), taus, config.steps
-    )
+    tokens = config.require_init()
+    out = _ensure_out(config)
+    rows = emulate.population_grid(geometry, config.J, config.v, tokens, taus, config.steps)
     path = out / "populations.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

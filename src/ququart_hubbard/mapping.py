@@ -23,10 +23,10 @@ strictly between a and b (empty for nearest-neighbor register pairs):
     h3 = -i G4 Gt (x) [Gt ...] (x) G3      h4 = +i G3 Gt (x) [Gt ...] (x) G4
 
 each entering with coefficient J/2. The on-site interaction stays local:
-expanding N_up N_dn gives (1/4)(I - i G1 G2 - i G3 G4 + Gt), a projector
-onto the doubly occupied level scaled by 4; the 1/4 prefactor is computed
-here from the operator product rather than assumed, and locked in by the
-spectrum-equivalence tests against the occupation-number reference.
+N_up N_dn = (1/4)(I - i G1 G2 - i G3 G4 + Gt), a projector onto the doubly
+occupied level scaled by 4, whose 1/4 is computed from the operator product
+rather than assumed. `MappedHamiltonian.terms` is the one list of these
+terms; `dense_hamiltonian` and the `save_hamiltonian` document read it.
 
 Sites are 1-based throughout this module (register position = site - 1).
 """
@@ -194,32 +194,24 @@ def product_state(tokens) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HoppingTerm:
-    """One of the four pieces of a mapped bond, as a tensor-factor string."""
-
-    bond: tuple
-    index: int  # 1..4
-    left: np.ndarray  # 4x4 factor on the lower site
-    right: np.ndarray  # 4x4 factor on the higher site
-    string_sites: tuple  # sites strictly between, each carrying Gt
-    coefficient: float  # J/2
-
-    def factor_map(self) -> dict:
-        g, _ = _local_operators()
-        factors = {self.bond[0]: self.left, self.bond[1]: self.right}
-        for s in self.string_sites:
-            factors[s] = g.tilde
-        return factors
-
-
-@dataclass(frozen=True)
 class MappedHamiltonian:
     geometry: LatticeGeometry
     J: float
     v: float
-    hop_terms: tuple  # per bond: tuple of 4 HoppingTerm
-    int_terms: tuple  # per site: local 4x4 (prefactor and v included)
     int_prefactor: float
+
+    def terms(self):
+        """Every term of H as (coefficient, {site: 4x4 factor}), identity on
+        the sites not named: per bond in `geometry.bonds` order, its four
+        `hopping_local_factors` pieces at J/2 with Gt on the sites strictly
+        between its ends; then p v times the interaction bracket per site."""
+        g, _ = _local_operators()
+        for a, b in self.geometry.bonds:
+            for left, right in hopping_local_factors().values():
+                yield self.J / 2.0, {a: left, **dict.fromkeys(range(a + 1, b), g.tilde), b: right}
+        local = self.int_prefactor * self.v * interaction_bracket()
+        for site in range(1, self.geometry.site_count + 1):
+            yield 1.0, {site: local}
 
 
 @lru_cache(maxsize=None)
@@ -261,20 +253,7 @@ def interaction_bracket() -> np.ndarray:
 
 
 def build_mapped_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> MappedHamiltonian:
-    factors = hopping_local_factors()
-    prefactor = resolve_int_prefactor()
-    hop_terms = []
-    for bond in geometry.bonds:
-        a, b = bond
-        string_sites = tuple(range(a + 1, b))
-        terms = tuple(
-            HoppingTerm(bond, i, factors[i][0], factors[i][1], string_sites, J / 2.0)
-            for i in range(1, 5)
-        )
-        hop_terms.append(terms)
-    int_local = prefactor * v * interaction_bracket()
-    int_terms = tuple(int_local.copy() for _ in range(geometry.site_count))
-    return MappedHamiltonian(geometry, J, v, tuple(hop_terms), int_terms, prefactor)
+    return MappedHamiltonian(geometry, J, v, resolve_int_prefactor())
 
 
 def _add_kron_string(h: np.ndarray, factors, coefficient: float) -> None:
@@ -305,13 +284,8 @@ def dense_hamiltonian(mh: MappedHamiltonian) -> np.ndarray:
     dim = dense_dim(L)
     h = np.zeros((dim, dim))
     eye = np.eye(DIM)
-    for terms in mh.hop_terms:
-        for term in terms:
-            factor_map = term.factor_map()
-            _add_kron_string(h, [factor_map.get(s, eye) for s in range(1, L + 1)],
-                             term.coefficient)
-    for site, local in enumerate(mh.int_terms, start=1):
-        _add_kron_string(h, [local if s == site else eye for s in range(1, L + 1)], 1.0)
+    for coefficient, factors in mh.terms():
+        _add_kron_string(h, [factors.get(s, eye) for s in range(1, L + 1)], coefficient)
     return h
 
 
@@ -322,8 +296,10 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def hamiltonian_to_json_dict(mh: MappedHamiltonian) -> dict:
-    return {
+def save_hamiltonian(mh: MappedHamiltonian, path) -> None:
+    """Write geometry, couplings and every term of `mh.terms()`, each factor
+    an [re, im] matrix keyed by its site, so the file alone rebuilds H."""
+    doc = {
         "geometry": {
             "kind": mh.geometry.kind,
             "sites": mh.geometry.site_count,
@@ -333,26 +309,11 @@ def hamiltonian_to_json_dict(mh: MappedHamiltonian) -> dict:
         "J": mh.J,
         "v": mh.v,
         "int_prefactor": mh.int_prefactor,
-        "hop_terms": [
-            {
-                "bond": list(terms[0].bond),
-                "terms": [
-                    {
-                        "index": t.index,
-                        "coefficient": t.coefficient,
-                        "left": _matrix_to_json(t.left),
-                        "right": _matrix_to_json(t.right),
-                        "string_sites": list(t.string_sites),
-                    }
-                    for t in terms
-                ],
-            }
-            for terms in mh.hop_terms
+        "terms": [
+            {"coefficient": coefficient,
+             "factors": {str(site): _matrix_to_json(f) for site, f in factors.items()}}
+            for coefficient, factors in mh.terms()
         ],
-        "int_terms": [_matrix_to_json(m) for m in mh.int_terms],
     }
-
-
-def save_hamiltonian(mh: MappedHamiltonian, path) -> None:
     with open(path, "w") as fh:
-        json.dump(hamiltonian_to_json_dict(mh), fh)
+        json.dump(doc, fh)

@@ -236,6 +236,9 @@ def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) 
 # --- frequency domain -------------------------------------------------------
 
 
+# extent and spacing of the default retarded-GF time grid (`greens`, criterion 7)
+RETARDED_T_MAX, RETARDED_DT = 40.0, 0.05
+
 # the spectral-function grid of `greens` and acceptance criterion 7
 OMEGAS = np.arange(-12.0, 12.0 + 1e-9, 0.01)
 OMEGAS.flags.writeable = False

@@ -72,7 +72,8 @@ def test_map_ladder_bond_list(tmp_path, capsys):
     code = run_cli("map", "--geometry", "ladder:2x4", "--out", str(tmp_path))
     assert code == 0
     doc = json.loads((tmp_path / "mapped_hamiltonian.json").read_text())
-    assert len(doc["hop_terms"]) == 10
+    assert len(doc["geometry"]["bonds"]) == 10
+    assert len(doc["terms"]) == 10 * 4 + 8  # four pieces per bond, one on-site term per site
 
 
 def test_invalid_tau_step_exits_one(tmp_path):
@@ -82,9 +83,10 @@ def test_invalid_tau_step_exits_one(tmp_path):
 
 
 def test_invalid_init_length_exits_one(tmp_path):
-    code = run_cli("evolve", "--geometry", "chain:3", "--init", "u,d",
-                   "--out", str(tmp_path))
+    out = tmp_path / "out"
+    code = run_cli("evolve", "--geometry", "chain:3", "--init", "u,d", "--out", str(out))
     assert code == 1
+    assert not out.exists()
 
 
 def test_evolve_writes_population_csv(tmp_path):
@@ -211,6 +213,17 @@ def test_validate_failure_exits_two(monkeypatch, capsys):
         "[FAIL] criterion 1: fake criterion  [detail]",
         "[PASS] criterion 2: fake criterion  [detail]",
     ]
+
+
+def test_validate_reports_a_missed_synthesis_and_goes_on(monkeypatch, capsys):
+    fidelity = next(c for c in acceptance.CHECKS if c.name == "criterion_5_transpiler_fidelity")
+    monkeypatch.setattr(acceptance, "CHECKS", (fidelity, fake_check(6, True)))
+    monkeypatch.setitem(transpile._MIDDLE_LAYER, 1, (("x", 0, -1.0), ("x", 1, -1.0)))
+    assert run_cli("validate") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("[FAIL] criterion 5: transpiled circuits match targets")
+    assert lines[1] == "[PASS] criterion 6: fake criterion  [detail]"
 
 
 @pytest.mark.parametrize("command", ["evolve", "greens"])
@@ -435,3 +448,10 @@ def test_tau_stop_before_start_exits_one_before_output(tmp_path, capsys, stop):
     assert code == 1
     assert "config error: tau grid: stop precedes start" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_transpile_reads_no_tau_stop(tmp_path):
+    # transpile's one tau is --tau-start; the default --tau-stop 5 is evolve's
+    code = run_cli("transpile", "--geometry", "chain:2", "--tau-start", "6", "--out", str(tmp_path))
+    assert code == 0
+    assert gates.load_circuit(tmp_path / "circuit.json").metadata["tau"] == 6.0

@@ -1,9 +1,10 @@
-import dataclasses
 import functools
+import hashlib
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import SiteOutOfRange, UnsupportedLattice
@@ -26,11 +27,8 @@ def embed(factor_map, site_count):
 def kron_all_hamiltonian(mh):
     L = mh.geometry.site_count
     h = np.zeros((4**L, 4**L), dtype=complex)
-    for terms in mh.hop_terms:
-        for term in terms:
-            h += term.coefficient * embed(term.factor_map(), L)
-    for site, local in enumerate(mh.int_terms, start=1):
-        h += embed({site: local}, L)
+    for coefficient, factors in mh.terms():
+        h += coefficient * embed(factors, L)
     return h
 
 
@@ -187,7 +185,9 @@ def test_int_prefactor_resolved_to_quarter():
 def test_int_term_matches_number_product():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(1), 1.0, 3.0)
     n_product = mapping.mapped_number_operator(1, "up", 1) @ mapping.mapped_number_operator(1, "down", 1)
-    assert np.max(np.abs(mh.int_terms[0] - 3.0 * n_product)) < 1e-14
+    [(coefficient, factors)] = mh.terms()
+    assert list(factors) == [1]
+    assert np.max(np.abs(coefficient * factors[1] - 3.0 * n_product)) < 1e-14
 
 
 # --- assembled Hamiltonian --------------------------------------------------
@@ -198,28 +198,53 @@ def test_zero_couplings_give_zero_hamiltonian():
     assert np.max(np.abs(mapping.dense_hamiltonian(mh))) == 0.0
 
 
+def bond_terms(mh):
+    """The terms of each bond, keyed by bond: the first four per bond."""
+    terms = list(mh.terms())
+    return {bond: terms[4 * k:4 * k + 4] for k, bond in enumerate(mh.geometry.bonds)}
+
+
+def test_terms_are_four_per_bond_then_one_per_site():
+    mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 3), 1.3, 0.7)
+    terms = list(mh.terms())
+    assert len(terms) == 4 * len(mh.geometry.bonds) + mh.geometry.site_count
+    for (a, b), pieces in bond_terms(mh).items():
+        for (coefficient, factors), (left, right) in zip(
+                pieces, mapping.hopping_local_factors().values(), strict=True):
+            assert coefficient == 1.3 / 2.0
+            assert np.array_equal(factors[a], left) and np.array_equal(factors[b], right)
+
+
 def test_hop_terms_hermitian():
     mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 2), 1.3, 0.7)
-    for terms in mh.hop_terms:
-        for term in terms:
-            dense = embed(term.factor_map(), 4)
+    for pieces in bond_terms(mh).values():
+        for _, factors in pieces:
+            dense = embed(factors, 4)
             assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
 
 
 def test_interaction_terms_local():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(3), 1.0, 2.0)
-    for site, local in enumerate(mh.int_terms, start=1):
-        embedded = embed({site: local}, 3)
+    onsite = list(mh.terms())[4 * len(mh.geometry.bonds):]
+    for site, (coefficient, factors) in enumerate(onsite, start=1):
+        assert list(factors) == [site]
+        local = factors[site]
+        assert local.shape == (4, 4)
+        assert np.array_equal(coefficient * local,
+                              mh.int_prefactor * mh.v * mapping.interaction_bracket())
+        embedded = embed(factors, 3)
         assert np.array_equal(embedded, functools.reduce(
             np.kron, [local if s == site else np.eye(4) for s in (1, 2, 3)]))
-        assert local.shape == (4, 4)
 
 
 def test_rung_bonds_carry_string():
     mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 3), 1.0, 0.0)
-    by_bond = {terms[0].bond: terms for terms in mh.hop_terms}
-    assert by_bond[(1, 4)][0].string_sites == (2, 3)
-    assert by_bond[(1, 2)][0].string_sites == ()
+    by_bond = bond_terms(mh)
+    for _, factors in by_bond[(1, 4)]:
+        assert sorted(factors) == [1, 2, 3, 4]
+        assert all(np.array_equal(factors[s], GSET.tilde) for s in (2, 3))
+    for _, factors in by_bond[(1, 2)]:
+        assert sorted(factors) == [1, 2]
 
 
 @pytest.mark.parametrize("geom", [mapping.chain(2), mapping.chain(3), mapping.ladder(2, 2)])
@@ -241,13 +266,13 @@ def test_dense_hamiltonian_is_real_and_equals_kron_reference(geom, J, v):
     assert np.array_equal(dense, kron_all_hamiltonian(mh))
 
 
-def test_dense_hamiltonian_refuses_a_complex_term():
+def test_dense_hamiltonian_refuses_a_complex_term(monkeypatch):
     mh = mapping.build_mapped_hamiltonian(mapping.chain(2), 1.0, 2.0)
-    tilted = mh.int_terms[0].copy()  # Hermitian, but with imaginary entries
+    tilted = mapping.interaction_bracket()  # Hermitian, but with imaginary entries
     tilted[0, 1], tilted[1, 0] = 0.5j, -0.5j
-    bad = dataclasses.replace(mh, int_terms=(tilted,) + mh.int_terms[1:])
+    monkeypatch.setattr(mapping, "interaction_bracket", lambda: tilted)
     with pytest.raises(ArithmeticError, match="not real"):
-        mapping.dense_hamiltonian(bad)
+        mapping.dense_hamiltonian(mh)
 
 
 def test_mapped_hamiltonian_hermitian():
@@ -259,28 +284,69 @@ def test_mapped_hamiltonian_hermitian():
 # --- serialization ----------------------------------------------------------
 
 
-def test_hamiltonian_json_round_trip(tmp_path):
-    mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 2), 1.5, 2.5)
+def saved_document(mh, tmp_path):
     path = tmp_path / "hamiltonian.json"
     mapping.save_hamiltonian(mh, path)
-    doc = json.loads(path.read_text())
+    return path
+
+
+def json_matrix(data):
+    data = np.array(data)
+    return data[..., 0] + 1j * data[..., 1]
+
+
+def test_hamiltonian_json_round_trip(tmp_path):
+    mh = mapping.build_mapped_hamiltonian(mapping.ladder(2, 2), 1.5, 2.5)
+    doc = json.loads(saved_document(mh, tmp_path).read_text())
     assert doc["geometry"] == {"kind": "ladder", "sites": 4, "bonds": [[1, 2], [3, 4], [1, 3], [2, 4]],
                                "label": "ladder(2,2)"}
     assert (doc["J"], doc["v"], doc["int_prefactor"]) == (mh.J, mh.v, mh.int_prefactor)
+    for saved, (coefficient, factors) in zip(doc["terms"], mh.terms(), strict=True):
+        assert saved["coefficient"] == coefficient
+        assert list(saved["factors"]) == [str(site) for site in factors]
+        for site, factor in factors.items():
+            assert np.array_equal(json_matrix(saved["factors"][str(site)]), factor)
 
-    def matrix(data):
-        data = np.array(data)
-        return data[..., 0] + 1j * data[..., 1]
 
-    for entry, terms in zip(doc["hop_terms"], mh.hop_terms, strict=True):
-        assert entry["bond"] == list(terms[0].bond)
-        for saved, term in zip(entry["terms"], terms, strict=True):
-            assert (saved["index"], saved["coefficient"]) == (term.index, term.coefficient)
-            assert saved["string_sites"] == list(term.string_sites)
-            assert np.array_equal(matrix(saved["left"]), term.left)
-            assert np.array_equal(matrix(saved["right"]), term.right)
-    for saved, local in zip(doc["int_terms"], mh.int_terms, strict=True):
-        assert np.array_equal(matrix(saved), local)
+def rebuild_from_document(path):
+    """H from the saved document alone: the sum over terms of coefficient
+    times the sparse Kronecker product of the factors, identity elsewhere."""
+    doc = json.loads(path.read_text())
+    L = doc["geometry"]["sites"]
+    h = scipy.sparse.csr_array((4**L, 4**L), dtype=complex)
+    for term in doc["terms"]:
+        product = scipy.sparse.identity(1, dtype=complex, format="csr")
+        for site in range(1, L + 1):
+            factor = term["factors"].get(str(site))
+            local = np.eye(4) if factor is None else json_matrix(factor)
+            product = scipy.sparse.kron(product, scipy.sparse.csr_array(local), format="csr")
+        h = h + term["coefficient"] * product
+    return h.tocoo()
+
+
+@pytest.mark.parametrize("geom", [mapping.chain(3), mapping.ladder(2, 3)], ids=lambda g: g.label)
+def test_saved_document_rebuilds_the_dense_hamiltonian(tmp_path, geom):
+    mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
+    rebuilt = rebuild_from_document(saved_document(mh, tmp_path))
+    dense = mapping.dense_hamiltonian(mh)
+    assert not np.any(rebuilt.data.imag)
+    # equal at every stored entry, and no nonzero of dense elsewhere
+    assert np.array_equal(dense[rebuilt.row, rebuilt.col], rebuilt.data.real)
+    assert np.count_nonzero(dense) == np.count_nonzero(rebuilt.data)
+
+
+# sha256 of the `map` document at J = 1, v = 2
+HAMILTONIAN_FILE_DIGESTS = {
+    "chain:3": "3e4e4a15ef775c85b82cf2a41b150fcd1ad40086d01b4c1460fd4e8d5bf1986b",
+    "ladder:2x3": "189762b2d17c9cc5e9757eaaf03f0e06a9b6d8109fffe568ac160ef378c79cc0",
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(HAMILTONIAN_FILE_DIGESTS))
+def test_saved_hamiltonian_bytes_are_pinned(tmp_path, geometry):
+    mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
+    digest = hashlib.sha256(saved_document(mh, tmp_path).read_bytes()).hexdigest()
+    assert digest == HAMILTONIAN_FILE_DIGESTS[geometry]
 
 
 def test_init_token_parsing():
