@@ -146,7 +146,7 @@ def schmidt_structure() -> CheckResult:
 
 
 def transpiler_fidelity() -> CheckResult:
-    # the circuit without transpile_hopping's residual gate, so a miss is a
+    # the circuit without synthesis_report's residual gate, so a miss is a
     # failed criterion rather than a SynthesisResidual
     worst = 0.0
     for term in transpile.HOPPING_TERM_IDS:

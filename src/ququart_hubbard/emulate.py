@@ -77,12 +77,11 @@ def population_grid(
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     exact = oracle.exact_populations(h_exact, tokens, taus)
-    psi0 = mapping.product_state(tokens)
-    L = geometry.site_count
+    circuits = [transpile.trotter_step_circuit(mh, tau, steps) for tau in taus]
+    states = gates.simulate_grid(circuits, mapping.product_state(tokens))
     rows = []
     for k, tau in enumerate(taus):
-        circuit = transpile.trotter_step_circuit(mh, tau, steps)
-        circ_pops = circuit_populations(gates.simulate(circuit, psi0), L)
+        circ_pops = circuit_populations(states[k], geometry.site_count)
         for (s, spin), values in exact.items():
             rows.append(PopulationRow(tau, steps, s, spin, circ_pops[(s, spin)], float(values[k])))
     return rows
@@ -115,12 +114,12 @@ def lesser_gf_circuit(
     L = geometry.site_count
     psi0 = mapping.product_state(tokens)
     removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
+    circuits = [transpile.trotter_step_circuit(mh, t, steps) for t in times]
+    # bra and ket propagate together as one (4^L, 2) batch, every time at
+    # once; at t = 0 the step is empty and the batch comes back unchanged
+    states = gates.simulate_grid(circuits, np.column_stack([removed, psi0]))
     values = np.empty(len(times), dtype=complex)
-    for idx, t in enumerate(times):
-        circuit = transpile.trotter_step_circuit(mh, t, steps)
-        # bra and ket propagate together as one (4^L, 2) batch; at t = 0
-        # the step is empty and the batch comes back unchanged
-        bra, ket = gates.simulate(circuit, np.column_stack([removed, psi0])).T
+    for idx, (bra, ket) in enumerate(states.transpose(0, 2, 1)):
         values[idx] = 1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))
     return GreensSeries(
         np.asarray(times, float), values, i, j, spin, "lesser",

@@ -17,6 +17,10 @@ class InvalidCircuit(QuquartError):
     """A circuit field or circuit document entry is malformed."""
 
 
+class StateSizeMismatch(QuquartError, ValueError):
+    """A state's amplitude count is not 4^L for the register it is run on."""
+
+
 class DimensionTooLarge(QuquartError):
     """Dense construction requested above the supported Hilbert dimension."""
 

@@ -28,6 +28,11 @@ else opens a new 16x16 block. Emitted steps hold each hopping piece's CSUM
 sandwiches as cached segments, so only its six middle pulses and the
 on-site triples are multiplied per tau; a chain(L) step collapses to
 L - 1 blocks, applied `repeat` times.
+
+`simulate_grid` runs a whole time grid at once. Circuits of the same
+structure (sites per op, identity per segment) fuse in one pass, each op
+position a (T, d, d) stack of matrices, and each block is one stacked
+matmul over the T runs; `simulate` is the grid of one circuit.
 """
 
 import json
@@ -36,7 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import gamma
+from . import gamma, linalg
 from .errors import InvalidCircuit, InvalidSubspace, SiteOutOfRange
 from .gamma import DIM, _frozen
 from .linalg import apply_local, dense_dim
@@ -170,31 +175,40 @@ def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
     for s in sites:
         if not 0 <= s < site_count:
             raise SiteOutOfRange(f"site {s} outside register of {site_count}")
-    return apply_local(state, [(sites, gate_matrix(op))], site_count)
+    return apply_local(state, [(sites, gate_matrix(op))], site_count)[0]
 
 
 _EYE = np.eye(DIM, dtype=complex)
 
 
 def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b of two 4x4 matrices as a 16x16, by broadcasting (np.kron's
-    generic path costs several times more)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM * DIM, -1)
+    """a (x) b of two 4x4 matrices as a 16x16, or of (T, 4, 4) stacks as a
+    (T, 16, 16) stack, by broadcasting (np.kron's generic path costs several
+    times more)."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(*k.shape[:-4], DIM * DIM, DIM * DIM)
 
 
 def _local_matrices(items):
-    """(sites, matrix) of each item: a gate op's own matrix, or the cached
-    blocks of a segment."""
+    """(sites, matrix) of each item: a gate op's own matrix, the cached
+    blocks of a segment, or, for a plain tuple holding one op per run of a
+    grid, the (T, d, d) stack of their matrices (one shared matrix when
+    every run has the same one)."""
     for item in items:
         if isinstance(item, Segment):
             yield from item.blocks
+        elif isinstance(item, tuple):
+            ms = [gate_matrix(op) for op in item]
+            shared = all(m is ms[0] for m in ms)
+            yield _op_sites(item[0]), ms[0] if shared else np.stack(ms)
         else:
             yield _op_sites(item), gate_matrix(item)
 
 
 def _fuse(items) -> list:
     """Greedy two-site fusion of gate ops and segments into [sites, matrix]
-    blocks.
+    blocks. With per-run op tuples (`_local_matrices`), every product
+    broadcasts over the runs' leading axis: one pass fuses a whole grid.
 
     One-site matrices collect per site into a pending 4x4. A two-site
     matrix takes the pending 4x4s of its sites with it and multiplies into
@@ -231,11 +245,58 @@ def _fuse(items) -> list:
     return blocks
 
 
+def _structure(circuit: Circuit) -> tuple:
+    """What `_fuse` decides from: site count, repeat, and per item the
+    identity of a segment or the sites of an op."""
+    return (circuit.site_count, circuit.repeat,
+            tuple(id(item) if isinstance(item, Segment) else _op_sites(item)
+                  for item in circuit.segments))
+
+
+def simulate_grid(circuits, state: np.ndarray) -> np.ndarray:
+    """Run each circuit on the same initial statevector, or (4**L, batch)
+    array of them; returns the (T, *state.shape) array of the T results,
+    each bit-identical to `simulate` on its circuit alone.
+
+    Circuits of one structure (a tau grid's nonzero taus) fuse in one pass:
+    a shared segment gives its cached blocks, each op position the tuple of
+    the circuits' ops. Their blocks are applied `repeat` times, each as one
+    stacked matmul over at most GRID_BATCH_BYTES of runs. A circuit whose
+    site count does not match the state raises StateSizeMismatch.
+    """
+    circuits = list(circuits)
+    state = np.asarray(state, dtype=complex)
+    if not circuits:
+        return np.empty((0, *state.shape), dtype=complex)
+    groups = {}
+    for t, circuit in enumerate(circuits):
+        groups.setdefault(_structure(circuit), []).append(t)
+    size = max(1, linalg.GRID_BATCH_BYTES // (state.size * 16))
+    out = None
+    for group in groups.values():
+        for lo in range(0, len(group), size):
+            idx = group[lo:lo + size]
+            first = circuits[idx[0]]
+            items = first.segments if len(idx) == 1 else [
+                col[0] if isinstance(col[0], Segment) else col
+                for col in zip(*(circuits[t].segments for t in idx))]
+            psi = apply_local(state, _fuse(items) * first.repeat, first.site_count)
+            if len(psi) == len(circuits):  # one chunk ran the whole grid, in order
+                return psi
+            if out is None:
+                # batch-leading like psi, so every run keeps the column
+                # layout (and later dot-product arithmetic) of a lone run
+                out = np.empty((len(circuits), *state.shape[::-1]), dtype=complex)
+                out = out.swapaxes(1, -1)
+            out[idx] = psi
+    return out
+
+
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
     array of them: fuse the step's segments into two-site blocks once, then
     apply the block list `repeat` times."""
-    return apply_local(state, _fuse(circuit.segments) * circuit.repeat, circuit.site_count)
+    return simulate_grid([circuit], state)[0]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -276,11 +337,15 @@ def nonadjacent(axis: str, m: int, phi: float, site: int = 0) -> list:
     if axis not in ("x", "y") or not 0 <= m <= DIM - 3:
         raise InvalidSubspace(f"no non-adjacent {axis!r} rotation on levels ({m}, {m + 2})")
     outer, phi = ("y", phi) if axis == "x" else ("x", -phi)
-    return [
-        Rotation(site, m, m + 1, outer, np.pi),
-        Rotation(site, m + 1, m + 2, "x", phi),
-        Rotation(site, m, m + 1, outer, -np.pi),
-    ]
+    first, last = _outer_pulses(site, m, outer)
+    return [first, Rotation(site, m + 1, m + 2, "x", phi), last]
+
+
+@lru_cache(maxsize=None)
+def _outer_pulses(site: int, m: int, outer: str) -> tuple:
+    """The angle-independent S^{m,m+1}_pi and S^{m,m+1}_-pi of `nonadjacent`,
+    built once per (site, m, axis) and shared by every call."""
+    return Rotation(site, m, m + 1, outer, np.pi), Rotation(site, m, m + 1, outer, -np.pi)
 
 
 # --- circuit JSON -----------------------------------------------------------

@@ -124,7 +124,7 @@ def apply_fermion(state: np.ndarray, site: int, spin: str, kind: str,
     g, _ = _local_operators()
     string = [((axis,), g.tilde) for axis in range(site - 1)]
     return apply_local(state, string + [((site - 1,), local_fermion_factor(spin, kind))],
-                       site_count)
+                       site_count)[0]
 
 
 def map_fermion(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:

@@ -188,17 +188,10 @@ def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> lis
 RESIDUAL_TOL = 1e-8
 
 
-def transpile_hopping(term_id: int, tau: float) -> Circuit:
-    """Two-qudit circuit for one hopping evolution, self-checked.
-
-    Raises SynthesisResidual if the assembled circuit misses the target by
-    more than RESIDUAL_TOL at the optimal global phase.
-    """
-    return _checked_hopping(term_id, tau)[0]
-
-
 def _checked_hopping(term_id: int, tau: float) -> tuple:
-    """(circuit, residual) of transpile_hopping; the residual is computed once."""
+    """(circuit, residual): the two-qudit circuit for one hopping evolution
+    and its distance from the target at the optimal global phase. Raises
+    SynthesisResidual if that distance exceeds RESIDUAL_TOL."""
     ops = hopping_term_ops(term_id, tau, control=0, target=1)
     circuit = Circuit(2, tuple(ops), {"term": term_id, "tau": tau})
     residual = phase_aligned_distance(

@@ -78,15 +78,17 @@ def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
 
 @pytest.mark.parametrize("steps", [1, 2])
 def test_lesser_gf_circuit_runs_seven_sites(steps):
-    # one dense chain(7) operator would need 4 GiB; the state takes 256 kB
+    # one dense chain(7) operator would need 4 GiB; the state takes 256 kB.
+    # The 21 propagated (bra, ket) pairs take 10.5 MiB, so the stacked runs
+    # must stay under linalg.GRID_BATCH_BYTES to fit the 16 MiB
     tokens = ("u", "d", "ud", "0", "u", "d", "ud")
     tracemalloc.start()
     try:
         series = emulate.lesser_gf_circuit(mapping.chain(7), 1.0, 2.0, tokens, 3, 3, "down",
-                                           [0.0, 0.5], steps)
+                                           emulate.LESSER_TIMES, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
     assert series.values[0] == 1j  # n_(3, down) = 1 in psi0
-    assert np.isfinite(series.values[1])
+    assert np.all(np.isfinite(series.values))

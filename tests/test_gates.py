@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import emulate, gamma, gates, mapping, transpile
+from ququart_hubbard import emulate, gamma, gates, linalg, mapping, transpile
 from ququart_hubbard.errors import (
     DimensionTooLarge,
     InvalidCircuit,
     InvalidSubspace,
     SiteOutOfRange,
+    StateSizeMismatch,
 )
 from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation, Segment
 
@@ -608,3 +609,68 @@ def test_fused_batch_columns_are_bit_identical(sites, width, seed):
 def test_simulate_rejects_a_state_of_the_wrong_size():
     with pytest.raises(ValueError, match="amplitudes"):
         gates.simulate(Circuit(2, (Csum(0, 1),)), random_state(3))
+
+
+# --- grid simulation ---------------------------------------------------------
+
+
+def greens_grid_circuits(steps=30):
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    return [transpile.trotter_step_circuit(mh, t, steps) for t in emulate.LESSER_TIMES]
+
+
+def assert_grid_is_circuit_by_circuit(circuits, state):
+    out = gates.simulate_grid(circuits, state)
+    assert out.shape == (len(circuits), *state.shape)
+    for run, circuit in zip(out, circuits, strict=True):
+        assert np.array_equal(run, gates.simulate(circuit, state))
+
+
+@pytest.mark.parametrize("batch_bytes", [linalg.GRID_BATCH_BYTES, 3 * 256 * 2 * 16])
+def test_grid_matches_circuit_by_circuit_on_the_greens_grid(monkeypatch, batch_bytes):
+    # the 21 LESSER_TIMES circuits, t = 0 (the empty step) included, on a
+    # (256, 2) batch; the smaller cap runs the 20 nonzero taus 3 at a time
+    monkeypatch.setattr(linalg, "GRID_BATCH_BYTES", batch_bytes)
+    circuits = greens_grid_circuits()
+    assert circuits[0].step == ()
+    batch = np.column_stack([random_state(4), random_state(4)])
+    assert_grid_is_circuit_by_circuit(circuits, batch)
+
+
+def test_grid_fuses_each_structure_once(monkeypatch):
+    fused = []
+    original = gates._fuse
+
+    def counting_fuse(items):
+        if not isinstance(items, Segment):
+            fused.append(items)
+        return original(items)
+
+    monkeypatch.setattr(gates, "_fuse", counting_fuse)
+    gates.simulate_grid(greens_grid_circuits(), random_state(4))
+    # the empty t = 0 step, then the 20 nonzero taus in one pass
+    assert [len(items) for items in fused] == [0, len(greens_grid_circuits()[1].segments)]
+
+
+def test_grid_runs_a_one_dimensional_state():
+    assert_grid_is_circuit_by_circuit(greens_grid_circuits(3), random_state(4))
+    assert gates.simulate_grid([], random_state(4)).shape == (0, 256)
+
+
+def test_grid_of_mixed_structures_matches_circuit_by_circuit():
+    # ladder(2,2) has 4 sites too, and its rungs (1,3), (2,4) are the
+    # non-adjacent blocks; one circuit repeats, one differs only in repeat
+    chain = greens_grid_circuits(2)
+    mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry("ladder:2x2"), 1.0, 2.0)
+    ladder = [transpile.trotter_step_circuit(mh, tau, 2) for tau in (0.4, 0.9, 0.0)]
+    circuits = [ladder[0], chain[3], ladder[1], chain[0], ladder[2], chain[5], ladder[0],
+                replace(chain[3], repeat=3)]
+    assert_grid_is_circuit_by_circuit(circuits, np.column_stack([random_state(4)] * 3))
+
+
+def test_grid_rejects_circuits_of_another_site_count():
+    circuits = [greens_grid_circuits(1)[2], chain_circuit(3, 1)]
+    with pytest.raises(StateSizeMismatch, match="amplitudes"):
+        gates.simulate_grid(circuits, random_state(4))
+    with pytest.raises(StateSizeMismatch):
+        gates.simulate_grid(circuits[:1], random_state(3))

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from ququart_hubbard.transpile import (
     hopping_generator,
     hopping_target,
     osd,
-    transpile_hopping,
     trotter_step_circuit,
 )
 
 TAUS = (0.3, 0.7, 1.2, np.pi / 2)
+
+
+def hopping_circuit(term, tau):
+    """The residual-checked two-qudit circuit behind `synthesis_report`."""
+    return transpile._checked_hopping(term, tau)[0]
 
 
 def hs_overlap(a, b):
@@ -154,41 +159,45 @@ def test_sin_cos_pair_identity_side():
 @pytest.mark.parametrize("term", transpile.HOPPING_TERM_IDS)
 @pytest.mark.parametrize("tau", TAUS)
 def test_transpiled_circuit_matches_target(term, tau):
-    circuit = transpile_hopping(term, tau)
+    circuit = hopping_circuit(term, tau)
     u = gates.circuit_unitary(circuit)
     assert linalg.phase_aligned_distance(u, hopping_target(term, tau)) <= 1e-10
 
 
 @pytest.mark.parametrize("term", transpile.HOPPING_TERM_IDS)
 def test_transpiled_gate_budget(term):
-    tally = gates.count_gates(transpile_hopping(term, 0.7))
+    tally = gates.count_gates(hopping_circuit(term, 0.7))
     assert tally.two_qudit == 2
     expected_physical = 6 if term in (1, 2) else 10
     assert tally.single_qudit_physical == expected_physical
 
 
 def test_term_one_needs_no_corrections():
-    circuit = transpile_hopping(1, 0.7)
+    circuit = hopping_circuit(1, 0.7)
     assert len(circuit.ops) == 8  # csum+dag plus two decomposed rotations
     assert gates.count_gates(circuit).virtual_z == 0
 
 
 def test_term_two_corrections_all_virtual():
-    circuit = transpile_hopping(2, 0.7)
+    circuit = hopping_circuit(2, 0.7)
     tally = gates.count_gates(circuit)
     assert tally.single_qudit_physical == 6
     assert tally.virtual_z > 0
 
 
 def test_zero_angle_transpiles_to_empty():
-    assert transpile_hopping(3, 0.0).ops == ()
+    assert transpile.hopping_term_ops(3, 0.0, control=0, target=1) == []
+    assert hopping_circuit(3, 0.0).ops == ()
+    assert transpile.synthesis_report(3, 0.0)["gate_tally"] == asdict(gates.GateTally())
 
 
 def test_residual_gate_raises(monkeypatch):
     # absurd tolerance turns the machine-precision residual into an error
     monkeypatch.setattr(transpile, "RESIDUAL_TOL", 1e-20)
     with pytest.raises(SynthesisResidual):
-        transpile_hopping(1, 0.7)
+        hopping_circuit(1, 0.7)
+    with pytest.raises(SynthesisResidual):
+        transpile.synthesis_report(1, 0.7)
 
 
 def test_synthesis_report_contents():
