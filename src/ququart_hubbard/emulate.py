@@ -77,8 +77,8 @@ def population_grid(
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     exact = oracle.exact_populations(h_exact, tokens, taus)
-    circuits = [transpile.trotter_step_circuit(mh, tau, steps) for tau in taus]
-    states = gates.simulate_grid(circuits, mapping.product_state(tokens))
+    grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
+    states = gates.simulate_grid(grid, mapping.product_state(tokens))
     rows = []
     for k, tau in enumerate(taus):
         circ_pops = circuit_populations(states[k], geometry.site_count)
@@ -114,10 +114,10 @@ def lesser_gf_circuit(
     L = geometry.site_count
     psi0 = mapping.product_state(tokens)
     removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
-    circuits = [transpile.trotter_step_circuit(mh, t, steps) for t in times]
+    grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
     # bra and ket propagate together as one (4^L, 2) batch, every time at
     # once; at t = 0 the step is empty and the batch comes back unchanged
-    states = gates.simulate_grid(circuits, np.column_stack([removed, psi0]))
+    states = gates.simulate_grid(grid, np.column_stack([removed, psi0]))
     values = np.empty(len(times), dtype=complex)
     for idx, (bra, ket) in enumerate(states.transpose(0, 2, 1)):
         values[idx] = 1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))

@@ -29,10 +29,11 @@ sandwiches as cached segments, so only its six middle pulses and the
 on-site triples are multiplied per tau; a chain(L) step collapses to
 L - 1 blocks, applied `repeat` times.
 
-`simulate_grid` runs a whole time grid at once. Circuits of the same
-structure (sites per op, identity per segment) fuse in one pass, each op
-position a (T, d, d) stack of matrices, and each block is one stacked
-matmul over the T runs; `simulate` is the grid of one circuit.
+`simulate_grid` runs a whole time grid at once. A `Grid` of circuits
+fuses each structure group (sites per op, identity per segment) in one
+pass on first use and keeps the blocks, each op position a (T, d, d)
+stack of matrices; per call each block is one stacked matmul over the
+runs. `simulate` is the grid of one circuit.
 """
 
 import json
@@ -253,40 +254,58 @@ def _structure(circuit: Circuit) -> tuple:
                   for item in circuit.segments))
 
 
+class Grid(tuple):
+    """Circuits run on one start state, such as a tau grid. Circuits of one
+    structure (a tau grid's nonzero taus) fuse in one pass: a shared segment
+    gives its cached blocks, each op position a (T, d, d) stack of the
+    circuits' matrices. The blocks are kept, so a grid shared between calls
+    (`transpile.trotter_grid`) is fused once."""
+
+    @cached_property
+    def chunks(self) -> tuple:
+        """((indices, site count, blocks), ...), one per structure group,
+        the blocks `repeat` times over."""
+        groups = {}
+        for t, circuit in enumerate(self):
+            groups.setdefault(_structure(circuit), []).append(t)
+        chunks = []
+        for idx in groups.values():
+            first = self[idx[0]]
+            items = first.segments if len(idx) == 1 else [
+                col[0] if isinstance(col[0], Segment) else col
+                for col in zip(*(self[t].segments for t in idx))]
+            blocks = tuple((sites, _frozen(m)) for sites, m in _fuse(items))
+            chunks.append((idx, first.site_count, blocks * first.repeat))
+        return tuple(chunks)
+
+
 def simulate_grid(circuits, state: np.ndarray) -> np.ndarray:
     """Run each circuit on the same initial statevector, or (4**L, batch)
     array of them; returns the (T, *state.shape) array of the T results,
     each bit-identical to `simulate` on its circuit alone.
 
-    Circuits of one structure (a tau grid's nonzero taus) fuse in one pass:
-    a shared segment gives its cached blocks, each op position the tuple of
-    the circuits' ops. Their blocks are applied `repeat` times, each as one
-    stacked matmul over at most GRID_BATCH_BYTES of runs. A circuit whose
-    site count does not match the state raises StateSizeMismatch.
+    `circuits` is a `Grid`, or any iterable, which is wrapped in one. Each
+    group's blocks are applied as stacked matmuls over at most
+    GRID_BATCH_BYTES of runs at a time. A circuit whose site count does not
+    match the state raises StateSizeMismatch.
     """
-    circuits = list(circuits)
+    grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
     state = np.asarray(state, dtype=complex)
-    if not circuits:
+    if not grid:
         return np.empty((0, *state.shape), dtype=complex)
-    groups = {}
-    for t, circuit in enumerate(circuits):
-        groups.setdefault(_structure(circuit), []).append(t)
     size = max(1, linalg.GRID_BATCH_BYTES // (state.size * 16))
     out = None
-    for group in groups.values():
+    for group, site_count, blocks in grid.chunks:
         for lo in range(0, len(group), size):
             idx = group[lo:lo + size]
-            first = circuits[idx[0]]
-            items = first.segments if len(idx) == 1 else [
-                col[0] if isinstance(col[0], Segment) else col
-                for col in zip(*(circuits[t].segments for t in idx))]
-            psi = apply_local(state, _fuse(items) * first.repeat, first.site_count)
-            if len(psi) == len(circuits):  # one chunk ran the whole grid, in order
+            chunk = [(sites, m[lo:lo + size] if m.ndim == 3 else m) for sites, m in blocks]
+            psi = apply_local(state, chunk, site_count)
+            if len(psi) == len(grid):  # one chunk ran the whole grid, in order
                 return psi
             if out is None:
                 # batch-leading like psi, so every run keeps the column
                 # layout (and later dot-product arithmetic) of a lone run
-                out = np.empty((len(circuits), *state.shape[::-1]), dtype=complex)
+                out = np.empty((len(grid), *state.shape[::-1]), dtype=complex)
                 out = out.swapaxes(1, -1)
             out[idx] = psi
     return out

@@ -4,13 +4,15 @@ Everything here operates on plain numpy arrays (complex128). Local
 operators act on a register state through one kernel, ``apply_local``:
 the state, or a batch of them, is held batch-leading as one contiguous
 (B, 4^L) array, and each one- or two-site operator is a single
-``np.matmul`` of its 4x4 or 16x16 matrix against a reshaped view of it.
-An operator may also be a (T, d, d) stack, one matrix per run of a grid;
-the state then becomes T runs, a (T, B, 4^L) array, still one matmul per
-operator. GRID_BATCH_BYTES caps how many runs one such batch holds.
-Dense register operators must fit one memory budget (``dense_dim``),
-which admits L <= 6 sites; within it, dense storage and full
-factorizations are affordable and exact to machine precision.
+``np.matmul`` of its 4x4 or 16x16 matrix against a reshaped view of it,
+or, on the register's last two sites, of the view against the matrix's
+transpose (one row-major GEMM per column). An operator may also be a
+(T, d, d) stack, one matrix per run of a grid; the state then becomes T
+runs, a (T, B, 4^L) array, still one matmul per operator.
+GRID_BATCH_BYTES caps how many runs one such batch holds. Dense register
+operators must fit one memory budget (``dense_dim``), which admits L <= 6
+sites; within it, dense storage and full factorizations are affordable
+and exact to machine precision.
 """
 
 import numpy as np
@@ -62,7 +64,8 @@ def _apply_block(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
     array psi (T may be 1 before the first stack). Sites (a, b) are brought
     together by swapping the axis of the sites between them with a's axis:
     a free view when b = a + 1, a copy of the state each way for
-    non-adjacent sites (ladder rungs)."""
+    non-adjacent sites (ladder rungs). The adjacent pair on the last two
+    sites multiplies psi's rows by m^T instead of m by 4^a single columns."""
     a = sites[0]
     runs, head = psi.shape[0], psi.shape[1] * DIM**a
     m = m[..., None, :, :]  # (T, 1, d, d) or (1, d, d), against (runs, head, d, R)
@@ -70,6 +73,10 @@ def _apply_block(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
         y = np.matmul(m, psi.reshape(runs, head, DIM, -1))
         return y.reshape(len(y), *psi.shape[1:])
     gap = DIM ** (sites[1] - a - 1)
+    if gap == 1 and DIM ** (a + 2) == psi.shape[-1]:
+        # the register's last two sites: one row-major GEMM per run and column
+        y = np.matmul(psi.reshape(runs, psi.shape[1], -1, DIM * DIM), m.swapaxes(-1, -2))
+        return y.reshape(len(y), *psi.shape[1:])
     x = psi.reshape(runs, head, DIM, gap, DIM, -1).swapaxes(2, 3)
     y = np.matmul(m, x.reshape(runs, head * gap, DIM * DIM, -1))
     y = y.reshape(len(y), head, gap, DIM, DIM, -1).swapaxes(2, 3)

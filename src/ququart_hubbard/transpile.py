@@ -30,6 +30,7 @@ site-disjoint parts. A hopping piece is its two tau-independent sandwiches,
 cached `gates.Segment`s that fuse once per process, around the six middle
 pulses. `trotter_step_circuit` joins the parts into one circuit step, and
 `resources.qfm_resources` tallies gate counts and step time from it.
+`trotter_grid` emits a time grid's circuits once per process.
 """
 
 from dataclasses import asdict, dataclass
@@ -273,6 +274,14 @@ def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circu
     step = tuple(item for layer in step_layers(mh, tau / steps) for part in layer for item in part)
     metadata = {"geometry": mh.geometry.label, "J": mh.J, "v": mh.v, "tau": tau}
     return Circuit(mh.geometry.site_count, step, metadata, repeat=steps)
+
+
+@lru_cache(maxsize=8)
+def trotter_grid(mh: MappedHamiltonian, taus: tuple, steps: int) -> gates.Grid:
+    """The `trotter_step_circuit` of each tau as one `gates.Grid`. Cached,
+    so every Green's-function component or population run on the same
+    (H, taus, steps) reuses the emitted circuits and their fused blocks."""
+    return gates.Grid(trotter_step_circuit(mh, tau, steps) for tau in taus)
 
 
 def synthesis_report(term_id: int, tau: float) -> dict:

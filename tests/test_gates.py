@@ -274,8 +274,9 @@ def test_flat_op_is_a_one_op_segment():
 
 
 def test_each_sandwich_is_fused_once_across_the_greens_grid(monkeypatch):
-    # fresh sandwiches, so none carries blocks fused by an earlier test
+    # fresh sandwiches and grids, so none carries blocks fused by an earlier test
     transpile._sandwich_ops.cache_clear()
+    transpile.trotter_grid.cache_clear()
     fused = []
     original = gates._fuse
 
@@ -638,6 +639,7 @@ def test_grid_matches_circuit_by_circuit_on_the_greens_grid(monkeypatch, batch_b
 
 
 def test_grid_fuses_each_structure_once(monkeypatch):
+    transpile.trotter_grid.cache_clear()  # a grid cached by an earlier test is fused already
     fused = []
     original = gates._fuse
 
@@ -649,7 +651,49 @@ def test_grid_fuses_each_structure_once(monkeypatch):
     monkeypatch.setattr(gates, "_fuse", counting_fuse)
     gates.simulate_grid(greens_grid_circuits(), random_state(4))
     # the empty t = 0 step, then the 20 nonzero taus in one pass
-    assert [len(items) for items in fused] == [0, len(greens_grid_circuits()[1].segments)]
+    expected = [0, len(greens_grid_circuits()[1].segments)]
+    assert [len(items) for items in fused] == expected
+    # a cached grid fuses on its first run only
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    for _ in range(2):
+        grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+        gates.simulate_grid(grid, random_state(4))
+    assert [len(items) for items in fused] == expected * 2
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_cached_grid_in_small_chunks_matches_circuit_by_circuit(monkeypatch, width):
+    # fused once at the default cap, then sliced 3 runs (width 1) or 1 run
+    # (width 3) per chunk: every slice of a stacked block is a lone run
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+    gates.simulate_grid(grid, random_state(4))
+    monkeypatch.setattr(linalg, "GRID_BATCH_BYTES", 3 * 256 * 16)
+    state = np.column_stack([random_state(4) for _ in range(width)])
+    assert_grid_is_circuit_by_circuit(grid, state[:, 0] if width == 1 else state)
+
+
+def test_second_greens_component_reuses_the_grid(monkeypatch):
+    transpile.trotter_grid.cache_clear()
+    args = (mapping.chain(4), 1.0, 1.0, ("u", "ud", "u", "d"))
+    emulate.lesser_gf_circuit(*args, 2, 2, "down", emulate.LESSER_TIMES, 30)
+    calls = []
+
+    def counting(original):
+        def wrapper(*a):
+            calls.append(original.__name__)
+            return original(*a)
+        return wrapper
+
+    monkeypatch.setattr(transpile, "trotter_step_circuit",
+                        counting(transpile.trotter_step_circuit))
+    monkeypatch.setattr(gates, "_fuse", counting(gates._fuse))
+    cached = emulate.lesser_gf_circuit(*args, 4, 4, "down", list(emulate.LESSER_TIMES), 30)
+    assert calls == []
+    transpile.trotter_grid.cache_clear()
+    fresh = emulate.lesser_gf_circuit(*args, 4, 4, "down", emulate.LESSER_TIMES, 30)
+    assert calls.count("trotter_step_circuit") == len(emulate.LESSER_TIMES)
+    assert np.array_equal(cached.values, fresh.values)
 
 
 def test_grid_runs_a_one_dimensional_state():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.linalg
 
 from ququart_hubbard import linalg
@@ -15,3 +16,51 @@ def test_phase_aligned_distance_detects_phase_equality():
     u = scipy.linalg.expm(-1j * random_hermitian(4))
     assert linalg.phase_aligned_distance(np.exp(0.7j) * u, u) < 1e-12
     assert linalg.phase_aligned_distance(u, np.eye(4)) > 0.1
+
+
+def random_unitary(dim, rng=RNG):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def random_batch(site_count, width, rng=RNG):
+    dim = 4**site_count
+    return rng.normal(size=(dim, width)) + 1j * rng.normal(size=(dim, width))
+
+
+def dense_embedding(m, sites, site_count):
+    """The 4^L x 4^L matrix of a 16x16 m on two ascending sites, built by
+    tensordot on the identity's register axes, not by the kernel's reshapes."""
+    eye = np.eye(4**site_count, dtype=complex).reshape([4] * site_count + [-1])
+    out = np.tensordot(m.reshape(4, 4, 4, 4), eye, axes=([2, 3], list(sites)))
+    return np.moveaxis(out, [0, 1], list(sites)).reshape(4**site_count, -1)
+
+
+def assert_block_matches_dense(site_count, sites, width):
+    state = random_batch(site_count, width)
+    m = random_unitary(16)
+    stack = np.stack([random_unitary(16) for _ in range(3)])
+    dense = dense_embedding(m, sites, site_count)
+    out = linalg.apply_local(state, [(sites, m)], site_count)
+    assert out.shape == (1, *state.shape)
+    assert np.max(np.abs(out[0] - dense @ state)) < 1e-12
+    # a stack widens the runs; the 2-D m after it acts on each of them
+    out = linalg.apply_local(state, [(sites, stack), (sites, m)], site_count)
+    assert out.shape == (3, *state.shape)
+    for run, u in zip(out, stack, strict=True):
+        expected = dense @ (dense_embedding(u, sites, site_count) @ state)
+        assert np.max(np.abs(run - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("site_count", [2, 3, 4, 5])
+def test_trailing_pair_matches_dense_embedding(site_count, width):
+    # the register's last two sites take the row-major GEMM
+    assert_block_matches_dense(site_count, (site_count - 2, site_count - 1), width)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("sites", [(0, 2), (1, 3), (0, 3)])
+def test_non_adjacent_pair_on_the_last_site_matches_dense_embedding(sites, width):
+    # ends on the last site but is not adjacent: stays on the swap path
+    assert_block_matches_dense(sites[1] + 1, sites, width)

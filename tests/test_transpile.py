@@ -306,3 +306,7 @@ def test_hopping_term_ops_result_is_the_callers_own(term):
     other = transpile.hopping_term_ops(term, 0.4, 2, 1)
     other.reverse()
     assert transpile.hopping_term_ops(term, 0.4, 2, 1) == expected
+
+
+def test_trotter_grid_cache_is_bounded():
+    assert isinstance(transpile.trotter_grid.cache_info().maxsize, int)
