@@ -3,7 +3,8 @@
 Subcommands: map, transpile, evolve, greens, resources, validate.
 Options can come from a JSON config document (--config) with individual
 flags taking precedence. Exit codes: 0 success, 1 config error,
-2 validation failure, 3 synthesis residual.
+2 validation failure, 3 synthesis residual. The text formats of the
+outputs live here; every CSV goes through `_write_csv`.
 """
 
 import argparse
@@ -21,7 +22,6 @@ from . import acceptance, emulate, gates, mapping, oracle, resources, transpile
 from .errors import (
     ConfigInvalid, DimensionTooLarge, QuquartError, SynthesisResidual, UnsupportedLattice,
 )
-from .oracle import _fmt
 
 
 OBSERVABLES = ("populations", "lesser_gf", "retarded_gf", "spectral")
@@ -182,6 +182,32 @@ def _ensure_out(config: RunConfig) -> Path:
     return out
 
 
+# --- output files -----------------------------------------------------------
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _write_csv(path: Path, header, rows, comment: str = "") -> None:
+    """Every CSV the CLI writes: an LF-terminated `# comment` line if given,
+    then csv rows (CRLF-terminated) with floats at 17 significant digits,
+    so they round-trip losslessly."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
+    print(f"wrote {path}")
+
+
+def _write_series(path: Path, s: oracle.GreensSeries) -> None:
+    _write_csv(path, ["t", "re", "im"], zip(s.times, s.values.real, s.values.imag),
+               f"i={s.i} j={s.j} spin={s.spin} kind={s.kind} L={s.site_count} J={_fmt(s.J)} "
+               f"v={_fmt(s.v)} init={s.init} source={s.source}")
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -217,7 +243,7 @@ def cmd_transpile(config: RunConfig) -> int:
     circuit_path = out / "circuit.json"
     gates.save_circuit(circuit, circuit_path)
     term_angle = transpile.hopping_angle(mh.J, tau / config.steps)
-    reports = [transpile.synthesis_report(i, term_angle) for i in (1, 2, 3, 4)]
+    reports = [transpile.synthesis_report(i, term_angle) for i in transpile.HOPPING_TERM_IDS]
     report = {
         "geometry": geometry.label,
         "tau": tau,
@@ -242,26 +268,11 @@ def cmd_evolve(config: RunConfig) -> int:
     tokens = config.require_init()
     out = _ensure_out(config)
     rows = emulate.population_grid(geometry, config.J, config.v, tokens, taus, config.steps)
-    path = out / "populations.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tau", "n", "site", "spin", "circuit_value", "oracle_value", "abs_error"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.tau),
-                    row.steps,
-                    row.site,
-                    row.spin,
-                    _fmt(row.circuit_value),
-                    _fmt(row.oracle_value),
-                    _fmt(row.abs_error),
-                ]
-            )
+    _write_csv(out / "populations.csv",
+               ["tau", "n", "site", "spin", "circuit_value", "oracle_value", "abs_error"],
+               ((r.tau, r.steps, r.site, r.spin, r.circuit_value, r.oracle_value, r.abs_error)
+                for r in rows))
     worst = emulate.max_population_error(rows)
-    print(f"wrote {path}")
     print(f"max |circuit - oracle| population error: {worst:.4f}")
     return 0
 
@@ -290,30 +301,19 @@ def cmd_greens(config: RunConfig) -> int:
             )
             orac = oracle.lesser_series(h_exact, tokens, i, j, spin, coarse, config.J, config.v)
             for series, tag in ((circ, "circuit"), (orac, "oracle")):
-                path = out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv"
-                with open(path, "w") as fh:
-                    fh.write(oracle.series_to_csv(series))
-                print(f"wrote {path}")
+                _write_series(out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv", series)
             worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
         if "retarded_gf" in observables or "spectral" in observables:
             series = oracle.retarded_series(
                 h_exact, config.beta, i, j, spin, times,
                 geometry.site_count, config.J, config.v,
             )
-            path = out / f"gf_retarded_oracle_i{i}_j{j}_{spin}.csv"
-            with open(path, "w") as fh:
-                fh.write(oracle.series_to_csv(series))
-            print(f"wrote {path}")
+            _write_series(out / f"gf_retarded_oracle_i{i}_j{j}_{spin}.csv", series)
             if "spectral" in observables:
                 a_vals = oracle.spectral(series, config.eta, oracle.OMEGAS)
-                spath = out / f"spectral_i{i}_{spin}.csv"
-                with open(spath, "w", newline="") as fh:
-                    fh.write(f"# i={i} spin={spin} eta={_fmt(config.eta)} beta={_fmt(config.beta)}\n")
-                    writer = csv.writer(fh)
-                    writer.writerow(["omega", "a"])
-                    for w, a in zip(oracle.OMEGAS, a_vals):
-                        writer.writerow([_fmt(w), _fmt(a)])
-                print(f"wrote {spath}")
+                _write_csv(out / f"spectral_i{i}_{spin}.csv", ["omega", "a"],
+                           zip(oracle.OMEGAS, a_vals),
+                           f"i={i} spin={spin} eta={_fmt(config.eta)} beta={_fmt(config.beta)}")
     if "lesser_gf" in observables:
         print(f"max |circuit - oracle| over lesser components: {worst:.4f}")
     return 0
@@ -325,7 +325,6 @@ def cmd_resources(config: RunConfig) -> int:
     if config.baseline:
         reports.append(resources.qubit_baseline_resources(geometry.label))
     print(json.dumps([asdict(r) for r in reports], indent=1))
-    print(resources.format_table(reports))
     if config.baseline:
         print(
             f"two-body gates per step: {reports[0].two_body_gates_per_step} (ququart) "

@@ -159,19 +159,12 @@ def sector_labels(site_count: int) -> np.ndarray:
     return labels
 
 
-_OCC_TO_TOKEN = {(0, 0): "0", (1, 0): "u", (0, 1): "d", (1, 1): "ud"}
-
-
-def map_ququart_level(level: int) -> str:
-    """Fock label ('0', 'u', 'd', 'ud') encoded by a qudit level."""
-    if not 0 <= level <= 3:
-        raise SiteOutOfRange(f"level {level} outside 0..3")
-    return _OCC_TO_TOKEN[level_occupations()[level]]
-
-
 @lru_cache(maxsize=None)
-def level_for_token() -> dict:
-    return {map_ququart_level(lvl): lvl for lvl in range(DIM)}
+def level_of_token() -> dict:
+    """{token: qudit level} for the occupation tokens, each token spelled
+    from its level's (n_up, n_dn): 'u' per up, 'd' per down, else '0'."""
+    return {("u" * n_up + "d" * n_dn) or "0": level
+            for level, (n_up, n_dn) in enumerate(level_occupations())}
 
 
 def parse_init_tokens(text: str) -> tuple:
@@ -184,7 +177,7 @@ def parse_init_tokens(text: str) -> tuple:
 
 def product_state(tokens) -> np.ndarray:
     """Register basis state for per-site occupation tokens."""
-    levels = [level_for_token()[t] for t in tokens]
+    levels = [level_of_token()[t] for t in tokens]
     index = 0
     for lvl in levels:
         index = index * DIM + lvl

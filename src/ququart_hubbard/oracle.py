@@ -24,8 +24,6 @@ eigendecomposition for its Lehmann sums. Every circuit-lane result is
 validated against this module.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,24 +280,3 @@ def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
 def spectral(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     """Spectral function A(w) = -(1/pi) Im G^R(w)."""
     return -np.imag(gf_fourier(series, eta, omegas)) / np.pi
-
-
-# --- CSV --------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def series_to_csv(series: GreensSeries) -> str:
-    buf = io.StringIO()
-    buf.write(
-        f"# i={series.i} j={series.j} spin={series.spin} kind={series.kind} "
-        f"L={series.site_count} J={_fmt(series.J)} v={_fmt(series.v)} "
-        f"init={series.init} source={series.source}\n"
-    )
-    writer = csv.writer(buf)
-    writer.writerow(["t", "re", "im"])
-    for t, val in zip(series.times, series.values):
-        writer.writerow([_fmt(t), _fmt(val.real), _fmt(val.imag)])
-    return buf.getvalue()

@@ -95,26 +95,3 @@ def qubit_baseline_resources(lattice: str) -> ResourceReport:
         carriers=2 * sites,
         layers=entry["layers"],
     )
-
-
-def format_table(reports) -> str:
-    headers = ("encoding", "lattice", "two-body/step", "1q physical/step", "carriers", "step time")
-    rows = []
-    for r in reports:
-        duration = "-" if r.est_step_duration_s is None else f"{r.est_step_duration_s * 1e6:.2f} us"
-        rows.append(
-            (
-                r.encoding,
-                r.lattice,
-                str(r.two_body_gates_per_step),
-                str(r.single_qudit_physical_per_step),
-                str(r.carriers),
-                duration,
-            )
-        )
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)

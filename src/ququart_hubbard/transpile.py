@@ -189,15 +189,21 @@ def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> lis
 RESIDUAL_TOL = 1e-8
 
 
-def _checked_hopping(term_id: int, tau: float) -> tuple:
+def hopping_residual(term_id: int, tau: float) -> tuple:
     """(circuit, residual): the two-qudit circuit for one hopping evolution
-    and its distance from the target at the optimal global phase. Raises
-    SynthesisResidual if that distance exceeds RESIDUAL_TOL."""
+    and its distance from the target at the optimal global phase."""
     ops = hopping_term_ops(term_id, tau, control=0, target=1)
     circuit = Circuit(2, tuple(ops), {"term": term_id, "tau": tau})
     residual = phase_aligned_distance(
         gates.circuit_unitary(circuit), hopping_target(term_id, tau)
     )
+    return circuit, residual
+
+
+def _checked_hopping(term_id: int, tau: float) -> tuple:
+    """`hopping_residual`, raising SynthesisResidual if the residual
+    exceeds RESIDUAL_TOL."""
+    circuit, residual = hopping_residual(term_id, tau)
     if residual > RESIDUAL_TOL:
         raise SynthesisResidual(
             f"term {term_id} at tau={tau:g}: residual {residual:.3e} > {RESIDUAL_TOL:g}"

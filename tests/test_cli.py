@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, cli, gates, linalg, mapping, oracle, transpile
+from ququart_hubbard import acceptance, cli, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
 
 
@@ -160,6 +160,81 @@ def test_greens_writes_series(tmp_path, capsys):
     assert (tmp_path / "spectral_i1_up.csv").exists()
     header = (tmp_path / "gf_lesser_oracle_i1_j1_up.csv").read_text().splitlines()[0]
     assert header.startswith("#") and "kind=lesser" in header and "L=2" in header
+
+
+def test_series_csv_round_trip(tmp_path, capsys):
+    times = np.array([0.0, 0.5, 1.0])
+    values = np.array([0.1 + 0.2j, -0.3 + 0.05j, 0.0 - 1.0j])
+    series = oracle.GreensSeries(times, values, 2, 1, "down", "lesser", 3, 1.0, 2.0, "u,d,0")
+    path = tmp_path / "series.csv"
+    cli._write_series(path, series)
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_text().splitlines()[:2] == [
+        "# i=2 j=1 spin=down kind=lesser L=3 J=1 v=2 init=u,d,0 source=oracle",
+        "t,re,im",
+    ]
+    t, re, im = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
+    assert np.array_equal(t, times)
+    assert np.array_equal(re + 1j * im, values)
+
+
+def _csv_cells(path, comment):
+    """The cells of a CLI CSV: `comment` must be its LF-terminated first
+    line (None: no comment line), and every later row must end in CRLF."""
+    data = path.read_bytes()
+    if comment is not None:
+        first, data = data.split(b"\n", 1)
+        assert first == comment
+    *rows, last = data.split(b"\r\n")
+    assert last == b"" and not any(b"\n" in row or b"\r" in row for row in rows)
+    return [row.decode().split(",") for row in rows]
+
+
+def _series_cells(path, comment, series):
+    cells = _csv_cells(path, comment)
+    assert cells[0] == ["t", "re", "im"]
+    parsed = [[float(c) for c in row] for row in cells[1:]]
+    assert parsed == [[t, v.real, v.imag] for t, v in zip(series.times, series.values)]
+
+
+def test_csv_byte_layout(tmp_path):
+    # floats are compared with ==, so every value must round-trip bit for bit
+    geom, tokens = mapping.chain(2), ("u", "d")
+    assert run_cli("evolve", "--geometry", "chain:2", "--init", "u,d", "--tau-start", "0.5",
+                   "--tau-stop", "1", "--steps", "3", "--out", str(tmp_path)) == 0
+    assert run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--pairs", "1,1,up",
+                   "--steps", "3", "--tmax", "1", "--dt", "0.25", "--eta", "0.3",
+                   "--observables", "lesser_gf,spectral", "--out", str(tmp_path)) == 0
+
+    cells = _csv_cells(tmp_path / "populations.csv", None)
+    assert cells[0] == ["tau", "n", "site", "spin", "circuit_value", "oracle_value", "abs_error"]
+    rows = emulate.population_grid(geom, 1.0, 2.0, tokens, np.array([0.5, 1.0]), 3)
+    assert [[float(c[0]), int(c[1]), int(c[2]), c[3], *map(float, c[4:])] for c in cells[1:]] == [
+        [r.tau, r.steps, r.site, r.spin, r.circuit_value, r.oracle_value, r.abs_error]
+        for r in rows
+    ]
+
+    coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= 1.0]
+    circ, orac = emulate.lesser_gf_pair(geom, 1.0, 2.0, tokens, 1, 1, "up", coarse, 3)
+    for series in (circ, orac):
+        _series_cells(tmp_path / f"gf_lesser_{series.source}_i1_j1_up.csv",
+                      b"# i=1 j=1 spin=up kind=lesser L=2 J=1 v=2 init=u,d source="
+                      + series.source.encode(), series)
+
+    h = oracle.fermionic_hamiltonian(geom, 1.0, 2.0)
+    retarded = oracle.retarded_series(h, 1.0, 1, 1, "up", oracle.uniform_grid(0.0, 1.0, 0.25),
+                                      2, 1.0, 2.0)
+    _series_cells(tmp_path / "gf_retarded_oracle_i1_j1_up.csv",
+                  b"# i=1 j=1 spin=up kind=retarded L=2 J=1 v=2 init=beta=1 source=oracle",
+                  retarded)
+
+    cells = _csv_cells(tmp_path / "spectral_i1_up.csv",
+                       b"# i=1 spin=up eta=0.29999999999999999 beta=1")
+    assert cells[0] == ["omega", "a"]
+    a = oracle.spectral(retarded, 0.3, oracle.OMEGAS)
+    assert [[float(c) for c in row] for row in cells[1:]] == [
+        [w, x] for w, x in zip(oracle.OMEGAS, a)
+    ]
 
 
 def test_greens_builds_the_exact_hamiltonian_once(tmp_path, monkeypatch):

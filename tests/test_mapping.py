@@ -151,16 +151,14 @@ def test_number_operators_commute():
 
 
 def test_level_labels_bijective():
-    labels = [mapping.map_ququart_level(level) for level in range(4)]
-    assert sorted(labels) == sorted(["0", "u", "d", "ud"])
+    table = mapping.level_of_token()
+    assert sorted(table) == sorted(mapping.TOKENS)
+    assert sorted(table.values()) == [0, 1, 2, 3]
 
 
 def test_level_labels_from_number_operators():
     # derived from the diagonal of the mapped number operators at one site
-    assert mapping.map_ququart_level(0) == "ud"
-    assert mapping.map_ququart_level(1) == "u"
-    assert mapping.map_ququart_level(2) == "d"
-    assert mapping.map_ququart_level(3) == "0"
+    assert mapping.level_of_token() == {"ud": 0, "u": 1, "d": 2, "0": 3}
 
 
 def test_product_state_is_number_eigenstate():

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 from itertools import combinations
 
@@ -388,17 +387,3 @@ def test_spectral_positive_and_normalized_small_system():
     a = oracle.spectral(series, 0.1, omegas)
     assert a.min() >= -1e-6
     assert np.trapezoid(a, omegas) == pytest.approx(1.0, abs=0.02)
-
-
-def test_series_csv_round_trip():
-    times = np.array([0.0, 0.5, 1.0])
-    values = np.array([0.1 + 0.2j, -0.3 + 0.05j, 0.0 - 1.0j])
-    series = GreensSeries(times, values, 2, 1, "down", "lesser", 3, 1.0, 2.0, "u,d,0")
-    text = oracle.series_to_csv(series)
-    assert text.splitlines()[:2] == [
-        "# i=2 j=1 spin=down kind=lesser L=3 J=1 v=2 init=u,d,0 source=oracle",
-        "t,re,im",
-    ]
-    t, re, im = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2, unpack=True)
-    assert np.array_equal(t, times)
-    assert np.array_equal(re + 1j * im, values)

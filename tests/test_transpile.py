@@ -194,6 +194,7 @@ def test_zero_angle_transpiles_to_empty():
 def test_residual_gate_raises(monkeypatch):
     # absurd tolerance turns the machine-precision residual into an error
     monkeypatch.setattr(transpile, "RESIDUAL_TOL", 1e-20)
+    assert transpile.hopping_residual(1, 0.7)[1] > 1e-20  # the measurement never raises
     with pytest.raises(SynthesisResidual):
         hopping_circuit(1, 0.7)
     with pytest.raises(SynthesisResidual):
