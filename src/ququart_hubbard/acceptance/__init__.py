@@ -156,7 +156,9 @@ def transpiler_fidelity() -> CheckResult:
                        worst <= transpile.RESIDUAL_TOL, f"worst {worst:.2e}")
 
 
-TAU_GRID = oracle.uniform_grid(0.5, 5.0, 0.5)
+# (start, stop, step); also `evolve`'s default tau grid
+TAU_SPAN = (0.5, 5.0, 0.5)
+TAU_GRID = oracle.uniform_grid(*TAU_SPAN)
 
 
 def trotter_convergence(geom, tokens) -> CheckResult:

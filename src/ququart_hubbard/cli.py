@@ -2,9 +2,10 @@
 
 Subcommands: map, transpile, evolve, greens, resources, validate.
 Options can come from a JSON config document (--config) with individual
-flags taking precedence. Exit codes: 0 success, 1 config error,
-2 validation failure, 3 synthesis residual. The text formats of the
-outputs live here; every CSV goes through `_write_csv`.
+flags taking precedence; each subcommand takes only the options it reads.
+Exit codes: 0 success, 1 config or usage error, 2 validation failure,
+3 synthesis residual. The text formats of the outputs live here; every
+CSV goes through `_write_csv`.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .errors import (
 )
 
 
-OBSERVABLES = ("populations", "lesser_gf", "retarded_gf", "spectral")
+OBSERVABLES = ("lesser_gf", "retarded_gf", "spectral")
 
 
 def _option(default, help=None, flag=None, bound=None):
@@ -39,36 +40,35 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge}
 @dataclass
 class RunConfig:
     """Every option, declared once: each field is a config key and a flag
-    on every subcommand, in this order in `--help`."""
+    on the subcommands that read it (`_COMMANDS`), in this order in `--help`."""
 
     geometry: str = _option("chain:2", "chain:L | ladder:2xN | 1x8 | 2x4")
     J: float = _option(1.0, "hopping amplitude")
     v: float = _option(2.0, "on-site interaction")
     init: str = _option("u,d", "comma-separated site tokens from {0,u,d,ud}")
-    tau_start: float = _option(0.5)
-    tau_stop: float | None = _option(5.0)
-    tau_step: float = _option(0.5, bound=(">", 0))
+    tau_start: float = _option(acceptance.TAU_SPAN[0])
+    tau_stop: float = _option(acceptance.TAU_SPAN[1])
+    tau_step: float = _option(acceptance.TAU_SPAN[2], bound=(">", 0))
     steps: int = _option(30, "Trotter step count", bound=(">=", 1))
     pairs: str = _option("1,1,up", "Green's function pairs 'i,j,spin;...'")
-    observables: tuple = _option(("populations",), f"comma list: {','.join(OBSERVABLES)}")
+    observables: tuple = _option(("lesser_gf",), f"comma list: {','.join(OBSERVABLES)}")
     eta: float = _option(0.1, "spectral damping rate", bound=(">", 0))
     t_max: float = _option(oracle.RETARDED_T_MAX, "time-grid extent", "--tmax", (">", 0))
     dt: float = _option(oracle.RETARDED_DT, "time-grid spacing", bound=(">", 0))
     beta: float = _option(1.0, "inverse temperature", bound=(">=", 0))
     out: str = _option("out", "output directory")
-    baseline: bool = _option(False, "include the qubit zig-zag comparison")
-    parallel_bonds: bool = _option(True, "duration model without bond parallelism",
-                                   "--sequential-bonds")
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in (float, float | None) and value is not None and not math.isfinite(value):
+            if f.type is float and not math.isfinite(value):
                 raise ConfigInvalid(f"{f.name}: must be finite, got {value!r}")
             if f.metadata["bound"]:
                 op, low = f.metadata["bound"]
                 if not _BOUNDS[op](value, low):
                     raise ConfigInvalid(f"{f.name}: must be {op} {low}")
+        if not self.observables:
+            raise ConfigInvalid("observables: empty")
         unknown = [name for name in self.observables if name not in OBSERVABLES]
         if unknown:
             raise ConfigInvalid(
@@ -79,17 +79,13 @@ class RunConfig:
             mapping.parse_geometry(self.geometry)
         except (UnsupportedLattice, ValueError) as exc:
             raise ConfigInvalid(f"geometry: {exc}")
-        if self.init:
-            try:
-                mapping.parse_init_tokens(self.init)
-            except ValueError as exc:
-                raise ConfigInvalid(f"init: {exc}")
 
     def require_init(self) -> tuple:
         """Init tokens checked against the geometry; for evolve/greens."""
-        if not self.init:
-            raise ConfigInvalid("init: required for this command")
-        tokens = mapping.parse_init_tokens(self.init)
+        try:
+            tokens = mapping.parse_init_tokens(self.init)
+        except ValueError as exc:
+            raise ConfigInvalid(f"init: {exc}")
         sites = self.geometry_obj().site_count
         if len(tokens) != sites:
             raise ConfigInvalid(f"init: {len(tokens)} tokens for {sites} sites")
@@ -97,10 +93,9 @@ class RunConfig:
 
     def tau_grid(self) -> np.ndarray:
         """evolve's taus; the one reader of tau_stop, so the one check on it."""
-        stop = self.tau_start if self.tau_stop is None else self.tau_stop
-        if stop < self.tau_start:
+        if self.tau_stop < self.tau_start:
             raise ConfigInvalid("tau grid: stop precedes start")
-        return oracle.uniform_grid(self.tau_start, stop, self.tau_step)
+        return oracle.uniform_grid(self.tau_start, self.tau_stop, self.tau_step)
 
     def geometry_obj(self) -> mapping.LatticeGeometry:
         return mapping.parse_geometry(self.geometry)
@@ -137,26 +132,24 @@ _CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 def _config_value(key: str, value):
     """A config-file value checked against its RunConfig field's type: int
-    fields reject bool and float, float fields accept int, tau_stop may be
-    null, observables is a list of str."""
+    fields reject bool and float, float fields accept int, observables is a
+    list of str."""
     kind = _CONFIG_FIELDS[key]
     if kind is tuple:
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
             return tuple(value)
         raise ConfigInvalid(f"{key}: expected a list of strings, got {value!r}")
-    if kind == float | None:
-        if value is None:
-            return None
-        kind = float
     accepted = (int, float) if kind is float else (kind,)
-    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise ConfigInvalid(f"{key}: expected {kind.__name__}, got {value!r}")
     return float(value) if kind is float else value
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the --config document, then flags, for the fields the subcommand reads."""
+    reads = _COMMANDS[args.command][2]
     config = RunConfig()
-    if args.config:
+    if reads and args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
@@ -165,10 +158,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(doc, dict):
             raise ConfigInvalid(f"config: expected a JSON object, got {type(doc).__name__}")
         for key, value in doc.items():
-            if key not in _CONFIG_FIELDS:
-                raise ConfigInvalid(f"config: unknown field {key!r}")
+            if key not in reads:
+                raise ConfigInvalid(f"config: {args.command} does not read {key!r}")
             setattr(config, key, _config_value(key, value))
-    for key in _CONFIG_FIELDS:
+    for key in reads:
         value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)
@@ -281,11 +274,7 @@ def cmd_greens(config: RunConfig) -> int:
     geometry = config.geometry_obj()
     tokens = config.require_init()
     pairs = config.parsed_pairs()
-    observables = set(config.observables) if config.observables else {"lesser_gf"}
-    if "populations" in observables:
-        observables.discard("populations")
-        observables.add("lesser_gf")
-    if "spectral" in observables:
+    if "spectral" in config.observables:
         for i, j, spin in pairs:
             if i != j:
                 raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
@@ -294,7 +283,7 @@ def cmd_greens(config: RunConfig) -> int:
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
     worst = 0.0
     for i, j, spin in pairs:
-        if "lesser_gf" in observables:
+        if "lesser_gf" in config.observables:
             coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.t_max]
             circ = emulate.lesser_gf_circuit(
                 geometry, config.J, config.v, tokens, i, j, spin, coarse, config.steps
@@ -303,29 +292,31 @@ def cmd_greens(config: RunConfig) -> int:
             for series, tag in ((circ, "circuit"), (orac, "oracle")):
                 _write_series(out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv", series)
             worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
-        if "retarded_gf" in observables or "spectral" in observables:
+        if "retarded_gf" in config.observables or "spectral" in config.observables:
             series = oracle.retarded_series(
                 h_exact, config.beta, i, j, spin, times,
                 geometry.site_count, config.J, config.v,
             )
             _write_series(out / f"gf_retarded_oracle_i{i}_j{j}_{spin}.csv", series)
-            if "spectral" in observables:
+            if "spectral" in config.observables:
                 a_vals = oracle.spectral(series, config.eta, oracle.OMEGAS)
                 _write_csv(out / f"spectral_i{i}_{spin}.csv", ["omega", "a"],
                            zip(oracle.OMEGAS, a_vals),
                            f"i={i} spin={spin} eta={_fmt(config.eta)} beta={_fmt(config.beta)}")
-    if "lesser_gf" in observables:
+    if "lesser_gf" in config.observables:
         print(f"max |circuit - oracle| over lesser components: {worst:.4f}")
     return 0
 
 
 def cmd_resources(config: RunConfig) -> int:
     geometry = config.geometry_obj()
-    reports = [resources.qfm_resources(geometry, parallel_bonds=config.parallel_bonds)]
-    if config.baseline:
+    reports = [resources.qfm_resources(geometry)]
+    try:
         reports.append(resources.qubit_baseline_resources(geometry.label))
+    except UnsupportedLattice:
+        pass  # no published baseline for this lattice
     print(json.dumps([asdict(r) for r in reports], indent=1))
-    if config.baseline:
+    if len(reports) == 2:
         print(
             f"two-body gates per step: {reports[0].two_body_gates_per_step} (ququart) "
             f"vs {reports[1].two_body_gates_per_step} (qubit zig-zag)"
@@ -345,39 +336,51 @@ def cmd_validate(config: RunConfig) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+# the RunConfig fields each subcommand reads: its flags and config keys
+_MAP_READS = frozenset({"geometry", "J", "v", "out"})
+_TRANSPILE_READS = _MAP_READS | {"tau_start", "steps"}
+
 _COMMANDS = {
-    "map": (cmd_map, "build and serialize the mapped Hamiltonian"),
-    "transpile": (cmd_transpile, "emit a Trotter circuit and synthesis report"),
-    "evolve": (cmd_evolve, "compare Trotter-circuit populations against the exact reference"),
-    "greens": (cmd_greens, "compute Green's functions (circuit and exact lanes)"),
-    "resources": (cmd_resources, "gate-count and duration estimates"),
-    "validate": (cmd_validate, "run the acceptance criteria"),
+    "map": (cmd_map, "build and serialize the mapped Hamiltonian", _MAP_READS),
+    "transpile": (cmd_transpile, "emit a Trotter circuit and synthesis report", _TRANSPILE_READS),
+    "evolve": (cmd_evolve, "compare Trotter-circuit populations against the exact reference",
+               _TRANSPILE_READS | {"init", "tau_stop", "tau_step"}),
+    "greens": (cmd_greens, "compute Green's functions (circuit and exact lanes)",
+               _MAP_READS | {"steps", "init", "pairs", "observables", "eta", "t_max", "dt",
+                             "beta"}),
+    "resources": (cmd_resources, "gate-count and duration estimates", frozenset({"geometry"})),
+    "validate": (cmd_validate, "run the acceptance criteria", frozenset()),
 }
 
-# flag parsers by field type; a bool field is a bare flag for `not default`
-_FLAG_TYPES = {float | None: float, tuple: lambda text: tuple(v.strip() for v in text.split(","))}
+_FLAG_TYPES = {tuple: lambda text: tuple(v.strip() for v in text.split(","))}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 as a config error; 2 means a failed validation
+        raise ConfigInvalid(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ququart-hubbard",
         description="Hubbard-model simulation toolkit for four-level qudits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config document; flags override")
+        if reads:
+            p.add_argument("--config", help="JSON config document; flags override")
         for f in fields(RunConfig):
-            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
-            parse = ({"action": "store_const", "const": not f.default} if f.type is bool
-                     else {"type": _FLAG_TYPES.get(f.type, f.type)})
-            p.add_argument(flag, dest=f.name, help=f.metadata["help"], **parse)
+            if f.name in reads:
+                flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+                p.add_argument(flag, dest=f.name, help=f.metadata["help"],
+                               type=_FLAG_TYPES.get(f.type, f.type))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _build_config(args)
         return _COMMANDS[args.command][0](config)
     except ConfigInvalid as exc:

@@ -308,5 +308,6 @@ def save_hamiltonian(mh: MappedHamiltonian, path) -> None:
             for coefficient, factors in mh.terms()
         ],
     }
+    # json.dumps without indent takes the C encoder; json.dump never does
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))

@@ -2,11 +2,11 @@
 
 Ququart counts are tallied from the Trotter step the transpiler emits
 (`transpile.step_layers`), so they follow any change to the step. The
-critical path sums the slowest part of each layer (every part with
-`parallel_bonds=False`), at SINGLE_QUDIT_SECONDS per physical
-single-qudit pulse; virtual-Z rotations and CSUM durations are not
-modeled. The qubit baseline reproduces the published zig-zag layer
-sequences for the 1x8 and 2x4 lattices, whose aggregate two-qubit totals
+step duration sums the slowest part of each layer (its bonds run in
+parallel), the serial duration sums every part, both at
+SINGLE_QUDIT_SECONDS per physical single-qudit pulse; virtual-Z rotations
+and CSUM durations are not modeled. The qubit baseline reproduces the
+published zig-zag layer sequences for the 1x8 and 2x4 lattices, whose aggregate two-qubit totals
 (64 and 112) are the contract; per-layer splits are not modeled.
 """
 
@@ -46,10 +46,11 @@ class ResourceReport:
     single_qudit_physical_per_step: int
     carriers: int
     est_step_duration_s: float | None = None
+    est_serial_step_duration_s: float | None = None
     layers: tuple = ()
 
 
-def qfm_resources(geometry: mapping.LatticeGeometry, parallel_bonds: bool = True) -> ResourceReport:
+def qfm_resources(geometry: mapping.LatticeGeometry) -> ResourceReport:
     """Per-step costs of the ququart encoding on a chain or 2-row ladder."""
     if geometry.kind not in ("chain", "ladder"):
         raise UnsupportedLattice(f"unsupported geometry kind {geometry.kind!r}")
@@ -59,28 +60,23 @@ def qfm_resources(geometry: mapping.LatticeGeometry, parallel_bonds: bool = True
         for layer in transpile.step_layers(mh, 1.0)
     ]
     parts = [t for layer in layers for t in layer]
-    critical = (
-        sum(max(t.single_qudit_physical for t in layer) for layer in layers)
-        if parallel_bonds
-        else sum(t.single_qudit_physical for t in parts)
-    )
+    physical = sum(t.single_qudit_physical for t in parts)
+    critical = sum(max(t.single_qudit_physical for t in layer) for layer in layers)
     return ResourceReport(
         encoding="qfm",
         lattice=geometry.label,
         two_body_gates_per_step=sum(t.two_qudit for t in parts),
-        single_qudit_physical_per_step=sum(t.single_qudit_physical for t in parts),
+        single_qudit_physical_per_step=physical,
         carriers=geometry.site_count,
         est_step_duration_s=critical * SINGLE_QUDIT_SECONDS,
+        est_serial_step_duration_s=physical * SINGLE_QUDIT_SECONDS,
     )
 
 
 def qubit_baseline_resources(lattice: str) -> ResourceReport:
     """Published zig-zag qubit costs; only 1x8 and 2x4 are tabulated."""
     key = lattice.strip().lower().replace(" ", "")
-    if key == "chain(8)":
-        key = "1x8"
-    if key == "ladder(2,4)":
-        key = "2x4"
+    key = {"chain(8)": "1x8", "ladder(2,4)": "2x4"}.get(key, key)
     if key not in QUBIT_BASELINE:
         raise UnsupportedLattice(
             f"qubit baseline tabulated only for 1x8 and 2x4, got {lattice!r}"

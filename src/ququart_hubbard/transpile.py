@@ -200,17 +200,6 @@ def hopping_residual(term_id: int, tau: float) -> tuple:
     return circuit, residual
 
 
-def _checked_hopping(term_id: int, tau: float) -> tuple:
-    """`hopping_residual`, raising SynthesisResidual if the residual
-    exceeds RESIDUAL_TOL."""
-    circuit, residual = hopping_residual(term_id, tau)
-    if residual > RESIDUAL_TOL:
-        raise SynthesisResidual(
-            f"term {term_id} at tau={tau:g}: residual {residual:.3e} > {RESIDUAL_TOL:g}"
-        )
-    return circuit, residual
-
-
 def interaction_layer_ops(site: int, v: float, prefactor: float, dt: float) -> list:
     """Virtual-Z triple for one site of the on-site evolution over dt.
 
@@ -291,8 +280,13 @@ def trotter_grid(mh: MappedHamiltonian, taus: tuple, steps: int) -> gates.Grid:
 
 
 def synthesis_report(term_id: int, tau: float) -> dict:
-    """Schmidt data, residual, and tally for one transpiled hopping term."""
-    circuit, residual = _checked_hopping(term_id, tau)
+    """Schmidt data, residual, and tally for one transpiled hopping term;
+    raises SynthesisResidual if the residual exceeds RESIDUAL_TOL."""
+    circuit, residual = hopping_residual(term_id, tau)
+    if residual > RESIDUAL_TOL:
+        raise SynthesisResidual(
+            f"term {term_id} at tau={tau:g}: residual {residual:.3e} > {RESIDUAL_TOL:g}"
+        )
     decomposition = osd(hopping_target(term_id, tau))
     return {
         "term": term_id,

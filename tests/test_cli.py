@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import itertools
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ququart_hubbard import acceptance, cli, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
+from ququart_hubbard.errors import ConfigInvalid
 
 
 def run_cli(*argv):
@@ -257,11 +260,14 @@ def test_greens_refuses_spectral_on_an_off_diagonal_pair(tmp_path, capsys):
 
 
 def test_resources_prints_comparison(capsys):
-    code = run_cli("resources", "--geometry", "2x4", "--baseline")
+    code = run_cli("resources", "--geometry", "2x4")
     out = capsys.readouterr().out
     assert code == 0
     assert "80" in out and "112" in out
     assert "two-body gates per step: 80 (ququart) vs 112 (qubit zig-zag)" in out
+    assert run_cli("resources", "--geometry", "chain:3") == 0
+    out = capsys.readouterr().out
+    assert "qubit_zigzag" not in out and "two-body gates per step" not in out
 
 
 def test_resources_bad_lattice_exits_one(capsys):
@@ -301,10 +307,11 @@ def test_validate_reports_a_missed_synthesis_and_goes_on(monkeypatch, capsys):
     assert lines[1] == "[PASS] criterion 6: fake criterion  [detail]"
 
 
-@pytest.mark.parametrize("command", ["evolve", "greens"])
-def test_ladder_dynamics_refused(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,flag", [("evolve", "--tau-stop"), ("greens", "--tmax")],
+                         ids=["evolve", "greens"])
+def test_ladder_dynamics_refused(tmp_path, capsys, command, flag):
     code = run_cli(command, "--geometry", "ladder:2x2", "--init", "u,d,0,0",
-                   "--tau-stop", "0.5", "--tmax", "0.5", "--steps", "2", "--out", str(tmp_path))
+                   flag, "0.5", "--steps", "2", "--out", str(tmp_path))
     assert code == 1
     assert "ladder(2,2) are not supported" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -393,8 +400,8 @@ def test_bad_beta_exits_one(tmp_path, capsys, beta):
 )
 def test_non_finite_value_exits_one(tmp_path, capsys, command, flag, value, field):
     out = tmp_path / "out"
-    code = run_cli(command, "--geometry", "chain:2", "--init", "u,d",
-                   "--observables", "spectral" if command == "greens" else "populations",
+    observables = ("--observables", "spectral") if command == "greens" else ()
+    code = run_cli(command, "--geometry", "chain:2", "--init", "u,d", *observables,
                    f"{flag}={value}", "--out", str(out))
     assert code == 1
     assert f"config error: {field}: must be finite" in capsys.readouterr().err
@@ -432,28 +439,29 @@ def _subparsers() -> dict:
 
 def _non_default(f):
     """A valid value for field f that differs from its default where the
-    type allows it generically (bools, numbers)."""
-    if f.type is bool:
-        return not f.default
-    return f.default + 1 if f.type in (int, float, float | None) else f.default
+    type allows it generically (numbers)."""
+    return f.default + 1 if f.type in (int, float) else f.default
 
 
-def test_every_field_is_one_flag_on_every_subcommand():
-    names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+def _reads(command):
+    return cli._COMMANDS[command][2]
+
+
+def test_each_subcommand_mounts_the_fields_it_reads():
     subparsers = _subparsers()
     assert list(subparsers) == list(cli._COMMANDS)
+    assert sum(len(_reads(command)) for command in cli._COMMANDS) == 32
     for command, sub in subparsers.items():
-        options = [a for a in sub._actions if a.dest not in ("help", "config")]
-        assert [a.dest for a in options] == names
-        for action, f in zip(options, dataclasses.fields(cli.RunConfig)):
+        declared = [f for f in dataclasses.fields(cli.RunConfig) if f.name in _reads(command)]
+        assert [a.dest for a in sub._actions] == ["help"] + ["config"] * bool(declared) + [
+            f.name for f in declared]
+        for f in declared:
+            [action] = [a for a in sub._actions if a.dest == f.name]
             [flag] = action.option_strings
             value = _non_default(f)
-            if f.type is bool:
-                argv = [command, flag]
-            else:
-                argv = [command, flag, ",".join(value) if f.type is tuple else str(value)]
+            argv = [command, flag, ",".join(value) if f.type is tuple else str(value)]
             args = cli.build_parser().parse_args(argv)
-            assert all(getattr(args, name) is None for name in names if name != f.name)
+            assert all(getattr(args, g.name) is None for g in declared if g is not f)
             config = cli._build_config(args)
             assert config == dataclasses.replace(cli.RunConfig(), **{f.name: value})
             assert type(getattr(config, f.name)) is type(f.default)
@@ -464,24 +472,111 @@ def test_every_field_is_one_config_key(tmp_path):
     for f in dataclasses.fields(cli.RunConfig):
         value = _non_default(f)
         path.write_text(json.dumps({f.name: list(value) if f.type is tuple else value}))
-        args = cli.build_parser().parse_args(["map", "--config", str(path)])
-        assert cli._build_config(args) == dataclasses.replace(cli.RunConfig(), **{f.name: value})
+        for command in cli._COMMANDS:
+            argv = [command] + ["--config", str(path)] * bool(_reads(command))
+            args = cli.build_parser().parse_args(argv)
+            if f.name in _reads(command):
+                config = cli._build_config(args)
+                assert config == dataclasses.replace(cli.RunConfig(), **{f.name: value})
+            elif _reads(command):
+                with pytest.raises(ConfigInvalid, match=f"config: {command} does not read"):
+                    cli._build_config(args)
 
 
 @pytest.mark.parametrize(
-    "flag,value,message",
+    "argv,doc,message",
     [
-        ("--steps", "0", "steps: must be >= 1"),
-        ("--eta", "0", "eta: must be > 0"),
-        ("--dt", "-0.05", "dt: must be > 0"),
-        ("--tmax", "0", "t_max: must be > 0"),
-        ("--tau-step", "-0.5", "tau_step: must be > 0"),
+        (["resources", "--geometry", "1x8", "--J", "7"], None, "unrecognized arguments: --J 7"),
+        (["validate", "--geometry", "chain:2"], None, "unrecognized arguments: --geometry"),
+        (["map", "--steps", "5"], None, "unrecognized arguments: --steps 5"),
+        (["evolve", "--steps", "abc"], None, "argument --steps: invalid int value: 'abc'"),
+        (["map"], {"eta": 0.2}, "config: map does not read 'eta'"),
+        (["greens"], {"observables": []}, "observables: empty"),
+    ],
+    ids=["resources-J", "validate-geometry", "map-steps", "evolve-steps-abc", "map-config-eta",
+         "greens-no-observables"],
+)
+def test_usage_errors_exit_one_and_write_nothing(tmp_path, monkeypatch, capsys, argv, doc,
+                                                 message):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", "config.json"]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if doc else [])
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--help")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ququart-hubbard {command}")
+
+
+def test_readme_commands_parse():
+    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
+    commands = [shlex.split(line.replace("$n", "5").split("ququart-hubbard", 1)[1])
+                for line in text.splitlines() if line.lstrip().startswith("ququart-hubbard ")]
+    assert len(commands) == 14
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        cli._build_config(args)
+
+
+class _Recording(cli.RunConfig):
+    """A RunConfig that records in `reads` which of its fields are read."""
+
+    def __getattribute__(self, name):
+        if name in cli._CONFIG_FIELDS:
+            object.__getattribute__(self, "reads").add(name)
+        return super().__getattribute__(name)
+
+
+def test_each_subcommand_reads_exactly_its_declared_fields(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CHECKS", (fake_check(1, True),))
+    out = ("--out", str(tmp_path))
+    runs = {
+        "map": [("--geometry", "chain:2", *out)],
+        "transpile": [("--geometry", "chain:2", "--steps", "2", *out)],
+        "evolve": [("--geometry", "chain:2", "--tau-stop", "1", "--steps", "2", *out)],
+        "greens": [("--geometry", "chain:2", "--steps", "2", "--tmax", "0.5", "--dt", "0.25",
+                    "--observables", observables, *out)
+                   for observables in ("lesser_gf", "retarded_gf", "spectral")],
+        "resources": [("--geometry", "2x4"), ("--geometry", "chain:3")],
+        "validate": [()],
+    }
+    assert list(runs) == list(cli._COMMANDS)
+    for command, argvs in runs.items():
+        recorded = set()
+        for argv in argvs:
+            config = cli._build_config(cli.build_parser().parse_args([command, *argv]))
+            recording = _Recording(**dataclasses.asdict(config))
+            recording.reads = recorded
+            assert cli._COMMANDS[command][0](recording) == 0
+        assert recorded == _reads(command), command
+
+
+def test_evolve_default_taus_are_the_criterion_6_grid():
+    assert np.array_equal(cli.RunConfig().tau_grid(), acceptance.TAU_GRID)
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("greens", "--steps", "0", "steps: must be >= 1"),
+        ("greens", "--eta", "0", "eta: must be > 0"),
+        ("greens", "--dt", "-0.05", "dt: must be > 0"),
+        ("greens", "--tmax", "0", "t_max: must be > 0"),
+        ("evolve", "--tau-step", "-0.5", "tau_step: must be > 0"),
     ],
     ids=["steps", "eta", "dt", "tmax", "tau_step"],
 )
-def test_value_below_its_bound_exits_one(tmp_path, capsys, flag, value, message):
+def test_value_below_its_bound_exits_one(tmp_path, capsys, command, flag, value, message):
     out = tmp_path / "out"
-    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", f"{flag}={value}",
+    code = run_cli(command, "--geometry", "chain:2", "--init", "u,d", f"{flag}={value}",
                    "--out", str(out))
     assert code == 1
     assert f"config error: {message}" in capsys.readouterr().err

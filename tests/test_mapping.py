@@ -343,8 +343,9 @@ HAMILTONIAN_FILE_DIGESTS = {
 @pytest.mark.parametrize("geometry", sorted(HAMILTONIAN_FILE_DIGESTS))
 def test_saved_hamiltonian_bytes_are_pinned(tmp_path, geometry):
     mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
-    digest = hashlib.sha256(saved_document(mh, tmp_path).read_bytes()).hexdigest()
-    assert digest == HAMILTONIAN_FILE_DIGESTS[geometry]
+    data = saved_document(mh, tmp_path).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == HAMILTONIAN_FILE_DIGESTS[geometry]
+    assert data == json.dumps(json.loads(data)).encode()  # compact, one line
 
 
 def test_init_token_parsing():

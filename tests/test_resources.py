@@ -70,12 +70,10 @@ def test_baseline_rejects_other_lattices():
         resources.qubit_baseline_resources("1x4")
 
 
-def test_duration_model_flags():
-    geom = mapping.chain(8)
-    parallel = resources.qfm_resources(geom, parallel_bonds=True)
-    sequential = resources.qfm_resources(geom, parallel_bonds=False)
-    assert parallel.est_step_duration_s == pytest.approx(32 * 2 * 50e-9)
-    assert sequential.est_step_duration_s == pytest.approx(32 * 7 * 50e-9)
+def test_duration_models():
+    report = resources.qfm_resources(mapping.chain(8))
+    assert report.est_step_duration_s == pytest.approx(32 * 2 * 50e-9)
+    assert report.est_serial_step_duration_s == pytest.approx(32 * 7 * 50e-9)
 
 
 @pytest.mark.parametrize(
@@ -84,9 +82,9 @@ def test_duration_model_flags():
     ids=lambda g: g.label,
 )
 def test_parallel_step_time_counts_emitted_bond_layers(geom):
-    parallel = resources.qfm_resources(geom, parallel_bonds=True).est_step_duration_s
-    sequential = resources.qfm_resources(geom, parallel_bonds=False).est_step_duration_s
-    assert parallel <= sequential
+    report = resources.qfm_resources(geom)
+    parallel = report.est_step_duration_s
+    assert parallel <= report.est_serial_step_duration_s
     assert parallel == pytest.approx(len(transpile._bond_layers(geom)) * 32 * 50e-9)
 
 
@@ -95,26 +93,27 @@ def test_report_serialization():
     assert doc["two_body_gates_per_step"] == 80
 
 
-def _qfm(lattice, two_body, physical, seconds):
+def _qfm(lattice, two_body, physical, seconds, serial_seconds):
     return {"encoding": "qfm", "lattice": lattice, "two_body_gates_per_step": two_body,
             "single_qudit_physical_per_step": physical, "carriers": 8,
-            "est_step_duration_s": seconds, "layers": []}
+            "est_step_duration_s": seconds, "est_serial_step_duration_s": serial_seconds,
+            "layers": []}
 
 
 def _qubit(lattice, two_body, layers):
     return {"encoding": "qubit_zigzag", "lattice": lattice, "two_body_gates_per_step": two_body,
             "single_qudit_physical_per_step": 0, "carriers": 16,
-            "est_step_duration_s": None, "layers": layers}
+            "est_step_duration_s": None, "est_serial_step_duration_s": None, "layers": layers}
 
 
 # pinned per-step costs; a change to the emitted step shows up here
 @pytest.mark.parametrize("geom,expected", [
     (mapping.chain(8), [
-        _qfm("chain(8)", 56, 224, 3.2e-06),
+        _qfm("chain(8)", 56, 224, 3.2e-06, 1.12e-05),
         _qubit("1x8", 64, ["fswap", "on-site", "fswap", "odd hopping", "even hopping"]),
     ]),
     (mapping.ladder(2, 4), [
-        _qfm("ladder(2,4)", 80, 320, 4.8e-06),
+        _qfm("ladder(2,4)", 80, 320, 4.8e-06, 1.6e-05),
         _qubit("2x4", 112, ["fswap", "on-site", "fswap", "vertical hopping", "fswap",
                             "horizontal hopping 1", "fswap", "horizontal hopping 2"]),
     ]),

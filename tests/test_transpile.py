@@ -20,8 +20,8 @@ TAUS = (0.3, 0.7, 1.2, np.pi / 2)
 
 
 def hopping_circuit(term, tau):
-    """The residual-checked two-qudit circuit behind `synthesis_report`."""
-    return transpile._checked_hopping(term, tau)[0]
+    """The two-qudit circuit behind `synthesis_report`."""
+    return transpile.hopping_residual(term, tau)[0]
 
 
 def hs_overlap(a, b):
@@ -195,8 +195,6 @@ def test_residual_gate_raises(monkeypatch):
     # absurd tolerance turns the machine-precision residual into an error
     monkeypatch.setattr(transpile, "RESIDUAL_TOL", 1e-20)
     assert transpile.hopping_residual(1, 0.7)[1] > 1e-20  # the measurement never raises
-    with pytest.raises(SynthesisResidual):
-        hopping_circuit(1, 0.7)
     with pytest.raises(SynthesisResidual):
         transpile.synthesis_report(1, 0.7)
 
