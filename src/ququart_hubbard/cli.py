@@ -1,8 +1,7 @@
 """Command-line entry point.
 
 Subcommands: map, transpile, evolve, greens, resources, validate.
-Options can come from a JSON config document (--config) with individual
-flags taking precedence; each subcommand takes only the options it reads.
+Options come from flags; each subcommand takes only the options it reads.
 Exit codes: 0 success, 1 config or usage error, 2 validation failure,
 3 synthesis residual. The text formats of the outputs live here; every
 CSV goes through `_write_csv`.
@@ -39,8 +38,8 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge}
 
 @dataclass
 class RunConfig:
-    """Every option, declared once: each field is a config key and a flag
-    on the subcommands that read it (`_COMMANDS`), in this order in `--help`."""
+    """Every option, declared once: each field is a flag on the
+    subcommands that read it (`_COMMANDS`), in this order in `--help`."""
 
     geometry: str = _option("chain:2", "chain:L | ladder:2xN | 1x8 | 2x4")
     J: float = _option(1.0, "hopping amplitude")
@@ -67,8 +66,6 @@ class RunConfig:
                 op, low = f.metadata["bound"]
                 if not _BOUNDS[op](value, low):
                     raise ConfigInvalid(f"{f.name}: must be {op} {low}")
-        if not self.observables:
-            raise ConfigInvalid("observables: empty")
         unknown = [name for name in self.observables if name not in OBSERVABLES]
         if unknown:
             raise ConfigInvalid(
@@ -127,41 +124,10 @@ class RunConfig:
         return out
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _config_value(key: str, value):
-    """A config-file value checked against its RunConfig field's type: int
-    fields reject bool and float, float fields accept int, observables is a
-    list of str."""
-    kind = _CONFIG_FIELDS[key]
-    if kind is tuple:
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return tuple(value)
-        raise ConfigInvalid(f"{key}: expected a list of strings, got {value!r}")
-    accepted = (int, float) if kind is float else (kind,)
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise ConfigInvalid(f"{key}: expected {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the --config document, then flags, for the fields the subcommand reads."""
-    reads = _COMMANDS[args.command][2]
+    """Defaults, then flags, for the fields the subcommand reads."""
     config = RunConfig()
-    if reads and args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigInvalid(f"config: {exc}")
-        if not isinstance(doc, dict):
-            raise ConfigInvalid(f"config: expected a JSON object, got {type(doc).__name__}")
-        for key, value in doc.items():
-            if key not in reads:
-                raise ConfigInvalid(f"config: {args.command} does not read {key!r}")
-            setattr(config, key, _config_value(key, value))
-    for key in reads:
+    for key in _COMMANDS[args.command][2]:
         value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)
@@ -278,9 +244,9 @@ def cmd_greens(config: RunConfig) -> int:
         for i, j, spin in pairs:
             if i != j:
                 raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
-    out = _ensure_out(config)
-    times = oracle.uniform_grid(0.0, config.t_max, config.dt)
+    times = oracle.uniform_grid(0.0, config.t_max, config.dt, 4**geometry.site_count)
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
+    out = _ensure_out(config)
     worst = 0.0
     for i, j, spin in pairs:
         if "lesser_gf" in config.observables:
@@ -336,7 +302,7 @@ def cmd_validate(config: RunConfig) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
-# the RunConfig fields each subcommand reads: its flags and config keys
+# the RunConfig fields each subcommand reads: its flags
 _MAP_READS = frozenset({"geometry", "J", "v", "out"})
 _TRANSPILE_READS = _MAP_READS | {"tau_start", "steps"}
 
@@ -368,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if reads:
-            p.add_argument("--config", help="JSON config document; flags override")
         for f in fields(RunConfig):
             if f.name in reads:
                 flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")

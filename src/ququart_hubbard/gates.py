@@ -401,7 +401,7 @@ def circuit_from_json_dict(doc: dict) -> Circuit:
     try:
         items = tuple(Segment(map(_doc_op, entry)) if isinstance(entry, list) else _doc_op(entry)
                       for entry in doc["ops"])
-        return Circuit(doc["sites"], items, doc.get("metadata", {}), doc.get("repeat", 1))
+        return Circuit(doc["sites"], items, doc.get("metadata", {}), doc["repeat"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
 

@@ -9,10 +9,10 @@ or, on the register's last two sites, of the view against the matrix's
 transpose (one row-major GEMM per column). An operator may also be a
 (T, d, d) stack, one matrix per run of a grid; the state then becomes T
 runs, a (T, B, 4^L) array, still one matmul per operator.
-GRID_BATCH_BYTES caps how many runs one such batch holds. Dense register
-operators must fit one memory budget (``dense_dim``), which admits L <= 6
-sites; within it, dense storage and full factorizations are affordable
-and exact to machine precision.
+GRID_BATCH_BYTES caps how many runs one such batch holds. Dense arrays
+must fit one memory budget (``check_budget``); for a 4^L x 4^L register
+operator (``dense_dim``) it admits L <= 6 sites. Within it, dense storage
+and full factorizations are affordable and exact to machine precision.
 """
 
 import numpy as np
@@ -24,14 +24,19 @@ DENSE_BUDGET_BYTES = 1 << 30  # one dense register operator, 1 GiB
 GRID_BATCH_BYTES = 1 << 19  # one stacked (T, B, 4^L) batch of grid runs, 512 KiB
 
 
-def dense_dim(site_count: int) -> int:
-    """4^L; raises DimensionTooLarge, before any allocation, when one dense
-    4^L x 4^L complex matrix would exceed DENSE_BUDGET_BYTES."""
-    dim = 4**site_count
-    if dim * dim * 16 > DENSE_BUDGET_BYTES:
-        raise DimensionTooLarge(f"{site_count} sites: a dense {dim} x {dim} complex matrix "
-                                f"needs {dim * dim * 16 / 2**30:g} GiB, over the "
+def check_budget(rows: int, cols: int, what: str) -> None:
+    """Raises DimensionTooLarge, to be called before any allocation, when
+    one dense rows x cols complex matrix would exceed DENSE_BUDGET_BYTES."""
+    if rows * cols * 16 > DENSE_BUDGET_BYTES:
+        raise DimensionTooLarge(f"{what}: a dense {rows} x {cols} complex matrix "
+                                f"needs {rows * cols * 16 / 2**30:g} GiB, over the "
                                 f"{DENSE_BUDGET_BYTES / 2**30:g} GiB budget")
+
+
+def dense_dim(site_count: int) -> int:
+    """4^L, once one dense 4^L x 4^L complex matrix fits `check_budget`."""
+    dim = 4**site_count
+    check_budget(dim, dim, f"{site_count} sites")
     return dim
 
 

@@ -10,8 +10,7 @@ state. The Hamiltonian
 
 is scattered from those maps with no matrix products. J, v and every
 sign are real, so H is a float64 matrix and its eigendecomposition is a
-real one. An eigendecomposition (``ExactPropagator``) evolves a state over
-a whole time grid.
+real one. One eigendecomposition evolves a state over a whole time grid.
 
 H conserves N_up and N_dn, so a pure state is propagated only in its
 (N_up, N_dn) sector: the sorted basis indices sharing its spin counts
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries
-from .linalg import dense_dim
+from .linalg import check_budget, dense_dim
 from .mapping import SPIN_DOWN, SPIN_UP, SPINS, LatticeGeometry
 
 _TOKEN_BITS = {"0": "00", "u": "10", "d": "01", "ud": "11"}
@@ -107,39 +106,18 @@ def sector_basis(index: int, site_count: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[index])
 
 
-class ExactPropagator:
-    """Cached eigendecomposition of a Hermitian Hamiltonian.
-
-    ``h`` goes to ``np.linalg.eigh`` as given, so a real symmetric H gets a
-    real eigendecomposition.
-    """
-
-    def __init__(self, h: np.ndarray):
-        self.evals, self.evecs = np.linalg.eigh(np.asarray(h))
-
-    def phases(self, times) -> np.ndarray:
-        """(dim, T) matrix e^{-i E_n t} over the eigenvalues and a time grid."""
-        return np.exp(-1j * np.outer(self.evals, times))
-
-    def evolve(self, state: np.ndarray, times) -> np.ndarray:
-        """(dim, T) array whose column k is e^{-i H t_k} state.
-
-        Columns with t = 0 are ``state`` itself, bit for bit.
-        """
-        state = np.asarray(state, dtype=complex)
-        times = np.asarray(times, dtype=float)
-        coeffs = self.evecs.conj().T @ state
-        out = self.evecs @ (self.phases(times) * coeffs[:, None])
-        out[:, times == 0.0] = state[:, None]
-        return out
-
-
 def _sector_evolve(h: np.ndarray, basis: np.ndarray, index: int, times) -> np.ndarray:
     """(len(basis), T) amplitudes of e^{-i H t} |index> on the sorted sector
-    ``basis`` that holds ``index``, from the block of H on that sector."""
+    ``basis`` that holds ``index``, from one eigendecomposition of the block
+    of H on that sector (real for a real H). Columns with t = 0 are |index>
+    itself, bit for bit."""
     state = np.zeros(len(basis), dtype=complex)
     state[np.searchsorted(basis, index)] = 1.0
-    return ExactPropagator(h[np.ix_(basis, basis)]).evolve(state, times)
+    times = np.asarray(times, dtype=float)
+    evals, evecs = np.linalg.eigh(h[np.ix_(basis, basis)])
+    out = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.conj().T @ state)[:, None])
+    out[:, times == 0.0] = state[:, None]
+    return out
 
 
 def exact_populations(h: np.ndarray, tokens, times) -> dict:
@@ -205,17 +183,16 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     eigenbasis, sum_nm A_nm e^{i (E_n - E_m) t}, evaluated as
     sum_n conj(Q_n) (A Q)_n over the (dim, T) phase matrix Q = e^{-i E t}.
     """
-    prop = ExactPropagator(h)
-    vecs = prop.evecs
+    evals, vecs = np.linalg.eigh(h)
     L = (vecs.shape[0].bit_length() - 1) // 2
-    shifted = prop.evals - prop.evals.min()  # avoid overflow in e^{-beta E}
+    shifted = evals - evals.min()  # avoid overflow in e^{-beta E}
     weights = np.exp(-beta * shifted)
     c = vecs.conj().T @ _apply(_ladder(i, spin, "annihilate", L), vecs)
     cdag = vecs.conj().T @ _apply(_ladder(j, spin, "create", L), vecs)
     amp = (weights[:, None] + weights[None, :]) * c * cdag.T / weights.sum()
     times = np.asarray(times, dtype=float)
     theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
-    q = prop.phases(times)
+    q = np.exp(-1j * np.outer(evals, times))
     return -1j * theta * np.sum(q.conj() * (amp @ q), axis=0)
 
 
@@ -242,10 +219,16 @@ OMEGAS = np.arange(-12.0, 12.0 + 1e-9, 0.01)
 OMEGAS.flags.writeable = False
 
 
-def uniform_grid(start: float, stop: float, step: float) -> np.ndarray:
+def uniform_grid(start: float, stop: float, step: float, rows: int = 1) -> np.ndarray:
     """start, start + step, ... never past stop >= start; a stop within
-    1e-9 steps of a grid point counts as reaching it."""
-    return start + step * np.arange(int((stop - start) / step + 1e-9) + 1)
+    1e-9 steps of a grid point counts as reaching it. Raises
+    DimensionTooLarge, before any allocation, when one complex (rows, T)
+    array over the grid would exceed the dense budget (`retarded_gf`
+    holds three with rows = 4^L)."""
+    # a span that overflows to inf is refused by the budget, not by int()
+    points = int(min((stop - start) / step, 2.0**62) + 1e-9) + 1
+    check_budget(rows, points, "time grid")
+    return start + step * np.arange(points)
 
 
 def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:

@@ -100,7 +100,10 @@ _MIDDLE_LAYER = {
 }
 
 
-@lru_cache(maxsize=None)
+# levels 1 and 2 exchanged
+_SWAP12 = np.eye(DIM, dtype=complex)[:, [0, 2, 1, 3]]
+
+
 def correction_pair(term_id: int):
     """Fixed local unitaries (P on control, Q on target) wrapped around the
     CSUM ansatz so that (P x Q) ansatz (P x Q)^dag equals the target.
@@ -109,13 +112,12 @@ def correction_pair(term_id: int):
     levels 1 and 2 to move the coupling from the (0,2)/(1,3) pairs onto the
     (0,1)/(2,3) pairs.
     """
-    swap12 = np.eye(DIM, dtype=complex)[:, [0, 2, 1, 3]]
     eye = np.eye(DIM, dtype=complex)
     table = {
         1: (eye, eye),
         2: (np.diag([1, 1, 1j, -1j]).astype(complex), np.diag([1, 1, 1j, 1j]).astype(complex)),
-        3: (np.diag([1, 1j, 1, 1j]) @ swap12, np.diag([1, 1, 1, -1]).astype(complex) @ swap12),
-        4: (np.diag([1, -1j, 1, -1j]) @ swap12, np.diag([1, 1j, 1, -1j]) @ swap12),
+        3: (np.diag([1, 1j, 1, 1j]) @ _SWAP12, np.diag([1, 1, 1, -1]).astype(complex) @ _SWAP12),
+        4: (np.diag([1, -1j, 1, -1j]) @ _SWAP12, np.diag([1, 1j, 1, -1j]) @ _SWAP12),
     }
     return table[term_id]
 
@@ -144,8 +146,7 @@ def _local_unitary_ops(u: np.ndarray, site: int) -> list:
     offdiag = u - np.diag(np.diag(u))
     if np.max(np.abs(offdiag)) < 1e-14:
         return _diagonal_phase_ops(u, site)
-    swap12 = np.eye(DIM, dtype=complex)[:, [0, 2, 1, 3]]
-    d = u @ swap12  # u = d . swap12 when this is diagonal
+    d = u @ _SWAP12  # u = d . swap12 when this is diagonal
     if np.max(np.abs(d - np.diag(np.diag(d)))) > 1e-14:
         raise SynthesisResidual("correction unitary outside the supported family")
     # swap12 = X^{12}_pi . diag(1, i, i, 1), so emit the inner phases first

@@ -10,7 +10,6 @@ import pytest
 
 from ququart_hubbard import acceptance, cli, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
-from ququart_hubbard.errors import ConfigInvalid
 
 
 def run_cli(*argv):
@@ -325,47 +324,6 @@ def test_bad_pairs_exit_one(tmp_path, capsys, pairs):
     assert "config error: pairs:" in capsys.readouterr().err
 
 
-def test_config_file_with_flag_override(tmp_path):
-    config = {
-        "geometry": "chain:2",
-        "J": 1.0,
-        "v": 2.0,
-        "init": "u,d",
-        "tau_start": 0.0,
-        "tau_stop": 0.5,
-        "tau_step": 0.5,
-        "steps": 5,
-        "out": str(tmp_path / "from_config"),
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code = run_cli("evolve", "--config", str(path), "--out", str(tmp_path / "flag_wins"))
-    assert code == 0
-    assert (tmp_path / "flag_wins" / "populations.csv").exists()
-    assert not (tmp_path / "from_config").exists()
-
-
-def test_unknown_config_field_exits_one(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"geomtry": "chain:2"}))
-    assert run_cli("evolve", "--config", str(path)) == 1
-
-
-@pytest.mark.parametrize(
-    "doc", [{"steps": "30"}, {"geometry": 5}, {"init": ["u", "d"]}, {"J": "1"}],
-    ids=["steps", "geometry", "init", "J"],
-)
-def test_config_wrong_type_exits_one(tmp_path, capsys, doc):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"geometry": "chain:2", "init": "u,d", "tau_stop": 0.5,
-                                "steps": 2, **doc}))
-    out = tmp_path / "out"
-    code = run_cli("evolve", "--config", str(path), "--out", str(out))
-    assert code == 1
-    assert f"config error: {next(iter(doc))}:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("observables", ["bogus", "lesser_gf,spectrum", ""])
 def test_unknown_observable_exits_one(tmp_path, capsys, observables):
     code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d",
@@ -405,6 +363,40 @@ def test_non_finite_value_exits_one(tmp_path, capsys, command, flag, value, fiel
                    f"{flag}={value}", "--out", str(out))
     assert code == 1
     assert f"config error: {field}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_greens_refuses_a_time_grid_over_the_dense_budget(tmp_path, capsys, monkeypatch):
+    # chain:2's H needs 16 x 16 x 16 B; one phase matrix over the default
+    # 801-point retarded grid needs 16 x 801 x 16 B
+    out = tmp_path / "out"
+    argv = ("greens", "--geometry", "chain:2", "--init", "u,d", "--observables", "retarded_gf",
+            "--out", str(out))
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 16 * 801 * 16 - 1)
+    assert run_cli(*argv) == 1
+    assert "error: time grid: a dense 16 x 801 complex matrix needs" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 16 * 801 * 16)
+    assert run_cli(*argv) == 0
+
+
+def test_greens_refuses_a_hamiltonian_over_the_dense_budget_before_output(tmp_path, capsys,
+                                                                        monkeypatch):
+    # chain:2's H needs 16 x 16 x 16 B; the 2-point grid needs 16 x 2 x 16 B
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 16 * 16 * 16 - 1)
+    out = tmp_path / "out"
+    assert run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--tmax", "0.05",
+                   "--out", str(out)) == 1
+    assert "error: 2 sites: a dense 16 x 16 complex matrix needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_time_grid_whose_span_overflows_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("evolve", "--geometry", "chain:2", "--init", "u,d", "--tau-start=-1e308",
+                   "--tau-stop=1e308", "--out", str(out))
+    assert code == 1
+    assert "error: time grid: a dense 1 x " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -453,8 +445,7 @@ def test_each_subcommand_mounts_the_fields_it_reads():
     assert sum(len(_reads(command)) for command in cli._COMMANDS) == 32
     for command, sub in subparsers.items():
         declared = [f for f in dataclasses.fields(cli.RunConfig) if f.name in _reads(command)]
-        assert [a.dest for a in sub._actions] == ["help"] + ["config"] * bool(declared) + [
-            f.name for f in declared]
+        assert [a.dest for a in sub._actions] == ["help"] + [f.name for f in declared]
         for f in declared:
             [action] = [a for a in sub._actions if a.dest == f.name]
             [flag] = action.option_strings
@@ -467,45 +458,25 @@ def test_each_subcommand_mounts_the_fields_it_reads():
             assert type(getattr(config, f.name)) is type(f.default)
 
 
-def test_every_field_is_one_config_key(tmp_path):
-    path = tmp_path / "config.json"
-    for f in dataclasses.fields(cli.RunConfig):
-        value = _non_default(f)
-        path.write_text(json.dumps({f.name: list(value) if f.type is tuple else value}))
-        for command in cli._COMMANDS:
-            argv = [command] + ["--config", str(path)] * bool(_reads(command))
-            args = cli.build_parser().parse_args(argv)
-            if f.name in _reads(command):
-                config = cli._build_config(args)
-                assert config == dataclasses.replace(cli.RunConfig(), **{f.name: value})
-            elif _reads(command):
-                with pytest.raises(ConfigInvalid, match=f"config: {command} does not read"):
-                    cli._build_config(args)
-
-
 @pytest.mark.parametrize(
-    "argv,doc,message",
+    "argv,message",
     [
-        (["resources", "--geometry", "1x8", "--J", "7"], None, "unrecognized arguments: --J 7"),
-        (["validate", "--geometry", "chain:2"], None, "unrecognized arguments: --geometry"),
-        (["map", "--steps", "5"], None, "unrecognized arguments: --steps 5"),
-        (["evolve", "--steps", "abc"], None, "argument --steps: invalid int value: 'abc'"),
-        (["map"], {"eta": 0.2}, "config: map does not read 'eta'"),
-        (["greens"], {"observables": []}, "observables: empty"),
+        (["resources", "--geometry", "1x8", "--J", "7"], "unrecognized arguments: --J 7"),
+        (["validate", "--geometry", "chain:2"], "unrecognized arguments: --geometry"),
+        (["map", "--steps", "5"], "unrecognized arguments: --steps 5"),
+        (["evolve", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        *[([command, "--config", "x.json"], "unrecognized arguments: --config x.json")
+          for command in cli._COMMANDS],
     ],
-    ids=["resources-J", "validate-geometry", "map-steps", "evolve-steps-abc", "map-config-eta",
-         "greens-no-observables"],
+    ids=["resources-J", "validate-geometry", "map-steps", "evolve-steps-abc",
+         *[f"{command}-config" for command in cli._COMMANDS]],
 )
-def test_usage_errors_exit_one_and_write_nothing(tmp_path, monkeypatch, capsys, argv, doc,
-                                                 message):
+def test_usage_errors_exit_one_and_write_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
-    if doc is not None:
-        (tmp_path / "config.json").write_text(json.dumps(doc))
-        argv = [*argv, "--config", "config.json"]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
-    assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if doc else [])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -526,11 +497,14 @@ def test_readme_commands_parse():
         cli._build_config(args)
 
 
+_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+
 class _Recording(cli.RunConfig):
     """A RunConfig that records in `reads` which of its fields are read."""
 
     def __getattribute__(self, name):
-        if name in cli._CONFIG_FIELDS:
+        if name in _FIELDS:
             object.__getattribute__(self, "reads").add(name)
         return super().__getattribute__(name)
 
@@ -580,17 +554,6 @@ def test_value_below_its_bound_exits_one(tmp_path, capsys, command, flag, value,
                    "--out", str(out))
     assert code == 1
     assert f"config error: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("text", [None, "{", "[1, 2]"], ids=["missing", "invalid", "not-object"])
-def test_bad_config_document_exits_one(tmp_path, capsys, text):
-    path = tmp_path / "config.json"
-    if text is not None:
-        path.write_text(text)
-    out = tmp_path / "out"
-    assert run_cli("evolve", "--config", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith("config error: config: ")
     assert not out.exists()
 
 

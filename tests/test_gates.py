@@ -320,8 +320,7 @@ def test_fused_json_reloaded_circuit(tmp_path):
 
 @pytest.mark.parametrize("steps", [2, 3, 5, 7, 0, -1, "3", None])
 def test_fused_ignores_wrong_steps_metadata(steps):
-    # metadata never steers simulation; flat files written before `repeat`
-    # existed still carry a "steps" entry
+    # metadata never steers simulation, whatever "steps" entry it carries
     honest = chain_circuit(2, 3)
     # a flat circuit whose last step differs from the first two in one angle
     tampered = list(honest.ops)
@@ -509,6 +508,7 @@ MALFORMED_DOCUMENTS = {
     "levels out of order": (lambda doc: doc["ops"][0].update(j=2, k=1), InvalidSubspace),
     "unknown axis": (lambda doc: doc["ops"][0].update(axis="w"), InvalidSubspace),
     "no sites": (lambda doc: doc.pop("sites"), InvalidCircuit),
+    "no repeat": (lambda doc: doc.pop("repeat"), InvalidCircuit),
     "sites as a string": (lambda doc: doc.update(sites="2"), InvalidCircuit),
     "unknown kind": (lambda doc: doc["ops"][1].update(kind="swap"), InvalidCircuit),
     "unknown field": (lambda doc: doc["ops"][1].update(phase=0.5), InvalidCircuit),
@@ -561,21 +561,6 @@ def test_circuit_json_keeps_repeat_and_writes_one_step(tmp_path):
     assert loaded == circuit and loaded.repeat == 5
     assert list(map(type, loaded.segments)) == list(map(type, circuit.segments))
     assert gates.count_gates(loaded) == gates.count_gates(Circuit(3, circuit.ops))
-
-
-def test_flat_circuit_document_loads_with_repeat_one(tmp_path):
-    # the format before `repeat`: every step written out, "steps" in metadata
-    circuit = chain_circuit(2, 3)
-    doc = gates.circuit_to_json_dict(circuit)
-    doc["ops"] = doc["ops"] * doc.pop("repeat")
-    doc["metadata"]["steps"] = 3
-    path = tmp_path / "circuit.json"
-    path.write_text(json.dumps(doc))
-    loaded = gates.load_circuit(path)
-    assert loaded.repeat == 1 and loaded.ops == circuit.ops
-    state = random_state(2)
-    deviation = gates.simulate(loaded, state) - gates.simulate(circuit, state)
-    assert float(np.max(np.abs(deviation))) <= 1e-12
 
 
 def test_circuit_document_without_segments_loads(tmp_path):

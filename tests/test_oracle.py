@@ -9,7 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import DimensionTooLarge, EmptySeries
-from ququart_hubbard.oracle import ExactPropagator, GreensSeries
+from ququart_hubbard.oracle import GreensSeries
 
 # --- Kronecker-string reference -------------------------------------------
 # The construction the index maps replaced: c on mode k of n is
@@ -149,19 +149,20 @@ def test_propagator_against_pade_expm():
     # independent second propagation route for the four-site reference point
     geom = mapping.chain(4)
     h = oracle.fermionic_hamiltonian(geom, 1.0, 2.0)
-    prop = ExactPropagator(h)
-    psi0 = fock_vector(("u", "ud", "u", "d"))
+    tokens = ("u", "ud", "u", "d")
+    psi0 = fock_vector(tokens)
     tau = 2.5
-    ours = prop.evolve(psi0, [tau])[:, 0]
+    ours = oracle._sector_evolve(h, np.arange(len(h)), oracle.fock_index(tokens), [tau])[:, 0]
     reference = scipy.linalg.expm(-1j * tau * h) @ psi0
     assert np.max(np.abs(ours - reference)) < 1e-10
 
 
 def test_evolve_grid_matches_expm_with_exact_origin():
     h = oracle.fermionic_hamiltonian(mapping.ladder(2, 2), 1.0, 2.0)
-    psi0 = fock_vector(("ud", "u", "0", "d"))
+    tokens = ("ud", "u", "0", "d")
+    psi0 = fock_vector(tokens)
     times = [0.0, 0.4, 1.3, 0.0, 7.9]
-    out = ExactPropagator(h).evolve(psi0, times)
+    out = oracle._sector_evolve(h, np.arange(len(h)), oracle.fock_index(tokens), times)
     assert out.shape == (len(psi0), len(times))
     assert np.array_equal(out[:, 0], psi0) and np.array_equal(out[:, 3], psi0)
     for k, t in enumerate(times):
