@@ -194,15 +194,16 @@ def cmd_map(config: RunConfig) -> int:
 
 
 def cmd_transpile(config: RunConfig) -> int:
-    out = _ensure_out(config)
     geometry = config.geometry_obj()
     mh = mapping.build_mapped_hamiltonian(geometry, config.J, config.v)
     tau = config.tau_start
     circuit = transpile.trotter_step_circuit(mh, tau, config.steps)
+    term_angle = transpile.hopping_angle(mh.J, tau / config.steps)
+    # the residual gate raises before anything is written
+    reports = [transpile.synthesis_report(i, term_angle) for i in transpile.HOPPING_TERM_IDS]
+    out = _ensure_out(config)
     circuit_path = out / "circuit.json"
     gates.save_circuit(circuit, circuit_path)
-    term_angle = transpile.hopping_angle(mh.J, tau / config.steps)
-    reports = [transpile.synthesis_report(i, term_angle) for i in transpile.HOPPING_TERM_IDS]
     report = {
         "geometry": geometry.label,
         "tau": tau,
@@ -225,8 +226,8 @@ def cmd_evolve(config: RunConfig) -> int:
     geometry = config.geometry_obj()
     taus = config.tau_grid()
     tokens = config.require_init()
-    out = _ensure_out(config)
     rows = emulate.population_grid(geometry, config.J, config.v, tokens, taus, config.steps)
+    out = _ensure_out(config)
     _write_csv(out / "populations.csv",
                ["tau", "n", "site", "spin", "circuit_value", "oracle_value", "abs_error"],
                ((r.tau, r.steps, r.site, r.spin, r.circuit_value, r.oracle_value, r.abs_error)
@@ -244,6 +245,8 @@ def cmd_greens(config: RunConfig) -> int:
         for i, j, spin in pairs:
             if i != j:
                 raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
+    if "lesser_gf" in config.observables:
+        emulate.require_chain(geometry)
     times = oracle.uniform_grid(0.0, config.t_max, config.dt, 4**geometry.site_count)
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
     out = _ensure_out(config)

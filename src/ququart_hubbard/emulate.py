@@ -40,7 +40,7 @@ def circuit_populations(state: np.ndarray, site_count: int) -> dict:
     return out
 
 
-def _require_chain(geometry: LatticeGeometry) -> None:
+def require_chain(geometry: LatticeGeometry) -> None:
     """Refuse circuit dynamics off chains: emitted ladder rung circuits omit
     the intervening Gt string, so their populations would be wrong."""
     if geometry.kind != "chain":
@@ -73,7 +73,7 @@ def population_grid(
     steps: int,
 ) -> list:
     """Trotter-circuit vs exact populations for every (tau, site, spin)."""
-    _require_chain(geometry)
+    require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     exact = oracle.exact_populations(h_exact, tokens, taus)
@@ -109,7 +109,7 @@ def lesser_gf_circuit(
     `mapping.apply_fermion`. Global phases of U cancel between the two
     propagated vectors.
     """
-    _require_chain(geometry)
+    require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     L = geometry.site_count
     psi0 = mapping.product_state(tokens)

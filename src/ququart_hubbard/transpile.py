@@ -15,10 +15,11 @@ the target:
     CSUM (g (x) I) CSUM^dag = sum_{n n'} g_{n n'} |n><n'| (x) Xt^{n - n'},
 
 so a middle layer of (0,2)/(1,3) rotations sandwiched between CSUM^dag and
-CSUM reproduces each h_i up to fixed local relabelings. Term 1 needs no
-correction. Term 2 needs only diagonal (virtual-Z) corrections. Terms 3
-and 4 additionally need a level-(1,2) swap on both qudits, realized as one
-physical X^{12}_pi pulse plus virtual-Z phases per side.
+CSUM reproduces each h_i up to fixed local corrections. One table,
+`_PIECES`, holds each piece's middle layer and corrections. Term 1 needs no
+correction. Term 2 needs only diagonal (virtual-Z) phases. Terms 3 and 4
+first swap levels 1 and 2 on both qudits, moving the coupling onto the
+(0,1)/(2,3) pairs; each swap is one X^{12}_pi pulse plus virtual-Z phases.
 
 Under the half-angle rotation convention the middle-layer angles are twice
 the evolution angle tau. Each piece costs 2 CSUMs, so a bond costs 8 per
@@ -35,6 +36,7 @@ pulses. `trotter_step_circuit` joins the parts into one circuit step, and
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +47,23 @@ from .gates import Circuit, Csum, Rotation, Segment
 from .linalg import phase_aligned_distance
 from .mapping import MappedHamiltonian, hopping_local_factors
 
-HOPPING_TERM_IDS = (1, 2, 3, 4)
+
+class _Piece(NamedTuple):
+    middle: tuple  # (axis, level pair m, sign) rotations on the control
+    control: tuple  # diagonal of the control correction P
+    target: tuple  # diagonal of the target correction Q
+    swap: bool  # P and Q exchange levels 1 and 2 before their phases
+
+
+# Per hopping piece: the middle layer between CSUM^dag and CSUM, and the
+# corrections P, Q with (P x Q) ansatz (P x Q)^dag = e^{-i h_i tau}.
+_PIECES = {
+    1: _Piece((("x", 0, +1.0), ("x", 1, -1.0)), (1, 1, 1, 1), (1, 1, 1, 1), False),
+    2: _Piece((("x", 0, +1.0), ("x", 1, +1.0)), (1, 1, 1j, -1j), (1, 1, 1j, 1j), False),
+    3: _Piece((("y", 0, -1.0), ("y", 1, -1.0)), (1, 1j, 1, 1j), (1, 1, 1, -1), True),
+    4: _Piece((("x", 0, -1.0), ("x", 1, -1.0)), (1, -1j, 1, -1j), (1, 1j, 1, -1j), True),
+}
+HOPPING_TERM_IDS = tuple(_PIECES)
 
 
 @dataclass(frozen=True)
@@ -89,77 +107,33 @@ def hopping_target(term_id: int, tau: float) -> np.ndarray:
     return np.cos(tau) * np.eye(DIM * DIM) - 1j * np.sin(tau) * h
 
 
-# Middle layer on the control qudit, as (axis, level pair m, sign) entries:
-# term 1: X^{02}_{+} X^{13}_{-}, term 2: X^{02}_{+} X^{13}_{+},
-# term 3: Y^{02}_{-} Y^{13}_{-}, term 4: X^{02}_{-} X^{13}_{-}.
-_MIDDLE_LAYER = {
-    1: (("x", 0, +1.0), ("x", 1, -1.0)),
-    2: (("x", 0, +1.0), ("x", 1, +1.0)),
-    3: (("y", 0, -1.0), ("y", 1, -1.0)),
-    4: (("x", 0, -1.0), ("x", 1, -1.0)),
-}
-
-
-# levels 1 and 2 exchanged
-_SWAP12 = np.eye(DIM, dtype=complex)[:, [0, 2, 1, 3]]
-
-
-def correction_pair(term_id: int):
-    """Fixed local unitaries (P on control, Q on target) wrapped around the
-    CSUM ansatz so that (P x Q) ansatz (P x Q)^dag equals the target.
-
-    Diagonal entries re-phase the level pairs; terms 3 and 4 first swap
-    levels 1 and 2 to move the coupling from the (0,2)/(1,3) pairs onto the
-    (0,1)/(2,3) pairs.
-    """
-    eye = np.eye(DIM, dtype=complex)
-    table = {
-        1: (eye, eye),
-        2: (np.diag([1, 1, 1j, -1j]).astype(complex), np.diag([1, 1, 1j, 1j]).astype(complex)),
-        3: (np.diag([1, 1j, 1, 1j]) @ _SWAP12, np.diag([1, 1, 1, -1]).astype(complex) @ _SWAP12),
-        4: (np.diag([1, -1j, 1, -1j]) @ _SWAP12, np.diag([1, 1j, 1, -1j]) @ _SWAP12),
-    }
-    return table[term_id]
-
-
-def _diagonal_phase_ops(diag: np.ndarray, site: int) -> list:
-    """Virtual-Z sequence realizing a diagonal unitary up to global phase.
+def _diagonal_phase_ops(phases, site: int) -> list:
+    """Virtual-Z sequence realizing diag(phases) up to global phase.
 
     Solves Z^{01}_a Z^{02}_b Z^{03}_c = diag up to phase; zero-angle ops
     are dropped.
     """
-    phases = np.angle(np.diag(diag))
+    phases = np.angle(np.asarray(phases, dtype=complex))
     delta = phases[1:] - phases[0]
     s = delta.sum() / 2.0
     angles = 2.0 * delta - s
+    return [Rotation(site, 0, level, "z", float(angle), virtual=True)
+            for level, angle in zip((1, 2, 3), angles) if abs(angle) > 1e-14]
+
+
+def _correction_ops(phases, swap: bool, site: int) -> list:
+    """Gate sequence for diag(phases), after a level-(1,2) swap if `swap`.
+    The swap is X^{12}_pi . diag(1, i, i, 1), so its inner phases come first."""
     ops = []
-    for level, angle in zip((1, 2, 3), angles):
-        if abs(angle) > 1e-14:
-            ops.append(Rotation(site, 0, level, "z", float(angle), virtual=True))
-    return ops
-
-
-def _local_unitary_ops(u: np.ndarray, site: int) -> list:
-    """Gate sequence for the correction unitaries (diagonal, or diagonal
-    after a level-(1,2) swap). Product of the returned ops equals u up to
-    global phase."""
-    offdiag = u - np.diag(np.diag(u))
-    if np.max(np.abs(offdiag)) < 1e-14:
-        return _diagonal_phase_ops(u, site)
-    d = u @ _SWAP12  # u = d . swap12 when this is diagonal
-    if np.max(np.abs(d - np.diag(np.diag(d)))) > 1e-14:
-        raise SynthesisResidual("correction unitary outside the supported family")
-    # swap12 = X^{12}_pi . diag(1, i, i, 1), so emit the inner phases first
-    ops = _diagonal_phase_ops(np.diag([1, 1j, 1j, 1]).astype(complex), site)
-    ops.append(Rotation(site, 1, 2, "x", float(np.pi)))
-    ops.extend(_diagonal_phase_ops(d, site))
-    return ops
+    if swap:
+        ops = _diagonal_phase_ops((1, 1j, 1j, 1), site) + [Rotation(site, 1, 2, "x", float(np.pi))]
+    return ops + _diagonal_phase_ops(phases, site)
 
 
 def _middle_ops(term_id: int, tau: float, site: int) -> list:
     """Middle single-qudit layer; angles are 2*tau under the half-angle
     convention. Non-adjacent rotations decompose into three pulses each."""
-    return [op for axis, m, sign in _MIDDLE_LAYER[term_id]
+    return [op for axis, m, sign in _PIECES[term_id].middle
             for op in gates.nonadjacent(axis, m, 2.0 * sign * tau, site)]
 
 
@@ -168,8 +142,9 @@ def _sandwich_ops(term_id: int, control: int, target: int) -> tuple:
     """The tau-independent segments around a term's middle layer: (the
     inverse corrections, then CSUM^dag), and (CSUM, then the corrections
     P, Q). Cached, so every circuit shares them and their fused blocks."""
-    p, q = correction_pair(term_id)
-    p_ops, q_ops = _local_unitary_ops(p, control), _local_unitary_ops(q, target)
+    piece = _PIECES[term_id]
+    p_ops = _correction_ops(piece.control, piece.swap, control)
+    q_ops = _correction_ops(piece.target, piece.swap, target)
     before = [gates.gate_inverse(op) for op in reversed(p_ops)]
     before += [gates.gate_inverse(op) for op in reversed(q_ops)]
     before.append(Csum(control, target, adjoint=True))
@@ -216,12 +191,9 @@ def interaction_layer_ops(site: int, v: float, prefactor: float, dt: float) -> l
 
 
 def _bond_layers(geometry) -> list:
-    """Bond groups applied in sequence inside one step (brick pattern)."""
-    if geometry.kind == "chain":
-        odd = [b for b in geometry.bonds if b[0] % 2 == 1]
-        even = [b for b in geometry.bonds if b[0] % 2 == 0]
-        return [layer for layer in (odd, even) if layer]
-    cols = geometry.site_count // 2
+    """Bond groups applied in sequence inside one step (brick pattern): horizontal
+    bonds from odd columns, then from even columns, then rungs; a chain has L columns."""
+    cols = geometry.site_count // (2 if geometry.kind == "ladder" else 1)
     horiz = [b for b in geometry.bonds if b[1] - b[0] == 1]
     rungs = [b for b in geometry.bonds if b[1] - b[0] == cols]
     odd = [b for b in horiz if (b[0] - 1) % cols % 2 == 0]

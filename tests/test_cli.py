@@ -295,10 +295,17 @@ def test_validate_failure_exits_two(monkeypatch, capsys):
     ]
 
 
+def flip_piece_one(monkeypatch):
+    """Give hopping piece 1 the wrong middle-layer sign on its (0,2) pair."""
+    piece = transpile._PIECES[1]
+    monkeypatch.setitem(transpile._PIECES, 1,
+                        piece._replace(middle=(("x", 0, -1.0), ("x", 1, -1.0))))
+
+
 def test_validate_reports_a_missed_synthesis_and_goes_on(monkeypatch, capsys):
     fidelity = next(c for c in acceptance.CHECKS if c.name == "criterion_5_transpiler_fidelity")
     monkeypatch.setattr(acceptance, "CHECKS", (fidelity, fake_check(6, True)))
-    monkeypatch.setitem(transpile._MIDDLE_LAYER, 1, (("x", 0, -1.0), ("x", 1, -1.0)))
+    flip_piece_one(monkeypatch)
     assert run_cli("validate") == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
@@ -309,11 +316,21 @@ def test_validate_reports_a_missed_synthesis_and_goes_on(monkeypatch, capsys):
 @pytest.mark.parametrize("command,flag", [("evolve", "--tau-stop"), ("greens", "--tmax")],
                          ids=["evolve", "greens"])
 def test_ladder_dynamics_refused(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
     code = run_cli(command, "--geometry", "ladder:2x2", "--init", "u,d,0,0",
-                   flag, "0.5", "--steps", "2", "--out", str(tmp_path))
+                   flag, "0.5", "--steps", "2", "--out", str(out))
     assert code == 1
     assert "ladder(2,2) are not supported" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
+
+
+def test_transpile_writes_nothing_when_the_residual_gate_fails(tmp_path, capsys, monkeypatch):
+    flip_piece_one(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("transpile", "--geometry", "chain:2", "--tau-start", "1.0", "--steps", "3",
+                   "--out", str(out)) == 3
+    assert "synthesis residual: term 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pairs", ["5,5,up", "0,1,up", "1,x,up"])
@@ -387,6 +404,16 @@ def test_greens_refuses_a_hamiltonian_over_the_dense_budget_before_output(tmp_pa
     out = tmp_path / "out"
     assert run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--tmax", "0.05",
                    "--out", str(out)) == 1
+    assert "error: 2 sites: a dense 16 x 16 complex matrix needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_a_hamiltonian_over_the_dense_budget_before_output(tmp_path, capsys,
+                                                                        monkeypatch):
+    # chain:2's H needs 16 x 16 x 16 B; the default tau grid needs 1 x 10 x 16 B
+    monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 16 * 16 * 16 - 1)
+    out = tmp_path / "out"
+    assert run_cli("evolve", "--geometry", "chain:2", "--init", "u,d", "--out", str(out)) == 1
     assert "error: 2 sites: a dense 16 x 16 complex matrix needs" in capsys.readouterr().err
     assert not out.exists()
 

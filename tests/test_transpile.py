@@ -283,8 +283,10 @@ def test_brick_pattern_orders_odd_before_even():
 STEP_DIGESTS = {
     ("chain:4", 0.3): "c04a73a39407e8f87c9b122d611d230f30ecbe8b35a79f6619666d1d72f7dc25",
     ("chain:4", 2.7): "423c492e6809f25fa8366dbb1dc77abc3ffed71a1e8162c9929433581dfd506c",
+    ("chain:5", 0.3): "0476268c90c76f34297ed9ef22f2c1945597abb6bae212790939bdea0a4f56c1",
     ("chain:8", 0.3): "b02bad9c916153ae4d4309e03e0790b7e8fd37680c18ed6f3c583a39dfcd4929",
     ("chain:8", 2.7): "ceb80e47f97fa601aa25344f142cea0f60485b2cce01936ec1e4fef78a0d1bda",
+    ("ladder:2x3", 0.3): "e0339760649dbd95c5ecbf71be8b6372cecfac6a1fbeac69fc3a5dace8b8aac8",
     ("ladder:2x4", 0.3): "a92b40f2cd740bd24f9110d0ff23400cc7ddbcf6ca67046f5cf1a0994e9abfea",
     ("ladder:2x4", 2.7): "6c72e80c6707eb3252db6731214e214a4d363db31e1000830ee117fcbcefb98d",
 }
