@@ -241,13 +241,17 @@ def cmd_greens(config: RunConfig) -> int:
     geometry = config.geometry_obj()
     tokens = config.require_init()
     pairs = config.parsed_pairs()
+    retarded = "retarded_gf" in config.observables or "spectral" in config.observables
+    if retarded:
+        times = oracle.uniform_grid(0.0, config.t_max, config.dt, 4**geometry.site_count)
     if "spectral" in config.observables:
+        if len(times) < 2:
+            raise ConfigInvalid(f"t_max: spectral needs t_max >= dt, got {len(times)} time point")
         for i, j, spin in pairs:
             if i != j:
                 raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
     if "lesser_gf" in config.observables:
         emulate.require_chain(geometry)
-    times = oracle.uniform_grid(0.0, config.t_max, config.dt, 4**geometry.site_count)
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
     out = _ensure_out(config)
     worst = 0.0
@@ -261,7 +265,7 @@ def cmd_greens(config: RunConfig) -> int:
             for series, tag in ((circ, "circuit"), (orac, "oracle")):
                 _write_series(out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv", series)
             worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
-        if "retarded_gf" in config.observables or "spectral" in config.observables:
+        if retarded:
             series = oracle.retarded_series(
                 h_exact, config.beta, i, j, spin, times,
                 geometry.site_count, config.J, config.v,

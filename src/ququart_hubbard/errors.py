@@ -38,4 +38,4 @@ class ConfigInvalid(QuquartError):
 
 
 class EmptySeries(QuquartError):
-    """A time series with no samples was passed to a transform."""
+    """A time series of fewer than two samples was passed to a transform."""

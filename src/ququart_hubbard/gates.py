@@ -1,10 +1,8 @@
 """Circuit representation and dense statevector simulator for ququart registers.
 
-A circuit is one step, applied `repeat` times to a register of L
-four-level sites (register positions are 0-based). The step is held as
-`segments`: each item is a gate op, or a `Segment`, an op tuple that fuses
-itself once and keeps its blocks. `step` is the flat op sequence and
-`ops` is `step * repeat`. Two gate kinds exist:
+A circuit is one step, a flat tuple of gate ops, applied `repeat` times to
+a register of L four-level sites (register positions are 0-based); `ops`
+is `step * repeat`. Two gate kinds exist:
 
   Rotation  -- single-qudit subspace rotation X/Y/Z^{jk}_phi; z-axis
                rotations may be flagged virtual (frame bookkeeping, zero
@@ -14,26 +12,24 @@ itself once and keeps its blocks. `step` is the flat op sequence and
                permutation |n, m> -> |n, m - n mod 4>, so CSUM^4 = I.
 
 `nonadjacent` splits an X or Y rotation on levels (0,2) or (1,3) into
-three adjacent-level pulses. Circuit JSON writes and reads each op as its
-`_KINDS` name plus its dataclass fields, and each segment as a list of ops.
+three adjacent-level pulses. Circuit JSON writes and reads the step as one
+list of op objects, each its `_KINDS` name plus its dataclass fields.
 
 Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
 or two ascending sites, applied by `linalg.apply_local`: one np.matmul
 against the batch-leading (B, 4^L) state array, with no 4^L x 4^L
 embedding. `simulate` fuses the step greedily, as qsim's gate fuser does
-(Isakov et al., arXiv:2111.02396), from each gate op's matrix and each
-segment's cached blocks: one-site matrices collect per site, and each
-two-site matrix multiplies into the latest block its two sites share or
-else opens a new 16x16 block. Emitted steps hold each hopping piece's CSUM
-sandwiches as cached segments, so only its six middle pulses and the
-on-site triples are multiplied per tau; a chain(L) step collapses to
-L - 1 blocks, applied `repeat` times.
+(Isakov et al., arXiv:2111.02396): one-site matrices collect per site, and
+each two-site matrix multiplies into the latest block its two sites share
+or else opens a new 16x16 block. A chain(L) step collapses to L - 1
+blocks, applied `repeat` times.
 
 `simulate_grid` runs a whole time grid at once. A `Grid` of circuits
-fuses each structure group (sites per op, identity per segment) in one
-pass on first use and keeps the blocks, each op position a (T, d, d)
-stack of matrices; per call each block is one stacked matmul over the
-runs. `simulate` is the grid of one circuit.
+fuses each structure group (the sites of each op) in one pass on first
+use and keeps the blocks. Each op position is one matrix when every run
+holds the same op object (the cached pulses of `transpile`), else a
+(T, d, d) stack of the runs' matrices; per call each block is one stacked
+matmul over the runs. `simulate` is the grid of one circuit.
 """
 
 import json
@@ -78,24 +74,10 @@ class Csum:
 GateOp = Rotation | Csum
 
 
-class Segment(tuple):
-    """An op sequence kept together in a circuit. Its fused blocks are
-    computed on first use and kept, so a segment shared between circuits
-    (the cached CSUM sandwiches of `transpile`) is multiplied once."""
-
-    @cached_property
-    def blocks(self) -> tuple:
-        return tuple((sites, _frozen(m)) for sites, m in _fuse(self))
-
-    @cached_property
-    def sites(self) -> frozenset:
-        return frozenset(s for op in self for s in _op_sites(op))
-
-
 @dataclass(frozen=True)
 class Circuit:
     site_count: int
-    segments: tuple = ()  # gate ops and Segments, in application order
+    step: tuple = ()  # the gate ops of one step, in application order
     metadata: dict = field(default_factory=dict)
     repeat: int = 1
 
@@ -103,18 +85,10 @@ class Circuit:
         for name, value in (("sites", self.site_count), ("repeat", self.repeat)):
             if type(value) is not int or value < 1:
                 raise InvalidCircuit(f"{name} must be an int >= 1, got {value!r}")
-        for item in self.segments:
-            for s in item.sites if isinstance(item, Segment) else _op_sites(item):
+        for op in self.step:
+            for s in _op_sites(op):
                 if not 0 <= s < self.site_count:
-                    raise SiteOutOfRange(
-                        f"{item} touches site {s}, register has {self.site_count}"
-                    )
-
-    @property
-    def step(self) -> tuple:
-        """The flat op sequence of one step, segments unpacked."""
-        return tuple(op for item in self.segments
-                     for op in (item if isinstance(item, Segment) else (item,)))
+                    raise SiteOutOfRange(f"{op} touches site {s}, register has {self.site_count}")
 
     @property
     def ops(self) -> tuple:
@@ -191,25 +165,22 @@ def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _local_matrices(items):
-    """(sites, matrix) of each item: a gate op's own matrix, the cached
-    blocks of a segment, or, for a plain tuple holding one op per run of a
-    grid, the (T, d, d) stack of their matrices (one shared matrix when
-    every run has the same one)."""
+    """(sites, matrix) of each item: a gate op's own matrix or, for a tuple
+    holding one op per run of a grid, the one matrix of an op object every
+    run holds, else the (T, d, d) stack of the runs' matrices."""
     for item in items:
-        if isinstance(item, Segment):
-            yield from item.blocks
-        elif isinstance(item, tuple):
-            ms = [gate_matrix(op) for op in item]
-            shared = all(m is ms[0] for m in ms)
-            yield _op_sites(item[0]), ms[0] if shared else np.stack(ms)
-        else:
+        if not isinstance(item, tuple):
             yield _op_sites(item), gate_matrix(item)
+        elif all(op is item[0] for op in item):
+            yield _op_sites(item[0]), gate_matrix(item[0])
+        else:
+            yield _op_sites(item[0]), np.stack([gate_matrix(op) for op in item])
 
 
 def _fuse(items) -> list:
-    """Greedy two-site fusion of gate ops and segments into [sites, matrix]
-    blocks. With per-run op tuples (`_local_matrices`), every product
-    broadcasts over the runs' leading axis: one pass fuses a whole grid.
+    """Greedy two-site fusion of gate ops into [sites, matrix] blocks. With
+    per-run op tuples (`_local_matrices`), every product broadcasts over the
+    runs' leading axis: one pass fuses a whole grid.
 
     One-site matrices collect per site into a pending 4x4. A two-site
     matrix takes the pending 4x4s of its sites with it and multiplies into
@@ -247,19 +218,16 @@ def _fuse(items) -> list:
 
 
 def _structure(circuit: Circuit) -> tuple:
-    """What `_fuse` decides from: site count, repeat, and per item the
-    identity of a segment or the sites of an op."""
-    return (circuit.site_count, circuit.repeat,
-            tuple(id(item) if isinstance(item, Segment) else _op_sites(item)
-                  for item in circuit.segments))
+    """What `_fuse` decides from: site count, repeat and the sites of each op."""
+    return circuit.site_count, circuit.repeat, tuple(map(_op_sites, circuit.step))
 
 
 class Grid(tuple):
     """Circuits run on one start state, such as a tau grid. Circuits of one
-    structure (a tau grid's nonzero taus) fuse in one pass: a shared segment
-    gives its cached blocks, each op position a (T, d, d) stack of the
-    circuits' matrices. The blocks are kept, so a grid shared between calls
-    (`transpile.trotter_grid`) is fused once."""
+    structure (a tau grid's nonzero taus) fuse in one pass over their steps'
+    columns: one matrix where every circuit holds the same op object, else a
+    (T, d, d) stack of the circuits' matrices. The blocks are kept, so a
+    grid shared between calls (`transpile.trotter_grid`) is fused once."""
 
     @cached_property
     def chunks(self) -> tuple:
@@ -271,9 +239,7 @@ class Grid(tuple):
         chunks = []
         for idx in groups.values():
             first = self[idx[0]]
-            items = first.segments if len(idx) == 1 else [
-                col[0] if isinstance(col[0], Segment) else col
-                for col in zip(*(self[t].segments for t in idx))]
+            items = first.step if len(idx) == 1 else list(zip(*(self[t].step for t in idx)))
             blocks = tuple((sites, _frozen(m)) for sites, m in _fuse(items))
             chunks.append((idx, first.site_count, blocks * first.repeat))
         return tuple(chunks)
@@ -313,8 +279,8 @@ def simulate_grid(circuits, state: np.ndarray) -> np.ndarray:
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
-    array of them: fuse the step's segments into two-site blocks once, then
-    apply the block list `repeat` times."""
+    array of them: fuse the step into two-site blocks once, then apply the
+    block list `repeat` times."""
     return simulate_grid([circuit], state)[0]
 
 
@@ -379,29 +345,27 @@ def _op_doc(op: GateOp) -> dict:
 
 
 def _doc_op(entry: dict) -> GateOp:
-    fields = dict(entry)
+    fields = {**entry}  # a TypeError unless the entry is an object
     return _KINDS[fields.pop("kind")](**fields)
 
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:
-    """The step as "ops": one entry per item, an op's object or a
-    segment's list of op objects."""
-    ops = [list(map(_op_doc, item)) if isinstance(item, Segment) else _op_doc(item)
-           for item in circuit.segments]
-    doc = {"sites": circuit.site_count, "ops": ops, "repeat": circuit.repeat}
+    """The step as "ops", one op object per gate op."""
+    doc = {"sites": circuit.site_count, "ops": list(map(_op_doc, circuit.step)),
+           "repeat": circuit.repeat}
     if circuit.metadata:
         doc["metadata"] = dict(circuit.metadata)
     return doc
 
 
 def circuit_from_json_dict(doc: dict) -> Circuit:
-    """Inverse of `circuit_to_json_dict`. A missing key, an unknown op kind
-    or a missing or unknown op field raises InvalidCircuit; an op's own
-    check raises InvalidSubspace or SiteOutOfRange."""
+    """Inverse of `circuit_to_json_dict`. A missing key, an "ops" entry that
+    is not an op object, an unknown op kind or a missing or unknown op field
+    raises InvalidCircuit; an op's own check raises InvalidSubspace or
+    SiteOutOfRange."""
     try:
-        items = tuple(Segment(map(_doc_op, entry)) if isinstance(entry, list) else _doc_op(entry)
-                      for entry in doc["ops"])
-        return Circuit(doc["sites"], items, doc.get("metadata", {}), doc["repeat"])
+        ops = tuple(map(_doc_op, doc["ops"]))
+        return Circuit(doc["sites"], ops, doc.get("metadata", {}), doc["repeat"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
 

@@ -234,24 +234,22 @@ def uniform_grid(start: float, stop: float, step: float, rows: int = 1) -> np.nd
 def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     """Damped one-sided transform G(w) = sum_t dt e^{i w t} e^{-eta t} G(t).
 
-    The grid must be uniform. The final sample enters with half weight;
+    The grid must be uniform, with at least two samples (else EmptySeries:
+    one sample has no dt). The final sample enters with half weight;
     the t = 0 sample of a retarded series already carries theta(0) = 0.5,
     which supplies the correct boundary half-weight of the underlying
     discontinuous integrand, so it keeps unit weight here.
     """
-    if len(series.times) == 0:
-        raise EmptySeries("cannot transform an empty series")
+    if len(series.times) < 2:
+        raise EmptySeries(f"cannot transform a series of {len(series.times)} samples")
     times = np.asarray(series.times, dtype=float)
-    if len(times) > 1:
-        steps = np.diff(times)
-        dt = steps[0]
-        if np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
-            raise ValueError("time grid must be uniform")
-    else:
-        dt = 1.0
+    steps = np.diff(times)
+    dt = steps[0]
+    if np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
+        raise ValueError("time grid must be uniform")
     weights = np.full(len(times), dt)
     weights[-1] *= 0.5
-    if series.kind != "retarded" and len(times) > 1:
+    if series.kind != "retarded":
         weights[0] *= 0.5
     damped = series.values * np.exp(-eta * times) * weights
     # uniform grid: e^{i w t_k} = e^{i w t_0} z^k with z = e^{i w dt}

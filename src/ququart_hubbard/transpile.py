@@ -28,8 +28,8 @@ step.
 `step_layers` is the one definition of a Trotter step: an on-site
 virtual-Z layer, then the brick groups of bonds, each layer a list of
 site-disjoint parts. A hopping piece is its two tau-independent sandwiches,
-cached `gates.Segment`s that fuse once per process, around the six middle
-pulses. `trotter_step_circuit` joins the parts into one circuit step, and
+op tuples cached once per process, around the six middle pulses.
+`trotter_step_circuit` joins the parts into one flat circuit step, and
 `resources.qfm_resources` tallies gate counts and step time from it.
 `trotter_grid` emits a time grid's circuits once per process.
 """
@@ -43,7 +43,7 @@ import numpy as np
 from . import gates
 from .errors import SynthesisResidual
 from .gamma import DIM
-from .gates import Circuit, Csum, Rotation, Segment
+from .gates import Circuit, Csum, Rotation
 from .linalg import phase_aligned_distance
 from .mapping import MappedHamiltonian, hopping_local_factors
 
@@ -139,27 +139,28 @@ def _middle_ops(term_id: int, tau: float, site: int) -> list:
 
 @lru_cache(maxsize=None)
 def _sandwich_ops(term_id: int, control: int, target: int) -> tuple:
-    """The tau-independent segments around a term's middle layer: (the
+    """The tau-independent op tuples around a term's middle layer: (the
     inverse corrections, then CSUM^dag), and (CSUM, then the corrections
-    P, Q). Cached, so every circuit shares them and their fused blocks."""
+    P, Q). Cached, so every circuit holds the same op objects and a grid
+    column of them fuses as one matrix (`gates.Grid`)."""
     piece = _PIECES[term_id]
     p_ops = _correction_ops(piece.control, piece.swap, control)
     q_ops = _correction_ops(piece.target, piece.swap, target)
     before = [gates.gate_inverse(op) for op in reversed(p_ops)]
     before += [gates.gate_inverse(op) for op in reversed(q_ops)]
     before.append(Csum(control, target, adjoint=True))
-    return Segment(before), Segment((Csum(control, target, adjoint=False), *p_ops, *q_ops))
+    return tuple(before), (Csum(control, target, adjoint=False), *p_ops, *q_ops)
 
 
 def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> list:
-    """Circuit items realizing e^{-i h_i tau} on (control, target): the
-    `before` segment, the six middle pulses, the `after` segment."""
+    """Gate ops realizing e^{-i h_i tau} on (control, target): the `before`
+    sandwich, the six middle pulses, the `after` sandwich."""
     if term_id not in HOPPING_TERM_IDS:
         raise KeyError(f"hopping term id must be 1..4, got {term_id}")
     if tau == 0.0:
         return []
     before, after = _sandwich_ops(term_id, control, target)
-    return [before, *_middle_ops(term_id, tau, control), after]
+    return [*before, *_middle_ops(term_id, tau, control), *after]
 
 
 RESIDUAL_TOL = 1e-8
@@ -209,7 +210,7 @@ def hopping_angle(J: float, dt: float) -> float:
 
 def step_layers(mh: MappedHamiltonian, dt: float) -> list:
     """One first-order Trotter step over dt, as layers of per-part lists of
-    circuit items (gate ops and segments).
+    gate ops.
 
     The first layer holds one virtual-Z triple per site (the on-site
     evolution; empty parts when v or dt is zero). Each further layer is one
@@ -226,8 +227,8 @@ def step_layers(mh: MappedHamiltonian, dt: float) -> list:
                for site in range(geometry.site_count)]]
     for layer in _bond_layers(geometry):
         layers.append([
-            [item for term_id in HOPPING_TERM_IDS
-             for item in hopping_term_ops(term_id, term_angle, a - 1, b - 1)]
+            [op for term_id in HOPPING_TERM_IDS
+             for op in hopping_term_ops(term_id, term_angle, a - 1, b - 1)]
             for a, b in layer
         ])
     return layers
@@ -239,7 +240,7 @@ def trotter_step_circuit(mh: MappedHamiltonian, tau: float, steps: int) -> Circu
     `steps` times."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    step = tuple(item for layer in step_layers(mh, tau / steps) for part in layer for item in part)
+    step = tuple(op for layer in step_layers(mh, tau / steps) for part in layer for op in part)
     metadata = {"geometry": mh.geometry.label, "J": mh.J, "v": mh.v, "tau": tau}
     return Circuit(mh.geometry.site_count, step, metadata, repeat=steps)
 

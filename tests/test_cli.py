@@ -133,7 +133,7 @@ def test_transpile_report_angle_is_the_emitted_angle(tmp_path):
     bond = [item for term_id in transpile.HOPPING_TERM_IDS
             for item in transpile.hopping_term_ops(term_id, report["term_angle"], 0, 1)]
     circuit = gates.load_circuit(tmp_path / "circuit.json")
-    assert list(circuit.segments[-len(bond):]) == bond
+    assert list(circuit.step[-len(bond):]) == bond
 
 
 def test_circuit_json_resimulation_bit_identical(tmp_path):
@@ -256,6 +256,28 @@ def test_greens_refuses_spectral_on_an_off_diagonal_pair(tmp_path, capsys):
     assert code == 1
     assert "config error: pairs: spectral needs i == j, got 1,2,up" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_greens_refuses_spectral_from_one_time_point(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--tmax", "0.01",
+                   "--observables", "spectral", "--out", str(out))
+    assert code == 1
+    assert "config error: t_max: spectral needs t_max >= dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_greens_budget_checks_the_retarded_grid_only_when_it_builds_one(tmp_path, capsys):
+    # the lesser lane runs on LESSER_TIMES and never reads --dt; its retarded
+    # twin needs a 256 x 1000001 complex grid, over the dense budget
+    argv = ("greens", "--geometry", "chain:4", "--init", "u,ud,u,d", "--pairs", "2,2,down",
+            "--tmax", "1", "--dt", "1e-6")
+    lesser, retarded = tmp_path / "lesser", tmp_path / "retarded"
+    assert run_cli(*argv, "--observables", "lesser_gf", "--out", str(lesser)) == 0
+    assert (lesser / "gf_lesser_circuit_i2_j2_down.csv").exists()
+    assert run_cli(*argv, "--observables", "retarded_gf", "--out", str(retarded)) == 1
+    assert "error: time grid: a dense 256 x 1000001 complex matrix needs" in capsys.readouterr().err
+    assert not retarded.exists()
 
 
 def test_resources_prints_comparison(capsys):

@@ -17,7 +17,7 @@ from ququart_hubbard.errors import (
     SiteOutOfRange,
     StateSizeMismatch,
 )
-from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation, Segment
+from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation
 
 RNG = np.random.default_rng(7)
 
@@ -198,7 +198,7 @@ def test_circuit_rejects_out_of_range_ops():
     with pytest.raises(SiteOutOfRange):
         Circuit(2, (Rotation(2, 0, 1, "x", 0.1),))
     with pytest.raises(SiteOutOfRange):
-        Circuit(2, (Segment((Rotation(0, 0, 1, "x", 0.1), Csum(0, 2))),))
+        Circuit(2, (Rotation(0, 0, 1, "x", 0.1), Csum(0, 2)))
 
 
 @pytest.mark.parametrize("bad", [Rotation(3, 0, 1, "x", 0.1), Csum(0, -1), Csum(5, 1)])
@@ -242,11 +242,9 @@ def test_fused_matches_gate_level_on_one_chain8_step():
 
 @pytest.mark.parametrize("sites", [4, 8])
 def test_fused_step_is_one_block_per_bond(sites):
-    circuit = chain_circuit(sites, 5)
-    for items in (circuit.segments, circuit.step):
-        blocks = gates._fuse(items)
-        assert len(blocks) == sites - 1
-        assert all(len(block_sites) == 2 for block_sites, _ in blocks)
+    blocks = gates._fuse(chain_circuit(sites, 5).step)
+    assert len(blocks) == sites - 1
+    assert all(len(block_sites) == 2 for block_sites, _ in blocks)
 
 
 @pytest.mark.parametrize("geometry, tau", [
@@ -256,45 +254,18 @@ def test_segmented_fusion_matches_gate_level(geometry, tau):
     geom = mapping.parse_geometry(geometry)
     mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
     circuit = transpile.trotter_step_circuit(mh, tau, 1)
-    segments = [item for item in circuit.segments if isinstance(item, Segment)]
-    # a before and an after sandwich per hopping piece; tau = 0 emits none
-    assert len(segments) == (0 if tau == 0.0 else 8 * len(geom.bonds))
     assert fused_error(circuit, random_state(geom.site_count)) <= 1e-12
 
 
-def test_flat_op_is_a_one_op_segment():
-    circuit = chain_circuit(4, 3)
-    flat = Circuit(4, circuit.step, repeat=3)
-    twin = Circuit(4, tuple(Segment((op,)) for op in circuit.step), repeat=3)
-    assert flat.step == twin.step == circuit.step
-    state = random_state(4)
-    assert np.array_equal(gates.simulate(flat, state), gates.simulate(twin, state))
-    deviation = gates.simulate(circuit, state) - gates.simulate(flat, state)
-    assert float(np.max(np.abs(deviation))) <= 1e-12
-
-
-def test_each_sandwich_is_fused_once_across_the_greens_grid(monkeypatch):
-    # fresh sandwiches and grids, so none carries blocks fused by an earlier test
-    transpile._sandwich_ops.cache_clear()
-    transpile.trotter_grid.cache_clear()
-    fused = []
-    original = gates._fuse
-
-    def counting_fuse(items):
-        if isinstance(items, Segment):
-            fused.append(items)
-        return original(items)
-
-    monkeypatch.setattr(gates, "_fuse", counting_fuse)
-    times = np.arange(0.0, 5.01, 0.25)
-    for i, j, spin in ((2, 2, "down"), (4, 4, "down")):
-        emulate.lesser_gf_circuit(mapping.chain(4), 1.0, 1.0, ("u", "ud", "u", "d"),
-                                  i, j, spin, times, 30)
-    # 3 bonds x 4 pieces x (before, after), each multiplied exactly once
-    assert len(fused) == len({id(segment) for segment in fused}) == 24
-    sandwiches = {transpile._sandwich_ops(term, a, a + 1)[k]
-                  for term in transpile.HOPPING_TERM_IDS for a in range(3) for k in (0, 1)}
-    assert {id(segment) for segment in fused} == {id(segment) for segment in sandwiches}
+def test_grid_column_of_one_op_object_is_one_matrix():
+    # every circuit of the grid holds the same cached sandwich and outer-pulse
+    # objects; only the 24 tau-dependent middle pulses (two per hopping
+    # piece) and the 12 on-site rotations stack one matrix per tau
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+    columns = list(zip(*(circuit.step for circuit in grid[1:])))
+    ndims = [m.ndim for _, m in gates._local_matrices(columns)]
+    assert (len(ndims), ndims.count(3), ndims.count(2)) == (300, 36, 264)
 
 
 def test_fused_batch_matches_columns():
@@ -515,6 +486,7 @@ MALFORMED_DOCUMENTS = {
     "missing field": (lambda doc: doc["ops"][0].pop("phi"), InvalidCircuit),
     "op as a string": (lambda doc: doc["ops"].__setitem__(1, "csum"), InvalidCircuit),
     "segment of numbers": (lambda doc: doc["ops"].append([1, 2]), InvalidCircuit),
+    "nested op list": (lambda doc: doc.update(ops=[doc["ops"]]), InvalidCircuit),
 }
 
 
@@ -530,13 +502,13 @@ def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
 
 
 # SHA-256 of the save_circuit bytes for J = 1, v = 2, steps = 30, recorded
-# when the writer took one entry per segment and dropped indentation: the
-# file format must not move.
+# from the earlier writer's flat form (every "ops" entry one op object, no
+# indentation), which that writer still reads: the file format must not move.
 CIRCUIT_FILE_DIGESTS = {
-    ("chain:8", 0.3): "b6e8853ee3f9e8b45f3e79f50cb42f2bf4888a882241be476a0692c84c30dc15",
-    ("chain:8", 2.7): "1b0f6c0376e3d3e04cca429977e8209dfccae072e28c2312c756ef35b4d3a8d7",
-    ("ladder:2x4", 0.3): "e2ab23f849bd9fd3261072c912ae8e1b0644807beadc0a1a0c05a3598e32db38",
-    ("ladder:2x4", 2.7): "22eb6059210105b50d6f8b3485543b0902bcccc4c7013d64d2f3e895b2252207",
+    ("chain:8", 0.3): "448e770d30367de54d08a7b4933a8824054d7571c02506ed41dac1ca4f69a51f",
+    ("chain:8", 2.7): "dcd89aecee2e830ad6dce46972e121f07e532467c05d9baf902b1f39c0c824d4",
+    ("ladder:2x4", 0.3): "daf1947e7c040916b23440cc34f04761f8e8c2c175e11e89f6e0d8a4cf19fcdb",
+    ("ladder:2x4", 2.7): "ac3d3bc9be9fc2bda43686fd268f0a75b132e846ade09e85cb918f5584e3c618",
 }
 
 
@@ -554,28 +526,12 @@ def test_circuit_json_keeps_repeat_and_writes_one_step(tmp_path):
     gates.save_circuit(circuit, path)
     doc = json.loads(path.read_text())
     assert doc["repeat"] == 5
-    assert len(doc["ops"]) == len(circuit.segments)
-    assert sum(len(e) if isinstance(e, list) else 1 for e in doc["ops"]) == len(circuit.step)
+    assert len(doc["ops"]) == len(circuit.step)
+    assert all(isinstance(entry, dict) for entry in doc["ops"])
     assert len(circuit.step) == len(circuit.ops) // 5
     loaded = gates.load_circuit(path)
     assert loaded == circuit and loaded.repeat == 5
-    assert list(map(type, loaded.segments)) == list(map(type, circuit.segments))
     assert gates.count_gates(loaded) == gates.count_gates(Circuit(3, circuit.ops))
-
-
-def test_circuit_document_without_segments_loads(tmp_path):
-    # the format before segments: every entry of "ops" is one op object
-    circuit = chain_circuit(3, 4)
-    doc = gates.circuit_to_json_dict(Circuit(3, circuit.step, circuit.metadata, 4))
-    assert all(isinstance(entry, dict) for entry in doc["ops"])
-    path = tmp_path / "circuit.json"
-    path.write_text(json.dumps(doc, indent=1))
-    loaded = gates.load_circuit(path)
-    assert not any(isinstance(item, Segment) for item in loaded.segments)
-    assert loaded.ops == circuit.ops
-    state = random_state(3)
-    deviation = gates.simulate(loaded, state) - gates.simulate(circuit, state)
-    assert float(np.max(np.abs(deviation))) <= 1e-12
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10_000))
@@ -629,14 +585,13 @@ def test_grid_fuses_each_structure_once(monkeypatch):
     original = gates._fuse
 
     def counting_fuse(items):
-        if not isinstance(items, Segment):
-            fused.append(items)
+        fused.append(items)
         return original(items)
 
     monkeypatch.setattr(gates, "_fuse", counting_fuse)
     gates.simulate_grid(greens_grid_circuits(), random_state(4))
     # the empty t = 0 step, then the 20 nonzero taus in one pass
-    expected = [0, len(greens_grid_circuits()[1].segments)]
+    expected = [0, len(greens_grid_circuits()[1].step)]
     assert [len(items) for items in fused] == expected
     # a cached grid fuses on its first run only
     mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
@@ -679,6 +634,20 @@ def test_second_greens_component_reuses_the_grid(monkeypatch):
     fresh = emulate.lesser_gf_circuit(*args, 4, 4, "down", emulate.LESSER_TIMES, 30)
     assert calls.count("trotter_step_circuit") == len(emulate.LESSER_TIMES)
     assert np.array_equal(cached.values, fresh.values)
+
+
+def test_grid_of_reloaded_circuits_matches_circuit_by_circuit(tmp_path):
+    # JSON reloads hold equal ops but share no op object, so every column stacks
+    circuits = greens_grid_circuits()
+    reloaded = []
+    for t, circuit in enumerate(circuits):
+        gates.save_circuit(circuit, tmp_path / f"circuit_{t}.json")
+        reloaded.append(gates.load_circuit(tmp_path / f"circuit_{t}.json"))
+    assert reloaded == circuits
+    batch = np.column_stack([random_state(4), random_state(4)])
+    assert_grid_is_circuit_by_circuit(reloaded, batch)
+    assert np.array_equal(gates.simulate_grid(reloaded, batch),
+                          gates.simulate_grid(circuits, batch))
 
 
 def test_grid_runs_a_one_dimensional_state():

@@ -378,6 +378,10 @@ def test_gf_fourier_empty_series():
     series = GreensSeries(np.array([]), np.array([]), 1, 1, "up", "lesser", 1, 1.0, 0.0)
     with pytest.raises(EmptySeries):
         oracle.gf_fourier(series, 0.1, [0.0])
+    # one sample has no dt, so no transform
+    one = GreensSeries(np.array([0.0]), np.array([-0.5j]), 1, 1, "up", "retarded", 1, 1.0, 0.0)
+    with pytest.raises(EmptySeries):
+        oracle.gf_fourier(one, 0.1, [0.0])
 
 
 def test_spectral_positive_and_normalized_small_system():
