@@ -223,18 +223,20 @@ def _one_step_tally(geom) -> gates.GateTally:
 
 def resource_constants() -> CheckResult:
     bond = _one_step_tally(mapping.chain(2))
+    chain8 = _one_step_tally(mapping.chain(8))
     checks = (
         bond.two_qudit == 8,
-        bond.single_qudit_physical == 32,
-        _one_step_tally(mapping.chain(8)).two_qudit == 56,
+        bond.single_qudit_physical == 24,
+        chain8.two_qudit == 56,
+        chain8.single_qudit_physical == 168,
         _one_step_tally(mapping.ladder(2, 4)).two_qudit == 80,
         resources.qfm_resources(mapping.chain(8)).two_body_gates_per_step == 56,
         resources.qfm_resources(mapping.ladder(2, 4)).two_body_gates_per_step == 80,
         resources.qubit_baseline_resources("1x8").two_body_gates_per_step == 64,
         resources.qubit_baseline_resources("2x4").two_body_gates_per_step == 112,
     )
-    return CheckResult(8, "emitted tallies reproduce 8/32 per bond, 56/80 qfm, 64/112 qubit",
-                       all(checks))
+    return CheckResult(8, "emitted tallies: 8 CSUMs and 24 pulses per bond (paper: 32), "
+                          "56/168 chain(8), 80 ladder(2,4), 64/112 qubit", all(checks))
 
 
 def simulator_invariants() -> CheckResult:

@@ -11,9 +11,10 @@ is `step * repeat`. Two gate kinds exist:
                with Xt = sum_j |j><j+1 mod 4| (cyclic decrement): the
                permutation |n, m> -> |n, m - n mod 4>, so CSUM^4 = I.
 
-`nonadjacent` splits an X or Y rotation on levels (0,2) or (1,3) into
-three adjacent-level pulses. Circuit JSON writes and reads the step as one
-list of op objects, each its `_KINDS` name plus its dataclass fields.
+An op whose site or level is not an int (a bool is not), whose `phi` is
+not a finite real or whose flag is not a bool raises InvalidCircuit.
+Circuit JSON writes and reads the step as one list of op objects, each its
+`_KINDS` name plus its dataclass fields.
 
 Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
 or two ascending sites, applied by `linalg.apply_local`: one np.matmul
@@ -33,6 +34,7 @@ matmul over the runs. `simulate` is the grid of one circuit.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -54,6 +56,12 @@ class Rotation:
     virtual: bool = False
 
     def __post_init__(self):
+        phi = self.phi
+        if not (type(self.site) is type(self.j) is type(self.k) is int
+                and type(self.virtual) is bool
+                and (type(phi) is int or isinstance(phi, float)) and math.isfinite(phi)):
+            raise InvalidCircuit(f"sites and levels must be int, phi a finite real and "
+                                 f"virtual a bool, got {self!r}")
         if not 0 <= self.j < self.k <= DIM - 1 or self.axis not in ("x", "y", "z"):
             raise InvalidSubspace(f"no {self.axis!r} rotation on levels ({self.j}, {self.k})")
         if self.virtual and self.axis != "z":
@@ -67,6 +75,8 @@ class Csum:
     adjoint: bool = False
 
     def __post_init__(self):
+        if not (type(self.control) is type(self.target) is int and type(self.adjoint) is bool):
+            raise InvalidCircuit(f"sites must be int and adjoint a bool, got {self!r}")
         if self.control == self.target:
             raise SiteOutOfRange("csum control and target must differ")
 
@@ -310,29 +320,6 @@ def count_gates(circuit: Circuit) -> GateTally:
     return GateTally(two * n, phys * n, virt * n)
 
 
-def nonadjacent(axis: str, m: int, phi: float, site: int = 0) -> list:
-    """X or Y rotation between levels m and m+2 from adjacent-level pulses.
-
-    Circuit-order sequence [S^{m,m+1}_pi, X^{m+1,m+2}_phi', S^{m,m+1}_-pi];
-    the operator product reproduces axis^{m,m+2}_phi exactly. For axis x
-    the sandwich S is Y and phi' = phi; for axis y it is X, which under
-    the half-angle convention maps an x-type middle onto -y^{m,m+2}, so
-    phi' = -phi.
-    """
-    if axis not in ("x", "y") or not 0 <= m <= DIM - 3:
-        raise InvalidSubspace(f"no non-adjacent {axis!r} rotation on levels ({m}, {m + 2})")
-    outer, phi = ("y", phi) if axis == "x" else ("x", -phi)
-    first, last = _outer_pulses(site, m, outer)
-    return [first, Rotation(site, m + 1, m + 2, "x", phi), last]
-
-
-@lru_cache(maxsize=None)
-def _outer_pulses(site: int, m: int, outer: str) -> tuple:
-    """The angle-independent S^{m,m+1}_pi and S^{m,m+1}_-pi of `nonadjacent`,
-    built once per (site, m, axis) and shared by every call."""
-    return Rotation(site, m, m + 1, outer, np.pi), Rotation(site, m, m + 1, outer, -np.pi)
-
-
 # --- circuit JSON -----------------------------------------------------------
 
 
@@ -360,8 +347,8 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
 
 def circuit_from_json_dict(doc: dict) -> Circuit:
     """Inverse of `circuit_to_json_dict`. A missing key, an "ops" entry that
-    is not an op object, an unknown op kind or a missing or unknown op field
-    raises InvalidCircuit; an op's own check raises InvalidSubspace or
+    is not an op object, an unknown op kind or a missing, unknown or mistyped
+    op field raises InvalidCircuit; an op's own check raises InvalidSubspace or
     SiteOutOfRange."""
     try:
         ops = tuple(map(_doc_op, doc["ops"]))

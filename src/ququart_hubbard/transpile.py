@@ -15,20 +15,23 @@ the target:
     CSUM (g (x) I) CSUM^dag = sum_{n n'} g_{n n'} |n><n'| (x) Xt^{n - n'},
 
 so a middle layer of (0,2)/(1,3) rotations sandwiched between CSUM^dag and
-CSUM reproduces each h_i up to fixed local corrections. One table,
-`_PIECES`, holds each piece's middle layer and corrections. Term 1 needs no
+CSUM reproduces each h_i up to fixed local corrections. That layer is
+emitted as adjacent-level pulses, X^{12}_pi . R^{01} . R^{23} . X^{12}_-pi,
+whose two X^{12} pulses do not depend on tau. One table, `_PIECES`, holds
+each piece's R^{01} and R^{23} and its corrections. Term 1 needs no
 correction. Term 2 needs only diagonal (virtual-Z) phases. Terms 3 and 4
 first swap levels 1 and 2 on both qudits, moving the coupling onto the
 (0,1)/(2,3) pairs; each swap is one X^{12}_pi pulse plus virtual-Z phases.
 
 Under the half-angle rotation convention the middle-layer angles are twice
-the evolution angle tau. Each piece costs 2 CSUMs, so a bond costs 8 per
-step.
+the evolution angle tau. Each piece costs 2 CSUMs and 4 physical pulses,
+plus 4 swap pulses for terms 3 and 4, so a bond costs 8 CSUMs and 24
+pulses per step.
 
 `step_layers` is the one definition of a Trotter step: an on-site
 virtual-Z layer, then the brick groups of bonds, each layer a list of
 site-disjoint parts. A hopping piece is its two tau-independent sandwiches,
-op tuples cached once per process, around the six middle pulses.
+op tuples cached once per process, around the two pulses that carry tau.
 `trotter_step_circuit` joins the parts into one flat circuit step, and
 `resources.qfm_resources` tallies gate counts and step time from it.
 `trotter_grid` emits a time grid's circuits once per process.
@@ -49,19 +52,19 @@ from .mapping import MappedHamiltonian, hopping_local_factors
 
 
 class _Piece(NamedTuple):
-    middle: tuple  # (axis, level pair m, sign) rotations on the control
+    middle: tuple  # (axis, sign) of the (0,1) and (2,3) rotations on the control
     control: tuple  # diagonal of the control correction P
     target: tuple  # diagonal of the target correction Q
     swap: bool  # P and Q exchange levels 1 and 2 before their phases
 
 
-# Per hopping piece: the middle layer between CSUM^dag and CSUM, and the
+# Per hopping piece: the middle layer inside X^{12}_-pi ... X^{12}_pi, and the
 # corrections P, Q with (P x Q) ansatz (P x Q)^dag = e^{-i h_i tau}.
 _PIECES = {
-    1: _Piece((("x", 0, +1.0), ("x", 1, -1.0)), (1, 1, 1, 1), (1, 1, 1, 1), False),
-    2: _Piece((("x", 0, +1.0), ("x", 1, +1.0)), (1, 1, 1j, -1j), (1, 1, 1j, 1j), False),
-    3: _Piece((("y", 0, -1.0), ("y", 1, -1.0)), (1, 1j, 1, 1j), (1, 1, 1, -1), True),
-    4: _Piece((("x", 0, -1.0), ("x", 1, -1.0)), (1, -1j, 1, -1j), (1, 1j, 1, -1j), True),
+    1: _Piece((("y", +1.0), ("y", +1.0)), (1, 1, 1, 1), (1, 1, 1, 1), False),
+    2: _Piece((("y", +1.0), ("y", -1.0)), (1, 1, 1j, -1j), (1, 1, 1j, 1j), False),
+    3: _Piece((("x", +1.0), ("x", -1.0)), (1, 1j, 1, 1j), (1, 1, 1, -1), True),
+    4: _Piece((("y", -1.0), ("y", +1.0)), (1, -1j, 1, -1j), (1, 1j, 1, -1j), True),
 }
 HOPPING_TERM_IDS = tuple(_PIECES)
 
@@ -130,37 +133,35 @@ def _correction_ops(phases, swap: bool, site: int) -> list:
     return ops + _diagonal_phase_ops(phases, site)
 
 
-def _middle_ops(term_id: int, tau: float, site: int) -> list:
-    """Middle single-qudit layer; angles are 2*tau under the half-angle
-    convention. Non-adjacent rotations decompose into three pulses each."""
-    return [op for axis, m, sign in _PIECES[term_id].middle
-            for op in gates.nonadjacent(axis, m, 2.0 * sign * tau, site)]
-
-
 @lru_cache(maxsize=None)
 def _sandwich_ops(term_id: int, control: int, target: int) -> tuple:
     """The tau-independent op tuples around a term's middle layer: (the
-    inverse corrections, then CSUM^dag), and (CSUM, then the corrections
-    P, Q). Cached, so every circuit holds the same op objects and a grid
-    column of them fuses as one matrix (`gates.Grid`)."""
+    inverse corrections, CSUM^dag, X^{12}_-pi on the control), and
+    (X^{12}_pi, CSUM, then the corrections P, Q). Cached, so every circuit
+    holds the same op objects and a grid column of them fuses as one matrix
+    (`gates.Grid`)."""
     piece = _PIECES[term_id]
     p_ops = _correction_ops(piece.control, piece.swap, control)
     q_ops = _correction_ops(piece.target, piece.swap, target)
     before = [gates.gate_inverse(op) for op in reversed(p_ops)]
     before += [gates.gate_inverse(op) for op in reversed(q_ops)]
-    before.append(Csum(control, target, adjoint=True))
-    return tuple(before), (Csum(control, target, adjoint=False), *p_ops, *q_ops)
+    before += [Csum(control, target, adjoint=True), Rotation(control, 1, 2, "x", -np.pi)]
+    after = [Rotation(control, 1, 2, "x", np.pi), Csum(control, target), *p_ops, *q_ops]
+    return tuple(before), tuple(after)
 
 
 def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> list:
     """Gate ops realizing e^{-i h_i tau} on (control, target): the `before`
-    sandwich, the six middle pulses, the `after` sandwich."""
+    sandwich, R^{01} and R^{23} at angle 2*sign*tau on the control, the
+    `after` sandwich."""
     if term_id not in HOPPING_TERM_IDS:
         raise KeyError(f"hopping term id must be 1..4, got {term_id}")
     if tau == 0.0:
         return []
     before, after = _sandwich_ops(term_id, control, target)
-    return [*before, *_middle_ops(term_id, tau, control), *after]
+    middle = [Rotation(control, m, m + 1, axis, 2.0 * sign * tau)
+              for m, (axis, sign) in zip((0, 2), _PIECES[term_id].middle)]
+    return [*before, *middle, *after]
 
 
 RESIDUAL_TOL = 1e-8

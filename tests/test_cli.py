@@ -318,10 +318,9 @@ def test_validate_failure_exits_two(monkeypatch, capsys):
 
 
 def flip_piece_one(monkeypatch):
-    """Give hopping piece 1 the wrong middle-layer sign on its (0,2) pair."""
+    """Give hopping piece 1 the wrong middle-layer sign on its (0,1) pair."""
     piece = transpile._PIECES[1]
-    monkeypatch.setitem(transpile._PIECES, 1,
-                        piece._replace(middle=(("x", 0, -1.0), ("x", 1, -1.0))))
+    monkeypatch.setitem(transpile._PIECES, 1, piece._replace(middle=(("y", -1.0), ("y", +1.0))))
 
 
 def test_validate_reports_a_missed_synthesis_and_goes_on(monkeypatch, capsys):
@@ -544,6 +543,16 @@ def test_readme_commands_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         cli._build_config(args)
+
+
+def test_readme_resources_example_is_the_commands_output(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("For `--geometry 2x4`:\n\n```text\n", 1)[1].split("```", 1)[0]
+    assert run_cli("resources", "--geometry", "2x4") == 0
+    (*readme_doc, readme_summary), (*doc, summary) = (
+        output.rstrip("\n").split("\n") for output in (block, capsys.readouterr().out))
+    assert json.loads("\n".join(readme_doc)) == json.loads("\n".join(doc))
+    assert readme_summary == summary
 
 
 _FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}

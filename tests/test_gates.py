@@ -27,11 +27,6 @@ def random_state(n_sites, rng=RNG):
     return v / np.linalg.norm(v)
 
 
-def phase_overlap(a, b):
-    """|tr(a^dag b)| / dim; equals 1 iff a = e^{i theta} b for unitaries."""
-    return float(np.abs(np.trace(a.conj().T @ b)) / a.shape[0])
-
-
 # --- csum -------------------------------------------------------------------
 
 
@@ -258,14 +253,14 @@ def test_segmented_fusion_matches_gate_level(geometry, tau):
 
 
 def test_grid_column_of_one_op_object_is_one_matrix():
-    # every circuit of the grid holds the same cached sandwich and outer-pulse
-    # objects; only the 24 tau-dependent middle pulses (two per hopping
-    # piece) and the 12 on-site rotations stack one matrix per tau
+    # every circuit of the grid holds the same cached sandwich objects; only
+    # the 24 tau-dependent middle pulses (two per hopping piece) and the 12
+    # on-site rotations stack one matrix per tau
     mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
     grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
     columns = list(zip(*(circuit.step for circuit in grid[1:])))
     ndims = [m.ndim for _, m in gates._local_matrices(columns)]
-    assert (len(ndims), ndims.count(3), ndims.count(2)) == (300, 36, 264)
+    assert (len(ndims), ndims.count(3), ndims.count(2)) == (276, 36, 240)
 
 
 def test_fused_batch_matches_columns():
@@ -390,55 +385,6 @@ def test_count_gates_mixed():
     assert gates.count_gates(circuit) == GateTally(1, 2, 1)
 
 
-# --- non-adjacent rotations -------------------------------------------------
-
-
-def product_of(ops):
-    u = np.eye(4, dtype=complex)
-    for op in ops:
-        u = gates.gate_matrix(op) @ u
-    return u
-
-
-@pytest.mark.parametrize("m", [0, 1])
-def test_nonadjacent_x_zero_angle(m):
-    u = product_of(gates.nonadjacent("x", m, 0.0))
-    assert phase_overlap(u, np.eye(4)) > 1 - 1e-12
-
-
-@pytest.mark.parametrize("m", [0, 1])
-def test_nonadjacent_x_known_angle(m):
-    u = product_of(gates.nonadjacent("x", m, np.pi / 2))
-    target = gamma.rotation(m, m + 2, "x", np.pi / 2)
-    assert phase_overlap(u, target) > 1 - 1e-10
-
-
-def test_nonadjacent_y_known_angle():
-    u = product_of(gates.nonadjacent("y", 1, 1.3))
-    target = gamma.rotation(1, 3, "y", 1.3)
-    assert phase_overlap(u, target) > 1 - 1e-10
-
-
-@given(st.sampled_from([0, 1]), st.floats(-6, 6))
-@settings(max_examples=40, deadline=None)
-def test_nonadjacent_sequences_match_direct(m, phi):
-    ux = product_of(gates.nonadjacent("x", m, phi))
-    uy = product_of(gates.nonadjacent("y", m, phi))
-    assert phase_overlap(ux, gamma.rotation(m, m + 2, "x", phi)) > 1 - 1e-10
-    assert phase_overlap(uy, gamma.rotation(m, m + 2, "y", phi)) > 1 - 1e-10
-
-
-def test_nonadjacent_rejects_overflow():
-    with pytest.raises(InvalidSubspace):
-        gates.nonadjacent("x", 2, 0.4)
-
-
-def test_nonadjacent_counts_three_physical():
-    ops = gates.nonadjacent("x", 0, 0.9)
-    assert len(ops) == 3
-    assert all(isinstance(op, Rotation) and not op.virtual for op in ops)
-
-
 # --- JSON -------------------------------------------------------------------
 
 
@@ -490,6 +436,32 @@ MALFORMED_DOCUMENTS = {
 }
 
 
+# op fields of the wrong type, each refused by the op's own check
+MISTYPED_FIELDS = {
+    "phi NaN": (0, "phi", float("nan")),
+    "phi a string": (0, "phi", "0.5"),
+    "virtual a string": (0, "virtual", "no"),
+    "adjoint an int": (1, "adjoint", 2),
+    "site a bool": (0, "site", True),
+    "site a float": (0, "site", 1.0),
+    "level a float": (0, "j", 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_mistyped_op_fields_raise_invalid_circuit(tmp_path, case):
+    index, name, value = MISTYPED_FIELDS[case]
+    ops = (Rotation(0, 0, 2, "x", 0.1), Csum(0, 1))
+    with pytest.raises(InvalidCircuit):
+        replace(ops[index], **{name: value})
+    doc = gates.circuit_to_json_dict(Circuit(2, ops))
+    doc["ops"][index][name] = value
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidCircuit):
+        gates.load_circuit(path)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
 def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
     corrupt, error = MALFORMED_DOCUMENTS[case]
@@ -502,13 +474,14 @@ def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
 
 
 # SHA-256 of the save_circuit bytes for J = 1, v = 2, steps = 30, recorded
-# from the earlier writer's flat form (every "ops" entry one op object, no
-# indentation), which that writer still reads: the file format must not move.
+# when the middle layers became adjacent-level pulses; the earlier writer,
+# reading these files and saving them again, writes the same bytes: the
+# file format must not move.
 CIRCUIT_FILE_DIGESTS = {
-    ("chain:8", 0.3): "448e770d30367de54d08a7b4933a8824054d7571c02506ed41dac1ca4f69a51f",
-    ("chain:8", 2.7): "dcd89aecee2e830ad6dce46972e121f07e532467c05d9baf902b1f39c0c824d4",
-    ("ladder:2x4", 0.3): "daf1947e7c040916b23440cc34f04761f8e8c2c175e11e89f6e0d8a4cf19fcdb",
-    ("ladder:2x4", 2.7): "ac3d3bc9be9fc2bda43686fd268f0a75b132e846ade09e85cb918f5584e3c618",
+    ("chain:8", 0.3): "e6e15706dd62d11a7921b7f1c1cac9004da76681d43c6d42f1bf9edf7f4f2aee",
+    ("chain:8", 2.7): "e75e96bd02374835efc342e94b35aae276dd5c0e5bbffa9d4351d3ba52c2372b",
+    ("ladder:2x4", 0.3): "21c5a6ebf01e0c747ea625a9ccb2d0e8379a1e5001d63b1b1db16496580d0e1f",
+    ("ladder:2x4", 2.7): "05e1b31537a0ce5991b82c421a8b080ba6e24446df7701bf640dd1e8672de77c",
 }
 
 

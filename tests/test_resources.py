@@ -10,7 +10,7 @@ from ququart_hubbard.errors import UnsupportedLattice
 def test_chain_two_per_bond_constants():
     report = resources.qfm_resources(mapping.chain(2))
     assert report.two_body_gates_per_step == 8
-    assert report.single_qudit_physical_per_step == 32
+    assert report.single_qudit_physical_per_step == 24
     assert report.carriers == 2
 
 
@@ -72,8 +72,8 @@ def test_baseline_rejects_other_lattices():
 
 def test_duration_models():
     report = resources.qfm_resources(mapping.chain(8))
-    assert report.est_step_duration_s == pytest.approx(32 * 2 * 50e-9)
-    assert report.est_serial_step_duration_s == pytest.approx(32 * 7 * 50e-9)
+    assert report.est_step_duration_s == pytest.approx(24 * 2 * 50e-9)
+    assert report.est_serial_step_duration_s == pytest.approx(24 * 7 * 50e-9)
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_parallel_step_time_counts_emitted_bond_layers(geom):
     report = resources.qfm_resources(geom)
     parallel = report.est_step_duration_s
     assert parallel <= report.est_serial_step_duration_s
-    assert parallel == pytest.approx(len(transpile._bond_layers(geom)) * 32 * 50e-9)
+    assert parallel == pytest.approx(len(transpile._bond_layers(geom)) * 24 * 50e-9)
 
 
 def test_report_serialization():
@@ -109,11 +109,11 @@ def _qubit(lattice, two_body, layers):
 # pinned per-step costs; a change to the emitted step shows up here
 @pytest.mark.parametrize("geom,expected", [
     (mapping.chain(8), [
-        _qfm("chain(8)", 56, 224, 3.2e-06, 1.12e-05),
+        _qfm("chain(8)", 56, 168, 2.4e-06, 8.4e-06),
         _qubit("1x8", 64, ["fswap", "on-site", "fswap", "odd hopping", "even hopping"]),
     ]),
     (mapping.ladder(2, 4), [
-        _qfm("ladder(2,4)", 80, 320, 4.8e-06, 1.6e-05),
+        _qfm("ladder(2,4)", 80, 240, 3.6e-06, 1.2e-05),
         _qubit("2x4", 112, ["fswap", "on-site", "fswap", "vertical hopping", "fswap",
                             "horizontal hopping 1", "fswap", "horizontal hopping 2"]),
     ]),

@@ -168,20 +168,21 @@ def test_transpiled_circuit_matches_target(term, tau):
 def test_transpiled_gate_budget(term):
     tally = gates.count_gates(hopping_circuit(term, 0.7))
     assert tally.two_qudit == 2
-    expected_physical = 6 if term in (1, 2) else 10
+    # two middle pulses inside X^{12}_-pi .. X^{12}_pi, plus four swap pulses
+    expected_physical = 4 if term in (1, 2) else 8
     assert tally.single_qudit_physical == expected_physical
 
 
 def test_term_one_needs_no_corrections():
     circuit = hopping_circuit(1, 0.7)
-    assert len(circuit.ops) == 8  # csum+dag plus two decomposed rotations
+    assert len(circuit.ops) == 6  # CSUM^dag and CSUM around four adjacent-level pulses
     assert gates.count_gates(circuit).virtual_z == 0
 
 
 def test_term_two_corrections_all_virtual():
     circuit = hopping_circuit(2, 0.7)
     tally = gates.count_gates(circuit)
-    assert tally.single_qudit_physical == 6
+    assert tally.single_qudit_physical == 4
     assert tally.virtual_z > 0
 
 
@@ -277,18 +278,18 @@ def test_brick_pattern_orders_odd_before_even():
     assert bonds_in_order == [(1, 2), (3, 4), (2, 3)]
 
 
-# SHA-256 of repr(step) for J = 1, v = 2, steps = 5, recorded before the
-# tau-independent correction pulses were cached: emission must not change
-# a single op or angle.
+# SHA-256 of repr(step) for J = 1, v = 2, steps = 5, recorded when the
+# middle layers became adjacent-level pulses: emission must not change a
+# single op or angle.
 STEP_DIGESTS = {
-    ("chain:4", 0.3): "c04a73a39407e8f87c9b122d611d230f30ecbe8b35a79f6619666d1d72f7dc25",
-    ("chain:4", 2.7): "423c492e6809f25fa8366dbb1dc77abc3ffed71a1e8162c9929433581dfd506c",
-    ("chain:5", 0.3): "0476268c90c76f34297ed9ef22f2c1945597abb6bae212790939bdea0a4f56c1",
-    ("chain:8", 0.3): "b02bad9c916153ae4d4309e03e0790b7e8fd37680c18ed6f3c583a39dfcd4929",
-    ("chain:8", 2.7): "ceb80e47f97fa601aa25344f142cea0f60485b2cce01936ec1e4fef78a0d1bda",
-    ("ladder:2x3", 0.3): "e0339760649dbd95c5ecbf71be8b6372cecfac6a1fbeac69fc3a5dace8b8aac8",
-    ("ladder:2x4", 0.3): "a92b40f2cd740bd24f9110d0ff23400cc7ddbcf6ca67046f5cf1a0994e9abfea",
-    ("ladder:2x4", 2.7): "6c72e80c6707eb3252db6731214e214a4d363db31e1000830ee117fcbcefb98d",
+    ("chain:4", 0.3): "0fd1944ea2c829e047b95c51120f263b5123585672f7794e2226cf3761effed2",
+    ("chain:4", 2.7): "a4a4cfa39d1b50d176a9822dd5800062918326907f18a424b97bd82fe0cf8b38",
+    ("chain:5", 0.3): "6bde9f6bc208d3027f152aebe25a93f6a406fd56927e2fa39c0b39159dd70e96",
+    ("chain:8", 0.3): "e2408c46e5a4ea8867512b535ccff600764b4eeb6f08dfc8d617c0ba843b6172",
+    ("chain:8", 2.7): "3ad39c8f66a3c848d21e78af3f47a45fdbaba179d3f374cd54742277358652d5",
+    ("ladder:2x3", 0.3): "8b1fc5bda1ba5c695a1056c1cab2fb986bc5a62c2e13b3829bcb14816a217059",
+    ("ladder:2x4", 0.3): "b4701b17ec302e1578bc0a749aaaf70b2095a6a960185f17c21d837b9a6ddfe1",
+    ("ladder:2x4", 2.7): "da977120cad58a6e8f2b82214bce1f0e916a7133674959926f1cf037f2644d53",
 }
 
 
@@ -297,6 +298,22 @@ def test_emitted_step_is_pinned(geometry, tau):
     mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
     step = trotter_step_circuit(mh, tau, 5).step
     assert hashlib.sha256(repr(step).encode()).hexdigest() == STEP_DIGESTS[(geometry, tau)]
+
+
+@pytest.mark.parametrize("geometry", ["chain:8", "ladder:2x4"])
+def test_emitted_pulses_are_adjacent_level_and_two_per_piece_carry_tau(geometry):
+    mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
+    step, other = (trotter_step_circuit(mh, tau, 1).step for tau in (0.3, 1.1))
+    pulses = [op for op in step if isinstance(op, gates.Rotation) and not op.virtual]
+    assert pulses and all(op.k == op.j + 1 for op in pulses)
+    # each piece runs from its CSUM^dag to its CSUM; the on-site virtual Zs
+    # are the only other ops that move with tau
+    csums = [i for i, op in enumerate(step) if isinstance(op, gates.Csum)]
+    pieces = list(zip(csums[::2], csums[1::2]))
+    assert all(step[a].adjoint and not step[b].adjoint for a, b in pieces)
+    moved = [i for i, (op, op2) in enumerate(zip(step, other)) if op != op2]
+    assert all(step[i].virtual for i in moved if not any(a < i < b for a, b in pieces))
+    assert [sum(a < i < b for i in moved) for a, b in pieces] == [2] * len(pieces)
 
 
 @pytest.mark.parametrize("term", transpile.HOPPING_TERM_IDS)
