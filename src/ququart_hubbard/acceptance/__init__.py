@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .. import emulate, gates, mapping, oracle, resources, transpile
-from ..gamma import make_gamma_set
+from ..gamma import G1, G2, G3, G4, GT
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,11 @@ class Check:
 
 
 def clifford_algebra_exact() -> CheckResult:
-    g = make_gamma_set()
-    eye = np.eye(4)
-    ok = True
-    for a in range(1, 5):
-        for b in range(1, 5):
-            anti = g.gamma(a) @ g.gamma(b) + g.gamma(b) @ g.gamma(a)
-            expected = 2 * eye if a == b else 0 * eye
-            ok = ok and np.array_equal(anti, expected)
-        tilde_anti = g.gamma(a) @ g.tilde + g.tilde @ g.gamma(a)
-        ok = ok and np.array_equal(tilde_anti, 0 * eye)
-    ok = ok and np.array_equal(g.tilde, -g.gamma(1) @ g.gamma(2) @ g.gamma(3) @ g.gamma(4))
+    eye, gammas = np.eye(4), (G1, G2, G3, G4)
+    ok = all(np.array_equal(a @ b + b @ a, 2 * eye if a is b else 0 * eye)
+             for a in gammas for b in gammas)
+    ok = ok and all(np.array_equal(a @ GT + GT @ a, 0 * eye) for a in gammas)
+    ok = ok and np.array_equal(GT, -G1 @ G2 @ G3 @ G4)
     return CheckResult(1, "Clifford algebra relations hold exactly", ok)
 
 

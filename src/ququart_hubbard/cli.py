@@ -2,9 +2,9 @@
 
 Subcommands: map, transpile, evolve, greens, resources, validate.
 Options come from flags; each subcommand takes only the options it reads.
-Exit codes: 0 success, 1 config or usage error, 2 validation failure,
-3 synthesis residual. The text formats of the outputs live here; every
-CSV goes through `_write_csv`.
+Exit codes: 0 success, 1 config or usage error or stdout closed by its
+reader (no traceback), 2 validation failure, 3 synthesis residual. The
+text formats of the outputs live here; every CSV goes through `_write_csv`.
 """
 
 import argparse
@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -353,7 +354,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _build_config(args)
-        return _COMMANDS[args.command][0](config)
+        code = _COMMANDS[args.command][0](config)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

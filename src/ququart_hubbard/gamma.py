@@ -1,9 +1,9 @@
 """Clifford-algebra generators and two-level subspace operators for a ququart.
 
-The five 4x4 generators are built in the Majorana basis
+The five 4x4 generators are read-only constants in the Majorana basis
 
     G1 = sx (x) I,  G2 = sy (x) I,  G3 = sz (x) sx,  G4 = sz (x) sy,
-    Gt = sz (x) sz = -G1 G2 G3 G4,
+    GT = sz (x) sz = -G1 G2 G3 G4  (the paper's Gt),
 
 where all pairs mutually anticommute, {Gi, Gj} = 2 delta_ij. Entries are
 small Gaussian integers, so products and anticommutators are exact in
@@ -14,7 +14,6 @@ Subspace operators x/y/z^{jk} (`ggm`) embed the Pauli matrices into the
 the half-angle convention R = e^{-i (phi/2) g} and is derived from `ggm`.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,27 +37,11 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    """The four anticommuting generators plus the fifth element."""
-
-    gammas: tuple  # (G1, G2, G3, G4)
-    tilde: np.ndarray
-
-    def gamma(self, index: int) -> np.ndarray:
-        """1-based access: gamma(1) .. gamma(4)."""
-        if not 1 <= index <= 4:
-            raise IndexError(f"gamma index {index} outside 1..4")
-        return self.gammas[index - 1]
-
-
-def make_gamma_set() -> GammaSet:
-    g1 = np.kron(PAULI_X, I2)
-    g2 = np.kron(PAULI_Y, I2)
-    g3 = np.kron(PAULI_Z, PAULI_X)
-    g4 = np.kron(PAULI_Z, PAULI_Y)
-    tilde = np.kron(PAULI_Z, PAULI_Z)
-    return GammaSet(tuple(_frozen(g) for g in (g1, g2, g3, g4)), _frozen(tilde))
+G1 = _frozen(np.kron(PAULI_X, I2))
+G2 = _frozen(np.kron(PAULI_Y, I2))
+G3 = _frozen(np.kron(PAULI_Z, PAULI_X))
+G4 = _frozen(np.kron(PAULI_Z, PAULI_Y))
+GT = _frozen(np.kron(PAULI_Z, PAULI_Z))
 
 
 _PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}

@@ -12,7 +12,8 @@ is `step * repeat`. Two gate kinds exist:
                permutation |n, m> -> |n, m - n mod 4>, so CSUM^4 = I.
 
 An op whose site or level is not an int (a bool is not), whose `phi` is
-not a finite real or whose flag is not a bool raises InvalidCircuit.
+not a finite real or whose flag is not a bool raises InvalidCircuit, and
+so does a circuit whose `metadata` is not a dict.
 Circuit JSON writes and reads the step as one list of op objects, each its
 `_KINDS` name plus its dataclass fields.
 
@@ -95,6 +96,8 @@ class Circuit:
         for name, value in (("sites", self.site_count), ("repeat", self.repeat)):
             if type(value) is not int or value < 1:
                 raise InvalidCircuit(f"{name} must be an int >= 1, got {value!r}")
+        if not isinstance(self.metadata, dict):
+            raise InvalidCircuit(f"metadata must be a dict, got {self.metadata!r}")
         for op in self.step:
             for s in _op_sites(op):
                 if not 0 <= s < self.site_count:

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SiteOutOfRange, UnsupportedLattice
-from .gamma import DIM, make_gamma_set
+from .gamma import DIM, G1, G2, G3, G4, GT
 from .linalg import apply_local, dense_dim
 
 SPIN_UP = "up"
@@ -93,23 +93,15 @@ def parse_geometry(token: str) -> LatticeGeometry:
     raise UnsupportedLattice(f"cannot parse geometry {token!r}")
 
 
-@lru_cache(maxsize=None)
-def _local_operators():
-    g = make_gamma_set()
-    half = {
-        (SPIN_UP, "annihilate"): 0.5 * (g.gamma(1) - 1j * g.gamma(2)),
-        (SPIN_UP, "create"): 0.5 * (g.gamma(1) + 1j * g.gamma(2)),
-        (SPIN_DOWN, "annihilate"): 0.5 * (g.gamma(3) - 1j * g.gamma(4)),
-        (SPIN_DOWN, "create"): 0.5 * (g.gamma(3) + 1j * g.gamma(4)),
-    }
-    return g, half
+_LADDER_FACTORS = {(spin, kind): 0.5 * (a + sign * b)
+                   for spin, (a, b) in ((SPIN_UP, (G1, G2)), (SPIN_DOWN, (G3, G4)))
+                   for kind, sign in (("annihilate", -1j), ("create", 1j))}
 
 
 def local_fermion_factor(spin: str, kind: str) -> np.ndarray:
-    """The site-local 4x4 ladder factor (1/2)(G_{2v-1} +- i G_{2v})."""
-    _, half = _local_operators()
+    """A copy of the site-local 4x4 ladder factor (1/2)(G_{2v-1} +- i G_{2v})."""
     try:
-        return half[(spin, kind)].copy()
+        return _LADDER_FACTORS[(spin, kind)].copy()
     except KeyError:
         raise ValueError(f"spin must be up/down and kind create/annihilate, got ({spin!r}, {kind!r})")
 
@@ -121,8 +113,7 @@ def apply_fermion(state: np.ndarray, site: int, spin: str, kind: str,
     local ladder factor on `site`."""
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    g, _ = _local_operators()
-    string = [((axis,), g.tilde) for axis in range(site - 1)]
+    string = [((axis,), GT) for axis in range(site - 1)]
     return apply_local(state, string + [((site - 1,), local_fermion_factor(spin, kind))],
                        site_count)[0]
 
@@ -198,10 +189,9 @@ class MappedHamiltonian:
         the sites not named: per bond in `geometry.bonds` order, its four
         `hopping_local_factors` pieces at J/2 with Gt on the sites strictly
         between its ends; then p v times the interaction bracket per site."""
-        g, _ = _local_operators()
         for a, b in self.geometry.bonds:
             for left, right in hopping_local_factors().values():
-                yield self.J / 2.0, {a: left, **dict.fromkeys(range(a + 1, b), g.tilde), b: right}
+                yield self.J / 2.0, {a: left, **dict.fromkeys(range(a + 1, b), GT), b: right}
         local = self.int_prefactor * self.v * interaction_bracket()
         for site in range(1, self.geometry.site_count + 1):
             yield 1.0, {site: local}
@@ -225,24 +215,16 @@ def resolve_int_prefactor() -> float:
 @lru_cache(maxsize=None)
 def hopping_local_factors() -> dict:
     """The four (left, right) 4x4 factor pairs of a mapped bond."""
-    g, _ = _local_operators()
-    g1, g2, g3, g4 = (g.gamma(i) for i in range(1, 5))
     return {
-        1: (-1j * g2 @ g.tilde, g1),
-        2: (1j * g1 @ g.tilde, g2),
-        3: (-1j * g4 @ g.tilde, g3),
-        4: (1j * g3 @ g.tilde, g4),
+        1: (-1j * G2 @ GT, G1),
+        2: (1j * G1 @ GT, G2),
+        3: (-1j * G4 @ GT, G3),
+        4: (1j * G3 @ GT, G4),
     }
 
 
 def interaction_bracket() -> np.ndarray:
-    g, _ = _local_operators()
-    return (
-        np.eye(DIM)
-        - 1j * g.gamma(1) @ g.gamma(2)
-        - 1j * g.gamma(3) @ g.gamma(4)
-        + g.tilde
-    )
+    return np.eye(DIM) - 1j * G1 @ G2 - 1j * G3 @ G4 + GT
 
 
 def build_mapped_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> MappedHamiltonian:

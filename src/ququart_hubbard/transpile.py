@@ -28,8 +28,9 @@ the evolution angle tau. Each piece costs 2 CSUMs and 4 physical pulses,
 plus 4 swap pulses for terms 3 and 4, so a bond costs 8 CSUMs and 24
 pulses per step.
 
-`step_layers` is the one definition of a Trotter step: an on-site
-virtual-Z layer, then the brick groups of bonds, each layer a list of
+`step_layers` is the one definition of a Trotter step: an on-site layer
+of virtual-Z phases from `_diagonal_phase_ops`, the emitter of the
+corrections, then the brick groups of bonds, each layer a list of
 site-disjoint parts. A hopping piece is its two tau-independent sandwiches,
 op tuples cached once per process, around the two pulses that carry tau.
 `trotter_step_circuit` joins the parts into one flat circuit step, and
@@ -37,6 +38,7 @@ op tuples cached once per process, around the two pulses that carry tau.
 `trotter_grid` emits a time grid's circuits once per process.
 """
 
+import cmath
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,7 +50,7 @@ from .errors import SynthesisResidual
 from .gamma import DIM
 from .gates import Circuit, Csum, Rotation
 from .linalg import phase_aligned_distance
-from .mapping import MappedHamiltonian, hopping_local_factors
+from .mapping import MappedHamiltonian, hopping_local_factors, level_occupations
 
 
 class _Piece(NamedTuple):
@@ -110,27 +112,28 @@ def hopping_target(term_id: int, tau: float) -> np.ndarray:
     return np.cos(tau) * np.eye(DIM * DIM) - 1j * np.sin(tau) * h
 
 
-def _diagonal_phase_ops(phases, site: int) -> list:
-    """Virtual-Z sequence realizing diag(phases) up to global phase.
+def _diagonal_phase_ops(phases, sites) -> list:
+    """Per site in `sites`, the virtual-Z sequence realizing diag(phases).
 
-    Solves Z^{01}_a Z^{02}_b Z^{03}_c = diag up to phase; zero-angle ops
-    are dropped.
+    Solves Z^{01}_a Z^{02}_b Z^{03}_c = diag up to phase once for all
+    sites; zero-angle ops are dropped.
     """
-    phases = np.angle(np.asarray(phases, dtype=complex))
-    delta = phases[1:] - phases[0]
-    s = delta.sum() / 2.0
-    angles = 2.0 * delta - s
-    return [Rotation(site, 0, level, "z", float(angle), virtual=True)
-            for level, angle in zip((1, 2, 3), angles) if abs(angle) > 1e-14]
+    first, *rest = map(cmath.phase, phases)
+    delta = [phase - first for phase in rest]
+    s = sum(delta) / 2.0
+    angles = [(level, 2.0 * d - s) for level, d in zip((1, 2, 3), delta)]
+    return [[Rotation(site, 0, level, "z", angle, virtual=True)
+             for level, angle in angles if abs(angle) > 1e-14] for site in sites]
 
 
 def _correction_ops(phases, swap: bool, site: int) -> list:
     """Gate sequence for diag(phases), after a level-(1,2) swap if `swap`.
     The swap is X^{12}_pi . diag(1, i, i, 1), so its inner phases come first."""
-    ops = []
+    (ops,) = _diagonal_phase_ops(phases, [site])
     if swap:
-        ops = _diagonal_phase_ops((1, 1j, 1j, 1), site) + [Rotation(site, 1, 2, "x", float(np.pi))]
-    return ops + _diagonal_phase_ops(phases, site)
+        (inner,) = _diagonal_phase_ops((1, 1j, 1j, 1), [site])
+        ops = [*inner, Rotation(site, 1, 2, "x", float(np.pi)), *ops]
+    return ops
 
 
 @lru_cache(maxsize=None)
@@ -178,20 +181,6 @@ def hopping_residual(term_id: int, tau: float) -> tuple:
     return circuit, residual
 
 
-def interaction_layer_ops(site: int, v: float, prefactor: float, dt: float) -> list:
-    """Virtual-Z triple for one site of the on-site evolution over dt.
-
-    The local term p*v*(I - i G1 G2 - i G3 G4 + Gt) equals p*v*(I + z^{01}
-    + z^{02} + z^{03}), so each z rotation gets angle 2*p*v*dt and the
-    constant contributes only a global phase.
-    """
-    angle = 2.0 * prefactor * v * dt
-    return [
-        Rotation(site, 0, level, "z", float(angle), virtual=True)
-        for level in (1, 2, 3)
-    ]
-
-
 def _bond_layers(geometry) -> list:
     """Bond groups applied in sequence inside one step (brick pattern): horizontal
     bonds from odd columns, then from even columns, then rungs; a chain has L columns."""
@@ -213,8 +202,10 @@ def step_layers(mh: MappedHamiltonian, dt: float) -> list:
     """One first-order Trotter step over dt, as layers of per-part lists of
     gate ops.
 
-    The first layer holds one virtual-Z triple per site (the on-site
-    evolution; empty parts when v or dt is zero). Each further layer is one
+    The first layer is the on-site evolution: per site, the virtual-Z ops
+    of diag(e^{-i v dt n_up n_dn}) over the levels, with n_up n_dn from
+    `mapping.level_occupations`, solved once and placed on every site
+    (empty parts when v or dt is zero). Each further layer is one
     brick group of `_bond_layers`, with one part per bond: the four hopping
     pieces at evolution angle `hopping_angle(J, dt)`. The parts of one layer
     share no site. For ladder rungs the pair circuit covers the two
@@ -223,9 +214,8 @@ def step_layers(mh: MappedHamiltonian, dt: float) -> list:
     """
     geometry = mh.geometry
     term_angle = hopping_angle(mh.J, dt)
-    onsite = mh.v != 0.0 and dt != 0.0
-    layers = [[interaction_layer_ops(site, mh.v, mh.int_prefactor, dt) if onsite else []
-               for site in range(geometry.site_count)]]
+    phases = [cmath.exp(-1j * mh.v * dt * n_up * n_dn) for n_up, n_dn in level_occupations()]
+    layers = [_diagonal_phase_ops(phases, range(geometry.site_count))]
     for layer in _bond_layers(geometry):
         layers.append([
             [op for term_id in HOPPING_TERM_IDS

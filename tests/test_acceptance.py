@@ -9,7 +9,7 @@ from itertools import groupby
 
 import pytest
 
-from ququart_hubbard import acceptance, mapping
+from ququart_hubbard import acceptance, gates, mapping, transpile
 from ququart_hubbard.acceptance import CHECKS
 
 
@@ -48,3 +48,23 @@ def test_criterion_3_fails_when_a_hamiltonian_couples_sectors(monkeypatch):
     result = acceptance.spectrum_equivalence()
     assert not result.passed
     assert "sector leak 1.00e-09" in result.detail
+
+
+def test_criterion_7_fails_when_the_onsite_phase_is_inverted(monkeypatch):
+    # every on-site op inverted is e^{+i v dt n_up n_dn}, the sign of v
+    # flipped. Criterion 6 does not see this mutant (its populations read
+    # 0.335 > 0.132 > 0.045 and pass); criterion 7's lesser GF does.
+    layers = transpile.step_layers
+
+    def inverted_onsite(mh, dt):
+        onsite, *bonds = layers(mh, dt)
+        return [[[gates.gate_inverse(op) for op in part] for part in onsite], *bonds]
+
+    monkeypatch.setattr(transpile, "step_layers", inverted_onsite)
+    transpile.trotter_grid.cache_clear()
+    try:
+        result = acceptance.greens_functions()
+    finally:
+        transpile.trotter_grid.cache_clear()  # no mutated grid outlives the test
+    assert not result.passed
+    assert "worst GF dev 1.1498" in result.detail

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +292,24 @@ def test_resources_prints_comparison(capsys):
     assert run_cli("resources", "--geometry", "chain:3") == 0
     out = capsys.readouterr().out
     assert "qubit_zigzag" not in out and "two-body gates per step" not in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
+    # the reader of stdout is gone before the first byte: with a buffered
+    # stdout the error shows at the last flush, unbuffered at the first print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    try:
+        result = subprocess.run([sys.executable, "-m", "ququart_hubbard", "resources",
+                                 "--geometry", "2x4"], stdout=write_end, stderr=subprocess.PIPE,
+                                env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
 
 
 def test_resources_bad_lattice_exits_one(capsys):

@@ -4,11 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ququart_hubbard import mapping
 from ququart_hubbard.errors import InvalidSubspace
-from ququart_hubbard.gamma import _frozen, ggm, make_gamma_set, rotation
+from ququart_hubbard.gamma import G1, G2, G3, G4, GT, _frozen, ggm, rotation
 
-GSET = make_gamma_set()
-ALL_FIVE = [GSET.gamma(i) for i in range(1, 5)] + [GSET.tilde]
+GAMMAS = (G1, G2, G3, G4)
+ALL_FIVE = (*GAMMAS, GT)
 
 subspaces = [(j, k) for j in range(4) for k in range(j + 1, 4)]
 
@@ -19,21 +20,20 @@ def anticommutator(a, b):
 
 def test_clifford_relations_exact():
     eye = np.eye(4)
-    for a in range(1, 5):
-        for b in range(1, 5):
+    for a, ga in enumerate(GAMMAS):
+        for b, gb in enumerate(GAMMAS):
             expected = 2 * eye if a == b else 0 * eye
-            assert np.array_equal(anticommutator(GSET.gamma(a), GSET.gamma(b)), expected)
+            assert np.array_equal(anticommutator(ga, gb), expected)
 
 
 def test_tilde_is_minus_product_exact():
-    g1, g2, g3, g4 = (GSET.gamma(i) for i in range(1, 5))
-    assert np.array_equal(GSET.tilde, -g1 @ g2 @ g3 @ g4)
-    assert np.array_equal(GSET.tilde, np.diag([1, -1, -1, 1]).astype(complex))
+    assert np.array_equal(GT, -G1 @ G2 @ G3 @ G4)
+    assert np.array_equal(GT, np.diag([1, -1, -1, 1]).astype(complex))
 
 
 def test_tilde_anticommutes_exact():
-    for i in range(1, 5):
-        assert np.array_equal(anticommutator(GSET.tilde, GSET.gamma(i)), np.zeros((4, 4)))
+    for g in GAMMAS:
+        assert np.array_equal(anticommutator(GT, g), np.zeros((4, 4)))
 
 
 def test_all_five_hermitian_unitary():
@@ -45,7 +45,7 @@ def test_all_five_hermitian_unitary():
 def test_gamma_one_is_x_tensor_identity():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1.0
-    assert np.array_equal(GSET.gamma(1), expected)
+    assert np.array_equal(G1, expected)
 
 
 def test_ggm_x_example():
@@ -125,11 +125,11 @@ GAMMA_GGM_TERMS = {
 
 
 @pytest.mark.parametrize("index,matrix", [
-    (1, GSET.gamma(1)),
-    (2, GSET.gamma(2)),
-    (3, GSET.gamma(3)),
-    (4, GSET.gamma(4)),
-    ("tilde", GSET.tilde),
+    (1, G1),
+    (2, G2),
+    (3, G3),
+    (4, G4),
+    ("tilde", GT),
 ])
 def test_gamma_ggm_reconstruction_exact(index, matrix):
     total = sum(c * ggm(j, k, axis) for c, j, k, axis in GAMMA_GGM_TERMS[index])
@@ -142,3 +142,14 @@ def test_frozen_keeps_a_contiguous_complex_array():
     real = np.eye(4)
     frozen = _frozen(real)
     assert frozen.dtype == complex and not frozen.flags.writeable and real.flags.writeable
+
+
+def test_generators_are_read_only_constants():
+    for g in ALL_FIVE:
+        assert g.dtype == complex and g.flags.c_contiguous and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 5.0
+    factor = mapping.local_fermion_factor("up", "create")
+    assert factor.flags.writeable
+    factor[0, 0] = 5.0
+    assert mapping.local_fermion_factor("up", "create")[0, 0] == 0.0

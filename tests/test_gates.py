@@ -433,6 +433,9 @@ MALFORMED_DOCUMENTS = {
     "op as a string": (lambda doc: doc["ops"].__setitem__(1, "csum"), InvalidCircuit),
     "segment of numbers": (lambda doc: doc["ops"].append([1, 2]), InvalidCircuit),
     "nested op list": (lambda doc: doc.update(ops=[doc["ops"]]), InvalidCircuit),
+    "metadata a string": (lambda doc: doc.update(metadata="x"), InvalidCircuit),
+    "metadata a list": (lambda doc: doc.update(metadata=[1, 2]), InvalidCircuit),
+    "metadata a number": (lambda doc: doc.update(metadata=5), InvalidCircuit),
 }
 
 
@@ -474,14 +477,15 @@ def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
 
 
 # SHA-256 of the save_circuit bytes for J = 1, v = 2, steps = 30, recorded
-# when the middle layers became adjacent-level pulses; the earlier writer,
-# reading these files and saving them again, writes the same bytes: the
-# file format must not move.
+# when the on-site layer's angles came to be solved by the same virtual-Z
+# emitter as the corrections (last-bit changes in those angles only); the
+# earlier writer, reading these files and saving them again, writes the same
+# bytes: the file format must not move.
 CIRCUIT_FILE_DIGESTS = {
-    ("chain:8", 0.3): "e6e15706dd62d11a7921b7f1c1cac9004da76681d43c6d42f1bf9edf7f4f2aee",
-    ("chain:8", 2.7): "e75e96bd02374835efc342e94b35aae276dd5c0e5bbffa9d4351d3ba52c2372b",
-    ("ladder:2x4", 0.3): "21c5a6ebf01e0c747ea625a9ccb2d0e8379a1e5001d63b1b1db16496580d0e1f",
-    ("ladder:2x4", 2.7): "05e1b31537a0ce5991b82c421a8b080ba6e24446df7701bf640dd1e8672de77c",
+    ("chain:8", 0.3): "ae5a0738b400a0a6ad22254c19e2bef5906f50bb014c4220d4441ff94ec382cc",
+    ("chain:8", 2.7): "db7ff158c73c516485654ad70a2c811de8de6dc24db3126b5ea4acdb7f870f86",
+    ("ladder:2x4", 0.3): "6a74d6b670d8577827c6b1e93a9d793432530b1b785eea5bcdf8bb278e25471d",
+    ("ladder:2x4", 2.7): "68c81d35527b93e8e142d931d0b15aec6537d021afe155dab41053003bc277f4",
 }
 
 

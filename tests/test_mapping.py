@@ -8,9 +8,7 @@ import scipy.sparse
 
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import SiteOutOfRange, UnsupportedLattice
-from ququart_hubbard.gamma import make_gamma_set
-
-GSET = make_gamma_set()
+from ququart_hubbard.gamma import G1, G2, GT
 
 
 # --- dense Kronecker reference ----------------------------------------------
@@ -73,7 +71,7 @@ def test_parse_geometry_tokens():
 def test_single_site_annihilator_structure():
     # (1/2)(G1 - i G2) moves the first internal two-level factor: |0b> -> |1b>
     op = mapping.map_fermion(1, "up", "annihilate", 1)
-    expected = 0.5 * (GSET.gamma(1) - 1j * GSET.gamma(2))
+    expected = 0.5 * (G1 - 1j * G2)
     assert np.array_equal(op, expected)
     nonzero = {(r, c) for r, c in zip(*np.nonzero(op))}
     assert nonzero == {(2, 0), (3, 1)}
@@ -89,7 +87,7 @@ def test_site_out_of_range():
 def kron_fermion(site, spin, kind, site_count):
     """c or c^dag as a Kronecker string: Gt on each site before `site`,
     the local ladder factor on `site`, identities after it."""
-    factors = ([GSET.tilde] * (site - 1) + [mapping.local_fermion_factor(spin, kind)]
+    factors = ([GT] * (site - 1) + [mapping.local_fermion_factor(spin, kind)]
                + [np.eye(4)] * (site_count - site))
     return functools.reduce(np.kron, factors)
 
@@ -240,7 +238,7 @@ def test_rung_bonds_carry_string():
     by_bond = bond_terms(mh)
     for _, factors in by_bond[(1, 4)]:
         assert sorted(factors) == [1, 2, 3, 4]
-        assert all(np.array_equal(factors[s], GSET.tilde) for s in (2, 3))
+        assert all(np.array_equal(factors[s], GT) for s in (2, 3))
     for _, factors in by_bond[(1, 2)]:
         assert sorted(factors) == [1, 2]
 

@@ -211,16 +211,21 @@ def test_synthesis_report_contents():
 # --- trotter circuits ----------------------------------------------------------
 
 
-def test_interaction_layer_matches_exponential():
-    v, prefactor, dt = 2.0, 0.25, 0.13
-    ops = transpile.interaction_layer_ops(0, v, prefactor, dt)
-    assert all(op.virtual for op in ops)
-    u = np.eye(4, dtype=complex)
-    for op in ops:
-        u = gates.gate_matrix(op) @ u
-    local = prefactor * v * mapping.interaction_bracket()
-    target = scipy.linalg.expm(-1j * dt * local)
-    assert phase_overlap(u, target) > 1 - 1e-12
+@pytest.mark.parametrize("v, dt", [(2.0, 0.13), (8.0, 2.5), (0.0, 0.1), (2.0, 0.0)])
+def test_onsite_layer_matches_exponential(v, dt):
+    # each site part of the first layer against the Majorana form of the
+    # on-site term; |v dt| = 20 > pi wraps the solved phases
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(3), 1.0, v)
+    onsite = transpile.step_layers(mh, dt)[0]
+    assert len(onsite) == 3
+    target = scipy.linalg.expm(-1j * dt * mh.int_prefactor * v * mapping.interaction_bracket())
+    for site, part in enumerate(onsite):
+        assert all(op.virtual and op.site == site for op in part)
+        assert (part == []) == (v * dt == 0.0)
+        u = np.eye(4, dtype=complex)
+        for op in part:
+            u = gates.gate_matrix(op) @ u
+        assert phase_overlap(u, target) > 1 - 1e-12
 
 
 def test_trotter_zero_hopping_only_virtual():
