@@ -254,14 +254,17 @@ def cmd_greens(config: RunConfig) -> int:
     if "lesser_gf" in config.observables:
         emulate.require_chain(geometry)
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
+    coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.t_max]
+    # every circuit series runs before any output, so a grid the sector lane
+    # refuses (SynthesisResidual) writes nothing
+    circuit = {pair: emulate.lesser_gf_circuit(geometry, config.J, config.v, tokens, *pair,
+                                               coarse, config.steps)
+               for pair in pairs if "lesser_gf" in config.observables}
     out = _ensure_out(config)
     worst = 0.0
     for i, j, spin in pairs:
         if "lesser_gf" in config.observables:
-            coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.t_max]
-            circ = emulate.lesser_gf_circuit(
-                geometry, config.J, config.v, tokens, i, j, spin, coarse, config.steps
-            )
+            circ = circuit[(i, j, spin)]
             orac = oracle.lesser_series(h_exact, tokens, i, j, spin, coarse, config.J, config.v)
             for series, tag in ((circ, "circuit"), (orac, "oracle")):
                 _write_series(out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv", series)

@@ -2,10 +2,17 @@
 
 The emulation pipeline: encode the initial occupation configuration as a
 register product state, run the Trotterized circuit, and read populations
-or two-point functions with the mapped operators, applied to the state
-factor by factor. No 4^L x 4^L matrix is formed. Every routine here has
-an exact counterpart in the occupation-number reference (oracle module);
-the comparison runners return both lanes side by side.
+or two-point functions with the mapped operators. Every Trotter step
+conserves N_up and N_dn, so `population_grid` and `lesser_gf_circuit`
+run their grids in the start state's sector only (`gates.simulate_sector`
+on a `mapping.Sector`): at half-filled chain(8) that is 4900 of 65,536
+register amplitudes. c_i and c_j are the sectors' signed index maps
+(`Sector.fermion`). A grid whose fused blocks couple different charges
+is refused with SynthesisResidual. No 4^L x 4^L matrix is formed. Every
+routine here has an exact counterpart in the occupation-number reference
+(oracle module); the comparison runners return both lanes side by side.
+`circuit_populations` reads a full register state, as `gates.simulate`
+returns it.
 """
 
 from dataclasses import dataclass
@@ -72,18 +79,22 @@ def population_grid(
     taus,
     steps: int,
 ) -> list:
-    """Trotter-circuit vs exact populations for every (tau, site, spin)."""
+    """Trotter-circuit vs exact populations for every (tau, site, spin),
+    the circuit's read off its runs in the start state's sector."""
     require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     exact = oracle.exact_populations(h_exact, tokens, taus)
     grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
-    states = gates.simulate_grid(grid, mapping.product_state(tokens))
+    sector = mapping.token_sector(tokens)
+    psi0 = mapping.product_state(tokens)[sector.basis]
+    probs = np.abs(gates.simulate_sector(grid, sector, psi0, transpile.RESIDUAL_TOL)) ** 2
+    pops = np.tensordot(probs, sector.occupations(), axes=1)  # (tau, site, (up, down))
     rows = []
     for k, tau in enumerate(taus):
-        circ_pops = circuit_populations(states[k], geometry.site_count)
         for (s, spin), values in exact.items():
-            rows.append(PopulationRow(tau, steps, s, spin, circ_pops[(s, spin)], float(values[k])))
+            circuit_value = float(pops[k, s - 1, mapping.SPINS.index(spin)])
+            rows.append(PopulationRow(tau, steps, s, spin, circuit_value, float(values[k])))
     return rows
 
 
@@ -105,25 +116,28 @@ def lesser_gf_circuit(
     """Lesser two-point function with Trotter-circuit Heisenberg evolution.
 
     G(t) = i <U(t) c_j psi0 | c_i U(t) psi0> with U(t) the step-count-steps
-    circuit for total time t; c_i and c_j act factor by factor through
-    `mapping.apply_fermion`. Global phases of U cancel between the two
-    propagated vectors.
+    circuit for total time t; c_i and c_j are the signed index maps of
+    `mapping.Sector.fermion`. The ket runs in psi0's sector, the bra in
+    c_j psi0's; when c_j psi0 = 0, G is exactly 0 and nothing runs. Global
+    phases of U cancel between the two propagated vectors.
     """
     require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
-    L = geometry.site_count
-    psi0 = mapping.product_state(tokens)
-    removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
-    grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
-    # bra and ket propagate together as one (4^L, 2) batch, every time at
-    # once; at t = 0 the step is empty and the batch comes back unchanged
-    states = gates.simulate_grid(grid, np.column_stack([removed, psi0]))
-    values = np.empty(len(times), dtype=complex)
-    for idx, (bra, ket) in enumerate(states.transpose(0, 2, 1)):
-        values[idx] = 1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))
+    sector = mapping.token_sector(tokens)
+    psi0 = mapping.product_state(tokens)[sector.basis]
+    remove_j = sector.fermion(j, spin, "annihilate")
+    removed = remove_j(psi0)
+    values = np.zeros(len(times), dtype=complex)
+    if np.any(removed):  # else c_j psi0 = 0 and G vanishes exactly
+        grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
+        # the ket propagates in psi0's sector, the bra in c_j psi0's;
+        # at t = 0 the step is empty and both come back unchanged
+        kets = gates.simulate_sector(grid, sector, psi0, transpile.RESIDUAL_TOL)
+        bras = gates.simulate_sector(grid, remove_j.target, removed, transpile.RESIDUAL_TOL)
+        values = 1j * np.vecdot(bras, sector.fermion(i, spin, "annihilate")(kets))
     return GreensSeries(
         np.asarray(times, float), values, i, j, spin, "lesser",
-        L, J, v, ",".join(tokens), source="circuit",
+        geometry.site_count, J, v, ",".join(tokens), source="circuit",
     )
 
 

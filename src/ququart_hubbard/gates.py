@@ -23,8 +23,11 @@ against the batch-leading (B, 4^L) state array, with no 4^L x 4^L
 embedding. `simulate` fuses the step greedily, as qsim's gate fuser does
 (Isakov et al., arXiv:2111.02396): one-site matrices collect per site, and
 each two-site matrix multiplies into the latest block its two sites share
-or else opens a new 16x16 block. A chain(L) step collapses to L - 1
-blocks, applied `repeat` times.
+or else opens a new 16x16 block. Before a block opens, the one-site
+matrices still pending on a site that has a block close into that
+block, so a bond's trailing corrections stay in its own block and every
+block of an emitted step conserves its pair's (N_up, N_dn). A chain(L)
+step collapses to L - 1 blocks, applied `repeat` times.
 
 `simulate_grid` runs a whole time grid at once. A `Grid` of circuits
 fuses each structure group (the sites of each op) in one pass on first
@@ -32,6 +35,10 @@ use and keeps the blocks. Each op position is one matrix when every run
 holds the same op object (the cached pulses of `transpile`), else a
 (T, d, d) stack of the runs' matrices; per call each block is one stacked
 matmul over the runs. `simulate` is the grid of one circuit.
+`simulate_sector` runs the same blocks, chunk loop and batch cap on the
+amplitudes of one (N_up, N_dn) sector only (a `mapping.Sector`): a block
+there is one gather of each amplitude's <= 4 same-charge partners, one
+multiply and one sum.
 """
 
 import json
@@ -42,7 +49,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gamma, linalg
-from .errors import InvalidCircuit, InvalidSubspace, SiteOutOfRange
+from .errors import (
+    InvalidCircuit, InvalidSubspace, SiteOutOfRange, StateSizeMismatch, SynthesisResidual,
+)
 from .gamma import DIM, _frozen
 from .linalg import apply_local, dense_dim
 
@@ -197,36 +206,47 @@ def _fuse(items) -> list:
 
     One-site matrices collect per site into a pending 4x4. A two-site
     matrix takes the pending 4x4s of its sites with it and multiplies into
-    the latest block on both sites if they share one; otherwise it opens a
-    new 16x16 block on its ascending sites. Pending 4x4s left at the end
-    multiply into the latest block on their site, or become one-site
-    blocks. Folding a matrix into a block that later blocks do not touch
-    is exact: they commute.
+    the latest block on both sites if they share one. Otherwise it opens a
+    new 16x16 block on its ascending sites, after the pending 4x4 of each
+    of its sites that has a block closes into that site's latest block: a
+    bond's trailing corrections stay in its own block, so each block of an
+    emitted step conserves its pair's (N_up, N_dn). Pending 4x4s left at
+    the end close the same way, or become one-site blocks. Folding a matrix
+    into a block that later blocks do not touch is exact: they commute.
     """
     blocks = []  # [ascending sites, 4^k x 4^k matrix] in application order
     latest = {}  # site -> index of the latest block on it
     pending = {}  # site -> product of the one-site matrices not yet in a block
+
+    def close(s):
+        sites, u = blocks[latest[s]]
+        m = pending.pop(s)
+        blocks[latest[s]][1] = (_kron4(m, _EYE) if s == sites[0] else _kron4(_EYE, m)) @ u
+
     for sites, g in _local_matrices(items):
         if len(sites) == 1:
             s = sites[0]
             pending[s] = g @ pending[s] if s in pending else g
             continue
         a, b = sites
+        k = latest.get(a)
+        opens = k is None or latest.get(b) != k
+        if opens:
+            for s in (a, b):
+                if s in pending and s in latest:
+                    close(s)
         if a in pending or b in pending:
             g = g @ _kron4(pending.pop(a, _EYE), pending.pop(b, _EYE))
-        k = latest.get(a)
-        if k is not None and latest.get(b) == k:
-            blocks[k][1] = g @ blocks[k][1]
-        else:
+        if opens:
             blocks.append([(a, b), g])
             latest[a] = latest[b] = len(blocks) - 1
-    for s, m in pending.items():
-        k = latest.get(s)
-        if k is None:
-            blocks.append([(s,), m])
-            continue
-        sites, u = blocks[k]
-        blocks[k][1] = (_kron4(m, _EYE) if s == sites[0] else _kron4(_EYE, m)) @ u
+        else:
+            blocks[k][1] = g @ blocks[k][1]
+    for s in list(pending):
+        if s in latest:
+            close(s)
+        else:
+            blocks.append([(s,), pending.pop(s)])
     return blocks
 
 
@@ -268,17 +288,28 @@ def simulate_grid(circuits, state: np.ndarray) -> np.ndarray:
     GRID_BATCH_BYTES of runs at a time. A circuit whose site count does not
     match the state raises StateSizeMismatch.
     """
-    grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
     state = np.asarray(state, dtype=complex)
+    return _run_grid(circuits, state, lambda blocks: state.size * 16, apply_local)
+
+
+def _run_grid(circuits, state, run_bytes, apply) -> np.ndarray:
+    """The chunk loop of `simulate_grid` and `simulate_sector`: each
+    structure group's runs in slices of at most GRID_BATCH_BYTES, as
+    `run_bytes(blocks)` counts one run, each slice one
+    `apply(state, blocks, site_count)` call. A stacked block repeated in
+    the group is one slice object in each call."""
+    grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
     if not grid:
         return np.empty((0, *state.shape), dtype=complex)
-    size = max(1, linalg.GRID_BATCH_BYTES // (state.size * 16))
     out = None
     for group, site_count, blocks in grid.chunks:
+        size = max(1, linalg.GRID_BATCH_BYTES // max(1, run_bytes(blocks)))
         for lo in range(0, len(group), size):
             idx = group[lo:lo + size]
-            chunk = [(sites, m[lo:lo + size] if m.ndim == 3 else m) for sites, m in blocks]
-            psi = apply_local(state, chunk, site_count)
+            cut = {}
+            chunk = [(sites, cut.setdefault(id(m), m[lo:lo + size]) if m.ndim == 3 else m)
+                     for sites, m in blocks]
+            psi = apply(state, chunk, site_count)
             if len(psi) == len(grid):  # one chunk ran the whole grid, in order
                 return psi
             if out is None:
@@ -288,6 +319,53 @@ def simulate_grid(circuits, state: np.ndarray) -> np.ndarray:
                 out = out.swapaxes(1, -1)
             out[idx] = psi
     return out
+
+
+def simulate_sector(circuits, sector, state: np.ndarray, tol: float) -> np.ndarray:
+    """`simulate_grid` inside one (N_up, N_dn) sector: `state` holds the
+    amplitudes, or (n, batch) columns of them, on the n register indices
+    `sector.basis` (a `mapping.Sector`); returns the (T, *state.shape)
+    results on the same basis.
+
+    A block acts on each position through the <= 4 positions that differ
+    from it only on the block's sites (`sector.plan`): one gather, one
+    multiply, one sum. The block entries this reads are gathered once per
+    distinct block in each chunk and count against GRID_BATCH_BYTES, with
+    the state and its gathered copy. A block whose entries between
+    different charges exceed `tol` raises SynthesisResidual; a circuit or
+    state of another size than the sector's raises StateSizeMismatch.
+    """
+    state = np.asarray(state, dtype=complex)
+    n = len(sector.basis)
+    if state.shape[0] != n:
+        raise StateSizeMismatch(f"state has {state.shape[0]} amplitudes, the sector has {n}")
+
+    def run_bytes(blocks):
+        stacked = len({id(m) for _, m in blocks if m.ndim == 3})
+        return 16 * (5 * state.size + 4 * n * stacked)
+
+    def apply(start, blocks, site_count):
+        if site_count != sector.site_count:
+            raise StateSizeMismatch(f"a circuit of {site_count} sites on a sector of "
+                                    f"{sector.site_count} sites")
+        batch = start.shape[1] if start.ndim == 2 else 1
+        psi = np.ascontiguousarray(start.T).reshape(1, batch, n)
+        gathered = {}  # id of a block -> (partners, its gathered entries)
+        for sites, m in blocks:
+            if id(m) not in gathered:
+                plan = sector.plan(sites)
+                leak = float(np.max(np.abs(m[..., plan.off_charge]), initial=0.0))
+                if leak > tol:
+                    raise SynthesisResidual(f"a fused block on sites {sites} couples different "
+                                            f"(N_up, N_dn) by {leak:.3e} > {tol:g}")
+                e = m.reshape(*m.shape[:-2], -1)[..., plan.entries] * plan.mask
+                gathered[id(m)] = plan.partners, e[:, None] if e.ndim == 3 else e
+        for _, m in blocks:
+            partners, e = gathered[id(m)]
+            psi = np.einsum("...k,...k->...", psi.take(partners, axis=-1), e)
+        return psi.reshape(len(psi), *start.shape[::-1]).swapaxes(1, -1)
+
+    return _run_grid(circuits, state, run_bytes, apply)
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import DimensionTooLarge, StateSizeMismatch
 from .gamma import DIM
 
 DENSE_BUDGET_BYTES = 1 << 30  # one dense register operator, 1 GiB
-GRID_BATCH_BYTES = 1 << 19  # one stacked (T, B, 4^L) batch of grid runs, 512 KiB
+GRID_BATCH_BYTES = 1 << 19  # one stacked batch of grid runs (`gates._run_grid`), 512 KiB
 
 
 def check_budget(rows: int, cols: int, what: str) -> None:

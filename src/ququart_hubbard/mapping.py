@@ -34,6 +34,7 @@ Sites are 1-based throughout this module (register position = site - 1).
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,6 +149,139 @@ def sector_labels(site_count: int) -> np.ndarray:
     for _ in range(site_count):
         labels = (labels[:, None] + per_level).ravel()
     return labels
+
+
+class SectorPlan(NamedTuple):
+    """How a block on some sites acts inside one sector. Row p of
+    `partners` lists the <= 4 basis positions with the same levels off
+    those sites as position p, which in one sector means the same charge
+    on them too, padded with p itself. Row p of `entries` holds the flat
+    indices of the block entries each partner needs, `mask` is 0 on the
+    padding, and `off_charge` marks the block entries between local states
+    of different charge."""
+
+    partners: np.ndarray  # (n, 4) basis positions
+    entries: np.ndarray  # (n, 4) indices into the block's flat d x d matrix
+    mask: np.ndarray  # (n, 4) 1.0, or 0.0 on the padding
+    off_charge: np.ndarray  # (d, d) bool
+
+
+class SectorFermion(NamedTuple):
+    """A mapped c or c^dag between two sectors as a signed index map: the
+    amplitude at `source` position k moves to `dest` position k of the
+    target sector, times `coefficient` k."""
+
+    target: "Sector"
+    source: np.ndarray
+    dest: np.ndarray
+    coefficient: np.ndarray
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        """The map on the last axis of (..., n) sector amplitudes."""
+        out = np.zeros((*states.shape[:-1], len(self.target.basis)), dtype=complex)
+        out[..., self.dest] = states[..., self.source] * self.coefficient
+        return out
+
+
+@lru_cache(maxsize=None)
+def _charge_classes(k: int) -> tuple:
+    """For the 4^k local states of k sites (first site's level major): the
+    (4^k, 4) table of the states of each state's (N_up, N_dn), padded with
+    the state itself, its 0/1 mask of the padding, and the (4^k, 4^k) bool
+    pattern of the entries between different charges."""
+    charge = np.zeros((1, 2), dtype=int)
+    for _ in range(k):
+        charge = (charge[:, None] + np.array(level_occupations())).reshape(-1, 2)
+    same = np.all(charge[:, None] == charge[None, :], axis=-1)
+    cols = np.repeat(np.arange(len(same))[:, None], 4, axis=1)
+    mask = np.zeros(cols.shape)
+    for q, row in enumerate(same):
+        members = np.flatnonzero(row)
+        cols[q, :len(members)], mask[q, :len(members)] = members, 1.0
+    return cols, mask, ~same
+
+
+class Sector:
+    """The register basis states with N_up up and N_dn down particles, as
+    their sorted register indices `basis` (from `sector_labels`): the
+    basis of a state vector that keeps only these amplitudes."""
+
+    def __init__(self, site_count: int, n_up: int, n_dn: int):
+        self.site_count, self.counts = site_count, (n_up, n_dn)
+        if 0 <= n_up <= site_count and 0 <= n_dn <= site_count:
+            label = n_up * (site_count + 1) + n_dn
+            self.basis = np.flatnonzero(sector_labels(site_count) == label)
+        else:
+            self.basis = np.zeros(0, dtype=np.intp)
+        self._plans = {}
+
+    def _levels(self, site: int) -> np.ndarray:
+        """Level of 0-based register `site` in each basis state."""
+        return self.basis // DIM ** (self.site_count - 1 - site) % DIM
+
+    def occupations(self) -> np.ndarray:
+        """(n, L, 2): (n_up, n_dn) of each site in each basis state."""
+        levels = np.column_stack([self._levels(s) for s in range(self.site_count)])
+        return np.array(level_occupations())[levels]
+
+    def plan(self, sites: tuple) -> SectorPlan:
+        """The `SectorPlan` of a block on 0-based ascending `sites`, built
+        on first use and kept."""
+        if sites not in self._plans:
+            self._plans[sites] = self._build_plan(sites)
+        return self._plans[sites]
+
+    def _build_plan(self, sites: tuple) -> SectorPlan:
+        local = np.zeros(len(self.basis), dtype=np.intp)
+        rest = self.basis.copy()
+        for s in sites:
+            level = self._levels(s)
+            local = local * DIM + level
+            rest -= level * DIM ** (self.site_count - 1 - s)
+        cols, mask, off_charge = _charge_classes(len(sites))
+        cols, mask = cols[local], mask[local]
+        partners = rest[:, None]
+        for k, s in enumerate(sites):
+            digit = cols // DIM ** (len(sites) - 1 - k) % DIM
+            partners = partners + digit * DIM ** (self.site_count - 1 - s)
+        partners = np.searchsorted(self.basis, partners)
+        return SectorPlan(partners, local[:, None] * len(off_charge) + cols, mask, off_charge)
+
+    def fermion(self, site: int, spin: str, kind: str) -> SectorFermion:
+        """c ("annihilate") or c^dag ("create") at 1-based `site` into its
+        target sector, read off `local_fermion_factor` (one nonzero per
+        column) and the diagonal of the Gt string on the sites before."""
+        factor = local_fermion_factor(spin, kind)
+        rows, cols = np.nonzero(factor)
+        if (len(set(rows)) != len(rows) or len(set(cols)) != len(cols)
+                or np.count_nonzero(GT - np.diag(np.diag(GT)))):
+            raise ArithmeticError("mapped ladder operator is not a signed index map")
+        level = self._levels(site - 1)
+        source = np.flatnonzero(np.any(level[:, None] == cols, axis=1))
+        new_level = np.zeros(DIM, dtype=np.intp)
+        new_level[cols] = rows
+        coefficient = factor[new_level[level[source]], level[source]].astype(complex)
+        for s in range(site - 1):
+            coefficient *= np.diag(GT)[self._levels(s)[source]]
+        occ = np.array(level_occupations())
+        n_up, n_dn = np.array(self.counts) + occ[rows[0]] - occ[cols[0]]
+        target = sector(self.site_count, int(n_up), int(n_dn))
+        step = DIM ** (self.site_count - site)
+        moved = self.basis[source] + (new_level[level[source]] - level[source]) * step
+        return SectorFermion(target, source, np.searchsorted(target.basis, moved), coefficient)
+
+
+@lru_cache(maxsize=16)
+def sector(site_count: int, n_up: int, n_dn: int) -> Sector:
+    """The kept `Sector` of these counts, so its plans are built once."""
+    return Sector(site_count, n_up, n_dn)
+
+
+def token_sector(tokens) -> Sector:
+    """The `Sector` of the product state of occupation `tokens`."""
+    occ = np.array(level_occupations())
+    n_up, n_dn = occ[[level_of_token()[t] for t in tokens]].sum(axis=0)
+    return sector(len(tokens), int(n_up), int(n_dn))
 
 
 @lru_cache(maxsize=None)

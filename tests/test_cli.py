@@ -375,6 +375,27 @@ def test_transpile_writes_nothing_when_the_residual_gate_fails(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("evolve", ["--tau-stop", "1.0"]),
+    ("greens", ["--pairs", "2,2,down;1,2,down", "--observables", "lesser_gf,retarded_gf"]),
+], ids=["evolve", "greens"])
+def test_a_grid_whose_blocks_leak_charge_exits_three_before_output(tmp_path, capsys,
+                                                                   monkeypatch, command, flags):
+    # with piece 1's middle sign flipped the fused chain(4) blocks couple
+    # different (N_up, N_dn); the sector lane refuses the grid
+    flip_piece_one(monkeypatch)
+    transpile.trotter_grid.cache_clear()  # no cached unmutated grid is reused
+    out = tmp_path / "out"
+    try:
+        code = run_cli(command, "--geometry", "chain:4", "--init", "u,ud,u,d", "--steps", "3",
+                       *flags, "--out", str(out))
+    finally:
+        transpile.trotter_grid.cache_clear()  # no mutated grid outlives the test
+    assert code == 3
+    assert "couples different (N_up, N_dn) by" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pairs", ["5,5,up", "0,1,up", "1,x,up"])
 def test_bad_pairs_exit_one(tmp_path, capsys, pairs):
     code = run_cli("greens", "--geometry", "chain:3", "--init", "u,d,0", "--pairs", pairs,

@@ -1,9 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ququart_hubbard import emulate, linalg, mapping, oracle
+from ququart_hubbard import acceptance, emulate, gates, linalg, mapping, oracle, transpile
 
 
 def test_circuit_populations_initial_state():
@@ -65,7 +66,7 @@ def test_lesser_gf_structural_zero_component():
         mapping.chain(3), 1.0, 2.0, ("u", "d", "0"), 1, 3, "up", times, steps=10
     )
     assert np.max(np.abs(orac.values)) < 1e-12
-    assert np.max(np.abs(circ.values)) < 1e-12
+    assert not np.any(circ.values)  # c_3 psi0 = 0: nothing is propagated
 
 
 def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
@@ -78,9 +79,12 @@ def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
 
 @pytest.mark.parametrize("steps", [1, 2])
 def test_lesser_gf_circuit_runs_seven_sites(steps):
-    # one dense chain(7) operator would need 4 GiB; the state takes 256 kB.
-    # The 21 propagated (bra, ket) pairs take 10.5 MiB, so the stacked runs
-    # must stay under linalg.GRID_BATCH_BYTES to fit the 16 MiB
+    # one dense chain(7) operator would need 4 GiB and a register state
+    # 256 kB; the ket's and the bra's sectors hold 1225 amplitudes each. A
+    # run counts its state, its gathered copy and the gathered entries of
+    # its six stacked bond blocks against linalg.GRID_BATCH_BYTES (568 kB),
+    # so each run goes alone. Measured peak 4.1-4.5 MiB: about 1.1 MiB the
+    # emitted and fused grid, the rest the two sectors' plans
     tokens = ("u", "d", "ud", "0", "u", "d", "ud")
     tracemalloc.start()
     try:
@@ -89,6 +93,108 @@ def test_lesser_gf_circuit_runs_seven_sites(steps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20
+    assert peak < 6 << 20
     assert series.values[0] == 1j  # n_(3, down) = 1 in psi0
     assert np.all(np.isfinite(series.values))
+
+
+# --- the sector lane against the full register ------------------------------
+
+
+def full_register_states(geometry, v, tokens, taus, steps):
+    """`gates.simulate_grid` on the whole 4^L register, with the grid the
+    sector lane runs."""
+    mh = mapping.build_mapped_hamiltonian(geometry, 1.0, v)
+    grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
+    return grid, gates.simulate_grid(grid, mapping.product_state(tokens))
+
+
+def assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps):
+    grid, full = full_register_states(geometry, v, tokens, taus, steps)
+    sector = mapping.token_sector(tokens)
+    runs = gates.simulate_sector(grid, sector, mapping.product_state(tokens)[sector.basis],
+                                 transpile.RESIDUAL_TOL)
+    assert np.max(np.abs(runs - full[:, sector.basis])) <= 1e-12
+    assert np.max(np.abs(np.delete(full, sector.basis, axis=1))) <= 1e-12
+    return full
+
+
+def assert_population_grid_matches_full_register(geometry, v, tokens, taus, steps):
+    full = assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps)
+    rows = emulate.population_grid(geometry, 1.0, v, tokens, taus, steps)
+    pops = [emulate.circuit_populations(state, geometry.site_count) for state in full]
+    by_tau = {float(tau): k for k, tau in enumerate(taus)}
+    assert max(abs(r.circuit_value - pops[by_tau[r.tau]][(r.site, r.spin)]) for r in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [5, 10, 30])
+@pytest.mark.parametrize("sites, tokens", [(2, ("u", "d")), (4, ("u", "ud", "u", "d"))],
+                         ids=["chain2-half-filling", "chain4-mixed"])
+def test_sector_lane_matches_full_register_on_criterion_6(sites, tokens, steps):
+    assert_population_grid_matches_full_register(mapping.chain(sites), 2.0, tokens,
+                                             acceptance.TAU_GRID, steps)
+
+
+@pytest.mark.parametrize("sites, tokens", [(1, ("ud",)), (1, ("u",)), (2, ("ud", "0")),
+                                           (2, ("0", "0"))])
+def test_sector_lane_matches_full_register_on_small_chains(sites, tokens):
+    assert_population_grid_matches_full_register(mapping.chain(sites), 2.0, tokens,
+                                             [0.0, 0.7, 2.5], 4)
+
+
+def test_sector_lane_matches_full_register_on_half_filled_chain8():
+    # past the oracle's dense budget: the states only, not `population_grid`
+    tokens = ("u", "d", "ud", "0", "0", "ud", "d", "u")
+    assert len(mapping.token_sector(tokens).basis) == 4900
+    assert_sector_lane_matches_full_register(mapping.chain(8), 2.0, tokens, [0.0, 0.6, 1.4], 2)
+
+
+def full_register_lesser_gf(geometry, tokens, i, j, spin, times, steps):
+    """G(t) from full-register runs of the bra and the ket, c_i and c_j
+    applied by `mapping.apply_fermion`."""
+    L = geometry.site_count
+    psi0 = mapping.product_state(tokens)
+    removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
+    mh = mapping.build_mapped_hamiltonian(geometry, 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
+    states = gates.simulate_grid(grid, np.column_stack([removed, psi0]))
+    return np.array([1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))
+                     for bra, ket in states.transpose(0, 2, 1)])
+
+
+@pytest.mark.parametrize("sites, tokens, i, j, spin", [
+    (3, ("u", "d", "0"), 1, 1, "up"), (3, ("u", "d", "0"), 2, 1, "up"),
+    (3, ("u", "d", "0"), 3, 1, "up"), (4, ("u", "ud", "u", "d"), 2, 2, "down"),
+    (4, ("u", "ud", "u", "d"), 4, 4, "down"),
+])
+def test_sector_lane_matches_full_register_on_criterion_7(sites, tokens, i, j, spin):
+    args = (mapping.chain(sites), tokens, i, j, spin, emulate.LESSER_TIMES, 30)
+    series = emulate.lesser_gf_circuit(args[0], 1.0, 1.0, *args[1:])
+    assert np.max(np.abs(series.values - full_register_lesser_gf(*args))) <= 1e-12
+
+
+@pytest.mark.parametrize("tokens, j, spin", [(("0", "d"), 1, "up"), (("u", "0"), 2, "down"),
+                                             (("ud", "0"), 2, "up")])
+def test_lesser_gf_with_no_particle_to_remove_is_exactly_zero(tokens, j, spin):
+    # the first two have no particle of the spin at all, so c_j psi0 would
+    # land in a sector of -1 particles, which has no basis states
+    series = emulate.lesser_gf_circuit(mapping.chain(2), 1.0, 1.0, tokens, 1, j, spin,
+                                       [0.0, 0.5, 1.5], 3)
+    assert np.array_equal(series.values, np.zeros(3))
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_sector_fermion_maps_equal_apply_fermion(sites):
+    # every sector, every (site, spin, kind), on every basis state at once
+    for n_up, n_dn in itertools.product(range(sites + 1), repeat=2):
+        sector = mapping.sector(sites, n_up, n_dn)
+        columns = np.zeros((4**sites, len(sector.basis)), dtype=complex)
+        columns[sector.basis, np.arange(len(sector.basis))] = 1.0
+        for site, spin, kind in itertools.product(range(1, sites + 1), mapping.SPINS,
+                                                  ("annihilate", "create")):
+            image = mapping.apply_fermion(columns, site, spin, kind, sites)
+            fermion = sector.fermion(site, spin, kind)
+            mapped = fermion(np.eye(len(sector.basis)))  # row k: image of basis state k
+            full = np.zeros_like(image)
+            full[fermion.target.basis] = mapped.T
+            assert np.array_equal(full, image)

@@ -16,6 +16,7 @@ from ququart_hubbard.errors import (
     InvalidSubspace,
     SiteOutOfRange,
     StateSizeMismatch,
+    SynthesisResidual,
 )
 from ququart_hubbard.gates import Circuit, Csum, GateTally, Rotation
 
@@ -240,6 +241,37 @@ def test_fused_step_is_one_block_per_bond(sites):
     blocks = gates._fuse(chain_circuit(sites, 5).step)
     assert len(blocks) == sites - 1
     assert all(len(block_sites) == 2 for block_sites, _ in blocks)
+
+
+def charge_leak(sites, m):
+    """Largest commutator norm of a fused block (or stack) with its sites'
+    total N_up and N_dn, diagonals read from `mapping.level_occupations`."""
+    occ = np.array(mapping.level_occupations(), dtype=float)
+    n = occ if len(sites) == 1 else (occ[:, None] + occ[None, :]).reshape(16, 2)
+    worst = 0.0
+    for number in np.diag(n[:, 0]), np.diag(n[:, 1]):
+        worst = max(worst, float(np.max(np.abs(m @ number - number @ m))))
+    return worst
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.3, 5.0])
+@pytest.mark.parametrize("geometry", [f"chain:{L}" for L in range(1, 9)]
+                         + ["ladder:2x2", "ladder:2x4"])
+def test_fused_blocks_conserve_their_pairs_charges(geometry, tau):
+    # a bond's trailing corrections (the level-(1,2) swaps of pieces 3 and
+    # 4 among them) close into that bond's block, not the next block on
+    # their site
+    mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
+    blocks = gates._fuse(transpile.trotter_step_circuit(mh, tau, 3).step)
+    assert max(charge_leak(sites, m) for sites, m in blocks) <= 1e-14
+
+
+def test_fused_blocks_of_the_greens_grid_conserve_their_pairs_charges():
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+    blocks = [block for _, _, chunk in grid.chunks for block in chunk]
+    assert any(m.ndim == 3 for _, m in blocks)
+    assert max(charge_leak(sites, m) for sites, m in blocks) <= 1e-14
 
 
 @pytest.mark.parametrize("geometry, tau", [
@@ -649,3 +681,58 @@ def test_grid_rejects_circuits_of_another_site_count():
         gates.simulate_grid(circuits, random_state(4))
     with pytest.raises(StateSizeMismatch):
         gates.simulate_grid(circuits[:1], random_state(3))
+
+
+# --- sector simulation -------------------------------------------------------
+
+
+def sector_state(sector, rng=RNG):
+    v = rng.normal(size=len(sector.basis)) + 1j * rng.normal(size=len(sector.basis))
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("batch_bytes", [linalg.GRID_BATCH_BYTES, 1])
+def test_sector_grid_matches_the_full_register_grid(monkeypatch, batch_bytes):
+    # the greens grid on a (24, 2) batch of the chain(4) sector of u,ud,u,d;
+    # the 1-byte cap runs every tau alone
+    monkeypatch.setattr(linalg, "GRID_BATCH_BYTES", batch_bytes)
+    sector = mapping.token_sector(("u", "ud", "u", "d"))
+    assert len(sector.basis) == 24
+    batch = np.column_stack([sector_state(sector), sector_state(sector)])
+    full = np.zeros((256, 2), dtype=complex)
+    full[sector.basis] = batch
+    circuits = greens_grid_circuits()
+    out = gates.simulate_sector(circuits, sector, batch, transpile.RESIDUAL_TOL)
+    assert out.shape == (len(circuits), 24, 2)
+    assert np.max(np.abs(out - gates.simulate_grid(circuits, full)[:, sector.basis])) <= 1e-12
+    for k in range(2):
+        lone = gates.simulate_sector(circuits, sector, batch[:, k], transpile.RESIDUAL_TOL)
+        assert np.max(np.abs(out[..., k] - lone)) <= 1e-15
+
+
+def test_sector_grid_refuses_a_block_that_couples_charges():
+    # X^{12} exchanges the up and down levels of one site
+    sector = mapping.sector(2, 1, 1)
+    circuit = Circuit(2, (Csum(0, 1), Rotation(1, 1, 2, "x", 1e-6), Csum(0, 1, adjoint=True)))
+    state = sector_state(sector)
+    with pytest.raises(SynthesisResidual, match="couples different"):
+        gates.simulate_sector([circuit], sector, state, 1e-8)
+    # under a looser tolerance the entries within the charges are applied
+    out = gates.simulate_sector([circuit], sector, state, 1e-3)
+    full = np.zeros(16, dtype=complex)
+    full[sector.basis] = state
+    assert np.max(np.abs(out[0] - gates.simulate(circuit, full)[sector.basis])) <= 1e-6
+
+
+def test_sector_grid_rejects_a_state_or_circuit_of_another_size():
+    sector = mapping.sector(2, 1, 1)
+    with pytest.raises(StateSizeMismatch, match="sector has 4"):
+        gates.simulate_sector([chain_circuit(2, 1)], sector, np.ones(5), 1e-8)
+    with pytest.raises(StateSizeMismatch, match="a circuit of 3 sites"):
+        gates.simulate_sector([chain_circuit(3, 1)], sector, np.ones(4), 1e-8)
+
+
+def test_sector_grid_runs_an_empty_sector():
+    # no state has -1 up particles
+    sector = mapping.sector(2, -1, 0)
+    assert gates.simulate_sector([chain_circuit(2, 1)] * 2, sector, np.zeros(0), 1e-8).shape == (2, 0)
