@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, mapping, oracle, transpile
-from .errors import UnsupportedLattice
+from .errors import StateSizeMismatch, UnsupportedLattice
 from .gamma import DIM
 from .mapping import LatticeGeometry
 from .oracle import GreensSeries
@@ -88,7 +88,7 @@ def population_grid(
     grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
     sector = mapping.token_sector(tokens)
     psi0 = mapping.product_state(tokens)[sector.basis]
-    probs = np.abs(gates.simulate_sector(grid, sector, psi0, transpile.RESIDUAL_TOL)) ** 2
+    probs = np.abs(gates.simulate_sector(grid, sector, psi0)) ** 2
     pops = np.tensordot(probs, sector.occupations(), axes=1)  # (tau, site, (up, down))
     rows = []
     for k, tau in enumerate(taus):
@@ -119,22 +119,25 @@ def lesser_gf_circuit(
     circuit for total time t; c_i and c_j are the signed index maps of
     `mapping.Sector.fermion`. The ket runs in psi0's sector, the bra in
     c_j psi0's; when c_j psi0 = 0, G is exactly 0 and nothing runs. Global
-    phases of U cancel between the two propagated vectors.
+    phases of U cancel between the two propagated vectors. A site outside
+    1..L raises SiteOutOfRange, and tokens for another L StateSizeMismatch.
     """
     require_chain(geometry)
+    if len(tokens) != geometry.site_count:
+        raise StateSizeMismatch(f"{len(tokens)} tokens for {geometry.site_count} sites")
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     sector = mapping.token_sector(tokens)
     psi0 = mapping.product_state(tokens)[sector.basis]
-    remove_j = sector.fermion(j, spin, "annihilate")
+    remove_i, remove_j = (sector.fermion(s, spin, "annihilate") for s in (i, j))
     removed = remove_j(psi0)
     values = np.zeros(len(times), dtype=complex)
     if np.any(removed):  # else c_j psi0 = 0 and G vanishes exactly
         grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
         # the ket propagates in psi0's sector, the bra in c_j psi0's;
         # at t = 0 the step is empty and both come back unchanged
-        kets = gates.simulate_sector(grid, sector, psi0, transpile.RESIDUAL_TOL)
-        bras = gates.simulate_sector(grid, remove_j.target, removed, transpile.RESIDUAL_TOL)
-        values = 1j * np.vecdot(bras, sector.fermion(i, spin, "annihilate")(kets))
+        kets = gates.simulate_sector(grid, sector, psi0)
+        bras = gates.simulate_sector(grid, remove_j.target, removed)
+        values = 1j * np.vecdot(bras, remove_i(kets))
     return GreensSeries(
         np.asarray(times, float), values, i, j, spin, "lesser",
         geometry.site_count, J, v, ",".join(tokens), source="circuit",

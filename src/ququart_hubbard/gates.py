@@ -55,6 +55,10 @@ from .errors import (
 from .gamma import DIM, _frozen
 from .linalg import apply_local, dense_dim
 
+# the largest synthesis residual, or fused-block entry between different
+# charges, accepted before SynthesisResidual
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Rotation:
@@ -321,7 +325,7 @@ def _run_grid(circuits, state, run_bytes, apply) -> np.ndarray:
     return out
 
 
-def simulate_sector(circuits, sector, state: np.ndarray, tol: float) -> np.ndarray:
+def simulate_sector(circuits, sector, state: np.ndarray) -> np.ndarray:
     """`simulate_grid` inside one (N_up, N_dn) sector: `state` holds the
     amplitudes, or (n, batch) columns of them, on the n register indices
     `sector.basis` (a `mapping.Sector`); returns the (T, *state.shape)
@@ -332,8 +336,9 @@ def simulate_sector(circuits, sector, state: np.ndarray, tol: float) -> np.ndarr
     multiply, one sum. The block entries this reads are gathered once per
     distinct block in each chunk and count against GRID_BATCH_BYTES, with
     the state and its gathered copy. A block whose entries between
-    different charges exceed `tol` raises SynthesisResidual; a circuit or
-    state of another size than the sector's raises StateSizeMismatch.
+    different charges exceed RESIDUAL_TOL raises SynthesisResidual; a
+    circuit or state of another size than the sector's raises
+    StateSizeMismatch.
     """
     state = np.asarray(state, dtype=complex)
     n = len(sector.basis)
@@ -355,9 +360,9 @@ def simulate_sector(circuits, sector, state: np.ndarray, tol: float) -> np.ndarr
             if id(m) not in gathered:
                 plan = sector.plan(sites)
                 leak = float(np.max(np.abs(m[..., plan.off_charge]), initial=0.0))
-                if leak > tol:
+                if leak > RESIDUAL_TOL:
                     raise SynthesisResidual(f"a fused block on sites {sites} couples different "
-                                            f"(N_up, N_dn) by {leak:.3e} > {tol:g}")
+                                            f"(N_up, N_dn) by {leak:.3e} > {RESIDUAL_TOL:g}")
                 e = m.reshape(*m.shape[:-2], -1)[..., plan.entries] * plan.mask
                 gathered[id(m)] = plan.partners, e[:, None] if e.ndim == 3 else e
         for _, m in blocks:

@@ -251,11 +251,10 @@ class Sector:
         """c ("annihilate") or c^dag ("create") at 1-based `site` into its
         target sector, read off `local_fermion_factor` (one nonzero per
         column) and the diagonal of the Gt string on the sites before."""
+        if not 1 <= site <= self.site_count:
+            raise SiteOutOfRange(f"site {site} outside 1..{self.site_count}")
         factor = local_fermion_factor(spin, kind)
         rows, cols = np.nonzero(factor)
-        if (len(set(rows)) != len(rows) or len(set(cols)) != len(cols)
-                or np.count_nonzero(GT - np.diag(np.diag(GT)))):
-            raise ArithmeticError("mapped ladder operator is not a signed index map")
         level = self._levels(site - 1)
         source = np.flatnonzero(np.any(level[:, None] == cols, axis=1))
         new_level = np.zeros(DIM, dtype=np.intp)

@@ -48,7 +48,7 @@ import numpy as np
 from . import gates
 from .errors import SynthesisResidual
 from .gamma import DIM
-from .gates import Circuit, Csum, Rotation
+from .gates import RESIDUAL_TOL, Circuit, Csum, Rotation
 from .linalg import phase_aligned_distance
 from .mapping import MappedHamiltonian, hopping_local_factors, level_occupations
 
@@ -165,9 +165,6 @@ def hopping_term_ops(term_id: int, tau: float, control: int, target: int) -> lis
     middle = [Rotation(control, m, m + 1, axis, 2.0 * sign * tau)
               for m, (axis, sign) in zip((0, 2), _PIECES[term_id].middle)]
     return [*before, *middle, *after]
-
-
-RESIDUAL_TOL = 1e-8
 
 
 def hopping_residual(term_id: int, tau: float) -> tuple:

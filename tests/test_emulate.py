@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ququart_hubbard import acceptance, emulate, gates, linalg, mapping, oracle, transpile
+from ququart_hubbard.errors import SiteOutOfRange, StateSizeMismatch
 
 
 def test_circuit_populations_initial_state():
@@ -69,6 +70,20 @@ def test_lesser_gf_structural_zero_component():
     assert not np.any(circ.values)  # c_3 psi0 = 0: nothing is propagated
 
 
+@pytest.mark.parametrize("tokens", [("u", "d", "0"), ("0", "0", "0")])
+@pytest.mark.parametrize("i, j", [(4, 1), (0, 1), (1, 4), (1, 0)])
+def test_lesser_gf_circuit_refuses_a_site_out_of_range(tokens, i, j):
+    # ("0", "0", "0"): c_j psi0 = 0, so no circuit runs
+    with pytest.raises(SiteOutOfRange, match="outside 1..3"):
+        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, i, j, "up", [0.0, 0.5], 3)
+
+
+@pytest.mark.parametrize("tokens", [("0", "0"), ("0", "0", "0", "0"), ("u", "d")])
+def test_lesser_gf_circuit_refuses_tokens_for_another_length(tokens):
+    with pytest.raises(StateSizeMismatch):
+        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, 1, 1, "up", [0.0, 0.5], 3)
+
+
 def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
     args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "d"), 2, 1, "up", [0.0, 0.4, 1.3], 3)
     expected = emulate.lesser_gf_circuit(*args).values
@@ -112,8 +127,7 @@ def full_register_states(geometry, v, tokens, taus, steps):
 def assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps):
     grid, full = full_register_states(geometry, v, tokens, taus, steps)
     sector = mapping.token_sector(tokens)
-    runs = gates.simulate_sector(grid, sector, mapping.product_state(tokens)[sector.basis],
-                                 transpile.RESIDUAL_TOL)
+    runs = gates.simulate_sector(grid, sector, mapping.product_state(tokens)[sector.basis])
     assert np.max(np.abs(runs - full[:, sector.basis])) <= 1e-12
     assert np.max(np.abs(np.delete(full, sector.basis, axis=1))) <= 1e-12
     return full
