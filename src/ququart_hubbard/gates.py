@@ -18,27 +18,20 @@ Circuit JSON writes and reads the step as one list of op objects, each its
 `_KINDS` name plus its dataclass fields.
 
 Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
-or two ascending sites, applied by `linalg.apply_local`: one np.matmul
-against the batch-leading (B, 4^L) state array, with no 4^L x 4^L
-embedding. `simulate` fuses the step greedily, as qsim's gate fuser does
-(Isakov et al., arXiv:2111.02396): one-site matrices collect per site, and
-each two-site matrix multiplies into the latest block its two sites share
-or else opens a new 16x16 block. Before a block opens, the one-site
-matrices still pending on a site that has a block close into that
-block, so a bond's trailing corrections stay in its own block and every
-block of an emitted step conserves its pair's (N_up, N_dn). A chain(L)
-step collapses to L - 1 blocks, applied `repeat` times.
+or two ascending sites. `simulate` runs a circuit on the full register
+through `linalg.apply_local`, one np.matmul per block with no 4^L x 4^L
+embedding. It fuses the step greedily, as qsim's gate fuser does (Isakov
+et al., arXiv:2111.02396): one-site matrices collect per site, and each
+two-site matrix multiplies into the latest block its two sites share or
+else opens a new 16x16 block. Before a block opens, the one-site matrices
+still pending on a site that has a block close into that block, so a
+bond's trailing corrections stay in its own block and every block of an
+emitted step conserves its pair's (N_up, N_dn). A chain(L) step collapses
+to L - 1 blocks, applied `repeat` times.
 
-`simulate_grid` runs a whole time grid at once. A `Grid` of circuits
-fuses each structure group (the sites of each op) in one pass on first
-use and keeps the blocks. Each op position is one matrix when every run
-holds the same op object (the cached pulses of `transpile`), else a
-(T, d, d) stack of the runs' matrices; per call each block is one stacked
-matmul over the runs. `simulate` is the grid of one circuit.
-`simulate_sector` runs the same blocks, chunk loop and batch cap on the
-amplitudes of one (N_up, N_dn) sector only (a `mapping.Sector`): a block
-there is one gather of each amplitude's <= 4 same-charge partners, one
-multiply and one sum.
+A time grid runs only inside one (N_up, N_dn) sector: `simulate_sector`
+runs a `Grid` of circuits, fused once per structure group, on the
+amplitudes of a `mapping.Sector`.
 """
 
 import json
@@ -48,7 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import gamma, linalg
+from . import gamma
 from .errors import (
     InvalidCircuit, InvalidSubspace, SiteOutOfRange, StateSizeMismatch, SynthesisResidual,
 )
@@ -58,6 +51,7 @@ from .linalg import apply_local, dense_dim
 # the largest synthesis residual, or fused-block entry between different
 # charges, accepted before SynthesisResidual
 RESIDUAL_TOL = 1e-8
+GRID_BATCH_BYTES = 1 << 19  # one slice of grid runs in `simulate_sector`, 512 KiB
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
     for s in sites:
         if not 0 <= s < site_count:
             raise SiteOutOfRange(f"site {s} outside register of {site_count}")
-    return apply_local(state, [(sites, gate_matrix(op))], site_count)[0]
+    return apply_local(state, [(sites, gate_matrix(op))], site_count)
 
 
 _EYE = np.eye(DIM, dtype=complex)
@@ -282,102 +276,64 @@ class Grid(tuple):
         return tuple(chunks)
 
 
-def simulate_grid(circuits, state: np.ndarray) -> np.ndarray:
-    """Run each circuit on the same initial statevector, or (4**L, batch)
-    array of them; returns the (T, *state.shape) array of the T results,
-    each bit-identical to `simulate` on its circuit alone.
-
-    `circuits` is a `Grid`, or any iterable, which is wrapped in one. Each
-    group's blocks are applied as stacked matmuls over at most
-    GRID_BATCH_BYTES of runs at a time. A circuit whose site count does not
-    match the state raises StateSizeMismatch.
-    """
-    state = np.asarray(state, dtype=complex)
-    return _run_grid(circuits, state, lambda blocks: state.size * 16, apply_local)
-
-
-def _run_grid(circuits, state, run_bytes, apply) -> np.ndarray:
-    """The chunk loop of `simulate_grid` and `simulate_sector`: each
-    structure group's runs in slices of at most GRID_BATCH_BYTES, as
-    `run_bytes(blocks)` counts one run, each slice one
-    `apply(state, blocks, site_count)` call. A stacked block repeated in
-    the group is one slice object in each call."""
-    grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
-    if not grid:
-        return np.empty((0, *state.shape), dtype=complex)
-    out = None
-    for group, site_count, blocks in grid.chunks:
-        size = max(1, linalg.GRID_BATCH_BYTES // max(1, run_bytes(blocks)))
-        for lo in range(0, len(group), size):
-            idx = group[lo:lo + size]
-            cut = {}
-            chunk = [(sites, cut.setdefault(id(m), m[lo:lo + size]) if m.ndim == 3 else m)
-                     for sites, m in blocks]
-            psi = apply(state, chunk, site_count)
-            if len(psi) == len(grid):  # one chunk ran the whole grid, in order
-                return psi
-            if out is None:
-                # batch-leading like psi, so every run keeps the column
-                # layout (and later dot-product arithmetic) of a lone run
-                out = np.empty((len(grid), *state.shape[::-1]), dtype=complex)
-                out = out.swapaxes(1, -1)
-            out[idx] = psi
-    return out
-
-
 def simulate_sector(circuits, sector, state: np.ndarray) -> np.ndarray:
-    """`simulate_grid` inside one (N_up, N_dn) sector: `state` holds the
-    amplitudes, or (n, batch) columns of them, on the n register indices
-    `sector.basis` (a `mapping.Sector`); returns the (T, *state.shape)
-    results on the same basis.
+    """Run each circuit, a `Grid` or any iterable of them, on the same start
+    state inside one (N_up, N_dn) sector: `state` holds the amplitudes, or
+    (n, batch) columns of them, on the n register indices `sector.basis`
+    (a `mapping.Sector`). Returns the batch-leading (T, *state.shape) runs
+    on the same basis, each with the column layout of a lone run.
 
-    A block acts on each position through the <= 4 positions that differ
-    from it only on the block's sites (`sector.plan`): one gather, one
-    multiply, one sum. The block entries this reads are gathered once per
-    distinct block in each chunk and count against GRID_BATCH_BYTES, with
-    the state and its gathered copy. A block whose entries between
+    Each structure group runs in slices under GRID_BATCH_BYTES, a run
+    counting its state, its gathered copy and the entries it reads. Per
+    slice each distinct block's entries are gathered once (`sector.plan`):
+    a block is then one gather of each position's <= 4 same-charge
+    partners, one multiply, one sum. A block whose entries between
     different charges exceed RESIDUAL_TOL raises SynthesisResidual; a
-    circuit or state of another size than the sector's raises
-    StateSizeMismatch.
+    circuit or state of another size raises StateSizeMismatch.
     """
     state = np.asarray(state, dtype=complex)
     n = len(sector.basis)
     if state.shape[0] != n:
         raise StateSizeMismatch(f"state has {state.shape[0]} amplitudes, the sector has {n}")
-
-    def run_bytes(blocks):
-        stacked = len({id(m) for _, m in blocks if m.ndim == 3})
-        return 16 * (5 * state.size + 4 * n * stacked)
-
-    def apply(start, blocks, site_count):
+    grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
+    batch = state.shape[1] if state.ndim == 2 else 1
+    start = np.ascontiguousarray(state.T).reshape(1, batch, n)
+    out = np.empty((len(grid), *state.shape[::-1]), dtype=complex).swapaxes(1, -1)
+    for group, site_count, blocks in grid.chunks:
         if site_count != sector.site_count:
             raise StateSizeMismatch(f"a circuit of {site_count} sites on a sector of "
                                     f"{sector.site_count} sites")
-        batch = start.shape[1] if start.ndim == 2 else 1
-        psi = np.ascontiguousarray(start.T).reshape(1, batch, n)
-        gathered = {}  # id of a block -> (partners, its gathered entries)
-        for sites, m in blocks:
-            if id(m) not in gathered:
-                plan = sector.plan(sites)
-                leak = float(np.max(np.abs(m[..., plan.off_charge]), initial=0.0))
-                if leak > RESIDUAL_TOL:
-                    raise SynthesisResidual(f"a fused block on sites {sites} couples different "
-                                            f"(N_up, N_dn) by {leak:.3e} > {RESIDUAL_TOL:g}")
-                e = m.reshape(*m.shape[:-2], -1)[..., plan.entries] * plan.mask
-                gathered[id(m)] = plan.partners, e[:, None] if e.ndim == 3 else e
-        for _, m in blocks:
-            partners, e = gathered[id(m)]
-            psi = np.einsum("...k,...k->...", psi.take(partners, axis=-1), e)
-        return psi.reshape(len(psi), *start.shape[::-1]).swapaxes(1, -1)
+        distinct = {id(m): (sites, m) for sites, m in blocks}
+        stacked = sum(m.ndim == 3 for _, m in distinct.values())
+        size = max(1, GRID_BATCH_BYTES // max(1, 16 * (5 * state.size + 4 * n * stacked)))
+        for lo in range(0, len(group), size):
+            gathered = {key: _gather(sector, sites, m[lo:lo + size] if m.ndim == 3 else m)
+                        for key, (sites, m) in distinct.items()}
+            psi = start
+            for _, m in blocks:
+                partners, e = gathered[id(m)]
+                psi = np.einsum("...k,...k->...", psi.take(partners, axis=-1), e)
+            out[group[lo:lo + size]] = psi.reshape(len(psi), *state.shape[::-1]).swapaxes(1, -1)
+    return out
 
-    return _run_grid(circuits, state, run_bytes, apply)
+
+def _gather(sector, sites, m: np.ndarray) -> tuple:
+    """(partners, entries) of a block, or (T, d, d) stack, on `sites`: the
+    entries each sector position reads, (n, 4) or (T, 1, n, 4)."""
+    plan = sector.plan(sites)
+    leak = float(np.max(np.abs(m[..., plan.off_charge]), initial=0.0))
+    if leak > RESIDUAL_TOL:
+        raise SynthesisResidual(f"a fused block on sites {sites} couples different "
+                                f"(N_up, N_dn) by {leak:.3e} > {RESIDUAL_TOL:g}")
+    e = m.reshape(*m.shape[:-2], -1)[..., plan.entries] * plan.mask
+    return plan.partners, e[:, None] if e.ndim == 3 else e
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
     array of them: fuse the step into two-site blocks once, then apply the
     block list `repeat` times."""
-    return simulate_grid([circuit], state)[0]
+    return apply_local(state, _fuse(circuit.step) * circuit.repeat, circuit.site_count)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -6,13 +6,10 @@ the state, or a batch of them, is held batch-leading as one contiguous
 (B, 4^L) array, and each one- or two-site operator is a single
 ``np.matmul`` of its 4x4 or 16x16 matrix against a reshaped view of it,
 or, on the register's last two sites, of the view against the matrix's
-transpose (one row-major GEMM per column). An operator may also be a
-(T, d, d) stack, one matrix per run of a grid; the state then becomes T
-runs, a (T, B, 4^L) array, still one matmul per operator.
-GRID_BATCH_BYTES caps how many runs one such batch holds. Dense arrays
-must fit one memory budget (``check_budget``); for a 4^L x 4^L register
-operator (``dense_dim``) it admits L <= 6 sites. Within it, dense storage
-and full factorizations are affordable and exact to machine precision.
+transpose (one row-major GEMM per column). Dense arrays must fit one
+memory budget (``check_budget``); for a 4^L x 4^L register operator
+(``dense_dim``) it admits L <= 6 sites. Within it, dense storage and full
+factorizations are affordable and exact to machine precision.
 """
 
 import numpy as np
@@ -21,7 +18,6 @@ from .errors import DimensionTooLarge, StateSizeMismatch
 from .gamma import DIM
 
 DENSE_BUDGET_BYTES = 1 << 30  # one dense register operator, 1 GiB
-GRID_BATCH_BYTES = 1 << 19  # one stacked batch of grid runs (`gates._run_grid`), 512 KiB
 
 
 def check_budget(rows: int, cols: int, what: str) -> None:
@@ -42,50 +38,43 @@ def dense_dim(site_count: int) -> int:
 
 def apply_local(state: np.ndarray, blocks, site_count: int) -> np.ndarray:
     """Apply local operators in order to a state of an L-site register,
-    (4^L,), or to the columns of a (4^L, B) batch; returns a new
-    (T, *state.shape) array: T runs of the same start state.
+    (4^L,), or to the columns of a (4^L, B) batch; returns a new array of
+    the state's shape.
 
     Each block is (sites, m): one site, or two ascending sites, and its
-    matrix, whose index is the sites' levels with the first site's level
-    major. m is 4x4 or 16x16, shared by every run, or a (T, d, d) stack
-    with one matrix per run; T is 1 when no block holds a stack. The batch
-    is copied once into a contiguous batch-leading (1, B, 4^L) array, which
-    the first stacked block widens to (T, B, 4^L). A block's inner matrix
-    shapes never depend on T or B, so every run and every column gets
-    bit-identical arithmetic to a run on that column alone.
+    4x4 or 16x16 matrix, whose index is the sites' levels with the first
+    site's level major. The batch is copied once into a contiguous
+    batch-leading (B, 4^L) array. A block's inner matrix shapes never
+    depend on B, so every column gets bit-identical arithmetic to a run on
+    that column alone.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != DIM**site_count:
         raise StateSizeMismatch(f"state has {state.shape[0]} amplitudes, a register of "
                                 f"{site_count} sites has {DIM**site_count}")
-    psi = np.ascontiguousarray(state.T).reshape(1, -1, state.shape[0])
+    psi = np.ascontiguousarray(state.T).reshape(-1, state.shape[0])
     for sites, m in blocks:
         psi = _apply_block(psi, m, sites)
-    return psi.reshape(-1, *state.shape[::-1]).swapaxes(1, -1)
+    return psi.reshape(state.shape[::-1]).T
 
 
 def _apply_block(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
-    """One matmul of m, or of its (T, d, d) stack, against the (T, B, 4^L)
-    array psi (T may be 1 before the first stack). Sites (a, b) are brought
-    together by swapping the axis of the sites between them with a's axis:
-    a free view when b = a + 1, a copy of the state each way for
+    """One matmul of m against the (B, 4^L) array psi. Sites (a, b) are
+    brought together by swapping the axis of the sites between them with
+    a's axis: a free view when b = a + 1, a copy of the state each way for
     non-adjacent sites (ladder rungs). The adjacent pair on the last two
     sites multiplies psi's rows by m^T instead of m by 4^a single columns."""
     a = sites[0]
-    runs, head = psi.shape[0], psi.shape[1] * DIM**a
-    m = m[..., None, :, :]  # (T, 1, d, d) or (1, d, d), against (runs, head, d, R)
+    head = psi.shape[0] * DIM**a
     if len(sites) == 1:
-        y = np.matmul(m, psi.reshape(runs, head, DIM, -1))
-        return y.reshape(len(y), *psi.shape[1:])
+        return np.matmul(m, psi.reshape(head, DIM, -1)).reshape(psi.shape)
     gap = DIM ** (sites[1] - a - 1)
     if gap == 1 and DIM ** (a + 2) == psi.shape[-1]:
-        # the register's last two sites: one row-major GEMM per run and column
-        y = np.matmul(psi.reshape(runs, psi.shape[1], -1, DIM * DIM), m.swapaxes(-1, -2))
-        return y.reshape(len(y), *psi.shape[1:])
-    x = psi.reshape(runs, head, DIM, gap, DIM, -1).swapaxes(2, 3)
-    y = np.matmul(m, x.reshape(runs, head * gap, DIM * DIM, -1))
-    y = y.reshape(len(y), head, gap, DIM, DIM, -1).swapaxes(2, 3)
-    return y.reshape(len(y), *psi.shape[1:])
+        # the register's last two sites: one row-major GEMM per column
+        return np.matmul(psi.reshape(len(psi), -1, DIM * DIM), m.T).reshape(psi.shape)
+    x = psi.reshape(head, DIM, gap, DIM, -1).swapaxes(1, 2)
+    y = np.matmul(m, x.reshape(head * gap, DIM * DIM, -1))
+    return y.reshape(head, gap, DIM, DIM, -1).swapaxes(1, 2).reshape(psi.shape)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -116,7 +116,7 @@ def apply_fermion(state: np.ndarray, site: int, spin: str, kind: str,
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
     string = [((axis,), GT) for axis in range(site - 1)]
     return apply_local(state, string + [((site - 1,), local_fermion_factor(spin, kind))],
-                       site_count)[0]
+                       site_count)
 
 
 def map_fermion(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries
+from .errors import EmptySeries, StateSizeMismatch
 from .linalg import check_budget, dense_dim
 from .mapping import SPIN_DOWN, SPIN_UP, SPINS, LatticeGeometry
 
@@ -91,6 +91,14 @@ def fock_index(tokens) -> int:
     return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
+def _token_sites(h: np.ndarray, tokens) -> int:
+    """L of ``tokens``; StateSizeMismatch unless H acts on those L sites."""
+    if h.shape[0] != 4 ** len(tokens):
+        raise StateSizeMismatch(f"{len(tokens)} tokens for a Hamiltonian of "
+                                f"dimension {h.shape[0]}")
+    return len(tokens)
+
+
 def sector_labels(site_count: int) -> np.ndarray:
     """N_up * (L + 1) + N_dn of every basis state, read off its bits: up
     modes sit on the odd bits of an index, down modes on the even bits."""
@@ -123,7 +131,7 @@ def _sector_evolve(h: np.ndarray, basis: np.ndarray, index: int, times) -> np.nd
 def exact_populations(h: np.ndarray, tokens, times) -> dict:
     """{(site, spin): <N>(t) over times} from the product state ``tokens``,
     propagated in its (N_up, N_dn) sector."""
-    L = len(tokens)
+    L = _token_sites(h, tokens)
     start = fock_index(tokens)
     basis = sector_basis(start, L)
     probs = np.abs(_sector_evolve(h, basis, start, times)) ** 2
@@ -159,7 +167,7 @@ def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.nda
     ``spin`` particle, each over the whole grid at once; c_i maps the first
     sector into the second. Exactly zero when orbital j is empty.
     """
-    L = len(tokens)
+    L = _token_sites(h, tokens)
     times = np.asarray(times, dtype=float)
     start = fock_index(tokens)
     target_j, sign_j = _ladder(j, spin, "annihilate", L)

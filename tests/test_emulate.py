@@ -84,6 +84,16 @@ def test_lesser_gf_circuit_refuses_tokens_for_another_length(tokens):
         emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, 1, 1, "up", [0.0, 0.5], 3)
 
 
+def test_population_grid_refuses_tokens_for_another_length_in_the_oracle(monkeypatch):
+    # the oracle checks the tokens before its solve, ahead of the circuit lane
+    def no_grid(*args):
+        raise AssertionError("the circuit lane ran")
+
+    monkeypatch.setattr(transpile, "trotter_grid", no_grid)
+    with pytest.raises(StateSizeMismatch, match="2 tokens for a Hamiltonian"):
+        emulate.population_grid(mapping.chain(3), 1.0, 2.0, ("u", "d"), [0.0, 1.0], 3)
+
+
 def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
     args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "d"), 2, 1, "up", [0.0, 0.4, 1.3], 3)
     expected = emulate.lesser_gf_circuit(*args).values
@@ -97,7 +107,7 @@ def test_lesser_gf_circuit_runs_seven_sites(steps):
     # one dense chain(7) operator would need 4 GiB and a register state
     # 256 kB; the ket's and the bra's sectors hold 1225 amplitudes each. A
     # run counts its state, its gathered copy and the gathered entries of
-    # its six stacked bond blocks against linalg.GRID_BATCH_BYTES (568 kB),
+    # its six stacked bond blocks against gates.GRID_BATCH_BYTES (568 kB),
     # so each run goes alone. Measured peak 4.1-4.5 MiB: about 1.1 MiB the
     # emitted and fused grid, the rest the two sectors' plans
     tokens = ("u", "d", "ud", "0", "u", "d", "ud")
@@ -117,11 +127,12 @@ def test_lesser_gf_circuit_runs_seven_sites(steps):
 
 
 def full_register_states(geometry, v, tokens, taus, steps):
-    """`gates.simulate_grid` on the whole 4^L register, with the grid the
-    sector lane runs."""
+    """`gates.simulate` on the whole 4^L register, circuit by circuit over
+    the grid the sector lane runs."""
     mh = mapping.build_mapped_hamiltonian(geometry, 1.0, v)
     grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
-    return grid, gates.simulate_grid(grid, mapping.product_state(tokens))
+    psi0 = mapping.product_state(tokens)
+    return grid, np.stack([gates.simulate(circuit, psi0) for circuit in grid])
 
 
 def assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps):
@@ -171,7 +182,8 @@ def full_register_lesser_gf(geometry, tokens, i, j, spin, times, steps):
     removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
     mh = mapping.build_mapped_hamiltonian(geometry, 1.0, 1.0)
     grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
-    states = gates.simulate_grid(grid, np.column_stack([removed, psi0]))
+    start = np.column_stack([removed, psi0])
+    states = np.stack([gates.simulate(circuit, start) for circuit in grid])
     return np.array([1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))
                      for bra, ket in states.transpose(0, 2, 1)])
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import emulate, gamma, gates, linalg, mapping, transpile
+from ququart_hubbard import emulate, gamma, gates, mapping, transpile
 from ququart_hubbard.errors import (
     DimensionTooLarge,
     InvalidCircuit,
@@ -562,7 +562,10 @@ def test_simulate_rejects_a_state_of_the_wrong_size():
         gates.simulate(Circuit(2, (Csum(0, 1),)), random_state(3))
 
 
-# --- grid simulation ---------------------------------------------------------
+# --- grid simulation in a sector ------------------------------------------
+
+
+GREENS_SECTOR = mapping.token_sector(("u", "ud", "u", "d"))
 
 
 def greens_grid_circuits(steps=30):
@@ -570,22 +573,35 @@ def greens_grid_circuits(steps=30):
     return [transpile.trotter_step_circuit(mh, t, steps) for t in emulate.LESSER_TIMES]
 
 
+def sector_state(sector, width=None, rng=RNG):
+    shape = (len(sector.basis),) if width is None else (len(sector.basis), width)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return v / np.linalg.norm(v, axis=0)
+
+
+def full_register_runs(circuits, sector, state):
+    """The reference: `gates.simulate` circuit by circuit on the whole
+    register, from the sector state embedded in it, read on the sector."""
+    full = np.zeros((4**sector.site_count, *state.shape[1:]), dtype=complex)
+    full[sector.basis] = state
+    return np.stack([gates.simulate(c, full) for c in circuits])[:, sector.basis]
+
+
 def assert_grid_is_circuit_by_circuit(circuits, state):
-    out = gates.simulate_grid(circuits, state)
+    out = gates.simulate_sector(circuits, GREENS_SECTOR, state)
     assert out.shape == (len(circuits), *state.shape)
-    for run, circuit in zip(out, circuits, strict=True):
-        assert np.array_equal(run, gates.simulate(circuit, state))
+    assert np.max(np.abs(out - full_register_runs(circuits, GREENS_SECTOR, state))) <= 1e-12
+    return out
 
 
-@pytest.mark.parametrize("batch_bytes", [linalg.GRID_BATCH_BYTES, 3 * 256 * 2 * 16])
+@pytest.mark.parametrize("batch_bytes", [gates.GRID_BATCH_BYTES, 3 * 256 * 2 * 16])
 def test_grid_matches_circuit_by_circuit_on_the_greens_grid(monkeypatch, batch_bytes):
     # the 21 LESSER_TIMES circuits, t = 0 (the empty step) included, on a
-    # (256, 2) batch; the smaller cap runs the 20 nonzero taus 3 at a time
-    monkeypatch.setattr(linalg, "GRID_BATCH_BYTES", batch_bytes)
+    # (24, 2) batch; the smaller cap runs the 20 nonzero taus 2 at a time
+    monkeypatch.setattr(gates, "GRID_BATCH_BYTES", batch_bytes)
     circuits = greens_grid_circuits()
     assert circuits[0].step == ()
-    batch = np.column_stack([random_state(4), random_state(4)])
-    assert_grid_is_circuit_by_circuit(circuits, batch)
+    assert_grid_is_circuit_by_circuit(circuits, sector_state(GREENS_SECTOR, 2))
 
 
 def test_grid_fuses_each_structure_once(monkeypatch):
@@ -597,8 +613,9 @@ def test_grid_fuses_each_structure_once(monkeypatch):
         fused.append(items)
         return original(items)
 
+    state = sector_state(GREENS_SECTOR)
     monkeypatch.setattr(gates, "_fuse", counting_fuse)
-    gates.simulate_grid(greens_grid_circuits(), random_state(4))
+    gates.simulate_sector(greens_grid_circuits(), GREENS_SECTOR, state)
     # the empty t = 0 step, then the 20 nonzero taus in one pass
     expected = [0, len(greens_grid_circuits()[1].step)]
     assert [len(items) for items in fused] == expected
@@ -606,20 +623,21 @@ def test_grid_fuses_each_structure_once(monkeypatch):
     mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
     for _ in range(2):
         grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
-        gates.simulate_grid(grid, random_state(4))
+        gates.simulate_sector(grid, GREENS_SECTOR, state)
     assert [len(items) for items in fused] == expected * 2
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_cached_grid_in_small_chunks_matches_circuit_by_circuit(monkeypatch, width):
     # fused once at the default cap, then sliced 3 runs (width 1) or 1 run
-    # (width 3) per chunk: every slice of a stacked block is a lone run
+    # (width 3) per slice: a run of the nonzero taus counts 16 B times 5
+    # states and its 3 stacked blocks' 4 entries per amplitude
     mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
     grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
-    gates.simulate_grid(grid, random_state(4))
-    monkeypatch.setattr(linalg, "GRID_BATCH_BYTES", 3 * 256 * 16)
-    state = np.column_stack([random_state(4) for _ in range(width)])
-    assert_grid_is_circuit_by_circuit(grid, state[:, 0] if width == 1 else state)
+    gates.simulate_sector(grid, GREENS_SECTOR, sector_state(GREENS_SECTOR))
+    monkeypatch.setattr(gates, "GRID_BATCH_BYTES", 3 * 16 * 24 * (5 + 4 * 3))
+    state = sector_state(GREENS_SECTOR, None if width == 1 else width)
+    assert_grid_is_circuit_by_circuit(grid, state)
 
 
 def test_second_greens_component_reuses_the_grid(monkeypatch):
@@ -653,15 +671,14 @@ def test_grid_of_reloaded_circuits_matches_circuit_by_circuit(tmp_path):
         gates.save_circuit(circuit, tmp_path / f"circuit_{t}.json")
         reloaded.append(gates.load_circuit(tmp_path / f"circuit_{t}.json"))
     assert reloaded == circuits
-    batch = np.column_stack([random_state(4), random_state(4)])
-    assert_grid_is_circuit_by_circuit(reloaded, batch)
-    assert np.array_equal(gates.simulate_grid(reloaded, batch),
-                          gates.simulate_grid(circuits, batch))
+    batch = sector_state(GREENS_SECTOR, 2)
+    out = assert_grid_is_circuit_by_circuit(reloaded, batch)
+    assert np.array_equal(out, gates.simulate_sector(circuits, GREENS_SECTOR, batch))
 
 
 def test_grid_runs_a_one_dimensional_state():
-    assert_grid_is_circuit_by_circuit(greens_grid_circuits(3), random_state(4))
-    assert gates.simulate_grid([], random_state(4)).shape == (0, 256)
+    assert_grid_is_circuit_by_circuit(greens_grid_circuits(3), sector_state(GREENS_SECTOR))
+    assert gates.simulate_sector([], GREENS_SECTOR, sector_state(GREENS_SECTOR)).shape == (0, 24)
 
 
 def test_grid_of_mixed_structures_matches_circuit_by_circuit():
@@ -672,41 +689,27 @@ def test_grid_of_mixed_structures_matches_circuit_by_circuit():
     ladder = [transpile.trotter_step_circuit(mh, tau, 2) for tau in (0.4, 0.9, 0.0)]
     circuits = [ladder[0], chain[3], ladder[1], chain[0], ladder[2], chain[5], ladder[0],
                 replace(chain[3], repeat=3)]
-    assert_grid_is_circuit_by_circuit(circuits, np.column_stack([random_state(4)] * 3))
+    assert_grid_is_circuit_by_circuit(circuits, sector_state(GREENS_SECTOR, 3))
 
 
 def test_grid_rejects_circuits_of_another_site_count():
     circuits = [greens_grid_circuits(1)[2], chain_circuit(3, 1)]
+    with pytest.raises(StateSizeMismatch, match="a circuit of 3 sites"):
+        gates.simulate_sector(circuits, GREENS_SECTOR, sector_state(GREENS_SECTOR))
     with pytest.raises(StateSizeMismatch, match="amplitudes"):
-        gates.simulate_grid(circuits, random_state(4))
-    with pytest.raises(StateSizeMismatch):
-        gates.simulate_grid(circuits[:1], random_state(3))
+        gates.simulate(circuits[0], random_state(3))
 
 
-# --- sector simulation -------------------------------------------------------
-
-
-def sector_state(sector, rng=RNG):
-    v = rng.normal(size=len(sector.basis)) + 1j * rng.normal(size=len(sector.basis))
-    return v / np.linalg.norm(v)
-
-
-@pytest.mark.parametrize("batch_bytes", [linalg.GRID_BATCH_BYTES, 1])
+@pytest.mark.parametrize("batch_bytes", [gates.GRID_BATCH_BYTES, 1])
 def test_sector_grid_matches_the_full_register_grid(monkeypatch, batch_bytes):
-    # the greens grid on a (24, 2) batch of the chain(4) sector of u,ud,u,d;
-    # the 1-byte cap runs every tau alone
-    monkeypatch.setattr(linalg, "GRID_BATCH_BYTES", batch_bytes)
-    sector = mapping.token_sector(("u", "ud", "u", "d"))
-    assert len(sector.basis) == 24
-    batch = np.column_stack([sector_state(sector), sector_state(sector)])
-    full = np.zeros((256, 2), dtype=complex)
-    full[sector.basis] = batch
-    circuits = greens_grid_circuits()
-    out = gates.simulate_sector(circuits, sector, batch)
-    assert out.shape == (len(circuits), 24, 2)
-    assert np.max(np.abs(out - gates.simulate_grid(circuits, full)[:, sector.basis])) <= 1e-12
+    # the greens grid on a (24, 2) batch of the chain(4) sector of u,ud,u,d,
+    # column by column; the 1-byte cap runs every tau alone
+    monkeypatch.setattr(gates, "GRID_BATCH_BYTES", batch_bytes)
+    assert len(GREENS_SECTOR.basis) == 24
+    circuits, batch = greens_grid_circuits(), sector_state(GREENS_SECTOR, 2)
+    out = assert_grid_is_circuit_by_circuit(circuits, batch)
     for k in range(2):
-        lone = gates.simulate_sector(circuits, sector, batch[:, k])
+        lone = gates.simulate_sector(circuits, GREENS_SECTOR, batch[:, k])
         assert np.max(np.abs(out[..., k] - lone)) <= 1e-15
 
 

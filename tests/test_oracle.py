@@ -8,7 +8,7 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from ququart_hubbard import mapping, oracle
-from ququart_hubbard.errors import DimensionTooLarge, EmptySeries
+from ququart_hubbard.errors import DimensionTooLarge, EmptySeries, StateSizeMismatch
 from ququart_hubbard.oracle import GreensSeries
 
 # --- Kronecker-string reference -------------------------------------------
@@ -280,6 +280,24 @@ def test_lesser_gf_vanishes_for_empty_source():
     # no down spin at site 1 in |u,d>, so the j=1 down component is zero
     g = oracle.lesser_gf(h, ("u", "d"), 2, 1, "down", np.linspace(0, 3, 7))
     assert np.max(np.abs(g)) < 1e-14
+
+
+@pytest.mark.parametrize("solve", [
+    lambda h, tokens: oracle.exact_populations(h, tokens, [1.0]),
+    lambda h, tokens: oracle.lesser_gf(h, tokens, 1, 1, "up", [1.0]),
+], ids=["exact_populations", "lesser_gf"])
+@pytest.mark.parametrize("tokens", [("u", "d"), ("u", "d", "0", "0")])
+def test_tokens_for_another_lattice_raise_before_any_eigh(monkeypatch, solve, tokens):
+    # with a chain(3) H, chain(2) tokens once picked the sites 2-3 block of
+    # H and returned chain(2)'s numbers
+    h = oracle.fermionic_hamiltonian(mapping.chain(3), 1.0, 2.0)
+
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(StateSizeMismatch, match="tokens for a Hamiltonian of dimension 64"):
+        solve(h, tokens)
 
 
 def test_retarded_gf_zero_before_start():
