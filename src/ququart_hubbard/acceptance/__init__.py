@@ -254,11 +254,11 @@ def simulator_invariants() -> CheckResult:
         ]
         out = state
         for op in ops:
-            out = gates.apply(out, op, 3)
+            out = gates.simulate(gates.Circuit(3, (op,)), out)
             worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
         back = out
         for op in reversed(ops):
-            back = gates.apply(back, gates.gate_inverse(op), 3)
+            back = gates.simulate(gates.Circuit(3, (gates.gate_inverse(op),)), back)
         worst_round = max(worst_round, float(np.max(np.abs(back - state))))
     ok = ok and worst_norm <= 1e-12 and worst_round <= 1e-10
     return CheckResult(9, "norm preservation, gate inverses, csum permutation identities",

@@ -179,7 +179,7 @@ def cmd_map(config: RunConfig) -> int:
     mapping.save_hamiltonian(mh, path)
     print(f"wrote {path}")
     print(f"bonds: {list(geometry.bonds)}")
-    print(f"int_prefactor: {_fmt(mh.int_prefactor)}")
+    print(f"int_prefactor: {_fmt(mapping.resolve_int_prefactor())}")
     try:
         gap, *leaks = acceptance.spectrum_gap(geometry, config.J, config.v)
     except DimensionTooLarge:

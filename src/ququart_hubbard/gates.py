@@ -17,21 +17,21 @@ so does a circuit whose `metadata` is not a dict.
 Circuit JSON writes and reads the step as one list of op objects, each its
 `_KINDS` name plus its dataclass fields.
 
-Every gate, and every fused block, is a 4x4 or 16x16 matrix on one site
-or two ascending sites. `simulate` runs a circuit on the full register
-through `linalg.apply_local`, one np.matmul per block with no 4^L x 4^L
-embedding. It fuses the step greedily, as qsim's gate fuser does (Isakov
-et al., arXiv:2111.02396): one-site matrices collect per site, and each
-two-site matrix multiplies into the latest block its two sites share or
-else opens a new 16x16 block. Before a block opens, the one-site matrices
-still pending on a site that has a block close into that block, so a
-bond's trailing corrections stay in its own block and every block of an
-emitted step conserves its pair's (N_up, N_dn). A chain(L) step collapses
-to L - 1 blocks, applied `repeat` times.
+Every gate is a 4x4 or 16x16 matrix on one site or two ascending sites,
+applied only inside a circuit. `simulate` runs a circuit on the full
+register through `linalg.apply_local`, one np.matmul per block with no
+4^L x 4^L embedding. It fuses the step greedily, as qsim's gate fuser does
+(Isakov et al., arXiv:2111.02396): one-site matrices collect per site, and
+each two-site matrix multiplies into the latest block its two sites share
+or else opens a new 16x16 block. Before a block opens, the one-site
+matrices still pending on a site that has a block close into that block,
+so a bond's trailing corrections stay in its own block and every block of
+an emitted step conserves its pair's (N_up, N_dn). A chain(L) step
+collapses to L - 1 blocks, applied `repeat` times.
 
 A time grid runs only inside one (N_up, N_dn) sector: `simulate_sector`
-runs a `Grid` of circuits, fused once per structure group, on the
-amplitudes of a `mapping.Sector`.
+runs a `Grid` of circuits, fused once per structure group into (T, d, d)
+block stacks, on the amplitudes of a `mapping.Sector`.
 """
 
 import json
@@ -161,18 +161,6 @@ def gate_inverse(op: GateOp) -> GateOp:
     return Csum(op.control, op.target, not op.adjoint)
 
 
-def apply(state: np.ndarray, op: GateOp, site_count: int) -> np.ndarray:
-    """Apply one gate to a statevector, returning a new vector.
-
-    Also accepts a batch of column vectors as a (4**L, batch) array.
-    """
-    sites = _op_sites(op)
-    for s in sites:
-        if not 0 <= s < site_count:
-            raise SiteOutOfRange(f"site {s} outside register of {site_count}")
-    return apply_local(state, [(sites, gate_matrix(op))], site_count)
-
-
 _EYE = np.eye(DIM, dtype=complex)
 
 
@@ -256,14 +244,14 @@ def _structure(circuit: Circuit) -> tuple:
 class Grid(tuple):
     """Circuits run on one start state, such as a tau grid. Circuits of one
     structure (a tau grid's nonzero taus) fuse in one pass over their steps'
-    columns: one matrix where every circuit holds the same op object, else a
-    (T, d, d) stack of the circuits' matrices. The blocks are kept, so a
-    grid shared between calls (`transpile.trotter_grid`) is fused once."""
+    columns (`_local_matrices`). The blocks are kept, so a grid shared
+    between calls (`transpile.trotter_grid`) is fused once."""
 
     @cached_property
     def chunks(self) -> tuple:
         """((indices, site count, blocks), ...), one per structure group,
-        the blocks `repeat` times over."""
+        the blocks `repeat` times over. Every block is a (T, d, d) stack
+        over the group's T runs: a block all runs share is broadcast once."""
         groups = {}
         for t, circuit in enumerate(self):
             groups.setdefault(_structure(circuit), []).append(t)
@@ -271,7 +259,8 @@ class Grid(tuple):
         for idx in groups.values():
             first = self[idx[0]]
             items = first.step if len(idx) == 1 else list(zip(*(self[t].step for t in idx)))
-            blocks = tuple((sites, _frozen(m)) for sites, m in _fuse(items))
+            blocks = tuple((sites, _frozen(np.broadcast_to(m, (len(idx), *m.shape[-2:]))))
+                           for sites, m in _fuse(items))
             chunks.append((idx, first.site_count, blocks * first.repeat))
         return tuple(chunks)
 
@@ -296,18 +285,16 @@ def simulate_sector(circuits, sector, state: np.ndarray) -> np.ndarray:
     if state.shape[0] != n:
         raise StateSizeMismatch(f"state has {state.shape[0]} amplitudes, the sector has {n}")
     grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
-    batch = state.shape[1] if state.ndim == 2 else 1
-    start = np.ascontiguousarray(state.T).reshape(1, batch, n)
+    start = np.ascontiguousarray(state.T).reshape(1, math.prod(state.shape[1:]), n)  # n may be 0
     out = np.empty((len(grid), *state.shape[::-1]), dtype=complex).swapaxes(1, -1)
     for group, site_count, blocks in grid.chunks:
         if site_count != sector.site_count:
             raise StateSizeMismatch(f"a circuit of {site_count} sites on a sector of "
                                     f"{sector.site_count} sites")
         distinct = {id(m): (sites, m) for sites, m in blocks}
-        stacked = sum(m.ndim == 3 for _, m in distinct.values())
-        size = max(1, GRID_BATCH_BYTES // max(1, 16 * (5 * state.size + 4 * n * stacked)))
+        size = max(1, GRID_BATCH_BYTES // max(1, 16 * (5 * state.size + 4 * n * len(distinct))))
         for lo in range(0, len(group), size):
-            gathered = {key: _gather(sector, sites, m[lo:lo + size] if m.ndim == 3 else m)
+            gathered = {key: _gather(sector, sites, m[lo:lo + size])
                         for key, (sites, m) in distinct.items()}
             psi = start
             for _, m in blocks:
@@ -318,15 +305,14 @@ def simulate_sector(circuits, sector, state: np.ndarray) -> np.ndarray:
 
 
 def _gather(sector, sites, m: np.ndarray) -> tuple:
-    """(partners, entries) of a block, or (T, d, d) stack, on `sites`: the
-    entries each sector position reads, (n, 4) or (T, 1, n, 4)."""
+    """(partners, entries) of a (T, d, d) block stack on `sites`: the
+    (T, 1, n, 4) entries each sector position reads, per run."""
     plan = sector.plan(sites)
     leak = float(np.max(np.abs(m[..., plan.off_charge]), initial=0.0))
     if leak > RESIDUAL_TOL:
         raise SynthesisResidual(f"a fused block on sites {sites} couples different "
                                 f"(N_up, N_dn) by {leak:.3e} > {RESIDUAL_TOL:g}")
-    e = m.reshape(*m.shape[:-2], -1)[..., plan.entries] * plan.mask
-    return plan.partners, e[:, None] if e.ndim == 3 else e
+    return plan.partners, m.reshape(len(m), 1, -1)[..., plan.entries] * plan.mask
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -65,16 +65,17 @@ def _apply_block(psi: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
     non-adjacent sites (ladder rungs). The adjacent pair on the last two
     sites multiplies psi's rows by m^T instead of m by 4^a single columns."""
     a = sites[0]
-    head = psi.shape[0] * DIM**a
+    head = len(psi) * DIM**a
+    tail = psi.shape[1] // DIM ** (sites[-1] + 1)  # explicit sizes: B may be 0
     if len(sites) == 1:
-        return np.matmul(m, psi.reshape(head, DIM, -1)).reshape(psi.shape)
+        return np.matmul(m, psi.reshape(head, DIM, tail)).reshape(psi.shape)
     gap = DIM ** (sites[1] - a - 1)
-    if gap == 1 and DIM ** (a + 2) == psi.shape[-1]:
+    if gap == 1 and tail == 1:
         # the register's last two sites: one row-major GEMM per column
-        return np.matmul(psi.reshape(len(psi), -1, DIM * DIM), m.T).reshape(psi.shape)
-    x = psi.reshape(head, DIM, gap, DIM, -1).swapaxes(1, 2)
-    y = np.matmul(m, x.reshape(head * gap, DIM * DIM, -1))
-    return y.reshape(head, gap, DIM, DIM, -1).swapaxes(1, 2).reshape(psi.shape)
+        return np.matmul(psi.reshape(len(psi), DIM**a, DIM * DIM), m.T).reshape(psi.shape)
+    x = psi.reshape(head, DIM, gap, DIM, tail).swapaxes(1, 2)
+    y = np.matmul(m, x.reshape(head * gap, DIM * DIM, tail))
+    return y.reshape(head, gap, DIM, DIM, tail).swapaxes(1, 2).reshape(psi.shape)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -315,7 +315,6 @@ class MappedHamiltonian:
     geometry: LatticeGeometry
     J: float
     v: float
-    int_prefactor: float
 
     def terms(self):
         """Every term of H as (coefficient, {site: 4x4 factor}), identity on
@@ -325,7 +324,7 @@ class MappedHamiltonian:
         for a, b in self.geometry.bonds:
             for left, right in hopping_local_factors().values():
                 yield self.J / 2.0, {a: left, **dict.fromkeys(range(a + 1, b), GT), b: right}
-        local = self.int_prefactor * self.v * interaction_bracket()
+        local = resolve_int_prefactor() * self.v * interaction_bracket()
         for site in range(1, self.geometry.site_count + 1):
             yield 1.0, {site: local}
 
@@ -361,7 +360,7 @@ def interaction_bracket() -> np.ndarray:
 
 
 def build_mapped_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> MappedHamiltonian:
-    return MappedHamiltonian(geometry, J, v, resolve_int_prefactor())
+    return MappedHamiltonian(geometry, J, v)
 
 
 def _add_kron_string(h: np.ndarray, factors, coefficient: float) -> None:
@@ -416,7 +415,7 @@ def save_hamiltonian(mh: MappedHamiltonian, path) -> None:
         },
         "J": mh.J,
         "v": mh.v,
-        "int_prefactor": mh.int_prefactor,
+        "int_prefactor": resolve_int_prefactor(),
         "terms": [
             {"coefficient": coefficient,
              "factors": {str(site): _matrix_to_json(f) for site, f in factors.items()}}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, StateSizeMismatch
+from .errors import EmptySeries, SiteOutOfRange, StateSizeMismatch
 from .linalg import check_budget, dense_dim
 from .mapping import SPIN_DOWN, SPIN_UP, SPINS, LatticeGeometry
 
@@ -36,7 +36,9 @@ _TOKEN_BITS = {"0": "00", "u": "10", "d": "01", "ud": "11"}
 
 def mode_index(site: int, spin: str) -> int:
     """0-based spin-orbital index under the (up_1, dn_1, up_2, ...) order."""
-    return 2 * (site - 1) + (0 if spin == SPIN_UP else 1)
+    if spin not in SPINS:
+        raise ValueError(f"spin must be up/down, got {spin!r}")
+    return 2 * (site - 1) + SPINS.index(spin)
 
 
 def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
@@ -46,6 +48,8 @@ def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
     0 where it annihilates the state. target is a bijection, so a product
     A B composes by indexing: (t_a[t_b], s_a[t_b] * s_b).
     """
+    if not 1 <= site <= site_count:
+        raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
     bit = 2 * site_count - 1 - mode_index(site, spin)
     idx = np.arange(4**site_count)
     occupied = (idx >> bit) & 1
@@ -165,19 +169,19 @@ def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.nda
     Evaluated as i <U(t) c_j psi0 | c_i U(t) psi0>. psi0 is propagated in
     its (N_up, N_dn) sector and c_j psi0 in the sector with one fewer
     ``spin`` particle, each over the whole grid at once; c_i maps the first
-    sector into the second. Exactly zero when orbital j is empty.
+    sector into the second. Exactly zero when orbital j is empty. Sites and
+    spin are checked (`_ladder`) before any eigh, as in `retarded_gf`.
     """
     L = _token_sites(h, tokens)
     times = np.asarray(times, dtype=float)
     start = fock_index(tokens)
-    target_j, sign_j = _ladder(j, spin, "annihilate", L)
+    (target_i, sign_i), (target_j, sign_j) = (_ladder(s, spin, "annihilate", L) for s in (i, j))
     if sign_j[start] == 0.0:
         return np.zeros(len(times), dtype=complex)
     hole = int(target_j[start])  # c_j psi0 = sign_j[start] |hole>
     source, removed = sector_basis(start, L), sector_basis(hole, L)
     bra = sign_j[start] * _sector_evolve(h, removed, hole, times)
     ket = _sector_evolve(h, source, start, times)
-    target_i, sign_i = _ladder(i, spin, "annihilate", L)
     keep = sign_i[source] != 0.0  # c_i annihilates the rest
     rows = np.searchsorted(removed, target_i[source[keep]])
     c_ket = sign_i[source[keep], None] * ket[keep]
@@ -191,12 +195,12 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     eigenbasis, sum_nm A_nm e^{i (E_n - E_m) t}, evaluated as
     sum_n conj(Q_n) (A Q)_n over the (dim, T) phase matrix Q = e^{-i E t}.
     """
+    L = (h.shape[0].bit_length() - 1) // 2
+    c_i, cdag_j = _ladder(i, spin, "annihilate", L), _ladder(j, spin, "create", L)
     evals, vecs = np.linalg.eigh(h)
-    L = (vecs.shape[0].bit_length() - 1) // 2
-    shifted = evals - evals.min()  # avoid overflow in e^{-beta E}
-    weights = np.exp(-beta * shifted)
-    c = vecs.conj().T @ _apply(_ladder(i, spin, "annihilate", L), vecs)
-    cdag = vecs.conj().T @ _apply(_ladder(j, spin, "create", L), vecs)
+    weights = np.exp(-beta * (evals - evals.min()))  # no overflow in e^{-beta E}
+    c = vecs.conj().T @ _apply(c_i, vecs)
+    cdag = vecs.conj().T @ _apply(cdag_j, vecs)
     amp = (weights[:, None] + weights[None, :]) * c * cdag.T / weights.sum()
     times = np.asarray(times, dtype=float)
     theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import emulate, gamma, gates, mapping, transpile
+from ququart_hubbard import emulate, gamma, gates, linalg, mapping, transpile
 from ququart_hubbard.errors import (
     DimensionTooLarge,
     InvalidCircuit,
@@ -26,6 +26,11 @@ RNG = np.random.default_rng(7)
 def random_state(n_sites, rng=RNG):
     v = rng.normal(size=4**n_sites) + 1j * rng.normal(size=4**n_sites)
     return v / np.linalg.norm(v)
+
+
+def run_op(state, op, site_count):
+    """One gate op on a register state, as a one-op circuit."""
+    return gates.simulate(Circuit(site_count, (op,)), state)
 
 
 # --- csum -------------------------------------------------------------------
@@ -69,7 +74,7 @@ def test_csum_decrements_target():
 def test_apply_csum_matches_table():
     state = np.zeros(16, dtype=complex)
     state[1 * 4 + 1] = 1.0  # |1,1>
-    out = gates.apply(state, Csum(0, 1), 2)
+    out = run_op(state, Csum(0, 1), 2)
     expected = np.zeros(16, dtype=complex)
     expected[1 * 4 + 0] = 1.0  # |1, Xt|1>> = |1,0>
     assert np.array_equal(out, expected)
@@ -80,19 +85,19 @@ def test_apply_csum_matches_table():
 
 def test_apply_identity_rotation_is_noop():
     state = random_state(3)
-    out = gates.apply(state, Rotation(1, 0, 2, "x", 0.0), 3)
+    out = run_op(state, Rotation(1, 0, 2, "x", 0.0), 3)
     assert np.array_equal(out, state)
 
 
 def test_apply_matches_dense_embedding():
     state = random_state(3)
     op = Rotation(1, 1, 3, "y", 0.77)
-    out = gates.apply(state, op, 3)
+    out = run_op(state, op, 3)
     dense = functools.reduce(np.kron, [np.eye(4), gamma.rotation(1, 3, "y", 0.77), np.eye(4)])
     assert np.max(np.abs(out - dense @ state)) < 1e-14
 
     op2 = Csum(0, 2)
-    out2 = gates.apply(state, op2, 3)
+    out2 = run_op(state, op2, 3)
     g = gates.csum_matrix().reshape(4, 4, 4, 4)
     dense2 = np.zeros((64, 64), dtype=complex)
     for a in range(4):
@@ -107,7 +112,7 @@ def test_apply_matches_dense_embedding():
 
 def test_apply_rejects_bad_site():
     with pytest.raises(SiteOutOfRange):
-        gates.apply(random_state(2), Rotation(2, 0, 1, "x", 0.3), 2)
+        run_op(random_state(2), Rotation(2, 0, 1, "x", 0.3), 2)
 
 
 @given(st.integers(0, 10_000))
@@ -123,7 +128,7 @@ def test_apply_preserves_norm(seed):
         Rotation(int(rng.integers(3)), 1, 2, "z", float(rng.normal()), virtual=True),
     ]
     for op in ops:
-        state = gates.apply(state, op, 3)
+        state = run_op(state, op, 3)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
@@ -139,10 +144,10 @@ def test_gate_inverse_round_trip(seed):
     ]
     forward = state
     for op in ops:
-        forward = gates.apply(forward, op, 2)
+        forward = run_op(forward, op, 2)
     back = forward
     for op in reversed(ops):
-        back = gates.apply(back, gates.gate_inverse(op), 2)
+        back = run_op(back, gates.gate_inverse(op), 2)
     assert np.max(np.abs(back - state)) < 1e-10
 
 
@@ -209,11 +214,35 @@ def test_circuit_rejects_one_bad_op_deep_in_repeated_steps(bad):
 
 
 def fold(circuit, state):
-    """Gate-level reference: apply the ops one at a time."""
+    """Gate-level reference: apply the ops one at a time, each its own
+    matrix through `linalg.apply_local`, never through `gates._fuse`."""
     out = np.asarray(state, dtype=complex)
     for op in circuit.ops:
-        out = gates.apply(out, op, circuit.site_count)
+        out = linalg.apply_local(out, [(gates._op_sites(op), gates.gate_matrix(op))],
+                                 circuit.site_count)
     return out
+
+
+# on a 3-site register: (0, 1) leads, (1, 2) is the trailing pair and
+# (0, 2) is not adjacent
+ONE_OPS = {
+    "rotation": Rotation(1, 0, 2, "x", 0.7),
+    "virtual z": Rotation(2, 1, 3, "z", 0.4, virtual=True),
+    "csum 0->1": Csum(0, 1),
+    "csum 1->2 adjoint": Csum(1, 2, adjoint=True),
+    "csum 2->1": Csum(2, 1),
+    "csum 2->0 adjoint": Csum(2, 0, adjoint=True),
+    "csum 0->2": Csum(0, 2),
+}
+
+
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("name", sorted(ONE_OPS))
+def test_one_op_circuit_is_the_gate_level_reference(name, width):
+    op = ONE_OPS[name]
+    state = random_state(3) if width is None else np.column_stack(
+        [random_state(3) for _ in range(width)])
+    assert np.array_equal(run_op(state, op, 3), fold(Circuit(3, (op,)), state))
 
 
 def fused_error(circuit, state):
@@ -557,6 +586,11 @@ def test_fused_batch_columns_are_bit_identical(sites, width, seed):
     assert float(np.max(np.abs(out - fold(circuit, batch)))) <= 1e-12
 
 
+def test_simulate_runs_a_zero_width_batch():
+    circuit = chain_circuit(3, 2)
+    assert gates.simulate(circuit, np.zeros((64, 0))).shape == (64, 0)
+
+
 def test_simulate_rejects_a_state_of_the_wrong_size():
     with pytest.raises(ValueError, match="amplitudes"):
         gates.simulate(Circuit(2, (Csum(0, 1),)), random_state(3))
@@ -681,15 +715,35 @@ def test_grid_runs_a_one_dimensional_state():
     assert gates.simulate_sector([], GREENS_SECTOR, sector_state(GREENS_SECTOR)).shape == (0, 24)
 
 
-def test_grid_of_mixed_structures_matches_circuit_by_circuit():
+def mixed_structure_circuits():
     # ladder(2,2) has 4 sites too, and its rungs (1,3), (2,4) are the
     # non-adjacent blocks; one circuit repeats, one differs only in repeat
     chain = greens_grid_circuits(2)
     mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry("ladder:2x2"), 1.0, 2.0)
     ladder = [transpile.trotter_step_circuit(mh, tau, 2) for tau in (0.4, 0.9, 0.0)]
-    circuits = [ladder[0], chain[3], ladder[1], chain[0], ladder[2], chain[5], ladder[0],
-                replace(chain[3], repeat=3)]
-    assert_grid_is_circuit_by_circuit(circuits, sector_state(GREENS_SECTOR, 3))
+    return [ladder[0], chain[3], ladder[1], chain[0], ladder[2], chain[5], ladder[0],
+            replace(chain[3], repeat=3)]
+
+
+def test_grid_of_mixed_structures_matches_circuit_by_circuit():
+    assert_grid_is_circuit_by_circuit(mixed_structure_circuits(), sector_state(GREENS_SECTOR, 3))
+
+
+def test_every_grid_block_is_a_stack_over_its_groups_runs():
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    same = greens_grid_circuits(2)[3]
+    grids = {
+        "greens": transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30),
+        "mixed": gates.Grid(mixed_structure_circuits()),
+        "shared": gates.Grid([same, same]),  # every block broadcast from one matrix
+    }
+    for grid in grids.values():
+        for group, _, blocks in grid.chunks:
+            for sites, m in blocks:
+                assert m.shape == (len(group), 4 ** len(sites), 4 ** len(sites))
+    shared = [m for _, m in grids["shared"].chunks[0][2]]
+    assert all(np.array_equal(m[0], m[1]) for m in shared)
+    assert_grid_is_circuit_by_circuit(grids["shared"], sector_state(GREENS_SECTOR, 3))
 
 
 def test_grid_rejects_circuits_of_another_site_count():

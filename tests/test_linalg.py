@@ -57,3 +57,12 @@ def test_trailing_pair_matches_dense_embedding(site_count, width):
 def test_non_adjacent_pair_on_the_last_site_matches_dense_embedding(sites, width):
     # ends on the last site but is not adjacent: stays on the swap path
     assert_block_matches_dense(sites[1] + 1, sites, width)
+
+
+@pytest.mark.parametrize("sites", [(0,), (3,), (0, 1), (2, 3), (0, 2), (1, 3)], ids=str)
+def test_zero_width_batch_comes_back_empty(sites):
+    # one site, a leading and the trailing adjacent pair, and the two rungs
+    # of a 2x2 ladder (non-adjacent); once a reshape error
+    m = random_unitary(4 ** len(sites))
+    out = linalg.apply_local(np.zeros((256, 0)), [(sites, m)], 4)
+    assert out.shape == (256, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -178,6 +179,13 @@ def test_int_prefactor_resolved_to_quarter():
     assert mapping.resolve_int_prefactor() == 0.25
 
 
+def test_mapped_hamiltonian_has_no_settable_prefactor():
+    # the one correct prefactor is resolved, never passed
+    assert [f.name for f in dataclasses.fields(mapping.MappedHamiltonian)] == ["geometry", "J", "v"]
+    with pytest.raises(TypeError):
+        mapping.MappedHamiltonian(mapping.chain(2), 1.0, 2.0, 0.3)
+
+
 def test_int_term_matches_number_product():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(1), 1.0, 3.0)
     n_product = mapping.mapped_number_operator(1, "up", 1) @ mapping.mapped_number_operator(1, "down", 1)
@@ -226,8 +234,8 @@ def test_interaction_terms_local():
         assert list(factors) == [site]
         local = factors[site]
         assert local.shape == (4, 4)
-        assert np.array_equal(coefficient * local,
-                              mh.int_prefactor * mh.v * mapping.interaction_bracket())
+        p = mapping.resolve_int_prefactor()
+        assert np.array_equal(coefficient * local, p * mh.v * mapping.interaction_bracket())
         embedded = embed(factors, 3)
         assert np.array_equal(embedded, functools.reduce(
             np.kron, [local if s == site else np.eye(4) for s in (1, 2, 3)]))
@@ -296,7 +304,7 @@ def test_hamiltonian_json_round_trip(tmp_path):
     doc = json.loads(saved_document(mh, tmp_path).read_text())
     assert doc["geometry"] == {"kind": "ladder", "sites": 4, "bonds": [[1, 2], [3, 4], [1, 3], [2, 4]],
                                "label": "ladder(2,2)"}
-    assert (doc["J"], doc["v"], doc["int_prefactor"]) == (mh.J, mh.v, mh.int_prefactor)
+    assert (doc["J"], doc["v"], doc["int_prefactor"]) == (mh.J, mh.v, 0.25)
     for saved, (coefficient, factors) in zip(doc["terms"], mh.terms(), strict=True):
         assert saved["coefficient"] == coefficient
         assert list(saved["factors"]) == [str(site) for site in factors]

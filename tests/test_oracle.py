@@ -8,7 +8,9 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from ququart_hubbard import mapping, oracle
-from ququart_hubbard.errors import DimensionTooLarge, EmptySeries, StateSizeMismatch
+from ququart_hubbard.errors import (
+    DimensionTooLarge, EmptySeries, SiteOutOfRange, StateSizeMismatch,
+)
 from ququart_hubbard.oracle import GreensSeries
 
 # --- Kronecker-string reference -------------------------------------------
@@ -298,6 +300,35 @@ def test_tokens_for_another_lattice_raise_before_any_eigh(monkeypatch, solve, to
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(StateSizeMismatch, match="tokens for a Hamiltonian of dimension 64"):
         solve(h, tokens)
+
+
+GREENS_FUNCTIONS = {
+    "lesser_gf": lambda h, i, j, spin: oracle.lesser_gf(h, ("u", "d"), i, j, spin, [0.0, 1.0]),
+    "retarded_gf": lambda h, i, j, spin: oracle.retarded_gf(h, 1.0, i, j, spin, [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREENS_FUNCTIONS))
+@pytest.mark.parametrize("i, j", [(0, 1), (3, 1), (1, 0), (1, 3)])
+def test_greens_functions_refuse_a_site_outside_the_lattice_before_any_eigh(
+        monkeypatch, name, i, j):
+    # once a zero series, a bare ValueError or an IndexError
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(SiteOutOfRange, match="outside 1..2"):
+        GREENS_FUNCTIONS[name](h, i, j, "up")
+
+
+@pytest.mark.parametrize("name", sorted(GREENS_FUNCTIONS))
+def test_greens_functions_refuse_a_spin_other_than_up_or_down(name):
+    # "sideways" was once read as spin down
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    with pytest.raises(ValueError, match="spin must be up/down"):
+        GREENS_FUNCTIONS[name](h, 2, 2, "sideways")
 
 
 def test_retarded_gf_zero_before_start():

@@ -218,7 +218,8 @@ def test_onsite_layer_matches_exponential(v, dt):
     mh = mapping.build_mapped_hamiltonian(mapping.chain(3), 1.0, v)
     onsite = transpile.step_layers(mh, dt)[0]
     assert len(onsite) == 3
-    target = scipy.linalg.expm(-1j * dt * mh.int_prefactor * v * mapping.interaction_bracket())
+    p = mapping.resolve_int_prefactor()
+    target = scipy.linalg.expm(-1j * dt * p * v * mapping.interaction_bracket())
     for site, part in enumerate(onsite):
         assert all(op.virtual and op.site == site for op in part)
         assert (part == []) == (v * dt == 0.0)
