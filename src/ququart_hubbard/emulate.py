@@ -47,6 +47,16 @@ def circuit_populations(state: np.ndarray, site_count: int) -> dict:
     return out
 
 
+def _sector_start(tokens) -> tuple:
+    """(sector, amplitudes) of the product state of occupation `tokens` in
+    its own (N_up, N_dn) sector: one 1.0, placed by a binary search for
+    the product index in `sector.basis`, without a 4^L register vector."""
+    sector = mapping.token_sector(tokens)
+    psi0 = np.zeros(len(sector.basis), dtype=complex)
+    psi0[np.searchsorted(sector.basis, mapping.product_index(tokens))] = 1.0
+    return sector, psi0
+
+
 def require_chain(geometry: LatticeGeometry) -> None:
     """Refuse circuit dynamics off chains: emitted ladder rung circuits omit
     the intervening Gt string, so their populations would be wrong."""
@@ -86,8 +96,7 @@ def population_grid(
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     exact = oracle.exact_populations(h_exact, tokens, taus)
     grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
-    sector = mapping.token_sector(tokens)
-    psi0 = mapping.product_state(tokens)[sector.basis]
+    sector, psi0 = _sector_start(tokens)
     probs = np.abs(gates.simulate_sector(grid, sector, psi0)) ** 2
     pops = np.tensordot(probs, sector.occupations(), axes=1)  # (tau, site, (up, down))
     rows = []
@@ -126,8 +135,7 @@ def lesser_gf_circuit(
     if len(tokens) != geometry.site_count:
         raise StateSizeMismatch(f"{len(tokens)} tokens for {geometry.site_count} sites")
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
-    sector = mapping.token_sector(tokens)
-    psi0 = mapping.product_state(tokens)[sector.basis]
+    sector, psi0 = _sector_start(tokens)
     remove_i, remove_j = (sector.fermion(s, spin, "annihilate") for s in (i, j))
     removed = remove_j(psi0)
     values = np.zeros(len(times), dtype=complex)

@@ -11,7 +11,8 @@ floating point.
 
 Subspace operators x/y/z^{jk} (`ggm`) embed the Pauli matrices into the
 (j, k) two-level subspace of the four-level system; `rotation` follows
-the half-angle convention R = e^{-i (phi/2) g} and is derived from `ggm`.
+the half-angle convention R = e^{-i (phi/2) g}, is derived from `ggm`, and
+takes one angle or an array of them.
 """
 
 from functools import lru_cache
@@ -59,12 +60,16 @@ def ggm(j: int, k: int, axis: Axis) -> np.ndarray:
     return _frozen(m)
 
 
-def rotation(j: int, k: int, axis: Axis, phi: float) -> np.ndarray:
+def rotation(j: int, k: int, axis: Axis, phi) -> np.ndarray:
     """Subspace rotation e^{-i (phi/2) g^{jk}}, identity elsewhere.
 
     The generator g squares to the subspace projector P, so the series
-    terminates: I - P + cos(phi/2) P - i sin(phi/2) g.
+    terminates: I - P + cos(phi/2) P - i sin(phi/2) g. A real `phi` gives
+    one 4x4; a 1-D array of T angles gives the (T, 4, 4) stack of their
+    rotations, each bit for bit the 4x4 of its angle.
     """
     g = ggm(j, k, axis)
     p = g @ g
+    if not isinstance(phi, (int, float, np.number)):
+        phi = np.asarray(phi, dtype=float)[:, None, None]
     return np.eye(DIM) - p + np.cos(phi / 2.0) * p - 1j * np.sin(phi / 2.0) * g

@@ -31,13 +31,19 @@ collapses to L - 1 blocks, applied `repeat` times.
 
 A time grid runs only inside one (N_up, N_dn) sector: `simulate_sector`
 runs a `Grid` of circuits, fused once per structure group into (T, d, d)
-block stacks, on the amplitudes of a `mapping.Sector`.
+block stacks, on the amplitudes of a `mapping.Sector`. A group's steps are
+prepared column by column, one op per run: a column holding one shared op
+object gives one matrix, and a column of one pulse at varying angles one
+`gamma.rotation` call on all its angles. So a grid costs one matrix build
+per column, not one per run and op. Each circuit computes its ops' sites
+once (`Circuit.sites`); its site check and the grouping both read them.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -98,6 +104,8 @@ class Circuit:
     step: tuple = ()  # the gate ops of one step, in application order
     metadata: dict = field(default_factory=dict)
     repeat: int = 1
+    # the ascending sites of each op of `step`, computed once here
+    sites: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("sites", self.site_count), ("repeat", self.repeat)):
@@ -105,10 +113,12 @@ class Circuit:
                 raise InvalidCircuit(f"{name} must be an int >= 1, got {value!r}")
         if not isinstance(self.metadata, dict):
             raise InvalidCircuit(f"metadata must be a dict, got {self.metadata!r}")
-        for op in self.step:
-            for s in _op_sites(op):
-                if not 0 <= s < self.site_count:
-                    raise SiteOutOfRange(f"{op} touches site {s}, register has {self.site_count}")
+        sites = tuple(map(_op_sites, self.step))
+        off = {s for ss in set(sites) for s in ss if not 0 <= s < self.site_count}
+        if off:
+            op, s = next((op, s) for op, ss in zip(self.step, sites) for s in ss if s in off)
+            raise SiteOutOfRange(f"{op} touches site {s}, register has {self.site_count}")
+        object.__setattr__(self, "sites", sites)
 
     @property
     def ops(self) -> tuple:
@@ -116,12 +126,24 @@ class Circuit:
         return self.step * self.repeat
 
 
+class _SiteTuples(dict):
+    """site, or (control, target) -> its ascending sites tuple, built on
+    first use: every op on the same sites shares one tuple object, so a
+    circuit's `sites` allocates no tuple per op."""
+
+    def __missing__(self, key):
+        sites = self[key] = (key,) if type(key) is int else tuple(sorted(key))
+        return sites
+
+
+_SITES = _SiteTuples()
+
+
 def _op_sites(op: GateOp) -> tuple:
     """The op's sites in ascending order, the order of its matrix's index."""
     if isinstance(op, Rotation):
-        return (op.site,)
-    c, t = op.control, op.target
-    return (c, t) if c < t else (t, c)
+        return _SITES[op.site]
+    return _SITES[op.control, op.target]
 
 
 def csum_matrix(adjoint: bool = False) -> np.ndarray:
@@ -172,15 +194,22 @@ def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k.reshape(*k.shape[:-4], DIM * DIM, DIM * DIM)
 
 
+_PULSE = attrgetter("j", "k", "axis")  # a rotation's matrix is its pulse's at its phi
+
+
 def _local_matrices(items):
     """(sites, matrix) of each item: a gate op's own matrix or, for a tuple
-    holding one op per run of a grid, the one matrix of an op object every
-    run holds, else the (T, d, d) stack of the runs' matrices."""
+    holding one op per run of a grid (a column), the one matrix of an op
+    object every run holds. A column of rotations of one pulse and varying
+    phi is one `gamma.rotation` call on the column's angles; any other
+    column is the (T, d, d) stack of its ops' matrices."""
     for item in items:
         if not isinstance(item, tuple):
             yield _op_sites(item), gate_matrix(item)
-        elif all(op is item[0] for op in item):
+        elif len(set(map(id, item))) == 1:
             yield _op_sites(item[0]), gate_matrix(item[0])
+        elif set(map(type, item)) == {Rotation} and len(set(map(_PULSE, item))) == 1:
+            yield _op_sites(item[0]), gamma.rotation(*_PULSE(item[0]), [op.phi for op in item])
         else:
             yield _op_sites(item[0]), np.stack([gate_matrix(op) for op in item])
 
@@ -238,14 +267,15 @@ def _fuse(items) -> list:
 
 def _structure(circuit: Circuit) -> tuple:
     """What `_fuse` decides from: site count, repeat and the sites of each op."""
-    return circuit.site_count, circuit.repeat, tuple(map(_op_sites, circuit.step))
+    return circuit.site_count, circuit.repeat, circuit.sites
 
 
 class Grid(tuple):
     """Circuits run on one start state, such as a tau grid. Circuits of one
     structure (a tau grid's nonzero taus) fuse in one pass over their steps'
-    columns (`_local_matrices`). The blocks are kept, so a grid shared
-    between calls (`transpile.trotter_grid`) is fused once."""
+    columns, each column's matrices built in one go (`_local_matrices`).
+    The blocks are kept, so a grid shared between calls
+    (`transpile.trotter_grid`) is prepared once."""
 
     @cached_property
     def chunks(self) -> tuple:

@@ -299,14 +299,19 @@ def parse_init_tokens(text: str) -> tuple:
     return tokens
 
 
+def product_index(tokens) -> int:
+    """Register index of the product state of per-site occupation tokens
+    (first site's level most significant)."""
+    index = 0
+    for t in tokens:
+        index = index * DIM + level_of_token()[t]
+    return index
+
+
 def product_state(tokens) -> np.ndarray:
     """Register basis state for per-site occupation tokens."""
-    levels = [level_of_token()[t] for t in tokens]
-    index = 0
-    for lvl in levels:
-        index = index * DIM + lvl
-    state = np.zeros(DIM ** len(levels), dtype=complex)
-    state[index] = 1.0
+    state = np.zeros(DIM ** len(tokens), dtype=complex)
+    state[product_index(tokens)] = 1.0
     return state
 
 

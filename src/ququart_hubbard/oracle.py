@@ -95,6 +95,14 @@ def fock_index(tokens) -> int:
     return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
+def _site_count(h: np.ndarray) -> int:
+    """L of a 4^L x 4^L Hamiltonian; StateSizeMismatch for any other shape."""
+    L = (h.shape[0].bit_length() - 1) // 2
+    if L < 1 or h.shape != (4**L, 4**L):
+        raise StateSizeMismatch(f"a Hamiltonian of shape {h.shape} is not 4^L x 4^L")
+    return L
+
+
 def _token_sites(h: np.ndarray, tokens) -> int:
     """L of ``tokens``; StateSizeMismatch unless H acts on those L sites."""
     if h.shape[0] != 4 ** len(tokens):
@@ -194,8 +202,9 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     theta(0) = 0.5; t < 0 samples are zero. Uses the Lehmann form in the
     eigenbasis, sum_nm A_nm e^{i (E_n - E_m) t}, evaluated as
     sum_n conj(Q_n) (A Q)_n over the (dim, T) phase matrix Q = e^{-i E t}.
+    An H that is not 4^L x 4^L raises StateSizeMismatch before any eigh.
     """
-    L = (h.shape[0].bit_length() - 1) // 2
+    L = _site_count(h)
     c_i, cdag_j = _ladder(i, spin, "annihilate", L), _ladder(j, spin, "create", L)
     evals, vecs = np.linalg.eigh(h)
     weights = np.exp(-beta * (evals - evals.min()))  # no overflow in e^{-beta E}
@@ -215,6 +224,11 @@ def lesser_series(h, tokens, i, j, spin, times, J=np.nan, v=np.nan) -> GreensSer
 
 
 def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) -> GreensSeries:
+    """`retarded_gf` as a series; a `site_count` other than H's L raises
+    StateSizeMismatch before any eigh."""
+    L = _site_count(h)
+    if site_count != L:
+        raise StateSizeMismatch(f"site_count {site_count} for a Hamiltonian on {L} sites")
     values = retarded_gf(h, beta, i, j, spin, times)
     return GreensSeries(np.asarray(times, float), values, i, j, spin, "retarded",
                         site_count, J, v, f"beta={beta:g}")

@@ -84,6 +84,28 @@ def test_lesser_gf_circuit_refuses_tokens_for_another_length(tokens):
         emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, 1, 1, "up", [0.0, 0.5], 3)
 
 
+@pytest.mark.parametrize("tokens", [("u",), ("0", "0"), ("ud", "ud"), ("u", "ud", "u", "d"),
+                                    ("u", "d", "ud", "0", "u", "d", "ud")])
+def test_sector_start_is_the_product_state_on_its_sector(tokens):
+    sector, psi0 = emulate._sector_start(tokens)
+    assert sector is mapping.token_sector(tokens)
+    assert np.array_equal(psi0, mapping.product_state(tokens)[sector.basis])
+
+
+def test_grids_start_without_a_register_vector(monkeypatch):
+    args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "0"))
+    pops = emulate.population_grid(*args, [0.0, 0.7], 3)
+    series = emulate.lesser_gf_circuit(*args, 2, 2, "up", [0.0, 0.7], 3)
+
+    def no_register_vector(tokens):
+        raise AssertionError("a 4^L product state was built")
+
+    monkeypatch.setattr(mapping, "product_state", no_register_vector)
+    assert emulate.population_grid(*args, [0.0, 0.7], 3) == pops
+    assert np.array_equal(emulate.lesser_gf_circuit(*args, 2, 2, "up", [0.0, 0.7], 3).values,
+                          series.values)
+
+
 def test_population_grid_refuses_tokens_for_another_length_in_the_oracle(monkeypatch):
     # the oracle checks the tokens before its solve, ahead of the circuit lane
     def no_grid(*args):

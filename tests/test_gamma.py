@@ -4,9 +4,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_hubbard import mapping
+from ququart_hubbard import emulate, mapping, transpile
 from ququart_hubbard.errors import InvalidSubspace
 from ququart_hubbard.gamma import G1, G2, G3, G4, GT, _frozen, ggm, rotation
+from ququart_hubbard.gates import Rotation
 
 GAMMAS = (G1, G2, G3, G4)
 ALL_FIVE = (*GAMMAS, GT)
@@ -112,6 +113,34 @@ def test_rotation_composition(jk, axis, phi, psi):
 def test_rotation_rejects_bad_subspace():
     with pytest.raises(InvalidSubspace):
         rotation(3, 1, "x", 0.3)
+    with pytest.raises(InvalidSubspace):
+        rotation(3, 1, "x", np.array([0.3, 0.4]))
+
+
+def greens_grid_angles():
+    """Every rotation angle of the chain(4) Green's-function time grid."""
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+    return np.array(sorted({op.phi for c in grid for op in c.step if isinstance(op, Rotation)}))
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("j,k", subspaces)
+def test_rotation_of_an_angle_array_is_the_stack_of_its_angles(axis, j, k):
+    phis = greens_grid_angles()
+    batched = rotation(j, k, axis, phis)
+    assert batched.shape == (len(phis), 4, 4) and batched.dtype == complex
+    assert np.array_equal(batched, np.stack([rotation(j, k, axis, phi) for phi in phis]))
+    # a list of angles, and a single angle in an array, stack the same way
+    assert np.array_equal(rotation(j, k, axis, list(phis[:3])), batched[:3])
+    assert np.array_equal(rotation(j, k, axis, phis[4:5]), batched[4:5])
+
+
+@pytest.mark.parametrize("phi", [0.3, np.float64(0.3), 1, np.int64(-2)])
+def test_rotation_of_one_angle_is_one_4x4(phi):
+    m = rotation(1, 2, "x", phi)
+    assert m.shape == (4, 4) and m.dtype == complex and m.flags.c_contiguous
+    assert np.array_equal(m, rotation(1, 2, "x", np.array([phi], dtype=float))[0])
 
 
 # each generator as a signed sum of subspace Paulis, (coefficient, j, k, axis)

@@ -210,6 +210,17 @@ def test_circuit_rejects_one_bad_op_deep_in_repeated_steps(bad):
         Circuit(3, ops)
 
 
+@pytest.mark.parametrize("bad, site", [
+    (Rotation(3, 0, 1, "x", 0.1), 3), (Csum(0, -1), -1), (Csum(5, -1), -1), (Csum(4, 1), 4),
+])
+def test_circuit_names_the_first_op_off_the_register(bad, site):
+    # the first bad op in step order, at its lowest bad site; a later bad op is not named
+    ops = (Rotation(0, 0, 1, "x", 0.1), Csum(0, 2), bad, Rotation(7, 0, 1, "x", 0.1))
+    with pytest.raises(SiteOutOfRange) as info:
+        Circuit(3, ops)
+    assert str(info.value) == f"{bad} touches site {site}, register has 3"
+
+
 # --- fused simulation -------------------------------------------------------
 
 
@@ -659,6 +670,38 @@ def test_grid_fuses_each_structure_once(monkeypatch):
         grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
         gates.simulate_sector(grid, GREENS_SECTOR, state)
     assert [len(items) for items in fused] == expected * 2
+
+
+def test_grid_preparation_is_linear_in_the_ops(monkeypatch):
+    # one rotation matrix per distinct shared pulse plus one batched call per
+    # column of tau-dependent pulses (once 196 scalar calls), and each op's
+    # sites computed once per circuit plus once per column (once twice per
+    # op per circuit)
+    transpile.trotter_grid.cache_clear()
+    gates._rotation_matrix.cache_clear()
+    angles, site_calls = [], []
+
+    def counting_rotation(j, k, axis, phi):
+        angles.append(np.shape(phi))
+        return rotation(j, k, axis, phi)
+
+    def counting_sites(op):
+        site_calls.append(op)
+        return op_sites(op)
+
+    rotation, op_sites = gamma.rotation, gates._op_sites
+    monkeypatch.setattr(gamma, "rotation", counting_rotation)
+    monkeypatch.setattr(gates, "_op_sites", counting_sites)
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+    grid.chunks
+    columns = list(zip(*(circuit.step for circuit in grid[1:])))
+    varying = [col for col in columns if len(set(map(id, col))) > 1]
+    shared = {(op.j, op.k, op.axis, op.phi) for col in columns if len(set(map(id, col))) == 1
+              for op in col[:1] if isinstance(op, Rotation)}
+    assert (len(shared), len(varying)) == (16, 36)
+    assert sorted(angles) == [()] * len(shared) + [(len(grid) - 1,)] * len(varying)
+    assert len(site_calls) == sum(len(circuit.step) for circuit in grid) + len(columns)
 
 
 @pytest.mark.parametrize("width", [1, 3])

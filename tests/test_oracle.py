@@ -331,6 +331,35 @@ def test_greens_functions_refuse_a_spin_other_than_up_or_down(name):
         GREENS_FUNCTIONS[name](h, 2, 2, "sideways")
 
 
+@pytest.mark.parametrize("h", [np.eye(32), np.eye(8), np.eye(1), np.zeros((16, 4))],
+                         ids=["32x32", "8x8", "1x1", "16x4"])
+def test_retarded_gf_refuses_a_hamiltonian_that_is_not_4_to_the_L_square(monkeypatch, h):
+    # np.eye(32) once ran its full eigh, then raised a bare numpy ValueError
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(StateSizeMismatch, match="is not 4\\^L x 4\\^L"):
+        oracle.retarded_gf(h, 1.0, 1, 1, "up", [0.0, 1.0])
+    with pytest.raises(StateSizeMismatch, match="is not 4\\^L x 4\\^L"):
+        oracle.retarded_series(h, 1.0, 1, 1, "up", [0.0, 1.0], 2)
+
+
+@pytest.mark.parametrize("site_count", [1, 3])
+def test_retarded_series_refuses_a_site_count_other_than_the_hamiltonians(
+        monkeypatch, site_count):
+    # a chain(2) H with site_count 3 once returned a series labelled L = 3
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(StateSizeMismatch, match=f"site_count {site_count} for a Hamiltonian "
+                                                "on 2 sites"):
+        oracle.retarded_series(h, 1.0, 1, 1, "up", [0.0, 1.0], site_count)
+
+
 def test_retarded_gf_zero_before_start():
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
     g = oracle.retarded_gf(h, 1.0, 1, 1, "up", [-1.0, -0.1])
