@@ -9,11 +9,11 @@ Clifford element Gt on all preceding sites times a local ladder factor,
 
 with spin up using the (G1, G2) pair and spin down the (G3, G4) pair.
 Anticommutation of the Gt string with every local factor reproduces the
-fermionic algebra exactly. ``apply_fermion`` applies that string to a
-register state factor by factor, each 4x4 factor one ``linalg.apply_local``
-matmul on its own site of the batch-leading state array, so no 4^L x 4^L
-matrix is formed; ``map_fermion`` is its dense image (the string applied
-to the identity), for the algebra checks.
+fermionic algebra exactly. Gt is diagonal and each local factor has one
+nonzero per column, so c is a signed index map of register basis states:
+``fermion_index_map`` is its one definition. ``Sector.fermion`` reads it
+on a sector's basis, ``map_fermion`` scatters it into a dense image, and
+the acceptance check of the anticommutator table composes it pairwise.
 
 Under this map the hopping term on a bond (a, b) splits into four
 mutually commuting Hermitian pieces carrying a Gt string over any sites
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import SiteOutOfRange, UnsupportedLattice
 from .gamma import DIM, G1, G2, G3, G4, GT
-from .linalg import apply_local, dense_dim
+from .linalg import dense_dim
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
@@ -107,36 +107,42 @@ def local_fermion_factor(spin: str, kind: str) -> np.ndarray:
         raise ValueError(f"spin must be up/down and kind create/annihilate, got ({spin!r}, {kind!r})")
 
 
-def apply_fermion(state: np.ndarray, site: int, spin: str, kind: str,
-                  site_count: int) -> np.ndarray:
-    """c ("annihilate") or c^dag ("create") on a register state, or on the
-    columns of a (4^L, k) batch: Gt on every site before `site`, then the
-    local ladder factor on `site`."""
+def fermion_index_map(indices: np.ndarray, site: int, spin: str, kind: str,
+                      site_count: int) -> tuple:
+    """c ("annihilate") or c^dag ("create") at 1-based `site` on register
+    basis states `indices` as (dest, coefficient), |idx> -> coefficient
+    |dest>, 0 where c annihilates it: the local factor's one nonzero per
+    column times the diagonal of the Gt string on the sites before."""
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    string = [((axis,), GT) for axis in range(site - 1)]
-    return apply_local(state, string + [((site - 1,), local_fermion_factor(spin, kind))],
-                       site_count)
+    factor = local_fermion_factor(spin, kind)
+    new_level = np.argmax(factor != 0, axis=0)  # each column's nonzero row, 0 if none
+    step = DIM ** (site_count - site)
+    level = indices // step % DIM
+    coefficient = factor[new_level[level], level]
+    for s in range(1, site):
+        coefficient *= np.diag(GT)[indices // DIM ** (site_count - s) % DIM]
+    return indices + (new_level[level] - level) * step, coefficient
 
 
 def map_fermion(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:
-    """Dense register image of one fermionic ladder operator (within the
-    dense budget)."""
-    eye = np.eye(dense_dim(site_count), dtype=complex)
-    return apply_fermion(eye, site, spin, kind, site_count)
+    """Dense image of `fermion_index_map` on every basis state (within the dense budget)."""
+    columns = np.arange(dense_dim(site_count))
+    dest, coefficient = fermion_index_map(columns, site, spin, kind, site_count)
+    image = np.zeros((len(columns), len(columns)), dtype=complex)
+    image[dest, columns] = coefficient
+    return image
 
 
-def mapped_number_operator(site: int, spin: str, site_count: int) -> np.ndarray:
-    cdag = map_fermion(site, spin, "create", site_count)
-    c = map_fermion(site, spin, "annihilate", site_count)
-    return cdag @ c
+def _site_number(spin: str) -> np.ndarray:
+    """N_spin = c^dag c of a one-site register, where c is its local factor."""
+    return local_fermion_factor(spin, "create") @ local_fermion_factor(spin, "annihilate")
 
 
 @lru_cache(maxsize=None)
 def level_occupations() -> tuple:
     """Per-level (n_up, n_dn) read off the single-site number operators."""
-    n_up = np.real(np.diag(mapped_number_operator(1, SPIN_UP, 1)))
-    n_dn = np.real(np.diag(mapped_number_operator(1, SPIN_DOWN, 1)))
+    n_up, n_dn = (np.real(np.diag(_site_number(spin))) for spin in SPINS)
     return tuple((int(round(u)), int(round(d))) for u, d in zip(n_up, n_dn))
 
 
@@ -249,25 +255,15 @@ class Sector:
 
     def fermion(self, site: int, spin: str, kind: str) -> SectorFermion:
         """c ("annihilate") or c^dag ("create") at 1-based `site` into its
-        target sector, read off `local_fermion_factor` (one nonzero per
-        column) and the diagonal of the Gt string on the sites before."""
-        if not 1 <= site <= self.site_count:
-            raise SiteOutOfRange(f"site {site} outside 1..{self.site_count}")
-        factor = local_fermion_factor(spin, kind)
-        rows, cols = np.nonzero(factor)
-        level = self._levels(site - 1)
-        source = np.flatnonzero(np.any(level[:, None] == cols, axis=1))
-        new_level = np.zeros(DIM, dtype=np.intp)
-        new_level[cols] = rows
-        coefficient = factor[new_level[level[source]], level[source]].astype(complex)
-        for s in range(site - 1):
-            coefficient *= np.diag(GT)[self._levels(s)[source]]
+        target sector: the basis states' `fermion_index_map` where nonzero."""
+        dest, coefficient = fermion_index_map(self.basis, site, spin, kind, self.site_count)
+        source = np.flatnonzero(coefficient)
+        rows, cols = np.nonzero(local_fermion_factor(spin, kind))
         occ = np.array(level_occupations())
         n_up, n_dn = np.array(self.counts) + occ[rows[0]] - occ[cols[0]]
         target = sector(self.site_count, int(n_up), int(n_dn))
-        step = DIM ** (self.site_count - site)
-        moved = self.basis[source] + (new_level[level[source]] - level[source]) * step
-        return SectorFermion(target, source, np.searchsorted(target.basis, moved), coefficient)
+        return SectorFermion(target, source, np.searchsorted(target.basis, dest[source]),
+                             coefficient[source])
 
 
 @lru_cache(maxsize=16)
@@ -341,7 +337,7 @@ def resolve_int_prefactor() -> float:
     Computed from the mapped operator product and checked to be exact; the
     typeset constant in front of the bracket is not trusted.
     """
-    n_product = mapped_number_operator(1, SPIN_UP, 1) @ mapped_number_operator(1, SPIN_DOWN, 1)
+    n_product = _site_number(SPIN_UP) @ _site_number(SPIN_DOWN)
     bracket = interaction_bracket()
     p = np.vdot(bracket, n_product) / np.vdot(bracket, bracket)
     if abs(p.imag) > 1e-14 or np.max(np.abs(n_product - p.real * bracket)) > 1e-14:

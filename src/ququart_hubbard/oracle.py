@@ -41,6 +41,15 @@ def mode_index(site: int, spin: str) -> int:
     return 2 * (site - 1) + SPINS.index(spin)
 
 
+def _mode_bits(site: int, spin: str, site_count: int) -> tuple:
+    """(every basis index, the bit of mode (site, spin) in an index, that bit
+    of every index); SiteOutOfRange for a site outside 1..L."""
+    if not 1 <= site <= site_count:
+        raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
+    idx, bit = np.arange(4**site_count), 2 * site_count - 1 - mode_index(site, spin)
+    return idx, bit, (idx >> bit) & 1
+
+
 def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
     """c ("annihilate") or c^dag ("create") as a signed map of basis indices.
 
@@ -48,11 +57,7 @@ def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
     0 where it annihilates the state. target is a bijection, so a product
     A B composes by indexing: (t_a[t_b], s_a[t_b] * s_b).
     """
-    if not 1 <= site <= site_count:
-        raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    bit = 2 * site_count - 1 - mode_index(site, spin)
-    idx = np.arange(4**site_count)
-    occupied = (idx >> bit) & 1
+    idx, bit, occupied = _mode_bits(site, spin, site_count)
     allowed = occupied if kind == "annihilate" else 1 - occupied
     sign = allowed * (-1.0) ** np.bitwise_count(idx >> (bit + 1))
     return idx ^ (1 << bit), sign
@@ -68,8 +73,7 @@ def _apply(op: tuple, psi: np.ndarray) -> np.ndarray:
 
 def occupation(site: int, spin: str, site_count: int) -> np.ndarray:
     """Diagonal of the number operator N_{site,spin} (0.0 or 1.0 per basis state)."""
-    bit = 2 * site_count - 1 - mode_index(site, spin)
-    return ((np.arange(4**site_count) >> bit) & 1).astype(float)
+    return _mode_bits(site, spin, site_count)[2].astype(float)
 
 
 def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.ndarray:

@@ -7,6 +7,7 @@ runs too. Entries that share a name become one test parametrized by case.
 
 from itertools import groupby
 
+import numpy as np
 import pytest
 
 from ququart_hubbard import acceptance, gates, mapping, transpile
@@ -48,6 +49,18 @@ def test_criterion_3_fails_when_a_hamiltonian_couples_sectors(monkeypatch):
     result = acceptance.spectrum_equivalence()
     assert not result.passed
     assert "sector leak 1.00e-09" in result.detail
+
+
+def test_criterion_2_fails_when_the_gt_string_is_dropped(monkeypatch):
+    # without the string, c's on different sites commute; Sector.fermion
+    # reads the same index map, so this is the c the circuit lane runs
+    sector = mapping.Sector(2, 1, 1)
+    kept = sector.fermion(2, "up", "annihilate").coefficient
+    monkeypatch.setattr(mapping, "GT", np.eye(4, dtype=complex))
+    result = acceptance.fermionic_relations_to_four_sites()
+    assert not result.passed
+    assert result.detail == "worst 2.00e+00"
+    assert not np.array_equal(sector.fermion(2, "up", "annihilate").coefficient, kept)
 
 
 def test_criterion_7_fails_when_the_onsite_phase_is_inverted(monkeypatch):

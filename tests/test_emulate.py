@@ -6,6 +6,7 @@ import pytest
 
 from ququart_hubbard import acceptance, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.errors import SiteOutOfRange, StateSizeMismatch
+from test_mapping import kron_fermion
 
 
 def test_circuit_populations_initial_state():
@@ -198,15 +199,16 @@ def test_sector_lane_matches_full_register_on_half_filled_chain8():
 
 def full_register_lesser_gf(geometry, tokens, i, j, spin, times, steps):
     """G(t) from full-register runs of the bra and the ket, c_i and c_j
-    applied by `mapping.apply_fermion`."""
+    the Kronecker strings of `kron_fermion`."""
     L = geometry.site_count
     psi0 = mapping.product_state(tokens)
-    removed = mapping.apply_fermion(psi0, j, spin, "annihilate", L)
+    removed = kron_fermion(j, spin, "annihilate", L) @ psi0
     mh = mapping.build_mapped_hamiltonian(geometry, 1.0, 1.0)
     grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
     start = np.column_stack([removed, psi0])
     states = np.stack([gates.simulate(circuit, start) for circuit in grid])
-    return np.array([1j * np.vdot(bra, mapping.apply_fermion(ket, i, spin, "annihilate", L))
+    c_i = kron_fermion(i, spin, "annihilate", L)
+    return np.array([1j * np.vdot(bra, c_i @ ket)
                      for bra, ket in states.transpose(0, 2, 1)])
 
 
@@ -233,14 +235,14 @@ def test_lesser_gf_with_no_particle_to_remove_is_exactly_zero(tokens, j, spin):
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
 def test_sector_fermion_maps_equal_apply_fermion(sites):
-    # every sector, every (site, spin, kind), on every basis state at once
-    for n_up, n_dn in itertools.product(range(sites + 1), repeat=2):
-        sector = mapping.sector(sites, n_up, n_dn)
-        columns = np.zeros((4**sites, len(sector.basis)), dtype=complex)
-        columns[sector.basis, np.arange(len(sector.basis))] = 1.0
-        for site, spin, kind in itertools.product(range(1, sites + 1), mapping.SPINS,
-                                                  ("annihilate", "create")):
-            image = mapping.apply_fermion(columns, site, spin, kind, sites)
+    # every sector, every (site, spin, kind), on every basis state at once,
+    # bit for bit the Kronecker string applied to the sector's basis columns
+    for site, spin, kind in itertools.product(range(1, sites + 1), mapping.SPINS,
+                                              ("annihilate", "create")):
+        reference = kron_fermion(site, spin, kind, sites)
+        for n_up, n_dn in itertools.product(range(sites + 1), repeat=2):
+            sector = mapping.sector(sites, n_up, n_dn)
+            image = reference[:, sector.basis]
             fermion = sector.fermion(site, spin, kind)
             mapped = fermion(np.eye(len(sector.basis)))  # row k: image of basis state k
             full = np.zeros_like(image)

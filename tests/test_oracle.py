@@ -323,6 +323,14 @@ def test_greens_functions_refuse_a_site_outside_the_lattice_before_any_eigh(
         GREENS_FUNCTIONS[name](h, i, j, "up")
 
 
+@pytest.mark.parametrize("site", [0, 3, -1])
+@pytest.mark.parametrize("spin", ["up", "down"])
+def test_occupation_refuses_a_site_outside_the_lattice(site, spin):
+    # sites 0 and L + 1 once read as 4^L zeros
+    with pytest.raises(SiteOutOfRange, match="outside 1..2"):
+        oracle.occupation(site, spin, 2)
+
+
 @pytest.mark.parametrize("name", sorted(GREENS_FUNCTIONS))
 def test_greens_functions_refuse_a_spin_other_than_up_or_down(name):
     # "sideways" was once read as spin down
