@@ -175,19 +175,17 @@ def greens_functions() -> CheckResult:
     times = emulate.LESSER_TIMES
     worst = 0.0
     # chain(3), J=1, v=1, one up particle at site 1 and one down at site 2:
-    # exactly three structurally non-zero spin-up components (j = 1)
-    for i in (1, 2, 3):
-        circ, orac = emulate.lesser_gf_pair(
-            mapping.chain(3), 1.0, 1.0, ("u", "d", "0"), i, 1, "up", times, steps=30
-        )
-        worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
+    # exactly three structurally non-zero spin-up components (j = 1);
     # chain(4), same state as the population study: the two down-spin
     # diagonal components at the occupied sites
-    for i, j in ((2, 2), (4, 4)):
-        circ, orac = emulate.lesser_gf_pair(
-            mapping.chain(4), 1.0, 1.0, ("u", "ud", "u", "d"), i, j, "down", times, steps=30
-        )
-        worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
+    for geom, tokens, components in (
+        (mapping.chain(3), ("u", "d", "0"), [(i, 1, "up") for i in (1, 2, 3)]),
+        (mapping.chain(4), ("u", "ud", "u", "d"), [(2, 2, "down"), (4, 4, "down")]),
+    ):
+        h = oracle.fermionic_hamiltonian(geom, 1.0, 1.0)
+        for circ in emulate.lesser_gf_circuit(geom, 1.0, 1.0, tokens, components, times, steps=30):
+            orac = oracle.lesser_gf(h, tokens, circ.i, circ.j, circ.spin, times)
+            worst = max(worst, float(np.max(np.abs(circ.values - orac))))
     gf_ok = worst <= 0.05
 
     # retarded-route spectral function: sum rule at the default grid, and

@@ -257,9 +257,9 @@ def cmd_greens(config: RunConfig) -> int:
     coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.t_max]
     # every circuit series runs before any output, so a grid the sector lane
     # refuses (SynthesisResidual) writes nothing
-    circuit = {pair: emulate.lesser_gf_circuit(geometry, config.J, config.v, tokens, *pair,
-                                               coarse, config.steps)
-               for pair in pairs if "lesser_gf" in config.observables}
+    if "lesser_gf" in config.observables:
+        circuit = dict(zip(pairs, emulate.lesser_gf_circuit(geometry, config.J, config.v, tokens,
+                                                            pairs, coarse, config.steps)))
     out = _ensure_out(config)
     worst = 0.0
     for i, j, spin in pairs:

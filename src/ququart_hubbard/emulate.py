@@ -6,8 +6,11 @@ or two-point functions with the mapped operators. Every Trotter step
 conserves N_up and N_dn, so `population_grid` and `lesser_gf_circuit`
 run their grids in the start state's sector only (`gates.simulate_sector`
 on a `mapping.Sector`): at half-filled chain(8) that is 4900 of 65,536
-register amplitudes. c_i and c_j are the sectors' signed index maps
-(`Sector.fermion`). A grid whose fused blocks couple different charges
+register amplitudes. `lesser_gf_circuit` takes a list of (i, j, spin)
+components and propagates psi0 once and each distinct c_j psi0 once;
+c_i and c_j are the sectors' signed index maps (`Sector.fermion`),
+and `lesser_gf_pair` is its one-component form beside the oracle's
+series. A grid whose fused blocks couple different charges
 is refused with SynthesisResidual. No 4^L x 4^L matrix is formed. Every
 routine here has an exact counterpart in the occupation-number reference
 (oracle module); the comparison runners return both lanes side by side.
@@ -111,60 +114,46 @@ def max_population_error(rows) -> float:
     return max(row.abs_error for row in rows)
 
 
-def lesser_gf_circuit(
-    geometry: LatticeGeometry,
-    J: float,
-    v: float,
-    tokens,
-    i: int,
-    j: int,
-    spin: str,
-    times,
-    steps: int,
-) -> GreensSeries:
-    """Lesser two-point function with Trotter-circuit Heisenberg evolution.
+def lesser_gf_circuit(geometry: LatticeGeometry, J: float, v: float, tokens, components,
+                      times, steps: int) -> list:
+    """One lesser two-point function per (i, j, spin) of `components`, in
+    their order, with Trotter-circuit Heisenberg evolution.
 
     G(t) = i <U(t) c_j psi0 | c_i U(t) psi0> with U(t) the step-count-steps
     circuit for total time t; c_i and c_j are the signed index maps of
-    `mapping.Sector.fermion`. The ket runs in psi0's sector, the bra in
-    c_j psi0's; when c_j psi0 = 0, G is exactly 0 and nothing runs. Global
-    phases of U cancel between the two propagated vectors. A site outside
-    1..L raises SiteOutOfRange, and tokens for another L StateSizeMismatch.
+    `mapping.Sector.fermion`, all built before anything runs. The ket runs
+    once in psi0's sector, each distinct (j, spin) bra once in c_j psi0's;
+    where c_j psi0 = 0, G is exactly 0 and runs no bra. Global phases of U
+    cancel between the two propagated vectors. A site outside 1..L raises
+    SiteOutOfRange, and tokens for another L StateSizeMismatch.
     """
     require_chain(geometry)
     if len(tokens) != geometry.site_count:
         raise StateSizeMismatch(f"{len(tokens)} tokens for {geometry.site_count} sites")
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     sector, psi0 = _sector_start(tokens)
-    remove_i, remove_j = (sector.fermion(s, spin, "annihilate") for s in (i, j))
-    removed = remove_j(psi0)
-    values = np.zeros(len(times), dtype=complex)
-    if np.any(removed):  # else c_j psi0 = 0 and G vanishes exactly
+    maps = [[sector.fermion(s, spin, "annihilate") for s in (i, j)] for i, j, spin in components]
+    starts = {(j, spin): (remove_j.target, removed)  # the nonzero c_j psi0
+              for (_, j, spin), (_, remove_j) in zip(components, maps)
+              if np.any(removed := remove_j(psi0))}
+    values = np.zeros((len(components), len(times)), dtype=complex)
+    if starts:
         grid = transpile.trotter_grid(mh, tuple(map(float, times)), steps)
-        # the ket propagates in psi0's sector, the bra in c_j psi0's;
-        # at t = 0 the step is empty and both come back unchanged
+        # at t = 0 the step is empty and every state comes back unchanged
         kets = gates.simulate_sector(grid, sector, psi0)
-        bras = gates.simulate_sector(grid, remove_j.target, removed)
-        values = 1j * np.vecdot(bras, remove_i(kets))
-    return GreensSeries(
-        np.asarray(times, float), values, i, j, spin, "lesser",
-        geometry.site_count, J, v, ",".join(tokens), source="circuit",
-    )
+        bras = {key: gates.simulate_sector(grid, *start) for key, start in starts.items()}
+        for row, (_, j, spin), (remove_i, _) in zip(values, components, maps):
+            if (j, spin) in bras:
+                row[:] = 1j * np.vecdot(bras[j, spin], remove_i(kets))
+    return [GreensSeries(np.asarray(times, float), row, i, j, spin, "lesser",
+                         geometry.site_count, J, v, ",".join(tokens), source="circuit")
+            for row, (i, j, spin) in zip(values, components)]
 
 
-def lesser_gf_pair(
-    geometry: LatticeGeometry,
-    J: float,
-    v: float,
-    tokens,
-    i: int,
-    j: int,
-    spin: str,
-    times,
-    steps: int,
-):
+def lesser_gf_pair(geometry: LatticeGeometry, J: float, v: float, tokens, i: int, j: int,
+                   spin: str, times, steps: int) -> tuple:
     """(circuit series, oracle series) for one lesser component."""
-    circuit_series = lesser_gf_circuit(geometry, J, v, tokens, i, j, spin, times, steps)
+    circuit_series, = lesser_gf_circuit(geometry, J, v, tokens, [(i, j, spin)], times, steps)
     h = oracle.fermionic_hamiltonian(geometry, J, v)
     oracle_series = oracle.lesser_series(h, tokens, i, j, spin, times, J, v)
     return circuit_series, oracle_series

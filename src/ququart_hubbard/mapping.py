@@ -275,7 +275,7 @@ def sector(site_count: int, n_up: int, n_dn: int) -> Sector:
 def token_sector(tokens) -> Sector:
     """The `Sector` of the product state of occupation `tokens`."""
     occ = np.array(level_occupations())
-    n_up, n_dn = occ[[level_of_token()[t] for t in tokens]].sum(axis=0)
+    n_up, n_dn = occ[token_levels(tokens)].sum(axis=0)
     return sector(len(tokens), int(n_up), int(n_dn))
 
 
@@ -287,11 +287,17 @@ def level_of_token() -> dict:
             for level, (n_up, n_dn) in enumerate(level_occupations())}
 
 
-def parse_init_tokens(text: str) -> tuple:
-    tokens = tuple(t.strip() for t in text.split(","))
+def token_levels(tokens) -> list:
+    """The qudit level of each occupation token; ValueError for one not in TOKENS."""
     for t in tokens:
         if t not in TOKENS:
             raise ValueError(f"unknown occupation token {t!r}; use 0/u/d/ud")
+    return [level_of_token()[t] for t in tokens]
+
+
+def parse_init_tokens(text: str) -> tuple:
+    tokens = tuple(t.strip() for t in text.split(","))
+    token_levels(tokens)  # refuses an unknown token
     return tokens
 
 
@@ -299,8 +305,8 @@ def product_index(tokens) -> int:
     """Register index of the product state of per-site occupation tokens
     (first site's level most significant)."""
     index = 0
-    for t in tokens:
-        index = index * DIM + level_of_token()[t]
+    for level in token_levels(tokens):
+        index = index * DIM + level
     return index
 
 

@@ -23,6 +23,7 @@ eigendecomposition for its Lehmann sums. Every circuit-lane result is
 validated against this module.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,11 @@ def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.n
 
 
 def fock_index(tokens) -> int:
-    """Basis index of a product configuration given per-site tokens."""
+    """Basis index of a product configuration given per-site tokens;
+    ValueError naming the first token that is not 0/u/d/ud."""
+    for t in tokens:
+        if t not in _TOKEN_BITS:
+            raise ValueError(f"unknown occupation token {t!r}; use 0/u/d/ud")
     return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
@@ -250,11 +255,13 @@ OMEGAS.flags.writeable = False
 
 
 def uniform_grid(start: float, stop: float, step: float, rows: int = 1) -> np.ndarray:
-    """start, start + step, ... never past stop >= start; a stop within
-    1e-9 steps of a grid point counts as reaching it. Raises
-    DimensionTooLarge, before any allocation, when one complex (rows, T)
-    array over the grid would exceed the dense budget (`retarded_gf`
-    holds three with rows = 4^L)."""
+    """start, start + step, ... never past stop; a stop within 1e-9 steps of
+    a grid point counts as reaching it. ValueError unless start <= stop are
+    finite and step is finite and positive. Raises DimensionTooLarge,
+    before any allocation, when one complex (rows, T) array over the grid
+    would exceed the dense budget (`retarded_gf` holds three with rows = 4^L)."""
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and start <= stop):
+        raise ValueError(f"time grid: need finite start <= stop, step > 0; got {start, stop, step}")
     # a span that overflows to inf is refused by the budget, not by int()
     points = int(min((stop - start) / step, 2.0**62) + 1e-9) + 1
     check_budget(rows, points, "time grid")

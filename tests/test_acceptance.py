@@ -10,7 +10,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, gates, mapping, transpile
+from ququart_hubbard import acceptance, emulate, gates, mapping, oracle, transpile
 from ququart_hubbard.acceptance import CHECKS
 
 
@@ -81,3 +81,39 @@ def test_criterion_7_fails_when_the_onsite_phase_is_inverted(monkeypatch):
         transpile.trotter_grid.cache_clear()  # no mutated grid outlives the test
     assert not result.passed
     assert "worst GF dev 1.1498" in result.detail
+
+
+def _recording(monkeypatch, module, name):
+    """Patch module.name to log each call's (args, result); returns the log."""
+    log, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        log.append((args, original(*args, **kwargs)))
+        return log[-1][1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return log
+
+
+def test_criterion_7_shares_each_propagation_and_hamiltonian(monkeypatch):
+    # one ket per start state and one bra per distinct (j, spin): chain(3)'s
+    # three j = 1 pairs take 2 propagations and chain(4)'s two diagonal
+    # pairs 3 (10 as one call per component), with one oracle H per
+    # geometry (5 as one per component); the spectral part's chain(2) H
+    # is not counted
+    runs = _recording(monkeypatch, gates, "simulate_sector")
+    builds = _recording(monkeypatch, oracle, "fermionic_hamiltonian")
+    circuit = _recording(monkeypatch, emulate, "lesser_gf_circuit")
+    exact = _recording(monkeypatch, oracle, "lesser_gf")
+    result = acceptance.greens_functions()
+    monkeypatch.undo()
+    assert result.passed
+    assert len(runs) == 5
+    assert [a[0].label for a, _ in builds if a[0].label != "chain(2)"] == ["chain(3)", "chain(4)"]
+    series = [s for _, out in circuit for s in out]
+    assert len(series) == len(exact) == 5
+    for s, (args, values) in zip(series, exact):
+        alone, orac = emulate.lesser_gf_pair(mapping.chain(s.site_count), 1.0, 1.0, args[1],
+                                             s.i, s.j, s.spin, emulate.LESSER_TIMES, 30)
+        assert np.array_equal(s.values, alone.values)
+        assert np.array_equal(values, orac.values)

@@ -253,6 +253,19 @@ def test_greens_builds_the_exact_hamiltonian_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_greens_propagates_each_start_state_once(tmp_path, monkeypatch):
+    # the README's chain(3) command: its three j = 1 pairs share one ket
+    # and one bra (six propagations as one circuit call per pair)
+    runs = []
+    simulate = gates.simulate_sector
+    monkeypatch.setattr(gates, "simulate_sector", lambda *a: runs.append(a[1]) or simulate(*a))
+    code = run_cli("greens", "--geometry", "chain:3", "--J", "1", "--v", "1", "--init", "u,d,0",
+                   "--steps", "30", "--pairs", "1,1,up;2,1,up;3,1,up", "--out", str(tmp_path))
+    assert code == 0
+    assert len(runs) == 2
+    assert len(list(tmp_path.glob("gf_lesser_*.csv"))) == 6
+
+
 def test_greens_refuses_spectral_on_an_off_diagonal_pair(tmp_path, capsys):
     code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--pairs", "1,1,up;1,2,up",
                    "--observables", "spectral", "--out", str(tmp_path))

@@ -47,8 +47,8 @@ def test_population_row_mirror_symmetry():
 
 
 def test_lesser_gf_circuit_zero_time():
-    series = emulate.lesser_gf_circuit(
-        mapping.chain(2), 1.0, 2.0, ("u", "d"), 1, 1, "up", [0.0], steps=5
+    series, = emulate.lesser_gf_circuit(
+        mapping.chain(2), 1.0, 2.0, ("u", "d"), [(1, 1, "up")], [0.0], steps=5
     )
     assert series.values[0] == pytest.approx(1j)
 
@@ -76,13 +76,13 @@ def test_lesser_gf_structural_zero_component():
 def test_lesser_gf_circuit_refuses_a_site_out_of_range(tokens, i, j):
     # ("0", "0", "0"): c_j psi0 = 0, so no circuit runs
     with pytest.raises(SiteOutOfRange, match="outside 1..3"):
-        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, i, j, "up", [0.0, 0.5], 3)
+        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, [(i, j, "up")], [0.0, 0.5], 3)
 
 
 @pytest.mark.parametrize("tokens", [("0", "0"), ("0", "0", "0", "0"), ("u", "d")])
 def test_lesser_gf_circuit_refuses_tokens_for_another_length(tokens):
     with pytest.raises(StateSizeMismatch):
-        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, 1, 1, "up", [0.0, 0.5], 3)
+        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, [(1, 1, "up")], [0.0, 0.5], 3)
 
 
 @pytest.mark.parametrize("tokens", [("u",), ("0", "0"), ("ud", "ud"), ("u", "ud", "u", "d"),
@@ -96,14 +96,14 @@ def test_sector_start_is_the_product_state_on_its_sector(tokens):
 def test_grids_start_without_a_register_vector(monkeypatch):
     args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "0"))
     pops = emulate.population_grid(*args, [0.0, 0.7], 3)
-    series = emulate.lesser_gf_circuit(*args, 2, 2, "up", [0.0, 0.7], 3)
+    series, = emulate.lesser_gf_circuit(*args, [(2, 2, "up")], [0.0, 0.7], 3)
 
     def no_register_vector(tokens):
         raise AssertionError("a 4^L product state was built")
 
     monkeypatch.setattr(mapping, "product_state", no_register_vector)
     assert emulate.population_grid(*args, [0.0, 0.7], 3) == pops
-    assert np.array_equal(emulate.lesser_gf_circuit(*args, 2, 2, "up", [0.0, 0.7], 3).values,
+    assert np.array_equal(emulate.lesser_gf_circuit(*args, [(2, 2, "up")], [0.0, 0.7], 3)[0].values,
                           series.values)
 
 
@@ -118,11 +118,11 @@ def test_population_grid_refuses_tokens_for_another_length_in_the_oracle(monkeyp
 
 
 def test_lesser_gf_circuit_needs_no_dense_operator(monkeypatch):
-    args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "d"), 2, 1, "up", [0.0, 0.4, 1.3], 3)
-    expected = emulate.lesser_gf_circuit(*args).values
+    args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "d"), [(2, 1, "up")], [0.0, 0.4, 1.3], 3)
+    expected = emulate.lesser_gf_circuit(*args)[0].values
     # one dense chain(3) operator needs 64 x 64 x 16 B
     monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", 64 * 64 * 16 - 1)
-    assert np.array_equal(emulate.lesser_gf_circuit(*args).values, expected)
+    assert np.array_equal(emulate.lesser_gf_circuit(*args)[0].values, expected)
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -136,8 +136,8 @@ def test_lesser_gf_circuit_runs_seven_sites(steps):
     tokens = ("u", "d", "ud", "0", "u", "d", "ud")
     tracemalloc.start()
     try:
-        series = emulate.lesser_gf_circuit(mapping.chain(7), 1.0, 2.0, tokens, 3, 3, "down",
-                                           emulate.LESSER_TIMES, steps)
+        series, = emulate.lesser_gf_circuit(mapping.chain(7), 1.0, 2.0, tokens, [(3, 3, "down")],
+                                            emulate.LESSER_TIMES, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -219,7 +219,8 @@ def full_register_lesser_gf(geometry, tokens, i, j, spin, times, steps):
 ])
 def test_sector_lane_matches_full_register_on_criterion_7(sites, tokens, i, j, spin):
     args = (mapping.chain(sites), tokens, i, j, spin, emulate.LESSER_TIMES, 30)
-    series = emulate.lesser_gf_circuit(args[0], 1.0, 1.0, *args[1:])
+    series, = emulate.lesser_gf_circuit(args[0], 1.0, 1.0, tokens, [(i, j, spin)],
+                                        emulate.LESSER_TIMES, 30)
     assert np.max(np.abs(series.values - full_register_lesser_gf(*args))) <= 1e-12
 
 
@@ -228,9 +229,67 @@ def test_sector_lane_matches_full_register_on_criterion_7(sites, tokens, i, j, s
 def test_lesser_gf_with_no_particle_to_remove_is_exactly_zero(tokens, j, spin):
     # the first two have no particle of the spin at all, so c_j psi0 would
     # land in a sector of -1 particles, which has no basis states
-    series = emulate.lesser_gf_circuit(mapping.chain(2), 1.0, 1.0, tokens, 1, j, spin,
-                                       [0.0, 0.5, 1.5], 3)
+    series, = emulate.lesser_gf_circuit(mapping.chain(2), 1.0, 1.0, tokens, [(1, j, spin)],
+                                        [0.0, 0.5, 1.5], 3)
     assert np.array_equal(series.values, np.zeros(3))
+
+
+def _no_propagation(*args):
+    raise AssertionError("a sector propagation ran")
+
+
+def test_lesser_gf_components_share_the_ket_and_each_bra(monkeypatch):
+    # a duplicate, a zero component ((1, 1, down): site 1 holds no down
+    # particle) and three distinct nonzero (j, spin): one ket, three bras
+    args = (mapping.chain(3), 1.0, 2.0, ("u", "ud", "d"))
+    components = [(1, 2, "up"), (3, 2, "up"), (2, 2, "down"), (1, 1, "down"), (3, 3, "down"),
+                  (2, 2, "down")]
+    runs = []
+    simulate = gates.simulate_sector
+    monkeypatch.setattr(gates, "simulate_sector", lambda *a: runs.append(a[1]) or simulate(*a))
+    series = emulate.lesser_gf_circuit(*args, components, [0.0, 0.4, 1.3], 3)
+    assert len(runs) == 4
+    monkeypatch.undo()
+    assert [(s.i, s.j, s.spin) for s in series] == components
+    for s, component in zip(series, components):
+        alone, = emulate.lesser_gf_circuit(*args, [component], [0.0, 0.4, 1.3], 3)
+        assert np.array_equal(s.values, alone.values) and s.values.dtype == alone.values.dtype
+    assert not np.any(series[3].values)
+
+
+def test_lesser_gf_with_every_source_empty_runs_nothing(monkeypatch):
+    # ("u", "d", "0"): site 3 is empty and site 1 holds no down particle
+    monkeypatch.setattr(gates, "simulate_sector", _no_propagation)
+    components = [(1, 3, "up"), (2, 3, "down"), (2, 1, "down")]
+    series = emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, ("u", "d", "0"), components,
+                                       [0.0, 0.5, 1.5], 3)
+    assert [(s.i, s.j, s.spin) for s in series] == components
+    for s in series:
+        assert np.array_equal(s.values, np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize("last, error, match", [
+    ((1, 4, "up"), SiteOutOfRange, "outside 1..3"), ((0, 1, "up"), SiteOutOfRange, "outside 1..3"),
+    ((1, 1, "sideways"), ValueError, "spin must be up/down"),
+])
+def test_lesser_gf_refuses_a_bad_last_component_before_any_propagation(monkeypatch, last, error,
+                                                                         match):
+    monkeypatch.setattr(gates, "simulate_sector", _no_propagation)
+    with pytest.raises(error, match=match):
+        emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, ("u", "d", "0"),
+                                  [(1, 1, "up"), (2, 1, "up"), last], [0.0, 0.5], 3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda tokens: emulate.population_grid(mapping.chain(2), 1.0, 2.0, tokens, [0.0], 3),
+    lambda tokens: emulate.lesser_gf_circuit(mapping.chain(2), 1.0, 2.0, tokens, [(1, 1, "up")],
+                                             [0.0], 3),
+    mapping.token_sector,
+    mapping.product_index,
+], ids=["population_grid", "lesser_gf_circuit", "token_sector", "product_index"])
+def test_an_unknown_occupation_token_is_refused_by_name(run):
+    with pytest.raises(ValueError, match="unknown occupation token 'x'; use 0/u/d/ud"):
+        run(("u", "x"))
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])

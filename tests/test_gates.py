@@ -720,7 +720,7 @@ def test_cached_grid_in_small_chunks_matches_circuit_by_circuit(monkeypatch, wid
 def test_second_greens_component_reuses_the_grid(monkeypatch):
     transpile.trotter_grid.cache_clear()
     args = (mapping.chain(4), 1.0, 1.0, ("u", "ud", "u", "d"))
-    emulate.lesser_gf_circuit(*args, 2, 2, "down", emulate.LESSER_TIMES, 30)
+    emulate.lesser_gf_circuit(*args, [(2, 2, "down")], emulate.LESSER_TIMES, 30)
     calls = []
 
     def counting(original):
@@ -732,10 +732,10 @@ def test_second_greens_component_reuses_the_grid(monkeypatch):
     monkeypatch.setattr(transpile, "trotter_step_circuit",
                         counting(transpile.trotter_step_circuit))
     monkeypatch.setattr(gates, "_fuse", counting(gates._fuse))
-    cached = emulate.lesser_gf_circuit(*args, 4, 4, "down", list(emulate.LESSER_TIMES), 30)
+    cached, = emulate.lesser_gf_circuit(*args, [(4, 4, "down")], list(emulate.LESSER_TIMES), 30)
     assert calls == []
     transpile.trotter_grid.cache_clear()
-    fresh = emulate.lesser_gf_circuit(*args, 4, 4, "down", emulate.LESSER_TIMES, 30)
+    fresh, = emulate.lesser_gf_circuit(*args, [(4, 4, "down")], emulate.LESSER_TIMES, 30)
     assert calls.count("trotter_step_circuit") == len(emulate.LESSER_TIMES)
     assert np.array_equal(cached.values, fresh.values)
 

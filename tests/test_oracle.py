@@ -287,6 +287,18 @@ def test_lesser_gf_vanishes_for_empty_source():
 @pytest.mark.parametrize("solve", [
     lambda h, tokens: oracle.exact_populations(h, tokens, [1.0]),
     lambda h, tokens: oracle.lesser_gf(h, tokens, 1, 1, "up", [1.0]),
+    lambda h, tokens: oracle.fock_index(tokens),
+], ids=["exact_populations", "lesser_gf", "fock_index"])
+def test_an_unknown_occupation_token_is_refused_by_name(solve):
+    # once a bare KeyError: 'x' from the token lookup
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    with pytest.raises(ValueError, match="unknown occupation token 'x'; use 0/u/d/ud"):
+        solve(h, ("u", "x"))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda h, tokens: oracle.exact_populations(h, tokens, [1.0]),
+    lambda h, tokens: oracle.lesser_gf(h, tokens, 1, 1, "up", [1.0]),
 ], ids=["exact_populations", "lesser_gf"])
 @pytest.mark.parametrize("tokens", [("u", "d"), ("u", "d", "0", "0")])
 def test_tokens_for_another_lattice_raise_before_any_eigh(monkeypatch, solve, tokens):
@@ -428,6 +440,18 @@ def test_dense_builders_refuse_seven_sites_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (0.0, 1.0, -0.5), (0.0, 1.0, 0.0), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+    (0.0, np.nan, 0.5), (0.0, np.inf, 0.5), (np.nan, 1.0, 0.5), (-np.inf, 1.0, 0.5),
+    (1.0, 0.5, 0.25),
+])
+def test_uniform_grid_refuses_a_bad_step_or_span(start, stop, step):
+    # once an empty grid (step -0.5, stop < start), ZeroDivisionError
+    # (step 0) and "cannot convert float NaN to integer" (stop nan)
+    with pytest.raises(ValueError, match="time grid: need finite start <= stop, step > 0"):
+        oracle.uniform_grid(start, stop, step)
 
 
 def test_gf_fourier_matches_direct_sum():
