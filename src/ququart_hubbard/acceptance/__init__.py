@@ -153,6 +153,7 @@ def transpiler_fidelity() -> CheckResult:
 # (start, stop, step); also `evolve`'s default tau grid
 TAU_SPAN = (0.5, 5.0, 0.5)
 TAU_GRID = oracle.uniform_grid(*TAU_SPAN)
+TAU_GRID.flags.writeable = False
 
 
 def trotter_convergence(geom, tokens) -> CheckResult:

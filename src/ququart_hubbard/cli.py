@@ -14,7 +14,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -265,10 +265,10 @@ def cmd_greens(config: RunConfig) -> int:
     for i, j, spin in pairs:
         if "lesser_gf" in config.observables:
             circ = circuit[(i, j, spin)]
-            orac = oracle.lesser_series(h_exact, tokens, i, j, spin, coarse, config.J, config.v)
-            for series, tag in ((circ, "circuit"), (orac, "oracle")):
-                _write_series(out / f"gf_lesser_{tag}_i{i}_j{j}_{spin}.csv", series)
-            worst = max(worst, float(np.max(np.abs(circ.values - orac.values))))
+            exact = oracle.lesser_gf(h_exact, tokens, i, j, spin, coarse)
+            for series in (circ, replace(circ, values=exact, source="oracle")):
+                _write_series(out / f"gf_lesser_{series.source}_i{i}_j{j}_{spin}.csv", series)
+            worst = max(worst, float(np.max(np.abs(circ.values - exact))))
         if retarded:
             series = oracle.retarded_series(
                 h_exact, config.beta, i, j, spin, times,

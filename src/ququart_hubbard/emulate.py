@@ -18,7 +18,7 @@ routine here has an exact counterpart in the occupation-number reference
 returns it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,8 +152,8 @@ def lesser_gf_circuit(geometry: LatticeGeometry, J: float, v: float, tokens, com
 
 def lesser_gf_pair(geometry: LatticeGeometry, J: float, v: float, tokens, i: int, j: int,
                    spin: str, times, steps: int) -> tuple:
-    """(circuit series, oracle series) for one lesser component."""
+    """(circuit series, its twin with the oracle's values) for one lesser component."""
     circuit_series, = lesser_gf_circuit(geometry, J, v, tokens, [(i, j, spin)], times, steps)
     h = oracle.fermionic_hamiltonian(geometry, J, v)
-    oracle_series = oracle.lesser_series(h, tokens, i, j, spin, times, J, v)
-    return circuit_series, oracle_series
+    values = oracle.lesser_gf(h, tokens, i, j, spin, times)
+    return circuit_series, replace(circuit_series, values=values, source="oracle")

@@ -13,30 +13,30 @@ is `step * repeat`. Two gate kinds exist:
 
 An op whose site or level is not an int (a bool is not), whose `phi` is
 not a finite real or whose flag is not a bool raises InvalidCircuit, and
-so does a circuit whose `metadata` is not a dict.
+so does a circuit whose `metadata` is not a dict, and a file that is not JSON.
 Circuit JSON writes and reads the step as one list of op objects, each its
 `_KINDS` name plus its dataclass fields.
 
 Every gate is a 4x4 or 16x16 matrix on one site or two ascending sites,
-applied only inside a circuit. `simulate` runs a circuit on the full
-register through `linalg.apply_local`, one np.matmul per block with no
-4^L x 4^L embedding. It fuses the step greedily, as qsim's gate fuser does
-(Isakov et al., arXiv:2111.02396): one-site matrices collect per site, and
-each two-site matrix multiplies into the latest block its two sites share
-or else opens a new 16x16 block. Before a block opens, the one-site
-matrices still pending on a site that has a block close into that block,
-so a bond's trailing corrections stay in its own block and every block of
-an emitted step conserves its pair's (N_up, N_dn). A chain(L) step
-collapses to L - 1 blocks, applied `repeat` times.
+applied only inside a circuit. Fusion takes one input shape, op columns
+holding one op per run, and is greedy, as qsim's gate fuser is (Isakov et
+al., arXiv:2111.02396): one-site matrices collect per site, and each
+two-site matrix multiplies into the latest block its two sites share or
+else opens a new 16x16 block. Before a block opens, the one-site matrices
+still pending on a site that has a block close into that block, so a
+bond's trailing corrections stay in its own block and every block of an
+emitted step conserves its pair's (N_up, N_dn). A chain(L) step collapses
+to L - 1 blocks, applied `repeat` times.
 
-A time grid runs only inside one (N_up, N_dn) sector: `simulate_sector`
-runs a `Grid` of circuits, fused once per structure group into (T, d, d)
-block stacks, on the amplitudes of a `mapping.Sector`. A group's steps are
-prepared column by column, one op per run: a column holding one shared op
-object gives one matrix, and a column of one pulse at varying angles one
-`gamma.rotation` call on all its angles. So a grid costs one matrix build
-per column, not one per run and op. Each circuit computes its ops' sites
-once (`Circuit.sites`); its site check and the grouping both read them.
+`simulate` fuses a lone circuit's step as one-op columns and runs it on
+the full register through `linalg.apply_local`, one np.matmul per block
+with no 4^L x 4^L embedding. `simulate_sector` runs a `Grid`, fused once
+per structure group into (T, d, d) block stacks, on the amplitudes of one
+(N_up, N_dn) sector (a `mapping.Sector`). A column holding one shared op
+object gives one matrix, a column of one pulse at varying angles one
+`gamma.rotation` call on all its angles: one matrix build per column,
+not one per run and op. Each circuit computes its ops' sites once
+(`Circuit.sites`); its site check and the grouping both read them.
 """
 
 import json
@@ -197,27 +197,24 @@ def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _PULSE = attrgetter("j", "k", "axis")  # a rotation's matrix is its pulse's at its phi
 
 
-def _local_matrices(items):
-    """(sites, matrix) of each item: a gate op's own matrix or, for a tuple
-    holding one op per run of a grid (a column), the one matrix of an op
-    object every run holds. A column of rotations of one pulse and varying
-    phi is one `gamma.rotation` call on the column's angles; any other
-    column is the (T, d, d) stack of its ops' matrices."""
-    for item in items:
-        if not isinstance(item, tuple):
-            yield _op_sites(item), gate_matrix(item)
-        elif len(set(map(id, item))) == 1:
-            yield _op_sites(item[0]), gate_matrix(item[0])
-        elif set(map(type, item)) == {Rotation} and len(set(map(_PULSE, item))) == 1:
-            yield _op_sites(item[0]), gamma.rotation(*_PULSE(item[0]), [op.phi for op in item])
+def _local_matrices(columns):
+    """(sites, matrix) of each column, a tuple of one op per run: the one
+    matrix of an op object every run holds (each column of a lone circuit),
+    one `gamma.rotation` call on the angles of a column of one pulse, or
+    else the (T, d, d) stack of the column's ops' matrices."""
+    for col in columns:
+        if len(set(map(id, col))) == 1:
+            yield _op_sites(col[0]), gate_matrix(col[0])
+        elif set(map(type, col)) == {Rotation} and len(set(map(_PULSE, col))) == 1:
+            yield _op_sites(col[0]), gamma.rotation(*_PULSE(col[0]), [op.phi for op in col])
         else:
-            yield _op_sites(item[0]), np.stack([gate_matrix(op) for op in item])
+            yield _op_sites(col[0]), np.stack([gate_matrix(op) for op in col])
 
 
-def _fuse(items) -> list:
-    """Greedy two-site fusion of gate ops into [sites, matrix] blocks. With
-    per-run op tuples (`_local_matrices`), every product broadcasts over the
-    runs' leading axis: one pass fuses a whole grid.
+def _fuse(columns) -> list:
+    """Greedy two-site fusion of op columns (`_local_matrices`) into
+    [sites, matrix] blocks. Every product broadcasts over the runs' leading
+    axis: one pass fuses a whole grid, or a lone circuit's one-op columns.
 
     One-site matrices collect per site into a pending 4x4. A two-site
     matrix takes the pending 4x4s of its sites with it and multiplies into
@@ -238,7 +235,7 @@ def _fuse(items) -> list:
         m = pending.pop(s)
         blocks[latest[s]][1] = (_kron4(m, _EYE) if s == sites[0] else _kron4(_EYE, m)) @ u
 
-    for sites, g in _local_matrices(items):
+    for sites, g in _local_matrices(columns):
         if len(sites) == 1:
             s = sites[0]
             pending[s] = g @ pending[s] if s in pending else g
@@ -265,11 +262,6 @@ def _fuse(items) -> list:
     return blocks
 
 
-def _structure(circuit: Circuit) -> tuple:
-    """What `_fuse` decides from: site count, repeat and the sites of each op."""
-    return circuit.site_count, circuit.repeat, circuit.sites
-
-
 class Grid(tuple):
     """Circuits run on one start state, such as a tau grid. Circuits of one
     structure (a tau grid's nonzero taus) fuse in one pass over their steps'
@@ -282,25 +274,23 @@ class Grid(tuple):
         """((indices, site count, blocks), ...), one per structure group,
         the blocks `repeat` times over. Every block is a (T, d, d) stack
         over the group's T runs: a block all runs share is broadcast once."""
-        groups = {}
+        groups = {}  # keyed by what `_fuse` decides from
         for t, circuit in enumerate(self):
-            groups.setdefault(_structure(circuit), []).append(t)
+            groups.setdefault((circuit.site_count, circuit.repeat, circuit.sites), []).append(t)
         chunks = []
-        for idx in groups.values():
-            first = self[idx[0]]
-            items = first.step if len(idx) == 1 else list(zip(*(self[t].step for t in idx)))
+        for (site_count, repeat, _), idx in groups.items():
             blocks = tuple((sites, _frozen(np.broadcast_to(m, (len(idx), *m.shape[-2:]))))
-                           for sites, m in _fuse(items))
-            chunks.append((idx, first.site_count, blocks * first.repeat))
+                           for sites, m in _fuse(list(zip(*(self[t].step for t in idx)))))
+            chunks.append((idx, site_count, blocks * repeat))
         return tuple(chunks)
 
 
-def simulate_sector(circuits, sector, state: np.ndarray) -> np.ndarray:
-    """Run each circuit, a `Grid` or any iterable of them, on the same start
-    state inside one (N_up, N_dn) sector: `state` holds the amplitudes, or
-    (n, batch) columns of them, on the n register indices `sector.basis`
-    (a `mapping.Sector`). Returns the batch-leading (T, *state.shape) runs
-    on the same basis, each with the column layout of a lone run.
+def simulate_sector(grid: Grid, sector, state: np.ndarray) -> np.ndarray:
+    """Run each circuit of the `Grid` on the same start state inside one
+    (N_up, N_dn) sector: `state` holds the amplitudes, or (n, batch)
+    columns of them, on the n register indices `sector.basis` (a
+    `mapping.Sector`). Returns the batch-leading (T, *state.shape) runs on
+    the same basis, each with the column layout of a lone run.
 
     Each structure group runs in slices under GRID_BATCH_BYTES, a run
     counting its state, its gathered copy and the entries it reads. Per
@@ -314,7 +304,6 @@ def simulate_sector(circuits, sector, state: np.ndarray) -> np.ndarray:
     n = len(sector.basis)
     if state.shape[0] != n:
         raise StateSizeMismatch(f"state has {state.shape[0]} amplitudes, the sector has {n}")
-    grid = circuits if isinstance(circuits, Grid) else Grid(circuits)
     start = np.ascontiguousarray(state.T).reshape(1, math.prod(state.shape[1:]), n)  # n may be 0
     out = np.empty((len(grid), *state.shape[::-1]), dtype=complex).swapaxes(1, -1)
     for group, site_count, blocks in grid.chunks:
@@ -347,9 +336,9 @@ def _gather(sector, sites, m: np.ndarray) -> tuple:
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit on an initial statevector, or on a (4**L, batch)
-    array of them: fuse the step into two-site blocks once, then apply the
-    block list `repeat` times."""
-    return apply_local(state, _fuse(circuit.step) * circuit.repeat, circuit.site_count)
+    array of them: fuse the step's one-op columns into two-site blocks once,
+    then apply the block list `repeat` times."""
+    return apply_local(state, _fuse(zip(circuit.step)) * circuit.repeat, circuit.site_count)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -423,4 +412,8 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 def load_circuit(path) -> Circuit:
     with open(path) as fh:
-        return circuit_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or bytes that are not text
+            raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
+    return circuit_from_json_dict(doc)

@@ -139,6 +139,7 @@ def _site_number(spin: str) -> np.ndarray:
     return local_fermion_factor(spin, "create") @ local_fermion_factor(spin, "annihilate")
 
 
+# this module's cached tables build on first call: built at import, they raise every run's peak RSS
 @lru_cache(maxsize=None)
 def level_occupations() -> tuple:
     """Per-level (n_up, n_dn) read off the single-site number operators."""

@@ -113,8 +113,8 @@ def _site_count(h: np.ndarray) -> int:
 
 
 def _token_sites(h: np.ndarray, tokens) -> int:
-    """L of ``tokens``; StateSizeMismatch unless H acts on those L sites."""
-    if h.shape[0] != 4 ** len(tokens):
+    """L of ``tokens``; StateSizeMismatch unless H is 4^L x 4^L on those L sites."""
+    if _site_count(h) != len(tokens):
         raise StateSizeMismatch(f"{len(tokens)} tokens for a Hamiltonian of "
                                 f"dimension {h.shape[0]}")
     return len(tokens)
@@ -224,12 +224,6 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
     q = np.exp(-1j * np.outer(evals, times))
     return -1j * theta * np.sum(q.conj() * (amp @ q), axis=0)
-
-
-def lesser_series(h, tokens, i, j, spin, times, J=np.nan, v=np.nan) -> GreensSeries:
-    values = lesser_gf(h, tokens, i, j, spin, times)
-    return GreensSeries(np.asarray(times, float), values, i, j, spin, "lesser",
-                        len(tokens), J, v, ",".join(tokens))
 
 
 def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) -> GreensSeries:

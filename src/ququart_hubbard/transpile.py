@@ -99,6 +99,7 @@ def osd(u: np.ndarray) -> SchmidtDecomposition:
     return SchmidtDecomposition(singulars, left_ops, right_ops)
 
 
+# this module's cached tables build on first call: built at import, they raise every run's peak RSS
 @lru_cache(maxsize=None)
 def hopping_generator(term_id: int) -> np.ndarray:
     """Dense 16x16 generator h_i of one hopping piece on a bond."""

@@ -117,3 +117,11 @@ def test_criterion_7_shares_each_propagation_and_hamiltonian(monkeypatch):
                                              s.i, s.j, s.spin, emulate.LESSER_TIMES, 30)
         assert np.array_equal(s.values, alone.values)
         assert np.array_equal(values, orac.values)
+
+
+@pytest.mark.parametrize("grid", [acceptance.TAU_GRID, emulate.LESSER_TIMES, oracle.OMEGAS],
+                         ids=["TAU_GRID", "LESSER_TIMES", "OMEGAS"])
+def test_shared_grids_refuse_writes(grid):
+    # a caller writing into a shared grid would change every later run on it
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0

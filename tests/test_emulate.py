@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from ququart_hubbard import acceptance, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.errors import SiteOutOfRange, StateSizeMismatch
+from ququart_hubbard.oracle import GreensSeries
 from test_mapping import kron_fermion
 
 
@@ -60,6 +62,17 @@ def test_lesser_gf_pair_tracks_oracle():
     )
     assert circ.source == "circuit" and orac.source == "oracle"
     assert np.max(np.abs(circ.values - orac.values)) < 0.02
+
+
+@pytest.mark.parametrize("i, j, differing", [(2, 1, ["values", "source"]),
+                                             (1, 3, ["source"])])  # c_3 psi0 = 0: both 0
+def test_lesser_gf_pair_oracle_series_is_the_circuit_series_with_exact_values(i, j, differing):
+    tokens, times = ("u", "d", "0"), np.linspace(0.0, 2.0, 5)
+    circ, orac = emulate.lesser_gf_pair(mapping.chain(3), 1.0, 2.0, tokens, i, j, "up", times, 10)
+    assert differing == [f.name for f in dataclasses.fields(GreensSeries)
+                         if not np.array_equal(getattr(circ, f.name), getattr(orac, f.name))]
+    h = oracle.fermionic_hamiltonian(mapping.chain(3), 1.0, 2.0)
+    assert np.array_equal(orac.values, oracle.lesser_gf(h, tokens, i, j, "up", times))
 
 
 def test_lesser_gf_structural_zero_component():

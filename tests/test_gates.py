@@ -278,7 +278,7 @@ def test_fused_matches_gate_level_on_one_chain8_step():
 
 @pytest.mark.parametrize("sites", [4, 8])
 def test_fused_step_is_one_block_per_bond(sites):
-    blocks = gates._fuse(chain_circuit(sites, 5).step)
+    blocks = gates._fuse(zip(chain_circuit(sites, 5).step))
     assert len(blocks) == sites - 1
     assert all(len(block_sites) == 2 for block_sites, _ in blocks)
 
@@ -302,7 +302,7 @@ def test_fused_blocks_conserve_their_pairs_charges(geometry, tau):
     # 4 among them) close into that bond's block, not the next block on
     # their site
     mh = mapping.build_mapped_hamiltonian(mapping.parse_geometry(geometry), 1.0, 2.0)
-    blocks = gates._fuse(transpile.trotter_step_circuit(mh, tau, 3).step)
+    blocks = gates._fuse(zip(transpile.trotter_step_circuit(mh, tau, 3).step))
     assert max(charge_leak(sites, m) for sites, m in blocks) <= 1e-14
 
 
@@ -395,8 +395,28 @@ def test_fused_csum_with_control_above_target():
         Rotation(0, 0, 3, "y", 0.2),
     )
     circuit = Circuit(3, ops)
-    assert len(gates._fuse(ops)) == 2
+    assert len(gates._fuse(zip(ops))) == 2
     assert fused_error(circuit, random_state(3)) <= 1e-12
+
+
+LONE_CIRCUITS = {
+    "chain(4) step": lambda: chain_circuit(4, 3),
+    "one-site only": lambda: Circuit(2, (
+        Rotation(0, 0, 1, "x", 0.3), Rotation(1, 1, 3, "y", -0.7),
+        Rotation(0, 0, 2, "z", 0.5, virtual=True)), repeat=2),
+    "csum control above target": lambda: Circuit(3, (
+        Rotation(2, 0, 1, "x", 0.4), Csum(2, 0), Rotation(0, 1, 2, "y", 0.9), Csum(1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_CIRCUITS))
+def test_lone_circuit_fuses_as_its_one_run_grid(name):
+    # `simulate`'s one-op columns give, bit for bit, run 0 of the grid's stacks
+    circuit = LONE_CIRCUITS[name]()
+    (_, _, stacks), = gates.Grid([circuit]).chunks
+    blocks = gates._fuse(zip(circuit.step)) * circuit.repeat
+    assert [sites for sites, _ in blocks] == [sites for sites, _ in stacks]
+    assert all(np.array_equal(m, stack[0]) for (_, m), (_, stack) in zip(blocks, stacks))
 
 
 def test_fused_rotation_before_any_two_site_gate():
@@ -407,7 +427,7 @@ def test_fused_rotation_before_any_two_site_gate():
         Rotation(0, 2, 3, "x", 1.7),  # after site 0's last csum
     )
     circuit = Circuit(3, ops)
-    assert sorted(sites for sites, _ in gates._fuse(ops)) == [(0, 1), (2,)]
+    assert sorted(sites for sites, _ in gates._fuse(zip(ops))) == [(0, 1), (2,)]
     assert fused_error(circuit, random_state(3)) <= 1e-12
 
 
@@ -537,6 +557,16 @@ def test_mistyped_op_fields_raise_invalid_circuit(tmp_path, case):
         gates.load_circuit(path)
 
 
+@pytest.mark.parametrize("data", [b"", b"{not json", b"\xff"],
+                         ids=["empty", "not json", "not text"])
+def test_load_circuit_refuses_a_file_that_is_not_json(tmp_path, data):
+    # json.JSONDecodeError (UnicodeDecodeError for "not text") once escaped
+    path = tmp_path / "circuit.json"
+    path.write_bytes(data)
+    with pytest.raises(InvalidCircuit, match="malformed circuit document"):
+        gates.load_circuit(path)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
 def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
     corrupt, error = MALFORMED_DOCUMENTS[case]
@@ -633,7 +663,7 @@ def full_register_runs(circuits, sector, state):
 
 
 def assert_grid_is_circuit_by_circuit(circuits, state):
-    out = gates.simulate_sector(circuits, GREENS_SECTOR, state)
+    out = gates.simulate_sector(gates.Grid(circuits), GREENS_SECTOR, state)
     assert out.shape == (len(circuits), *state.shape)
     assert np.max(np.abs(out - full_register_runs(circuits, GREENS_SECTOR, state))) <= 1e-12
     return out
@@ -660,7 +690,7 @@ def test_grid_fuses_each_structure_once(monkeypatch):
 
     state = sector_state(GREENS_SECTOR)
     monkeypatch.setattr(gates, "_fuse", counting_fuse)
-    gates.simulate_sector(greens_grid_circuits(), GREENS_SECTOR, state)
+    gates.simulate_sector(gates.Grid(greens_grid_circuits()), GREENS_SECTOR, state)
     # the empty t = 0 step, then the 20 nonzero taus in one pass
     expected = [0, len(greens_grid_circuits()[1].step)]
     assert [len(items) for items in fused] == expected
@@ -750,12 +780,13 @@ def test_grid_of_reloaded_circuits_matches_circuit_by_circuit(tmp_path):
     assert reloaded == circuits
     batch = sector_state(GREENS_SECTOR, 2)
     out = assert_grid_is_circuit_by_circuit(reloaded, batch)
-    assert np.array_equal(out, gates.simulate_sector(circuits, GREENS_SECTOR, batch))
+    assert np.array_equal(out, gates.simulate_sector(gates.Grid(circuits), GREENS_SECTOR, batch))
 
 
 def test_grid_runs_a_one_dimensional_state():
     assert_grid_is_circuit_by_circuit(greens_grid_circuits(3), sector_state(GREENS_SECTOR))
-    assert gates.simulate_sector([], GREENS_SECTOR, sector_state(GREENS_SECTOR)).shape == (0, 24)
+    empty = gates.simulate_sector(gates.Grid(), GREENS_SECTOR, sector_state(GREENS_SECTOR))
+    assert empty.shape == (0, 24)
 
 
 def mixed_structure_circuits():
@@ -792,7 +823,7 @@ def test_every_grid_block_is_a_stack_over_its_groups_runs():
 def test_grid_rejects_circuits_of_another_site_count():
     circuits = [greens_grid_circuits(1)[2], chain_circuit(3, 1)]
     with pytest.raises(StateSizeMismatch, match="a circuit of 3 sites"):
-        gates.simulate_sector(circuits, GREENS_SECTOR, sector_state(GREENS_SECTOR))
+        gates.simulate_sector(gates.Grid(circuits), GREENS_SECTOR, sector_state(GREENS_SECTOR))
     with pytest.raises(StateSizeMismatch, match="amplitudes"):
         gates.simulate(circuits[0], random_state(3))
 
@@ -806,7 +837,7 @@ def test_sector_grid_matches_the_full_register_grid(monkeypatch, batch_bytes):
     circuits, batch = greens_grid_circuits(), sector_state(GREENS_SECTOR, 2)
     out = assert_grid_is_circuit_by_circuit(circuits, batch)
     for k in range(2):
-        lone = gates.simulate_sector(circuits, GREENS_SECTOR, batch[:, k])
+        lone = gates.simulate_sector(gates.Grid(circuits), GREENS_SECTOR, batch[:, k])
         assert np.max(np.abs(out[..., k] - lone)) <= 1e-15
 
 
@@ -816,18 +847,19 @@ def test_sector_grid_refuses_a_block_that_couples_charges():
     circuit = Circuit(2, (Csum(0, 1), Rotation(1, 1, 2, "x", 1e-6), Csum(0, 1, adjoint=True)))
     state = sector_state(sector)
     with pytest.raises(SynthesisResidual, match="couples different"):
-        gates.simulate_sector([circuit], sector, state)
+        gates.simulate_sector(gates.Grid([circuit]), sector, state)
 
 
 def test_sector_grid_rejects_a_state_or_circuit_of_another_size():
     sector = mapping.sector(2, 1, 1)
     with pytest.raises(StateSizeMismatch, match="sector has 4"):
-        gates.simulate_sector([chain_circuit(2, 1)], sector, np.ones(5))
+        gates.simulate_sector(gates.Grid([chain_circuit(2, 1)]), sector, np.ones(5))
     with pytest.raises(StateSizeMismatch, match="a circuit of 3 sites"):
-        gates.simulate_sector([chain_circuit(3, 1)], sector, np.ones(4))
+        gates.simulate_sector(gates.Grid([chain_circuit(3, 1)]), sector, np.ones(4))
 
 
 def test_sector_grid_runs_an_empty_sector():
     # no state has -1 up particles
     sector = mapping.sector(2, -1, 0)
-    assert gates.simulate_sector([chain_circuit(2, 1)] * 2, sector, np.zeros(0)).shape == (2, 0)
+    grid = gates.Grid([chain_circuit(2, 1)] * 2)
+    assert gates.simulate_sector(grid, sector, np.zeros(0)).shape == (2, 0)

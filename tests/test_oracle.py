@@ -365,6 +365,23 @@ def test_retarded_gf_refuses_a_hamiltonian_that_is_not_4_to_the_L_square(monkeyp
         oracle.retarded_series(h, 1.0, 1, 1, "up", [0.0, 1.0], 2)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda h: oracle.exact_populations(h, ("u", "d"), [1.0]),
+    lambda h: oracle.lesser_gf(h, ("u", "d"), 1, 1, "up", [1.0]),
+], ids=["exact_populations", "lesser_gf"])
+@pytest.mark.parametrize("h", [np.zeros((16, 32)), np.zeros((16, 8)), np.eye(32)],
+                         ids=["16x32", "16x8", "32x32"])
+def test_token_lanes_refuse_a_hamiltonian_that_is_not_4_to_the_L_square(monkeypatch, solve, h):
+    # a 16-row H once passed the token count, then reached eigh or raised a
+    # bare IndexError
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(StateSizeMismatch, match="is not 4\\^L x 4\\^L"):
+        solve(h)
+
+
 @pytest.mark.parametrize("site_count", [1, 3])
 def test_retarded_series_refuses_a_site_count_other_than_the_hamiltonians(
         monkeypatch, site_count):
