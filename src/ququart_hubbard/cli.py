@@ -75,7 +75,7 @@ class RunConfig:
             )
         try:
             mapping.parse_geometry(self.geometry)
-        except (UnsupportedLattice, ValueError) as exc:
+        except UnsupportedLattice as exc:
             raise ConfigInvalid(f"geometry: {exc}")
 
     def require_init(self) -> tuple:

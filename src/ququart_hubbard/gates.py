@@ -30,9 +30,11 @@ to L - 1 blocks, applied `repeat` times.
 
 `simulate` fuses a lone circuit's step as one-op columns and runs it on
 the full register through `linalg.apply_local`, one np.matmul per block
-with no 4^L x 4^L embedding. `simulate_sector` runs a `Grid`, fused once
-per structure group into (T, d, d) block stacks, on the amplitudes of one
-(N_up, N_dn) sector (a `mapping.Sector`). A column holding one shared op
+with no 4^L x 4^L embedding. `simulate_sector` runs a `Grid` on the
+amplitudes of one (N_up, N_dn) sector (a `mapping.Sector`). The grid fuses
+once per structure group into the (T, d, d) block stacks of one step plus
+its `repeat`; the sector gathers each block's entries (`Sector.gather`),
+and the gathered step runs `repeat` times. A column holding one shared op
 object gives one matrix, a column of one pulse at varying angles one
 `gamma.rotation` call on all its angles: one matrix build per column,
 not one per run and op. Each circuit computes its ops' sites once
@@ -271,9 +273,10 @@ class Grid(tuple):
 
     @cached_property
     def chunks(self) -> tuple:
-        """((indices, site count, blocks), ...), one per structure group,
-        the blocks `repeat` times over. Every block is a (T, d, d) stack
-        over the group's T runs: a block all runs share is broadcast once."""
+        """((indices, site count, repeat, blocks), ...), one per structure
+        group: the fused blocks of one step, run `repeat` times. Every block
+        is a (T, d, d) stack over the group's T runs: a block all runs share
+        is broadcast once."""
         groups = {}  # keyed by what `_fuse` decides from
         for t, circuit in enumerate(self):
             groups.setdefault((circuit.site_count, circuit.repeat, circuit.sites), []).append(t)
@@ -281,7 +284,7 @@ class Grid(tuple):
         for (site_count, repeat, _), idx in groups.items():
             blocks = tuple((sites, _frozen(np.broadcast_to(m, (len(idx), *m.shape[-2:]))))
                            for sites, m in _fuse(list(zip(*(self[t].step for t in idx)))))
-            chunks.append((idx, site_count, blocks * repeat))
+            chunks.append((idx, site_count, repeat, blocks))
         return tuple(chunks)
 
 
@@ -294,11 +297,12 @@ def simulate_sector(grid: Grid, sector, state: np.ndarray) -> np.ndarray:
 
     Each structure group runs in slices under GRID_BATCH_BYTES, a run
     counting its state, its gathered copy and the entries it reads. Per
-    slice each distinct block's entries are gathered once (`sector.plan`):
-    a block is then one gather of each position's <= 4 same-charge
-    partners, one multiply, one sum. A block whose entries between
-    different charges exceed RESIDUAL_TOL raises SynthesisResidual; a
-    circuit or state of another size raises StateSizeMismatch.
+    slice each block of the group's one step is gathered once
+    (`sector.gather`), and the gathered step runs `repeat` times: a block
+    is one gather of each position's <= 4 same-charge partners, one
+    multiply, one sum. A block whose entries between different charges
+    exceed RESIDUAL_TOL raises SynthesisResidual; a circuit or state of
+    another size raises StateSizeMismatch.
     """
     state = np.asarray(state, dtype=complex)
     n = len(sector.basis)
@@ -306,32 +310,28 @@ def simulate_sector(grid: Grid, sector, state: np.ndarray) -> np.ndarray:
         raise StateSizeMismatch(f"state has {state.shape[0]} amplitudes, the sector has {n}")
     start = np.ascontiguousarray(state.T).reshape(1, math.prod(state.shape[1:]), n)  # n may be 0
     out = np.empty((len(grid), *state.shape[::-1]), dtype=complex).swapaxes(1, -1)
-    for group, site_count, blocks in grid.chunks:
+    for group, site_count, repeat, blocks in grid.chunks:
         if site_count != sector.site_count:
             raise StateSizeMismatch(f"a circuit of {site_count} sites on a sector of "
                                     f"{sector.site_count} sites")
-        distinct = {id(m): (sites, m) for sites, m in blocks}
-        size = max(1, GRID_BATCH_BYTES // max(1, 16 * (5 * state.size + 4 * n * len(distinct))))
+        size = max(1, GRID_BATCH_BYTES // max(1, 16 * (5 * state.size + 4 * n * len(blocks))))
         for lo in range(0, len(group), size):
-            gathered = {key: _gather(sector, sites, m[lo:lo + size])
-                        for key, (sites, m) in distinct.items()}
+            gathered = [_gather(sector, sites, m[lo:lo + size]) for sites, m in blocks]
             psi = start
-            for _, m in blocks:
-                partners, e = gathered[id(m)]
-                psi = np.einsum("...k,...k->...", psi.take(partners, axis=-1), e)
+            for _ in range(repeat):
+                for partners, e in gathered:
+                    psi = np.einsum("...k,...k->...", psi.take(partners, axis=-1), e)
             out[group[lo:lo + size]] = psi.reshape(len(psi), *state.shape[::-1]).swapaxes(1, -1)
     return out
 
 
 def _gather(sector, sites, m: np.ndarray) -> tuple:
-    """(partners, entries) of a (T, d, d) block stack on `sites`: the
-    (T, 1, n, 4) entries each sector position reads, per run."""
-    plan = sector.plan(sites)
-    leak = float(np.max(np.abs(m[..., plan.off_charge]), initial=0.0))
+    """`sector.gather`, refused past RESIDUAL_TOL between different charges."""
+    partners, entries, leak = sector.gather(sites, m)
     if leak > RESIDUAL_TOL:
         raise SynthesisResidual(f"a fused block on sites {sites} couples different "
                                 f"(N_up, N_dn) by {leak:.3e} > {RESIDUAL_TOL:g}")
-    return plan.partners, m.reshape(len(m), 1, -1)[..., plan.entries] * plan.mask
+    return partners, entries
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:

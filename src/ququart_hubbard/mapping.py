@@ -14,6 +14,8 @@ nonzero per column, so c is a signed index map of register basis states:
 ``fermion_index_map`` is its one definition. ``Sector.fermion`` reads it
 on a sector's basis, ``map_fermion`` scatters it into a dense image, and
 the acceptance check of the anticommutator table composes it pairwise.
+A ``Sector`` also gathers a block's entries (``Sector.gather``) and places
+a product state (``Sector.product_state``) on its basis.
 
 Under this map the hopping term on a bond (a, b) splits into four
 mutually commuting Hermitian pieces carrying a Gt string over any sites
@@ -79,19 +81,20 @@ def ladder(rows: int, cols: int) -> LatticeGeometry:
 
 
 def parse_geometry(token: str) -> LatticeGeometry:
-    """Parse 'chain:L', 'ladder:2xN', or shorthand '1x8' / '2x4'."""
-    token = token.strip().lower()
-    if token.startswith("chain:"):
-        return chain(int(token.split(":", 1)[1]))
-    if token.startswith("ladder:"):
-        rows, cols = token.split(":", 1)[1].split("x")
-        return ladder(int(rows), int(cols))
-    if "x" in token:
-        rows, cols = (int(p) for p in token.split("x"))
-        if rows == 1:
-            return chain(cols)
-        return ladder(rows, cols)
-    raise UnsupportedLattice(f"cannot parse geometry {token!r}")
+    """Parse 'chain:L', 'ladder:2xN', or shorthand '1xL' / '2xN'; any other
+    token raises UnsupportedLattice naming it and these forms."""
+    kind, colon, size = token.strip().lower().rpartition(":")
+    try:
+        numbers = [int(part) for part in size.split("x")]
+    except ValueError:
+        numbers = []
+    if kind == "chain" and len(numbers) == 1:
+        return chain(numbers[0])
+    if len(numbers) == 2 and (kind == "ladder" or not colon):
+        rows, cols = numbers
+        return chain(cols) if rows == 1 and not colon else ladder(rows, cols)
+    raise UnsupportedLattice(f"cannot parse geometry {token!r}; use chain:L, ladder:2xN, "
+                             "1xL or 2xN")
 
 
 _LADDER_FACTORS = {(spin, kind): 0.5 * (a + sign * b)
@@ -158,21 +161,6 @@ def sector_labels(site_count: int) -> np.ndarray:
     return labels
 
 
-class SectorPlan(NamedTuple):
-    """How a block on some sites acts inside one sector. Row p of
-    `partners` lists the <= 4 basis positions with the same levels off
-    those sites as position p, which in one sector means the same charge
-    on them too, padded with p itself. Row p of `entries` holds the flat
-    indices of the block entries each partner needs, `mask` is 0 on the
-    padding, and `off_charge` marks the block entries between local states
-    of different charge."""
-
-    partners: np.ndarray  # (n, 4) basis positions
-    entries: np.ndarray  # (n, 4) indices into the block's flat d x d matrix
-    mask: np.ndarray  # (n, 4) 1.0, or 0.0 on the padding
-    off_charge: np.ndarray  # (d, d) bool
-
-
 class SectorFermion(NamedTuple):
     """A mapped c or c^dag between two sectors as a signed index map: the
     amplitude at `source` position k moves to `dest` position k of the
@@ -211,7 +199,8 @@ def _charge_classes(k: int) -> tuple:
 class Sector:
     """The register basis states with N_up up and N_dn down particles, as
     their sorted register indices `basis` (from `sector_labels`): the
-    basis of a state vector that keeps only these amplitudes."""
+    basis of a state vector that keeps only these amplitudes. Positions on
+    it are found only here: `gather`, `product_state` and `fermion`."""
 
     def __init__(self, site_count: int, n_up: int, n_dn: int):
         self.site_count, self.counts = site_count, (n_up, n_dn)
@@ -220,7 +209,7 @@ class Sector:
             self.basis = np.flatnonzero(sector_labels(site_count) == label)
         else:
             self.basis = np.zeros(0, dtype=np.intp)
-        self._plans = {}
+        self._tables = {}  # sites -> (partners, entries, mask) of `gather`
 
     def _levels(self, site: int) -> np.ndarray:
         """Level of 0-based register `site` in each basis state."""
@@ -231,28 +220,43 @@ class Sector:
         levels = np.column_stack([self._levels(s) for s in range(self.site_count)])
         return np.array(level_occupations())[levels]
 
-    def plan(self, sites: tuple) -> SectorPlan:
-        """The `SectorPlan` of a block on 0-based ascending `sites`, built
-        on first use and kept."""
-        if sites not in self._plans:
-            self._plans[sites] = self._build_plan(sites)
-        return self._plans[sites]
-
-    def _build_plan(self, sites: tuple) -> SectorPlan:
-        local = np.zeros(len(self.basis), dtype=np.intp)
-        rest = self.basis.copy()
-        for s in sites:
-            level = self._levels(s)
-            local = local * DIM + level
-            rest -= level * DIM ** (self.site_count - 1 - s)
+    def gather(self, sites: tuple, stack: np.ndarray) -> tuple:
+        """(partners, entries, leak) of a (T, d, d) block stack on 0-based
+        ascending `sites`. Row p of `partners` lists the <= 4 basis
+        positions with the same levels off those sites as position p, which
+        in one sector means the same charge on them too, padded with p
+        itself; `entries` holds the (T, 1, n, 4) block entries each partner
+        needs, per run, 0 on the padding; `leak` is the largest entry
+        between local states of different charge. The index tables are
+        built per `sites` on first use and kept."""
         cols, mask, off_charge = _charge_classes(len(sites))
-        cols, mask = cols[local], mask[local]
-        partners = rest[:, None]
-        for k, s in enumerate(sites):
-            digit = cols // DIM ** (len(sites) - 1 - k) % DIM
-            partners = partners + digit * DIM ** (self.site_count - 1 - s)
-        partners = np.searchsorted(self.basis, partners)
-        return SectorPlan(partners, local[:, None] * len(off_charge) + cols, mask, off_charge)
+        if sites not in self._tables:
+            local = np.zeros(len(self.basis), dtype=np.intp)
+            rest = self.basis.copy()
+            for s in sites:
+                level = self._levels(s)
+                local = local * DIM + level
+                rest -= level * DIM ** (self.site_count - 1 - s)
+            cols, mask = cols[local], mask[local]
+            partners = rest[:, None]
+            for k, s in enumerate(sites):
+                digit = cols // DIM ** (len(sites) - 1 - k) % DIM
+                partners = partners + digit * DIM ** (self.site_count - 1 - s)
+            self._tables[sites] = (np.searchsorted(self.basis, partners),
+                                   local[:, None] * len(off_charge) + cols, mask)
+        partners, entries, mask = self._tables[sites]
+        leak = float(np.max(np.abs(stack[..., off_charge]), initial=0.0))
+        return partners, stack.reshape(len(stack), 1, -1)[..., entries] * mask, leak
+
+    def product_state(self, tokens) -> np.ndarray:
+        """The product state of occupation `tokens` on this basis, one 1.0
+        at its register index, without a 4^L vector; ValueError unless the
+        state lies in this sector."""
+        state = (self.basis == product_index(tokens)).astype(complex)
+        if len(tokens) != self.site_count or not state.any():
+            raise ValueError(f"{','.join(tokens)} is not in the {self.counts} sector of "
+                             f"{self.site_count} sites")
+        return state
 
     def fermion(self, site: int, spin: str, kind: str) -> SectorFermion:
         """c ("annihilate") or c^dag ("create") at 1-based `site` into its
@@ -269,7 +273,7 @@ class Sector:
 
 @lru_cache(maxsize=16)
 def sector(site_count: int, n_up: int, n_dn: int) -> Sector:
-    """The kept `Sector` of these counts, so its plans are built once."""
+    """The kept `Sector` of these counts, so its index tables are built once."""
     return Sector(site_count, n_up, n_dn)
 
 

@@ -328,6 +328,9 @@ def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
 def test_resources_bad_lattice_exits_one(capsys):
     code = run_cli("resources", "--geometry", "3x5")
     assert code == 1
+    assert run_cli("resources", "--geometry", "1x8x2") == 1
+    assert capsys.readouterr().err.endswith(
+        "geometry: cannot parse geometry '1x8x2'; use chain:L, ladder:2xN, 1xL or 2xN\n")
 
 
 def fake_check(number, passed):

@@ -101,8 +101,8 @@ def test_lesser_gf_circuit_refuses_tokens_for_another_length(tokens):
 @pytest.mark.parametrize("tokens", [("u",), ("0", "0"), ("ud", "ud"), ("u", "ud", "u", "d"),
                                     ("u", "d", "ud", "0", "u", "d", "ud")])
 def test_sector_start_is_the_product_state_on_its_sector(tokens):
-    sector, psi0 = emulate._sector_start(tokens)
-    assert sector is mapping.token_sector(tokens)
+    sector = mapping.token_sector(tokens)
+    psi0 = sector.product_state(tokens)
     assert np.array_equal(psi0, mapping.product_state(tokens)[sector.basis])
 
 
@@ -145,7 +145,7 @@ def test_lesser_gf_circuit_runs_seven_sites(steps):
     # run counts its state, its gathered copy and the gathered entries of
     # its six stacked bond blocks against gates.GRID_BATCH_BYTES (568 kB),
     # so each run goes alone. Measured peak 4.1-4.5 MiB: about 1.1 MiB the
-    # emitted and fused grid, the rest the two sectors' plans
+    # emitted and fused grid, the rest the two sectors' index tables
     tokens = ("u", "d", "ud", "0", "u", "d", "ud")
     tracemalloc.start()
     try:

@@ -309,7 +309,7 @@ def test_fused_blocks_conserve_their_pairs_charges(geometry, tau):
 def test_fused_blocks_of_the_greens_grid_conserve_their_pairs_charges():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
     grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
-    blocks = [block for _, _, chunk in grid.chunks for block in chunk]
+    blocks = [block for _, _, _, chunk in grid.chunks for block in chunk]
     assert any(m.ndim == 3 for _, m in blocks)
     assert max(charge_leak(sites, m) for sites, m in blocks) <= 1e-14
 
@@ -413,8 +413,9 @@ LONE_CIRCUITS = {
 def test_lone_circuit_fuses_as_its_one_run_grid(name):
     # `simulate`'s one-op columns give, bit for bit, run 0 of the grid's stacks
     circuit = LONE_CIRCUITS[name]()
-    (_, _, stacks), = gates.Grid([circuit]).chunks
-    blocks = gates._fuse(zip(circuit.step)) * circuit.repeat
+    (_, _, repeat, stacks), = gates.Grid([circuit]).chunks
+    blocks = gates._fuse(zip(circuit.step))
+    assert repeat == circuit.repeat
     assert [sites for sites, _ in blocks] == [sites for sites, _ in stacks]
     assert all(np.array_equal(m, stack[0]) for (_, m), (_, stack) in zip(blocks, stacks))
 
@@ -702,6 +703,31 @@ def test_grid_fuses_each_structure_once(monkeypatch):
     assert [len(items) for items in fused] == expected * 2
 
 
+def test_greens_grid_keeps_one_step_and_gathers_it_once_per_slice(monkeypatch):
+    # the nonzero taus' group keeps one step's 3 blocks and its repeat, not
+    # 90 blocks; each slice gathers each of them once
+    mh = mapping.build_mapped_hamiltonian(mapping.chain(4), 1.0, 1.0)
+    grid = transpile.trotter_grid(mh, tuple(emulate.LESSER_TIMES), 30)
+    (zero, _, _, empty), (taus, _, repeat, blocks) = grid.chunks
+    assert (zero, empty, taus) == ([0], (), list(range(1, 21)))
+    assert (len(blocks), repeat) == (3, 30)
+    gathered = []
+    gather = mapping.Sector.gather
+
+    def counting_gather(sector, sites, stack):
+        gathered.append(sites)
+        return gather(sector, sites, stack)
+
+    monkeypatch.setattr(mapping.Sector, "gather", counting_gather)
+    state = sector_state(GREENS_SECTOR)
+    gates.simulate_sector(grid, GREENS_SECTOR, state)  # the 20 runs in one slice
+    assert gathered == [sites for sites, _ in blocks]
+    gathered.clear()
+    monkeypatch.setattr(gates, "GRID_BATCH_BYTES", 2 * 16 * (5 * 24 + 4 * 24 * 3))  # 2 a slice
+    gates.simulate_sector(grid, GREENS_SECTOR, state)
+    assert gathered == [sites for sites, _ in blocks] * 10
+
+
 def test_grid_preparation_is_linear_in_the_ops(monkeypatch):
     # one rotation matrix per distinct shared pulse plus one batched call per
     # column of tau-dependent pulses (once 196 scalar calls), and each op's
@@ -812,10 +838,10 @@ def test_every_grid_block_is_a_stack_over_its_groups_runs():
         "shared": gates.Grid([same, same]),  # every block broadcast from one matrix
     }
     for grid in grids.values():
-        for group, _, blocks in grid.chunks:
+        for group, _, _, blocks in grid.chunks:
             for sites, m in blocks:
                 assert m.shape == (len(group), 4 ** len(sites), 4 ** len(sites))
-    shared = [m for _, m in grids["shared"].chunks[0][2]]
+    shared = [m for _, m in grids["shared"].chunks[0][3]]
     assert all(np.array_equal(m[0], m[1]) for m in shared)
     assert_grid_is_circuit_by_circuit(grids["shared"], sector_state(GREENS_SECTOR, 3))
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -60,6 +61,11 @@ def test_parse_geometry_tokens():
     assert mapping.parse_geometry("2x4").label == "ladder(2,4)"
     with pytest.raises(UnsupportedLattice):
         mapping.parse_geometry("3x3")
+    for token in ("1x8x2", "ladder:2x4x1", "chain:", "ladder:2", "1xq", "x", ":1x8", "ring:4"):
+        with pytest.raises(UnsupportedLattice) as refused:
+            mapping.parse_geometry(token)
+        assert str(refused.value) == (f"cannot parse geometry {token!r}; "
+                                      "use chain:L, ladder:2xN, 1xL or 2xN")
 
 
 # --- mapped ladder operators ------------------------------------------------
@@ -255,6 +261,61 @@ def test_mapped_hamiltonian_hermitian():
     mh = mapping.build_mapped_hamiltonian(mapping.chain(3), 1.0, 2.0)
     dense = mapping.dense_hamiltonian(mh)
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
+
+
+# --- sectors ----------------------------------------------------------------
+
+
+def site_levels(site_count):
+    """(4^L, L): the level of each site in each register index, first site major."""
+    return np.arange(4**site_count)[:, None] // 4 ** np.arange(site_count - 1, -1, -1) % 4
+
+
+def register_block(sites, block, site_count):
+    """The block embedded in the register by index arithmetic: entry (a, b)
+    is block[a's levels on `sites`, b's] where a and b agree off `sites`."""
+    levels = site_levels(site_count)
+    local = levels[:, list(sites)] @ 4 ** np.arange(len(sites) - 1, -1, -1)
+    rest = np.delete(levels, sites, axis=1)
+    agree = np.all(rest[:, None] == rest[None, :], axis=-1)
+    return np.where(agree, block[local[:, None], local[None, :]], 0)
+
+
+def off_charge_pattern(k):
+    charge = np.array(mapping.level_occupations())[site_levels(k)].sum(axis=1)
+    return np.any(charge[:, None] != charge[None, :], axis=-1)
+
+
+@pytest.mark.parametrize("sites", [(0,), (2,), (0, 1), (1, 2), (0, 2)])
+def test_sector_gather_scatters_back_to_the_register_block(sites):
+    # every sector of L = 3: the gathered entries, scattered to an n x n
+    # matrix, are exactly the block embedded in the register on the basis
+    rng = np.random.default_rng(3)
+    d = 4 ** len(sites)
+    stack = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    stack[:, off_charge_pattern(len(sites))] = 0.0
+    for n_up, n_dn in itertools.product(range(4), repeat=2):
+        sector = mapping.sector(3, n_up, n_dn)
+        n = len(sector.basis)
+        partners, entries, leak = sector.gather(sites, stack)
+        assert leak == 0.0 and entries.shape == (2, 1, n, 4)
+        for block, e in zip(stack, entries):
+            scattered = np.zeros((n, n), dtype=complex)
+            np.add.at(scattered, (np.arange(n)[:, None], partners), e[0])
+            expected = register_block(sites, block, 3)[np.ix_(sector.basis, sector.basis)]
+            assert np.array_equal(scattered, expected)
+        assert sector.gather(sites, stack)[0] is partners  # the index tables are kept
+    planted = stack.copy()
+    q, r = np.argwhere(off_charge_pattern(len(sites)))[-1]
+    planted[1, q, r] = 0.25 - 0.5j
+    assert mapping.sector(3, 1, 2).gather(sites, planted)[2] == abs(0.25 - 0.5j)
+
+
+def test_sector_product_state_refuses_tokens_of_another_sector():
+    sector = mapping.token_sector(("u", "d", "0"))
+    for tokens in (("u", "u", "0"), ("u", "d"), ("u", "d", "0", "0")):
+        with pytest.raises(ValueError, match="is not in the"):
+            sector.product_state(tokens)
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,32 @@ def test_traced_benchmark_finds_every_call_boundary():
     code = "import tracing; tracer = tracing.Tracer('t'); tracing.install(tracer); tracer.restore()"
     result = run_python(code, SRC, ROOT / "perfbench")
     assert result.returncode == 0, result.stderr
+
+
+def module_level_names(stmt) -> list:
+    """(name, is_import) of each name a top-level statement binds."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [((a.asname or a.name).split(".")[0], True) for a in stmt.names]
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [(stmt.name, False)]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [(n.id, False) for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return []
+
+
+def test_no_module_keeps_a_name_it_never_reads():
+    # a top-level import, or a module-level _private name, that its module
+    # never reads again is what a deletion leaves behind
+    dead = []
+    for path in sorted((SRC / "ququart_hubbard").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for stmt in tree.body:
+            for name, imported in module_level_names(stmt):
+                checked = imported or name.startswith("_") and name != "__version__"
+                if checked and name not in read:
+                    dead.append(f"{path.relative_to(SRC)}:{stmt.lineno} {name}")
+    assert dead == []
