@@ -118,22 +118,11 @@ def schmidt_structure() -> CheckResult:
         for tau in SYNTHESIS_TAUS:
             target = transpile.hopping_target(term, tau)
             dec = transpile.osd(target)
-            coeffs = np.sort(dec.coefficients)[::-1]
-            nonzero = coeffs[coeffs > 1e-10]
-            expected = np.sort([4 * abs(np.cos(tau)), 4 * abs(np.sin(tau))])[::-1]
-            expected_rank = int(np.sum(expected > 1e-10))
-            # at tau = pi/2 the cos coefficient is a numerical zero and the
-            # two-term structure degenerates to rank 1
-            if len(nonzero) != expected_rank:
-                details.append(f"term {term} tau {tau:.3f} rank {len(nonzero)}")
-            if expected_rank == 2:
-                measured = (
-                    nonzero[1] / nonzero[0]
-                    if abs(np.tan(tau)) <= 1
-                    else nonzero[0] / nonzero[1]
-                )
-                if abs(measured - abs(np.tan(tau))) > 1e-9 * max(1.0, abs(np.tan(tau))):
-                    details.append(f"term {term} tau {tau:.3f} ratio {measured}")
+            # the closed form, 4|cos tau|, 4|sin tau| and 14 zeros, in sorted order
+            expected = np.sort(np.r_[4 * abs(np.cos(tau)), 4 * abs(np.sin(tau)), np.zeros(14)])
+            gap = float(np.max(np.abs(np.sort(dec.coefficients) - expected)))
+            if gap > 1e-10:
+                details.append(f"term {term} tau {tau:.3f} coefficients off by {gap:.1e}")
             residual = float(np.max(np.abs(dec.reconstruct() - target)))
             if residual > 1e-10:
                 details.append(f"term {term} tau {tau:.3f} residual {residual:.1e}")

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: map, transpile, evolve, greens, resources, validate.
-Options come from flags; each subcommand takes only the options it reads.
+Options come from flags, one `RunConfig` field each, spelled `--name-with-dashes`;
+each subcommand takes only the options it reads. Init tokens go through
+`mapping.token_levels`, and pair spins and their initials come from `mapping.SPINS`.
 Exit codes: 0 success, 1 config or usage error or stdout closed by its
 reader (no traceback), 2 validation failure, 3 synthesis residual. The
 text formats of the outputs live here; every CSV goes through `_write_csv`.
@@ -28,10 +30,10 @@ from .errors import (
 OBSERVABLES = ("lesser_gf", "retarded_gf", "spectral")
 
 
-def _option(default, help=None, flag=None, bound=None):
-    """A RunConfig field: its flag is `--name-with-dashes` unless named
-    here, and `bound` is a lower bound such as (">", 0)."""
-    return field(default=default, metadata={"help": help, "flag": flag, "bound": bound})
+def _option(default, help=None, bound=None):
+    """A RunConfig field: its flag is `--name-with-dashes`, and `bound` is a
+    lower bound such as (">", 0)."""
+    return field(default=default, metadata={"help": help, "bound": bound})
 
 
 _BOUNDS = {">": operator.gt, ">=": operator.ge}
@@ -45,7 +47,7 @@ class RunConfig:
     geometry: str = _option("chain:2", "chain:L | ladder:2xN | 1x8 | 2x4")
     J: float = _option(1.0, "hopping amplitude")
     v: float = _option(2.0, "on-site interaction")
-    init: str = _option("u,d", "comma-separated site tokens from {0,u,d,ud}")
+    init: str = _option("u,d", f"comma-separated site tokens from {{{','.join(mapping.TOKENS)}}}")
     tau_start: float = _option(acceptance.TAU_SPAN[0])
     tau_stop: float = _option(acceptance.TAU_SPAN[1])
     tau_step: float = _option(acceptance.TAU_SPAN[2], bound=(">", 0))
@@ -53,7 +55,7 @@ class RunConfig:
     pairs: str = _option("1,1,up", "Green's function pairs 'i,j,spin;...'")
     observables: tuple = _option(("lesser_gf",), f"comma list: {','.join(OBSERVABLES)}")
     eta: float = _option(0.1, "spectral damping rate", bound=(">", 0))
-    t_max: float = _option(oracle.RETARDED_T_MAX, "time-grid extent", "--tmax", (">", 0))
+    tmax: float = _option(oracle.RETARDED_T_MAX, "time-grid extent", bound=(">", 0))
     dt: float = _option(oracle.RETARDED_DT, "time-grid spacing", bound=(">", 0))
     beta: float = _option(1.0, "inverse temperature", bound=(">=", 0))
     out: str = _option("out", "output directory")
@@ -80,8 +82,9 @@ class RunConfig:
 
     def require_init(self) -> tuple:
         """Init tokens checked against the geometry; for evolve/greens."""
+        tokens = tuple(t.strip() for t in self.init.split(","))
         try:
-            tokens = mapping.parse_init_tokens(self.init)
+            mapping.token_levels(tokens)
         except ValueError as exc:
             raise ConfigInvalid(f"init: {exc}")
         sites = self.geometry_obj().site_count
@@ -109,8 +112,8 @@ class RunConfig:
             parts = [p.strip() for p in chunk.split(",")]
             if len(parts) != 3:
                 raise ConfigInvalid(f"pairs: expected 'i,j,spin', got {chunk!r}")
-            spin = {"u": "up", "d": "down"}.get(parts[2], parts[2])
-            if spin not in ("up", "down"):
+            spin = {s[0]: s for s in mapping.SPINS}.get(parts[2], parts[2])
+            if spin not in mapping.SPINS:
                 raise ConfigInvalid(f"pairs: unknown spin {parts[2]!r}")
             try:
                 i, j = int(parts[0]), int(parts[1])
@@ -244,17 +247,17 @@ def cmd_greens(config: RunConfig) -> int:
     pairs = config.parsed_pairs()
     retarded = "retarded_gf" in config.observables or "spectral" in config.observables
     if retarded:
-        times = oracle.uniform_grid(0.0, config.t_max, config.dt, 4**geometry.site_count)
+        times = oracle.uniform_grid(0.0, config.tmax, config.dt, 4**geometry.site_count)
     if "spectral" in config.observables:
         if len(times) < 2:
-            raise ConfigInvalid(f"t_max: spectral needs t_max >= dt, got {len(times)} time point")
+            raise ConfigInvalid(f"tmax: spectral needs tmax >= dt, got {len(times)} time point")
         for i, j, spin in pairs:
             if i != j:
                 raise ConfigInvalid(f"pairs: spectral needs i == j, got {i},{j},{spin}")
     if "lesser_gf" in config.observables:
         emulate.require_chain(geometry)
     h_exact = oracle.fermionic_hamiltonian(geometry, config.J, config.v)
-    coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.t_max]
+    coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= config.tmax]
     # every circuit series runs before any output, so a grid the sector lane
     # refuses (SynthesisResidual) writes nothing
     if "lesser_gf" in config.observables:
@@ -323,8 +326,7 @@ _COMMANDS = {
     "evolve": (cmd_evolve, "compare Trotter-circuit populations against the exact reference",
                _TRANSPILE_READS | {"init", "tau_stop", "tau_step"}),
     "greens": (cmd_greens, "compute Green's functions (circuit and exact lanes)",
-               _MAP_READS | {"steps", "init", "pairs", "observables", "eta", "t_max", "dt",
-                             "beta"}),
+               _MAP_READS | {"steps", "init", "pairs", "observables", "eta", "tmax", "dt", "beta"}),
     "resources": (cmd_resources, "gate-count and duration estimates", frozenset({"geometry"})),
     "validate": (cmd_validate, "run the acceptance criteria", frozenset()),
 }
@@ -347,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for f in fields(RunConfig):
             if f.name in reads:
-                flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
-                p.add_argument(flag, dest=f.name, help=f.metadata["help"],
+                # the dest argparse derives from `--name-with-dashes` is the field's name
+                p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
                                type=_FLAG_TYPES.get(f.type, f.type))
     return parser
 

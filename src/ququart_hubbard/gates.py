@@ -14,8 +14,9 @@ is `step * repeat`. Two gate kinds exist:
 An op whose site or level is not an int (a bool is not), whose `phi` is
 not a finite real or whose flag is not a bool raises InvalidCircuit, and
 so does a circuit whose `metadata` is not a dict, and a file that is not JSON.
-Circuit JSON writes and reads the step as one list of op objects, each its
-`_KINDS` name plus its dataclass fields.
+`save_circuit` and `load_circuit` are the circuit file's one writer and one
+reader: the step as one list of op objects, each its `_KINDS` name plus its
+dataclass fields.
 
 Every gate is a 4x4 or 16x16 matrix on one site or two ascending sites,
 applied only inside a circuit. Fusion takes one input shape, op columns
@@ -371,49 +372,35 @@ def count_gates(circuit: Circuit) -> GateTally:
 
 
 _KINDS = {"rot": Rotation, "csum": Csum}
-_KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
-
-
-def _op_doc(op: GateOp) -> dict:
-    return {"kind": _KIND_NAMES[type(op)], **vars(op)}
-
-
-def _doc_op(entry: dict) -> GateOp:
-    fields = {**entry}  # a TypeError unless the entry is an object
-    return _KINDS[fields.pop("kind")](**fields)
-
-
-def circuit_to_json_dict(circuit: Circuit) -> dict:
-    """The step as "ops", one op object per gate op."""
-    doc = {"sites": circuit.site_count, "ops": list(map(_op_doc, circuit.step)),
-           "repeat": circuit.repeat}
-    if circuit.metadata:
-        doc["metadata"] = dict(circuit.metadata)
-    return doc
-
-
-def circuit_from_json_dict(doc: dict) -> Circuit:
-    """Inverse of `circuit_to_json_dict`. A missing key, an "ops" entry that
-    is not an op object, an unknown op kind or a missing, unknown or mistyped
-    op field raises InvalidCircuit; an op's own check raises InvalidSubspace or
-    SiteOutOfRange."""
-    try:
-        ops = tuple(map(_doc_op, doc["ops"]))
-        return Circuit(doc["sites"], ops, doc.get("metadata", {}), doc["repeat"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
 
 
 def save_circuit(circuit: Circuit, path) -> None:
+    """Write the circuit document on one line: "sites", the step as "ops"
+    (each op its `_KINDS` name plus its fields), "repeat", and "metadata"
+    unless it is empty."""
+    kind = {cls: name for name, cls in _KINDS.items()}
+    doc = {"sites": circuit.site_count,
+           "ops": [{"kind": kind[type(op)], **vars(op)} for op in circuit.step],
+           "repeat": circuit.repeat}
+    if circuit.metadata:
+        doc["metadata"] = circuit.metadata
     # json.dumps without indent takes the C encoder; json.dump never does
     with open(path, "w") as fh:
-        fh.write(json.dumps(circuit_to_json_dict(circuit)))
+        fh.write(json.dumps(doc))
 
 
 def load_circuit(path) -> Circuit:
+    """Inverse of `save_circuit`. A file that is not JSON or not text, a
+    missing key, an "ops" entry that is not an op object, an unknown op
+    kind or a missing, unknown or mistyped op field raises InvalidCircuit;
+    an op's own check raises InvalidSubspace or SiteOutOfRange."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or bytes that are not text
+            ops = []
+            for entry in doc["ops"]:
+                fields = {**entry}  # a TypeError unless the entry is an object
+                ops.append(_KINDS[fields.pop("kind")](**fields))
+            return Circuit(doc["sites"], tuple(ops), doc.get("metadata", {}), doc["repeat"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidCircuit(f"malformed circuit document: {exc!r}") from None
-    return circuit_from_json_dict(doc)

@@ -15,7 +15,9 @@ nonzero per column, so c is a signed index map of register basis states:
 on a sector's basis, ``map_fermion`` scatters it into a dense image, and
 the acceptance check of the anticommutator table composes it pairwise.
 A ``Sector`` also gathers a block's entries (``Sector.gather``) and places
-a product state (``Sector.product_state``) on its basis.
+a product state (``Sector.product_state``) on its basis. ``token_levels`` is
+the one reader of occupation tokens, each level's token spelled from its
+(n_up, n_dn).
 
 Under this map the hopping term on a bond (a, b) splits into four
 mutually commuting Hermitian pieces carrying a Gt string over any sites
@@ -48,7 +50,7 @@ SPIN_UP = "up"
 SPIN_DOWN = "down"
 SPINS = (SPIN_UP, SPIN_DOWN)
 
-# occupation tokens accepted for initial states
+# the occupation tokens of initial states, one per level (`token_levels`)
 TOKENS = ("0", "u", "d", "ud")
 
 
@@ -284,26 +286,16 @@ def token_sector(tokens) -> Sector:
     return sector(len(tokens), int(n_up), int(n_dn))
 
 
-@lru_cache(maxsize=None)
-def level_of_token() -> dict:
-    """{token: qudit level} for the occupation tokens, each token spelled
-    from its level's (n_up, n_dn): 'u' per up, 'd' per down, else '0'."""
-    return {("u" * n_up + "d" * n_dn) or "0": level
-            for level, (n_up, n_dn) in enumerate(level_occupations())}
-
-
 def token_levels(tokens) -> list:
-    """The qudit level of each occupation token; ValueError for one not in TOKENS."""
+    """The qudit level of each occupation token, each level's token spelled
+    from its (n_up, n_dn): 'u' per up, 'd' per down, else '0'; ValueError
+    for any other token."""
+    level = {("u" * n_up + "d" * n_dn) or "0": k
+             for k, (n_up, n_dn) in enumerate(level_occupations())}
     for t in tokens:
-        if t not in TOKENS:
-            raise ValueError(f"unknown occupation token {t!r}; use 0/u/d/ud")
-    return [level_of_token()[t] for t in tokens]
-
-
-def parse_init_tokens(text: str) -> tuple:
-    tokens = tuple(t.strip() for t in text.split(","))
-    token_levels(tokens)  # refuses an unknown token
-    return tokens
+        if t not in level:
+            raise ValueError(f"unknown occupation token {t!r}; use {'/'.join(TOKENS)}")
+    return [level[t] for t in tokens]
 
 
 def product_index(tokens) -> int:

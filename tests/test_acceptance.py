@@ -5,6 +5,7 @@ The checks themselves live in the registry, which `ququart-hubbard validate`
 runs too. Entries that share a name become one test parametrized by case.
 """
 
+import dataclasses
 from itertools import groupby
 
 import numpy as np
@@ -49,6 +50,28 @@ def test_criterion_3_fails_when_a_hamiltonian_couples_sectors(monkeypatch):
     result = acceptance.spectrum_equivalence()
     assert not result.passed
     assert "sector leak 1.00e-09" in result.detail
+
+
+@pytest.mark.parametrize("plant", ["third coefficient 2e-10", "smaller coefficient x (1 + 1e-8)"])
+def test_criterion_4_fails_on_a_coefficient_off_its_closed_form(monkeypatch, plant):
+    # each plant moves one Schmidt coefficient past 1e-10 of (4|cos tau|,
+    # 4|sin tau|, 0, ...); a detail other than the reconstruction residual
+    # names it
+    osd = transpile.osd
+
+    def planted(u):
+        dec = osd(u)
+        coefficients = dec.coefficients.copy()
+        if plant.startswith("third"):
+            coefficients[2] = 2e-10
+        else:
+            coefficients[1] *= 1 + 1e-8
+        return dataclasses.replace(dec, coefficients=coefficients)
+
+    monkeypatch.setattr(transpile, "osd", planted)
+    result = acceptance.schmidt_structure()
+    assert not result.passed
+    assert any("residual" not in detail for detail in result.detail.split("; "))
 
 
 def test_criterion_2_fails_when_the_gt_string_is_dropped(monkeypatch):

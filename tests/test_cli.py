@@ -13,6 +13,7 @@ import pytest
 
 from ququart_hubbard import acceptance, cli, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
+from ququart_hubbard.errors import ConfigInvalid
 
 
 def run_cli(*argv):
@@ -92,6 +93,21 @@ def test_invalid_init_length_exits_one(tmp_path):
     code = run_cli("evolve", "--geometry", "chain:3", "--init", "u,d", "--out", str(out))
     assert code == 1
     assert not out.exists()
+
+
+def test_init_tokens_are_stripped_and_read_by_token_levels():
+    config = cli.RunConfig(geometry="chain:4", init="u, ud ,0,d")
+    assert config.require_init() == ("u", "ud", "0", "d")
+    with pytest.raises(ConfigInvalid, match="init: unknown occupation token 'x'; use 0/u/d/ud"):
+        cli.RunConfig(init="u,x").require_init()
+
+
+def test_pair_spins_take_the_spin_names_and_their_initials():
+    config = cli.RunConfig(pairs="1,1,u; 1,2,down;2,2,d;2,1,up")
+    assert config.parsed_pairs() == [(1, 1, "up"), (1, 2, "down"), (2, 2, "down"), (2, 1, "up")]
+    for spin in ("x", "Up", "dn", ""):
+        with pytest.raises(ConfigInvalid, match=f"pairs: unknown spin {spin!r}"):
+            cli.RunConfig(pairs=f"1,1,{spin}").parsed_pairs()
 
 
 def test_evolve_writes_population_csv(tmp_path):
@@ -279,7 +295,7 @@ def test_greens_refuses_spectral_from_one_time_point(tmp_path, capsys):
     code = run_cli("greens", "--geometry", "chain:2", "--init", "u,d", "--tmax", "0.01",
                    "--observables", "spectral", "--out", str(out))
     assert code == 1
-    assert "config error: t_max: spectral needs t_max >= dt" in capsys.readouterr().err
+    assert "config error: tmax: spectral needs tmax >= dt" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -448,9 +464,9 @@ def test_bad_beta_exits_one(tmp_path, capsys, beta):
         ("evolve", "--tau-stop", "-inf", "tau_stop"),
         ("evolve", "--tau-step", "inf", "tau_step"),
         ("greens", "--dt", "nan", "dt"),
-        ("greens", "--tmax", "inf", "t_max"),
+        ("greens", "--tmax", "inf", "tmax"),
     ],
-    ids=["eta", "J", "v", "tau_start", "tau_stop", "tau_step", "dt", "t_max"],
+    ids=["eta", "J", "v", "tau_start", "tau_stop", "tau_step", "dt", "tmax"],
 )
 def test_non_finite_value_exits_one(tmp_path, capsys, command, flag, value, field):
     out = tmp_path / "out"
@@ -555,6 +571,7 @@ def test_each_subcommand_mounts_the_fields_it_reads():
         for f in declared:
             [action] = [a for a in sub._actions if a.dest == f.name]
             [flag] = action.option_strings
+            assert flag == "--" + f.name.replace("_", "-")
             value = _non_default(f)
             argv = [command, flag, ",".join(value) if f.type is tuple else str(value)]
             args = cli.build_parser().parse_args(argv)
@@ -659,7 +676,7 @@ def test_evolve_default_taus_are_the_criterion_6_grid():
         ("greens", "--steps", "0", "steps: must be >= 1"),
         ("greens", "--eta", "0", "eta: must be > 0"),
         ("greens", "--dt", "-0.05", "dt: must be > 0"),
-        ("greens", "--tmax", "0", "t_max: must be > 0"),
+        ("greens", "--tmax", "0", "tmax: must be > 0"),
         ("evolve", "--tau-step", "-0.5", "tau_step: must be > 0"),
     ],
     ids=["steps", "eta", "dt", "tmax", "tau_step"],

@@ -501,14 +501,37 @@ def test_circuit_json_round_trip(tmp_path):
     assert np.array_equal(a, b)
 
 
+# the one document save_circuit writes for PINNED_CIRCUIT: the file format
+PINNED_CIRCUIT = Circuit(2, (Rotation(0, 0, 2, "x", 0.25), Csum(0, 1, adjoint=True)),
+                         {"label": "pin"}, 3)
+PINNED_DOCUMENT = (
+    '{"sites": 2, "ops": [{"kind": "rot", "site": 0, "j": 0, "k": 2, "axis": "x", '
+    '"phi": 0.25, "virtual": false}, {"kind": "csum", "control": 0, "target": 1, '
+    '"adjoint": true}], "repeat": 3, "metadata": {"label": "pin"}}'
+)
+
+
+def test_saved_circuit_document_is_pinned(tmp_path):
+    path = tmp_path / "circuit.json"
+    gates.save_circuit(PINNED_CIRCUIT, path)
+    assert path.read_bytes() == PINNED_DOCUMENT.encode()
+    assert gates.load_circuit(path) == PINNED_CIRCUIT
+
+
+def saved_document(circuit, path) -> dict:
+    """The document `save_circuit` writes for `circuit` at `path`, parsed."""
+    gates.save_circuit(circuit, path)
+    return json.loads(path.read_text())
+
+
 @pytest.mark.parametrize("repeat", [0, -1, 1.5, True, "3"])
 def test_circuit_and_load_reject_bad_repeat(tmp_path, repeat):
     step = (Csum(0, 1),)
     with pytest.raises(InvalidCircuit):
         Circuit(2, step, repeat=repeat)
-    doc = gates.circuit_to_json_dict(Circuit(2, step))
-    doc["repeat"] = repeat
     path = tmp_path / "circuit.json"
+    doc = saved_document(Circuit(2, step), path)
+    doc["repeat"] = repeat
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidCircuit):
         gates.load_circuit(path)
@@ -550,9 +573,9 @@ def test_mistyped_op_fields_raise_invalid_circuit(tmp_path, case):
     ops = (Rotation(0, 0, 2, "x", 0.1), Csum(0, 1))
     with pytest.raises(InvalidCircuit):
         replace(ops[index], **{name: value})
-    doc = gates.circuit_to_json_dict(Circuit(2, ops))
-    doc["ops"][index][name] = value
     path = tmp_path / "circuit.json"
+    doc = saved_document(Circuit(2, ops), path)
+    doc["ops"][index][name] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidCircuit):
         gates.load_circuit(path)
@@ -571,9 +594,9 @@ def test_load_circuit_refuses_a_file_that_is_not_json(tmp_path, data):
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
 def test_malformed_circuit_documents_raise_typed_errors(tmp_path, case):
     corrupt, error = MALFORMED_DOCUMENTS[case]
-    doc = gates.circuit_to_json_dict(Circuit(2, (Rotation(0, 0, 2, "x", 0.1), Csum(0, 1))))
-    corrupt(doc)
     path = tmp_path / "circuit.json"
+    doc = saved_document(Circuit(2, (Rotation(0, 0, 2, "x", 0.1), Csum(0, 1))), path)
+    corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(error):
         gates.load_circuit(path)

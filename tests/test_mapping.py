@@ -128,14 +128,12 @@ def test_number_operators_commute():
 
 
 def test_level_labels_bijective():
-    table = mapping.level_of_token()
-    assert sorted(table) == sorted(mapping.TOKENS)
-    assert sorted(table.values()) == [0, 1, 2, 3]
+    assert sorted(mapping.token_levels(mapping.TOKENS)) == [0, 1, 2, 3]
 
 
 def test_level_labels_from_number_operators():
     # derived from the diagonal of the mapped number operators at one site
-    assert mapping.level_of_token() == {"ud": 0, "u": 1, "d": 2, "0": 3}
+    assert mapping.token_levels(("ud", "u", "d", "0")) == [0, 1, 2, 3]
 
 
 def test_product_state_is_number_eigenstate():
@@ -388,6 +386,7 @@ def test_saved_hamiltonian_bytes_are_pinned(tmp_path, geometry):
 
 
 def test_init_token_parsing():
-    assert mapping.parse_init_tokens("u, ud ,0,d") == ("u", "ud", "0", "d")
-    with pytest.raises(ValueError):
-        mapping.parse_init_tokens("u,x")
+    assert mapping.token_levels(("u", "ud", "0", "d")) == [1, 0, 3, 2]
+    for token in ("x", " u", "U", "du", ""):
+        with pytest.raises(ValueError, match="unknown occupation token"):
+            mapping.token_levels(("u", token))

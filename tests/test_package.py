@@ -58,3 +58,37 @@ def test_no_module_keeps_a_name_it_never_reads():
                 if checked and name not in read:
                     dead.append(f"{path.relative_to(SRC)}:{stmt.lineno} {name}")
     assert dead == []
+
+
+def statement_reads(stmt) -> set:
+    """The names a statement reads: a loaded name, an attribute, an
+    imported name or a string constant (perfbench wraps functions by name)."""
+    reads = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            reads.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            reads.add(n.attr)
+        elif isinstance(n, ast.alias):
+            reads.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            reads.add(n.value)
+    return reads
+
+
+def test_every_top_level_definition_has_a_caller():
+    # a def or class that only tests read is package code kept alive by its
+    # tests; a read inside its own definition does not count
+    readers = {}  # name -> the (file, statement) pairs that read it
+    definitions = []
+    for path in sorted([*(SRC / "ququart_hubbard").rglob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")]):
+        for k, stmt in enumerate(ast.parse(path.read_text()).body):
+            for name in statement_reads(stmt):
+                readers.setdefault(name, set()).add((path, k))
+            if path.is_relative_to(SRC) and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path, k, stmt))
+    unread = [f"{path.relative_to(SRC)}:{stmt.lineno} {stmt.name}"
+              for path, k, stmt in definitions if not readers.get(stmt.name, set()) - {(path, k)}]
+    assert len(definitions) > 100
+    assert unread == []
