@@ -366,6 +366,9 @@ def main(argv=None) -> int:
         # the reader closed stdout: the interpreter's last flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # after its subclass BrokenPipeError: an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

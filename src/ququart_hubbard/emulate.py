@@ -5,7 +5,7 @@ register product state, run the Trotterized circuit, and read populations
 or two-point functions with the mapped operators. Every Trotter step
 conserves N_up and N_dn, so `population_grid` and `lesser_gf_circuit`
 run their grids in the start state's sector only (`gates.simulate_sector`
-from `Sector.product_state`): at half-filled chain(8) that is 4900 of
+from `mapping.token_state`): at half-filled chain(8) that is 4900 of
 65,536 register amplitudes. `lesser_gf_circuit` takes a list of (i, j, spin)
 components and propagates psi0 once and each distinct c_j psi0 once;
 c_i and c_j are the sectors' signed index maps (`Sector.fermion`),
@@ -89,8 +89,8 @@ def population_grid(
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
     exact = oracle.exact_populations(h_exact, tokens, taus)
     grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
-    sector = mapping.token_sector(tokens)
-    probs = np.abs(gates.simulate_sector(grid, sector, sector.product_state(tokens))) ** 2
+    sector, psi0 = mapping.token_state(tokens)
+    probs = np.abs(gates.simulate_sector(grid, sector, psi0)) ** 2
     pops = np.tensordot(probs, sector.occupations(), axes=1)  # (tau, site, (up, down))
     rows = []
     for k, tau in enumerate(taus):
@@ -121,8 +121,7 @@ def lesser_gf_circuit(geometry: LatticeGeometry, J: float, v: float, tokens, com
     if len(tokens) != geometry.site_count:
         raise StateSizeMismatch(f"{len(tokens)} tokens for {geometry.site_count} sites")
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
-    sector = mapping.token_sector(tokens)
-    psi0 = sector.product_state(tokens)
+    sector, psi0 = mapping.token_state(tokens)
     maps = [[sector.fermion(s, spin, "annihilate") for s in (i, j)] for i, j, spin in components]
     starts = {(j, spin): (remove_j.target, removed)  # the nonzero c_j psi0
               for (_, j, spin), (_, remove_j) in zip(components, maps)

@@ -14,10 +14,11 @@ nonzero per column, so c is a signed index map of register basis states:
 ``fermion_index_map`` is its one definition. ``Sector.fermion`` reads it
 on a sector's basis, ``map_fermion`` scatters it into a dense image, and
 the acceptance check of the anticommutator table composes it pairwise.
-A ``Sector`` also gathers a block's entries (``Sector.gather``) and places
-a product state (``Sector.product_state``) on its basis. ``token_levels`` is
-the one reader of occupation tokens, each level's token spelled from its
-(n_up, n_dn).
+``charges`` is the one table of each register state's (N_up, N_dn): a
+``Sector``'s basis and the charge classes of ``Sector.gather`` read it.
+``token_levels`` is the one reader of occupation tokens, each level's
+token spelled from its (n_up, n_dn), and ``token_state`` turns tokens into
+a start: its sector and its amplitudes there.
 
 Under this map the hopping term on a bond (a, b) splits into four
 mutually commuting Hermitian pieces carrying a Gt string over any sites
@@ -152,15 +153,19 @@ def level_occupations() -> tuple:
     return tuple((int(round(u)), int(round(d))) for u, d in zip(n_up, n_dn))
 
 
-def sector_labels(site_count: int) -> np.ndarray:
-    """N_up * (L + 1) + N_dn of every register basis state (first site's
-    level most significant), summed from the per-level occupations."""
-    n_up, n_dn = np.array(level_occupations()).T
-    per_level = n_up * (site_count + 1) + n_dn
-    labels = np.zeros(1, dtype=int)
+def charges(site_count: int) -> np.ndarray:
+    """(4^L, 2): (N_up, N_dn) of every register basis state (first site's
+    level most significant), summed from the per-level occupations;
+    ``charges(1)`` is the per-level table itself."""
+    charge = np.zeros((1, 2), dtype=int)
     for _ in range(site_count):
-        labels = (labels[:, None] + per_level).ravel()
-    return labels
+        charge = (charge[:, None] + np.array(level_occupations())).reshape(-1, 2)
+    return charge
+
+
+def sector_labels(site_count: int) -> np.ndarray:
+    """N_up * (L + 1) + N_dn of every register basis state."""
+    return charges(site_count) @ (site_count + 1, 1)
 
 
 class SectorFermion(NamedTuple):
@@ -186,9 +191,7 @@ def _charge_classes(k: int) -> tuple:
     (4^k, 4) table of the states of each state's (N_up, N_dn), padded with
     the state itself, its 0/1 mask of the padding, and the (4^k, 4^k) bool
     pattern of the entries between different charges."""
-    charge = np.zeros((1, 2), dtype=int)
-    for _ in range(k):
-        charge = (charge[:, None] + np.array(level_occupations())).reshape(-1, 2)
+    charge = charges(k)
     same = np.all(charge[:, None] == charge[None, :], axis=-1)
     cols = np.repeat(np.arange(len(same))[:, None], 4, axis=1)
     mask = np.zeros(cols.shape)
@@ -200,17 +203,14 @@ def _charge_classes(k: int) -> tuple:
 
 class Sector:
     """The register basis states with N_up up and N_dn down particles, as
-    their sorted register indices `basis` (from `sector_labels`): the
-    basis of a state vector that keeps only these amplitudes. Positions on
-    it are found only here: `gather`, `product_state` and `fermion`."""
+    their sorted register indices `basis` (the rows of `charges` equal to
+    the counts; none for counts out of range): the basis of a state vector
+    that keeps only these amplitudes. Positions on it are found only here
+    and in `token_state`: `gather` and `fermion`."""
 
     def __init__(self, site_count: int, n_up: int, n_dn: int):
         self.site_count, self.counts = site_count, (n_up, n_dn)
-        if 0 <= n_up <= site_count and 0 <= n_dn <= site_count:
-            label = n_up * (site_count + 1) + n_dn
-            self.basis = np.flatnonzero(sector_labels(site_count) == label)
-        else:
-            self.basis = np.zeros(0, dtype=np.intp)
+        self.basis = np.flatnonzero(np.all(charges(site_count) == (n_up, n_dn), axis=1))
         self._tables = {}  # sites -> (partners, entries, mask) of `gather`
 
     def _levels(self, site: int) -> np.ndarray:
@@ -220,7 +220,7 @@ class Sector:
     def occupations(self) -> np.ndarray:
         """(n, L, 2): (n_up, n_dn) of each site in each basis state."""
         levels = np.column_stack([self._levels(s) for s in range(self.site_count)])
-        return np.array(level_occupations())[levels]
+        return charges(1)[levels]
 
     def gather(self, sites: tuple, stack: np.ndarray) -> tuple:
         """(partners, entries, leak) of a (T, d, d) block stack on 0-based
@@ -250,23 +250,13 @@ class Sector:
         leak = float(np.max(np.abs(stack[..., off_charge]), initial=0.0))
         return partners, stack.reshape(len(stack), 1, -1)[..., entries] * mask, leak
 
-    def product_state(self, tokens) -> np.ndarray:
-        """The product state of occupation `tokens` on this basis, one 1.0
-        at its register index, without a 4^L vector; ValueError unless the
-        state lies in this sector."""
-        state = (self.basis == product_index(tokens)).astype(complex)
-        if len(tokens) != self.site_count or not state.any():
-            raise ValueError(f"{','.join(tokens)} is not in the {self.counts} sector of "
-                             f"{self.site_count} sites")
-        return state
-
     def fermion(self, site: int, spin: str, kind: str) -> SectorFermion:
         """c ("annihilate") or c^dag ("create") at 1-based `site` into its
         target sector: the basis states' `fermion_index_map` where nonzero."""
         dest, coefficient = fermion_index_map(self.basis, site, spin, kind, self.site_count)
         source = np.flatnonzero(coefficient)
         rows, cols = np.nonzero(local_fermion_factor(spin, kind))
-        occ = np.array(level_occupations())
+        occ = charges(1)
         n_up, n_dn = np.array(self.counts) + occ[rows[0]] - occ[cols[0]]
         target = sector(self.site_count, int(n_up), int(n_dn))
         return SectorFermion(target, source, np.searchsorted(target.basis, dest[source]),
@@ -279,11 +269,13 @@ def sector(site_count: int, n_up: int, n_dn: int) -> Sector:
     return Sector(site_count, n_up, n_dn)
 
 
-def token_sector(tokens) -> Sector:
-    """The `Sector` of the product state of occupation `tokens`."""
-    occ = np.array(level_occupations())
-    n_up, n_dn = occ[token_levels(tokens)].sum(axis=0)
-    return sector(len(tokens), int(n_up), int(n_dn))
+def token_state(tokens) -> tuple:
+    """(`Sector`, amplitudes) of the product state of occupation `tokens`:
+    its sector, and one 1.0 on it at `product_index(tokens)`, without a
+    4^L vector."""
+    n_up, n_dn = charges(1)[token_levels(tokens)].sum(axis=0)
+    start = sector(len(tokens), int(n_up), int(n_dn))
+    return start, (start.basis == product_index(tokens)).astype(complex)
 
 
 def token_levels(tokens) -> list:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import EmptySeries, SiteOutOfRange, StateSizeMismatch
 from .linalg import check_budget, dense_dim
-from .mapping import SPIN_DOWN, SPIN_UP, SPINS, LatticeGeometry
+from .mapping import SPIN_DOWN, SPIN_UP, SPINS, TOKENS, LatticeGeometry
 
 _TOKEN_BITS = {"0": "00", "u": "10", "d": "01", "ud": "11"}
 
@@ -100,7 +100,7 @@ def fock_index(tokens) -> int:
     ValueError naming the first token that is not 0/u/d/ud."""
     for t in tokens:
         if t not in _TOKEN_BITS:
-            raise ValueError(f"unknown occupation token {t!r}; use 0/u/d/ud")
+            raise ValueError(f"unknown occupation token {t!r}; use {'/'.join(TOKENS)}")
     return int("".join(_TOKEN_BITS[t] for t in tokens), 2)
 
 
@@ -112,12 +112,14 @@ def _site_count(h: np.ndarray) -> int:
     return L
 
 
-def _token_sites(h: np.ndarray, tokens) -> int:
-    """L of ``tokens``; StateSizeMismatch unless H is 4^L x 4^L on those L sites."""
+def _start(h: np.ndarray, tokens) -> tuple:
+    """(L, Fock index, sorted sector basis) of the product state ``tokens``;
+    StateSizeMismatch unless H is 4^L x 4^L on those L sites."""
     if _site_count(h) != len(tokens):
         raise StateSizeMismatch(f"{len(tokens)} tokens for a Hamiltonian of "
                                 f"dimension {h.shape[0]}")
-    return len(tokens)
+    start = fock_index(tokens)
+    return len(tokens), start, sector_basis(start, len(tokens))
 
 
 def sector_labels(site_count: int) -> np.ndarray:
@@ -152,9 +154,7 @@ def _sector_evolve(h: np.ndarray, basis: np.ndarray, index: int, times) -> np.nd
 def exact_populations(h: np.ndarray, tokens, times) -> dict:
     """{(site, spin): <N>(t) over times} from the product state ``tokens``,
     propagated in its (N_up, N_dn) sector."""
-    L = _token_sites(h, tokens)
-    start = fock_index(tokens)
-    basis = sector_basis(start, L)
+    L, start, basis = _start(h, tokens)
     probs = np.abs(_sector_evolve(h, basis, start, times)) ** 2
     return {(s, spin): occupation(s, spin, L)[basis] @ probs
             for s in range(1, L + 1) for spin in SPINS}
@@ -189,14 +189,13 @@ def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.nda
     sector into the second. Exactly zero when orbital j is empty. Sites and
     spin are checked (`_ladder`) before any eigh, as in `retarded_gf`.
     """
-    L = _token_sites(h, tokens)
+    L, start, source = _start(h, tokens)
     times = np.asarray(times, dtype=float)
-    start = fock_index(tokens)
     (target_i, sign_i), (target_j, sign_j) = (_ladder(s, spin, "annihilate", L) for s in (i, j))
     if sign_j[start] == 0.0:
         return np.zeros(len(times), dtype=complex)
     hole = int(target_j[start])  # c_j psi0 = sign_j[start] |hole>
-    source, removed = sector_basis(start, L), sector_basis(hole, L)
+    removed = sector_basis(hole, L)
     bra = sign_j[start] * _sector_evolve(h, removed, hole, times)
     ket = _sector_evolve(h, source, start, times)
     keep = sign_i[source] != 0.0  # c_i annihilates the rest
@@ -216,7 +215,8 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     L = _site_count(h)
     c_i, cdag_j = _ladder(i, spin, "annihilate", L), _ladder(j, spin, "create", L)
     evals, vecs = np.linalg.eigh(h)
-    weights = np.exp(-beta * (evals - evals.min()))  # no overflow in e^{-beta E}
+    with np.errstate(over="ignore"):  # a large beta sends -beta (E - E_min) to -inf: weight 0
+        weights = np.exp(-beta * (evals - evals.min()))
     c = vecs.conj().T @ _apply(c_i, vecs)
     cdag = vecs.conj().T @ _apply(cdag_j, vecs)
     amp = (weights[:, None] + weights[None, :]) * c * cdag.T / weights.sum()

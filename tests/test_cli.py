@@ -323,6 +323,17 @@ def test_resources_prints_comparison(capsys):
     assert "qubit_zigzag" not in out and "two-body gates per step" not in out
 
 
+@pytest.mark.parametrize("command, out", [("map", Path(os.devnull) / "x"), ("greens", None)],
+                         ids=["under-a-non-directory", "an-existing-file"])
+def test_an_unwritable_out_exits_one_with_one_error_line(tmp_path, capsys, command, out):
+    if out is None:
+        out = tmp_path / "taken"
+        out.write_text("")
+    assert main([command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
     # the reader of stdout is gone before the first byte: with a buffered

@@ -98,11 +98,13 @@ def test_lesser_gf_circuit_refuses_tokens_for_another_length(tokens):
         emulate.lesser_gf_circuit(mapping.chain(3), 1.0, 2.0, tokens, [(1, 1, "up")], [0.0, 0.5], 3)
 
 
-@pytest.mark.parametrize("tokens", [("u",), ("0", "0"), ("ud", "ud"), ("u", "ud", "u", "d"),
-                                    ("u", "d", "ud", "0", "u", "d", "ud")])
+@pytest.mark.parametrize("tokens", [("u", "ud", "u", "d"), ("u", "d", "ud", "0", "u", "d", "ud")]
+                         + [t for L in (1, 2, 3)
+                            for t in itertools.product(mapping.TOKENS, repeat=L)])
 def test_sector_start_is_the_product_state_on_its_sector(tokens):
-    sector = mapping.token_sector(tokens)
-    psi0 = sector.product_state(tokens)
+    sector, psi0 = mapping.token_state(tokens)
+    counts = (sum("u" in t for t in tokens), sum("d" in t for t in tokens))
+    assert sector is mapping.sector(len(tokens), *counts)
     assert np.array_equal(psi0, mapping.product_state(tokens)[sector.basis])
 
 
@@ -173,7 +175,7 @@ def full_register_states(geometry, v, tokens, taus, steps):
 
 def assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps):
     grid, full = full_register_states(geometry, v, tokens, taus, steps)
-    sector = mapping.token_sector(tokens)
+    sector = mapping.token_state(tokens)[0]
     runs = gates.simulate_sector(grid, sector, mapping.product_state(tokens)[sector.basis])
     assert np.max(np.abs(runs - full[:, sector.basis])) <= 1e-12
     assert np.max(np.abs(np.delete(full, sector.basis, axis=1))) <= 1e-12
@@ -206,7 +208,7 @@ def test_sector_lane_matches_full_register_on_small_chains(sites, tokens):
 def test_sector_lane_matches_full_register_on_half_filled_chain8():
     # past the oracle's dense budget: the states only, not `population_grid`
     tokens = ("u", "d", "ud", "0", "0", "ud", "d", "u")
-    assert len(mapping.token_sector(tokens).basis) == 4900
+    assert len(mapping.token_state(tokens)[0].basis) == 4900
     assert_sector_lane_matches_full_register(mapping.chain(8), 2.0, tokens, [0.0, 0.6, 1.4], 2)
 
 
@@ -297,16 +299,16 @@ def test_lesser_gf_refuses_a_bad_last_component_before_any_propagation(monkeypat
     lambda tokens: emulate.population_grid(mapping.chain(2), 1.0, 2.0, tokens, [0.0], 3),
     lambda tokens: emulate.lesser_gf_circuit(mapping.chain(2), 1.0, 2.0, tokens, [(1, 1, "up")],
                                              [0.0], 3),
-    mapping.token_sector,
+    mapping.token_state,
     mapping.product_index,
-], ids=["population_grid", "lesser_gf_circuit", "token_sector", "product_index"])
+], ids=["population_grid", "lesser_gf_circuit", "token_state", "product_index"])
 def test_an_unknown_occupation_token_is_refused_by_name(run):
     with pytest.raises(ValueError, match="unknown occupation token 'x'; use 0/u/d/ud"):
         run(("u", "x"))
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
-def test_sector_fermion_maps_equal_apply_fermion(sites):
+def test_sector_fermion_maps_equal_the_kronecker_strings(sites):
     # every sector, every (site, spin, kind), on every basis state at once,
     # bit for bit the Kronecker string applied to the sector's basis columns
     for site, spin, kind in itertools.product(range(1, sites + 1), mapping.SPINS,

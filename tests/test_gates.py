@@ -664,7 +664,7 @@ def test_simulate_rejects_a_state_of_the_wrong_size():
 # --- grid simulation in a sector ------------------------------------------
 
 
-GREENS_SECTOR = mapping.token_sector(("u", "ud", "u", "d"))
+GREENS_SECTOR = mapping.token_state(("u", "ud", "u", "d"))[0]
 
 
 def greens_grid_circuits(steps=30):

@@ -309,11 +309,17 @@ def test_sector_gather_scatters_back_to_the_register_block(sites):
     assert mapping.sector(3, 1, 2).gather(sites, planted)[2] == abs(0.25 - 0.5j)
 
 
-def test_sector_product_state_refuses_tokens_of_another_sector():
-    sector = mapping.token_sector(("u", "d", "0"))
-    for tokens in (("u", "u", "0"), ("u", "d"), ("u", "d", "0", "0")):
-        with pytest.raises(ValueError, match="is not in the"):
-            sector.product_state(tokens)
+@pytest.mark.parametrize("L", range(1, 7))
+def test_sector_basis_is_the_label_class_of_its_counts(L):
+    # out-of-range counts have an empty basis even where their label would
+    # alias an in-range one: for L = 2, (-1, 3) and (0, 0) both have label 0
+    for n_up, n_dn in itertools.product(range(-1, L + 2), repeat=2):
+        basis = mapping.Sector(L, n_up, n_dn).basis
+        if 0 <= n_up <= L and 0 <= n_dn <= L:
+            label = n_up * (L + 1) + n_dn
+            assert np.array_equal(basis, np.flatnonzero(mapping.sector_labels(L) == label))
+        else:
+            assert basis.size == 0
 
 
 # --- serialization ----------------------------------------------------------

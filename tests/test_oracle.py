@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -395,6 +396,17 @@ def test_retarded_series_refuses_a_site_count_other_than_the_hamiltonians(
     with pytest.raises(StateSizeMismatch, match=f"site_count {site_count} for a Hamiltonian "
                                                 "on 2 sites"):
         oracle.retarded_series(h, 1.0, 1, 1, "up", [0.0, 1.0], site_count)
+
+
+def test_retarded_gf_takes_a_large_finite_beta_as_its_zero_temperature_limit():
+    # e^{-beta (E - E_min)} overflows its exponent to -inf, whose exp is the
+    # limit 0; beta = 1e4 already gives those weights exactly
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    times = np.linspace(0.0, 3.0, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cold = oracle.retarded_gf(h, 1e308, 1, 1, "up", times)
+    assert np.array_equal(cold, oracle.retarded_gf(h, 1e4, 1, 1, "up", times))
 
 
 def test_retarded_gf_zero_before_start():

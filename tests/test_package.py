@@ -1,8 +1,11 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from ququart_hubbard import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -21,6 +24,15 @@ def test_package_import_loads_no_scipy():
     code = "import sys, ququart_hubbard.cli; sys.exit('scipy' in sys.modules)"
     result = run_python(code, SRC)
     assert result.returncode == 0, result.stderr or "scipy was imported"
+
+
+def test_console_script_runs_the_cli_main():
+    # the installed `ququart-hubbard` command calls the [project.scripts] target
+    import tomllib  # Python 3.11+
+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["ququart-hubbard"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_traced_benchmark_finds_every_call_boundary():
