@@ -21,6 +21,10 @@ class StateSizeMismatch(QuquartError, ValueError):
     """A state's amplitude count is not 4^L for the register it is run on."""
 
 
+class SectorCoupling(QuquartError):
+    """A Hamiltonian has a nonzero entry between two (N_up, N_dn) sectors."""
+
+
 class DimensionTooLarge(QuquartError):
     """Dense construction requested above the supported Hilbert dimension."""
 

@@ -18,9 +18,10 @@ H conserves N_up and N_dn, so a pure state is propagated only in its
 the block of H on them. ``exact_populations`` evolves the initial product
 state in its sector, and ``lesser_gf`` evolves psi0 and c_j psi0 in theirs,
 mapping c_i between the two with the signed index maps and
-``np.searchsorted``. The thermal Green's function keeps one full-space
-eigendecomposition for its Lehmann sums. Every circuit-lane result is
-validated against this module.
+``np.searchsorted``. The thermal Green's function sums its Lehmann terms
+over pairs of sector blocks, one real eigendecomposition per sector, and
+holds one (4^L, T) phase table. Every circuit-lane result is validated
+against this module.
 """
 
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, SiteOutOfRange, StateSizeMismatch
+from .errors import EmptySeries, SectorCoupling, SiteOutOfRange, StateSizeMismatch
 from .linalg import check_budget, dense_dim
 from .mapping import SPIN_DOWN, SPIN_UP, SPINS, TOKENS, LatticeGeometry
 
@@ -62,14 +63,6 @@ def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
     allowed = occupied if kind == "annihilate" else 1 - occupied
     sign = allowed * (-1.0) ** np.bitwise_count(idx >> (bit + 1))
     return idx ^ (1 << bit), sign
-
-
-def _apply(op: tuple, psi: np.ndarray) -> np.ndarray:
-    """Index map applied to a state or to the columns of a (dim, k) array."""
-    target, sign = op
-    out = np.empty_like(psi)
-    out[target] = (psi.T * sign).T
-    return out
 
 
 def occupation(site: int, spin: str, site_count: int) -> np.ndarray:
@@ -204,26 +197,60 @@ def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.nda
     return 1j * np.sum(bra[rows].conj() * c_ket, axis=0)
 
 
+def _restricted(op: tuple, source: np.ndarray, vecs: np.ndarray, target: np.ndarray,
+                target_vecs: np.ndarray) -> np.ndarray:
+    """<n|op|m> for eigenvectors m (``vecs``) of the sorted sector ``source``
+    and n (``target_vecs``) of the sorted sector ``target`` it maps into."""
+    to, sign = op
+    keep = sign[source] != 0.0
+    rows = np.searchsorted(target, to[source[keep]])
+    return (target_vecs[rows].T * sign[source[keep]]) @ vecs[keep]
+
+
 def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) -> np.ndarray:
     """Thermal G^R_{ij}(t) = -i theta(t) <{c_i(t), c^dag_j(0)}>_beta.
 
-    theta(0) = 0.5; t < 0 samples are zero. Uses the Lehmann form in the
-    eigenbasis, sum_nm A_nm e^{i (E_n - E_m) t}, evaluated as
-    sum_n conj(Q_n) (A Q)_n over the (dim, T) phase matrix Q = e^{-i E t}.
-    An H that is not 4^L x 4^L raises StateSizeMismatch before any eigh.
+    theta(0) = 0.5; t < 0 samples are zero. Uses the Lehmann form
+    sum_nm (w_n + w_m) <n|c_i|m> <m|c^dag_j|n> e^{i (E_n - E_m) t} / Z, with
+    one real eigh per (N_up, N_dn) sector block and global E_min and Z. The
+    only nonzero terms have m in a sector S and n in S' with one ``spin``
+    particle fewer; each such pair adds sum_n conj(Q_n) (A Q)_n, with A its
+    amplitude block and Q = e^{-i E t} read from one (4^L, T) phase table.
+    An H that is not 4^L x 4^L raises StateSizeMismatch, and one with an
+    entry between two sectors SectorCoupling, both before any eigh.
     """
     L = _site_count(h)
     c_i, cdag_j = _ladder(i, spin, "annihilate", L), _ladder(j, spin, "create", L)
-    evals, vecs = np.linalg.eigh(h)
+    labels = sector_labels(L)
+    ends = np.cumsum(np.bincount(labels))[:-1]
+    bases = np.split(np.argsort(labels, kind="stable"), ends)  # each one sorted
+    if np.count_nonzero(h) != sum(np.count_nonzero(h[np.ix_(b, b)]) for b in bases):
+        raise SectorCoupling("retarded_gf needs an H with no entry between two "
+                             "(N_up, N_dn) sectors")
+    evals, vecs = zip(*(np.linalg.eigh(h[np.ix_(b, b)]) for b in bases))
+    energies = np.concatenate(evals)
+    gap = energies - energies.min()
+    # eigh splits a degenerate ground level by rounding (chain(4)'s two
+    # sectors by 8e-15); as one level, beta -> inf averages over all of it
+    gap[gap <= 1e-12 * np.abs(energies).max()] = 0.0
     with np.errstate(over="ignore"):  # a large beta sends -beta (E - E_min) to -inf: weight 0
-        weights = np.exp(-beta * (evals - evals.min()))
-    c = vecs.conj().T @ _apply(c_i, vecs)
-    cdag = vecs.conj().T @ _apply(cdag_j, vecs)
-    amp = (weights[:, None] + weights[None, :]) * c * cdag.T / weights.sum()
+        weights = np.exp(-beta * gap)
+    w = np.split(weights, ends)
     times = np.asarray(times, dtype=float)
+    q = np.outer(energies, -1j * times)
+    q = np.split(np.exp(q, out=q), ends)
+    axis = SPINS.index(spin)  # a label is N_up (L + 1) + N_dn
+    total = np.zeros(len(times), dtype=complex)
+    for s in range(len(bases)):
+        if divmod(s, L + 1)[axis] == 0:
+            continue  # no ``spin`` particle for c_i to remove
+        r = s - (L + 1, 1)[axis]
+        c = _restricted(c_i, bases[s], vecs[s], bases[r], vecs[r])
+        cdag = _restricted(cdag_j, bases[r], vecs[r], bases[s], vecs[s])
+        amp = (w[r][:, None] + w[s][None, :]) * c * cdag.T
+        total += np.sum(q[r].conj() * (amp @ q[s]), axis=0)
     theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
-    q = np.exp(-1j * np.outer(evals, times))
-    return -1j * theta * np.sum(q.conj() * (amp @ q), axis=0)
+    return -1j * theta * total / weights.sum()
 
 
 def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) -> GreensSeries:
@@ -253,7 +280,7 @@ def uniform_grid(start: float, stop: float, step: float, rows: int = 1) -> np.nd
     a grid point counts as reaching it. ValueError unless start <= stop are
     finite and step is finite and positive. Raises DimensionTooLarge,
     before any allocation, when one complex (rows, T) array over the grid
-    would exceed the dense budget (`retarded_gf` holds three with rows = 4^L)."""
+    would exceed the dense budget (`retarded_gf` holds one with rows = 4^L)."""
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and start <= stop):
         raise ValueError(f"time grid: need finite start <= stop, step > 0; got {start, stop, step}")
     # a span that overflows to inf is refused by the budget, not by int()
@@ -282,11 +309,19 @@ def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     weights[-1] *= 0.5
     if series.kind != "retarded":
         weights[0] *= 0.5
-    damped = series.values * np.exp(-eta * times) * weights
-    # uniform grid: e^{i w t_k} = e^{i w t_0} z^k with z = e^{i w dt}
+    # uniform grid: e^{i w t_k} = e^{i w t_0} z^k with z = e^{i w dt}. The
+    # sum over k runs in rows of 32 terms: one product with z^0 .. z^31 for
+    # every row, then Horner's rule in z^32 over the rows
+    width = 32
+    damped = np.zeros(-(-len(times) // width) * width, dtype=complex)
+    damped[:len(times)] = series.values * np.exp(-eta * times) * weights
     omegas = np.asarray(omegas, dtype=float)
     z = np.exp(1j * omegas * dt)
-    return np.exp(1j * omegas * times[0]) * np.polynomial.polynomial.polyval(z, damped)
+    powers = np.cumprod([np.ones_like(z)] + [z] * width, axis=0)  # z^0 .. z^width
+    *rows, total = np.tensordot(damped.reshape(-1, width), powers[:-1], axes=1)
+    for row in reversed(rows):
+        total = total * powers[-1] + row
+    return np.exp(1j * omegas * times[0]) * total
 
 
 def spectral(series: GreensSeries, eta: float, omegas) -> np.ndarray:

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from ququart_hubbard import mapping, oracle
 from ququart_hubbard.errors import (
-    DimensionTooLarge, EmptySeries, SiteOutOfRange, StateSizeMismatch,
+    DimensionTooLarge, EmptySeries, SectorCoupling, SiteOutOfRange, StateSizeMismatch,
 )
 from ququart_hubbard.oracle import GreensSeries
 
@@ -400,13 +400,16 @@ def test_retarded_series_refuses_a_site_count_other_than_the_hamiltonians(
 
 def test_retarded_gf_takes_a_large_finite_beta_as_its_zero_temperature_limit():
     # e^{-beta (E - E_min)} overflows its exponent to -inf, whose exp is the
-    # limit 0; beta = 1e4 already gives those weights exactly
-    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    # limit 0; beta = 1e4 already gives those weights exactly. chain(4)'s
+    # two ground states, in sectors (1, 2) and (2, 1), once came out of eigh
+    # 2.7e-15 apart, so beta = 1e308 weighed only one of them
     times = np.linspace(0.0, 3.0, 7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cold = oracle.retarded_gf(h, 1e308, 1, 1, "up", times)
-    assert np.array_equal(cold, oracle.retarded_gf(h, 1e4, 1, 1, "up", times))
+    for sites in (2, 4):
+        h = oracle.fermionic_hamiltonian(mapping.chain(sites), 1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold = oracle.retarded_gf(h, 1e308, 1, 1, "up", times)
+        assert np.array_equal(cold, oracle.retarded_gf(h, 1e4, 1, 1, "up", times))
 
 
 def test_retarded_gf_zero_before_start():
@@ -423,10 +426,14 @@ def test_retarded_gf_half_weight_at_origin():
 
 
 def lehmann_retarded(h, beta, i, j, spin, times):
-    """Double sum over eigenpairs (n, m) with dense Kronecker-string operators."""
+    """Double sum over eigenpairs (n, m) with dense Kronecker-string operators.
+    Levels within rounding of the lowest one weigh as much as it does."""
     L = int(round(np.log(h.shape[0]) / np.log(4)))
     evals, evecs = np.linalg.eigh(h)
-    weights = np.exp(-beta * (evals - evals.min()))
+    gap = evals - evals.min()
+    gap[gap <= 1e-12 * np.abs(evals).max()] = 0.0
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * gap)
     c = evecs.conj().T @ kron_operator(i, spin, "annihilate", L) @ evecs
     cdag = evecs.conj().T @ kron_operator(j, spin, "create", L) @ evecs
     amp = (weights[:, None] + weights[None, :]) * c * cdag.T / weights.sum()
@@ -436,13 +443,46 @@ def lehmann_retarded(h, beta, i, j, spin, times):
     return -1j * theta * (np.exp(1j * np.outer(times, freq.ravel())) @ amp.ravel())
 
 
-@pytest.mark.parametrize("sites", [2, 3])
-def test_retarded_gf_matches_double_lehmann_sum(sites):
-    h = oracle.fermionic_hamiltonian(mapping.chain(sites), 1.0, 2.0)
-    times = np.linspace(-1.0, 12.0, 53)
-    for i, j, spin, beta in ((1, 1, "up", 1.0), (1, sites, "down", 0.3), (sites, 1, "up", 0.0)):
-        ours = oracle.retarded_gf(h, beta, i, j, spin, times)
-        assert np.max(np.abs(ours - lehmann_retarded(h, beta, i, j, spin, times))) <= 1e-12
+@pytest.mark.parametrize("geometry", [pytest.param(mapping.chain(n), id=str(n)) for n in (2, 3, 4)]
+                         + [pytest.param(mapping.ladder(2, 2), id="ladder(2,2)")])
+def test_retarded_gf_matches_double_lehmann_sum(geometry):
+    # the ladder's rungs join sites 1-3 and 2-4, so its hopping passes over
+    # the modes of the site between them
+    L = geometry.site_count
+    h = oracle.fermionic_hamiltonian(geometry, 1.0, 2.0)
+    times = np.linspace(-1.0, 12.0, 53)  # holds t < 0, t = 0 and t > 0
+    for beta in (0.0, 1.0, 1e308):
+        for i, j, spin in ((1, 1, "up"), (1, L, "down"), (L, 1, "up"), (2, 1, "down")):
+            ours = oracle.retarded_gf(h, beta, i, j, spin, times)
+            ref = lehmann_retarded(h, beta, i, j, spin, times)
+            assert np.max(np.abs(ours - ref)) <= 1e-12, (beta, i, j, spin)
+
+
+def test_retarded_gf_holds_one_phase_table():
+    # the full-space form held four complex (4^L, T) arrays: 85.6 MiB here
+    h = oracle.fermionic_hamiltonian(mapping.chain(5), 1.0, 2.0)
+    times = np.arange(801) * 0.05
+    tracemalloc.start()
+    try:
+        oracle.retarded_gf(h, 1.0, 3, 3, "down", times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4**5 * len(times) * 16
+
+
+def test_retarded_gf_refuses_a_hamiltonian_that_couples_sectors_before_any_eigh(monkeypatch):
+    # the sector sums never read an entry between two sectors, so such an H
+    # would give wrong numbers silently
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    h[0, 1] = h[1, 0] = 1e-9  # levels 0 and 1 of the last site differ in N_dn
+
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(SectorCoupling, match="no entry between two"):
+        oracle.retarded_gf(h, 1.0, 1, 1, "up", [0.0, 1.0])
 
 
 def test_retarded_gf_on_five_sites():
