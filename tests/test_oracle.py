@@ -459,7 +459,7 @@ def test_retarded_gf_matches_double_lehmann_sum(geometry):
 
 
 def test_retarded_gf_holds_one_phase_table():
-    # the full-space form held four complex (4^L, T) arrays: 85.6 MiB here
+    # one complex (4^5, 801) phase table is 12.5 MiB; all else is sector-sized
     h = oracle.fermionic_hamiltonian(mapping.chain(5), 1.0, 2.0)
     times = np.arange(801) * 0.05
     tracemalloc.start()
