@@ -2,26 +2,26 @@
 
 This is an independent implementation route. Configurations are numbered
 by the bit string (n_up1, n_dn1, n_up2, ...), first mode most significant.
-c or c^dag on one mode is a signed map of basis indices: it flips that
-bit with sign (-1)^(occupied modes preceding it), or annihilates the
-state. The Hamiltonian
+c or c^dag on one mode is a signed map applied to given basis indices:
+it flips that bit with sign (-1)^(occupied modes preceding it), or
+annihilates the state. The Hamiltonian
 
     H = -J sum_bonds sum_spin (c^dag_a c_b + h.c.) + v sum_m N_up N_dn
 
-is scattered from those maps with no matrix products. J, v and every
-sign are real, so H is a float64 matrix and its eigendecomposition is a
-real one. One eigendecomposition evolves a state over a whole time grid.
+is scattered from those maps, applied to all 4^L indices, with no matrix
+products. J, v and every sign are real, so H is a float64 matrix and its
+eigendecomposition is a real one. One eigendecomposition evolves a state
+over a whole time grid.
 
-H conserves N_up and N_dn, so a pure state is propagated only in its
-(N_up, N_dn) sector: the sorted basis indices sharing its spin counts
-(``sector_basis``; Weisse & Fehske, Lect. Notes Phys. 739 (2008)), with
-the block of H on them. ``exact_populations`` evolves the initial product
-state in its sector, and ``lesser_gf`` evolves psi0 and c_j psi0 in theirs,
-mapping c_i between the two with the signed index maps and
-``np.searchsorted``. The thermal Green's function sums its Lehmann terms
-over pairs of sector blocks, one real eigendecomposition per sector, and
-holds one (4^L, T) phase table. Every circuit-lane result is validated
-against this module.
+H conserves N_up and N_dn, so a pure state is propagated only under the
+block of H on its (N_up, N_dn) sector, the sorted basis indices sharing
+its spin counts (Weisse & Fehske, Lect. Notes Phys. 739 (2008)); an H
+coupling that sector to another is refused. ``lesser_gf`` evolves psi0
+and c_j psi0 in their sectors, applies c_i to the first sector's basis
+and finds the targets in the second with ``np.searchsorted``. The
+thermal Green's function sums its Lehmann terms over pairs of sector
+blocks, one real eigendecomposition per sector, and holds one (4^L, T)
+phase table. Every circuit-lane result is validated against this module.
 """
 
 import math
@@ -43,31 +43,27 @@ def mode_index(site: int, spin: str) -> int:
     return 2 * (site - 1) + SPINS.index(spin)
 
 
-def _mode_bits(site: int, spin: str, site_count: int) -> tuple:
-    """(every basis index, the bit of mode (site, spin) in an index, that bit
-    of every index); SiteOutOfRange for a site outside 1..L."""
+def _bit(site: int, spin: str, site_count: int) -> int:
+    """Bit of mode (site, spin) in a basis index; SiteOutOfRange off 1..L."""
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    idx, bit = np.arange(4**site_count), 2 * site_count - 1 - mode_index(site, spin)
-    return idx, bit, (idx >> bit) & 1
+    return 2 * site_count - 1 - mode_index(site, spin)
 
 
-def _ladder(site: int, spin: str, kind: str, site_count: int) -> tuple:
-    """c ("annihilate") or c^dag ("create") as a signed map of basis indices.
-
-    The operator sends basis state idx to sign[idx] * |target[idx]>; sign is
-    0 where it annihilates the state. target is a bijection, so a product
-    A B composes by indexing: (t_a[t_b], s_a[t_b] * s_b).
-    """
-    idx, bit, occupied = _mode_bits(site, spin, site_count)
+def _ladder(indices, site: int, spin: str, kind: str, site_count: int) -> tuple:
+    """c ("annihilate") or c^dag ("create") on the basis states ``indices``
+    (an array or one int) as (target, sign): |idx> -> sign |target>, sign 0
+    where it annihilates the state. A B is (t_a, s_a * s_b), (t_a, s_a) = A(t_b)."""
+    bit = _bit(site, spin, site_count)
+    occupied = (indices >> bit) & 1
     allowed = occupied if kind == "annihilate" else 1 - occupied
-    sign = allowed * (-1.0) ** np.bitwise_count(idx >> (bit + 1))
-    return idx ^ (1 << bit), sign
+    sign = allowed * (-1.0) ** np.bitwise_count(indices >> (bit + 1))
+    return indices ^ (1 << bit), sign
 
 
 def occupation(site: int, spin: str, site_count: int) -> np.ndarray:
     """Diagonal of the number operator N_{site,spin} (0.0 or 1.0 per basis state)."""
-    return _mode_bits(site, spin, site_count)[2].astype(float)
+    return ((np.arange(4**site_count) >> _bit(site, spin, site_count)) & 1).astype(float)
 
 
 def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.ndarray:
@@ -78,9 +74,9 @@ def fermionic_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> np.n
     h = np.zeros((dim, dim))
     for a, b in geometry.bonds:
         for spin in SPINS:
-            t_a, s_a = _ladder(a, spin, "create", L)
-            t_b, s_b = _ladder(b, spin, "annihilate", L)
-            rows, amp = t_a[t_b], s_a[t_b] * s_b  # c^dag_a c_b
+            t_b, s_b = _ladder(cols, b, spin, "annihilate", L)
+            rows, s_a = _ladder(t_b, a, spin, "create", L)  # c^dag_a c_b
+            amp = s_a * s_b
             h[rows, cols] -= J * amp
             h[cols, rows] -= J * amp
     for m in range(1, L + 1):
@@ -106,13 +102,12 @@ def _site_count(h: np.ndarray) -> int:
 
 
 def _start(h: np.ndarray, tokens) -> tuple:
-    """(L, Fock index, sorted sector basis) of the product state ``tokens``;
-    StateSizeMismatch unless H is 4^L x 4^L on those L sites."""
+    """(L, Fock index) of the product state ``tokens``; StateSizeMismatch
+    unless H is 4^L x 4^L on those L sites."""
     if _site_count(h) != len(tokens):
         raise StateSizeMismatch(f"{len(tokens)} tokens for a Hamiltonian of "
                                 f"dimension {h.shape[0]}")
-    start = fock_index(tokens)
-    return len(tokens), start, sector_basis(start, len(tokens))
+    return len(tokens), fock_index(tokens)
 
 
 def sector_labels(site_count: int) -> np.ndarray:
@@ -124,32 +119,37 @@ def sector_labels(site_count: int) -> np.ndarray:
     return n_up.astype(int) * (site_count + 1) + n_dn
 
 
-def sector_basis(index: int, site_count: int) -> np.ndarray:
-    """Sorted basis indices with the same (N_up, N_dn) as basis state ``index``."""
-    labels = sector_labels(site_count)
-    return np.flatnonzero(labels == labels[index])
+def _block(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The block of the symmetric H on the sorted sector ``basis``;
+    SectorCoupling if a row of it has an entry (NaN too) in another sector."""
+    block = h[np.ix_(basis, basis)]
+    if np.count_nonzero(h[basis]) != np.count_nonzero(block):  # rows: a contiguous gather
+        raise SectorCoupling("H must have no entry between two (N_up, N_dn) sectors")
+    return block
 
 
-def _sector_evolve(h: np.ndarray, basis: np.ndarray, index: int, times) -> np.ndarray:
-    """(len(basis), T) amplitudes of e^{-i H t} |index> on the sorted sector
-    ``basis`` that holds ``index``, from one eigendecomposition of the block
-    of H on that sector (real for a real H). Columns with t = 0 are |index>
-    itself, bit for bit."""
+def _sector_evolve(h: np.ndarray, index: int, times) -> tuple:
+    """(basis, amplitudes): the sorted (N_up, N_dn) sector holding ``index``
+    and e^{-i H t} |index> on it, (len(basis), T), from one eigh of H's block
+    there (real for a real H). Columns with t = 0 are |index>, bit for bit."""
+    labels = sector_labels(_site_count(h))
+    basis = np.flatnonzero(labels == labels[index])
     state = np.zeros(len(basis), dtype=complex)
     state[np.searchsorted(basis, index)] = 1.0
     times = np.asarray(times, dtype=float)
-    evals, evecs = np.linalg.eigh(h[np.ix_(basis, basis)])
+    evals, evecs = np.linalg.eigh(_block(h, basis))
     out = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.conj().T @ state)[:, None])
     out[:, times == 0.0] = state[:, None]
-    return out
+    return basis, out
 
 
 def exact_populations(h: np.ndarray, tokens, times) -> dict:
     """{(site, spin): <N>(t) over times} from the product state ``tokens``,
     propagated in its (N_up, N_dn) sector."""
-    L, start, basis = _start(h, tokens)
-    probs = np.abs(_sector_evolve(h, basis, start, times)) ** 2
-    return {(s, spin): occupation(s, spin, L)[basis] @ probs
+    L, start = _start(h, tokens)
+    basis, amplitudes = _sector_evolve(h, start, times)
+    probs = np.abs(amplitudes) ** 2
+    return {(s, spin): ((basis >> _bit(s, spin, L)) & 1).astype(float) @ probs
             for s in range(1, L + 1) for spin in SPINS}
 
 
@@ -178,33 +178,32 @@ def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.nda
 
     Evaluated as i <U(t) c_j psi0 | c_i U(t) psi0>. psi0 is propagated in
     its (N_up, N_dn) sector and c_j psi0 in the sector with one fewer
-    ``spin`` particle, each over the whole grid at once; c_i maps the first
-    sector into the second. Exactly zero when orbital j is empty. Sites and
-    spin are checked (`_ladder`) before any eigh, as in `retarded_gf`.
+    ``spin`` particle, each over the whole grid at once; c_i is applied to
+    the first sector's basis. Exactly zero when orbital j is empty. Sites
+    and spin are checked (`_bit`) before any eigh, as in `retarded_gf`.
     """
-    L, start, source = _start(h, tokens)
-    times = np.asarray(times, dtype=float)
-    (target_i, sign_i), (target_j, sign_j) = (_ladder(s, spin, "annihilate", L) for s in (i, j))
-    if sign_j[start] == 0.0:
+    L, start = _start(h, tokens)
+    _bit(i, spin, L)
+    hole, sign_j = _ladder(start, j, spin, "annihilate", L)  # c_j psi0 = sign_j |hole>
+    if sign_j == 0.0:
         return np.zeros(len(times), dtype=complex)
-    hole = int(target_j[start])  # c_j psi0 = sign_j[start] |hole>
-    removed = sector_basis(hole, L)
-    bra = sign_j[start] * _sector_evolve(h, removed, hole, times)
-    ket = _sector_evolve(h, source, start, times)
-    keep = sign_i[source] != 0.0  # c_i annihilates the rest
-    rows = np.searchsorted(removed, target_i[source[keep]])
-    c_ket = sign_i[source[keep], None] * ket[keep]
-    return 1j * np.sum(bra[rows].conj() * c_ket, axis=0)
+    removed, bra = _sector_evolve(h, hole, times)
+    source, ket = _sector_evolve(h, start, times)
+    target_i, sign_i = _ladder(source, i, spin, "annihilate", L)
+    keep = sign_i != 0.0  # c_i annihilates the rest
+    rows = np.searchsorted(removed, target_i[keep])
+    c_ket = sign_i[keep, None] * ket[keep]
+    return 1j * np.sum((sign_j * bra)[rows].conj() * c_ket, axis=0)
 
 
-def _restricted(op: tuple, source: np.ndarray, vecs: np.ndarray, target: np.ndarray,
+def _restricted(op: tuple, vecs: np.ndarray, target: np.ndarray,
                 target_vecs: np.ndarray) -> np.ndarray:
-    """<n|op|m> for eigenvectors m (``vecs``) of the sorted sector ``source``
-    and n (``target_vecs``) of the sorted sector ``target`` it maps into."""
+    """<n|op|m> for eigenvectors m (``vecs``) of a sector, with ``op`` applied
+    to its basis, and n (``target_vecs``) of the sorted sector ``target``."""
     to, sign = op
-    keep = sign[source] != 0.0
-    rows = np.searchsorted(target, to[source[keep]])
-    return (target_vecs[rows].T * sign[source[keep]]) @ vecs[keep]
+    keep = sign != 0.0
+    rows = np.searchsorted(target, to[keep])
+    return (target_vecs[rows].T * sign[keep]) @ vecs[keep]
 
 
 def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) -> np.ndarray:
@@ -216,18 +215,18 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     only nonzero terms have m in a sector S and n in S' with one ``spin``
     particle fewer; each such pair adds sum_n conj(Q_n) (A Q)_n, with A its
     amplitude block and Q = e^{-i E t} read from one (4^L, T) phase table.
-    An H that is not 4^L x 4^L raises StateSizeMismatch, and one with an
-    entry between two sectors SectorCoupling, both before any eigh.
+    Before any eigh, refuses an H that is not 4^L x 4^L (StateSizeMismatch)
+    or couples two sectors (SectorCoupling), and a beta outside [0, inf).
     """
     L = _site_count(h)
-    c_i, cdag_j = _ladder(i, spin, "annihilate", L), _ladder(j, spin, "create", L)
+    for site in (i, j):
+        _bit(site, spin, L)
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     labels = sector_labels(L)
     ends = np.cumsum(np.bincount(labels))[:-1]
     bases = np.split(np.argsort(labels, kind="stable"), ends)  # each one sorted
-    if np.count_nonzero(h) != sum(np.count_nonzero(h[np.ix_(b, b)]) for b in bases):
-        raise SectorCoupling("retarded_gf needs an H with no entry between two "
-                             "(N_up, N_dn) sectors")
-    evals, vecs = zip(*(np.linalg.eigh(h[np.ix_(b, b)]) for b in bases))
+    evals, vecs = zip(*map(np.linalg.eigh, [_block(h, b) for b in bases]))  # cut all, then eigh
     energies = np.concatenate(evals)
     gap = energies - energies.min()
     # eigh splits a degenerate ground level by rounding (chain(4)'s two
@@ -245,8 +244,8 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
         if divmod(s, L + 1)[axis] == 0:
             continue  # no ``spin`` particle for c_i to remove
         r = s - (L + 1, 1)[axis]
-        c = _restricted(c_i, bases[s], vecs[s], bases[r], vecs[r])
-        cdag = _restricted(cdag_j, bases[r], vecs[r], bases[s], vecs[s])
+        c = _restricted(_ladder(bases[s], i, spin, "annihilate", L), vecs[s], bases[r], vecs[r])
+        cdag = _restricted(_ladder(bases[r], j, spin, "create", L), vecs[r], bases[s], vecs[s])
         amp = (w[r][:, None] + w[s][None, :]) * c * cdag.T
         total += np.sum(q[r].conj() * (amp @ q[s]), axis=0)
     theta = np.where(times > 0, 1.0, np.where(times == 0, 0.5, 0.0))
@@ -292,8 +291,8 @@ def uniform_grid(start: float, stop: float, step: float, rows: int = 1) -> np.nd
 def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     """Damped one-sided transform G(w) = sum_t dt e^{i w t} e^{-eta t} G(t).
 
-    The grid must be uniform, with at least two samples (else EmptySeries:
-    one sample has no dt). The final sample enters with half weight;
+    The grid must be finite, increasing and uniform (else ValueError), with
+    two samples or more (else EmptySeries). The last enters with half weight;
     the t = 0 sample of a retarded series already carries theta(0) = 0.5,
     which supplies the correct boundary half-weight of the underlying
     discontinuous integrand, so it keeps unit weight here.
@@ -303,8 +302,8 @@ def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     times = np.asarray(series.times, dtype=float)
     steps = np.diff(times)
     dt = steps[0]
-    if np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
-        raise ValueError("time grid must be uniform")
+    if not (np.isfinite(times).all() and dt > 0) or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1):
+        raise ValueError("time grid must be finite, increasing and uniform")
     weights = np.full(len(times), dt)
     weights[-1] *= 0.5
     if series.kind != "retarded":

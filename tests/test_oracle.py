@@ -53,7 +53,7 @@ def kron_hamiltonian(geometry, J, v):
 
 def dense_ladder(site, spin, kind, site_count):
     """The signed index map of c or c^dag scattered into a dense matrix."""
-    target, sign = oracle._ladder(site, spin, kind, site_count)
+    target, sign = oracle._ladder(np.arange(4**site_count), site, spin, kind, site_count)
     out = np.zeros((4**site_count, 4**site_count), dtype=complex)
     out[target, np.arange(4**site_count)] = sign
     return out
@@ -127,6 +127,19 @@ def test_mode_anticommutators():
             assert np.max(np.abs(c @ c)) == 0.0
 
 
+def test_ladder_on_given_indices_equals_the_full_map():
+    L = 3
+    subset = np.random.default_rng(2).choice(4**L, size=17, replace=False)
+    for site in range(1, L + 1):
+        for spin in mapping.SPINS:
+            for kind in ("annihilate", "create"):
+                target, sign = oracle._ladder(np.arange(4**L), site, spin, kind, L)
+                t, s = oracle._ladder(subset, site, spin, kind, L)
+                assert np.array_equal(t, target[subset]) and np.array_equal(s, sign[subset])
+                for k in subset:
+                    assert oracle._ladder(int(k), site, spin, kind, L) == (target[k], sign[k])
+
+
 def test_initial_state_populations():
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
     pops = oracle.exact_populations(h, ("u", "d"), [0.0])
@@ -155,9 +168,10 @@ def test_propagator_against_pade_expm():
     tokens = ("u", "ud", "u", "d")
     psi0 = fock_vector(tokens)
     tau = 2.5
-    ours = oracle._sector_evolve(h, np.arange(len(h)), oracle.fock_index(tokens), [tau])[:, 0]
+    basis, ours = oracle._sector_evolve(h, oracle.fock_index(tokens), [tau])
     reference = scipy.linalg.expm(-1j * tau * h) @ psi0
-    assert np.max(np.abs(ours - reference)) < 1e-10
+    assert np.max(np.abs(ours[:, 0] - reference[basis])) < 1e-10
+    assert np.max(np.abs(np.delete(reference, basis))) < 1e-10  # nothing leaves the sector
 
 
 def test_evolve_grid_matches_expm_with_exact_origin():
@@ -165,12 +179,13 @@ def test_evolve_grid_matches_expm_with_exact_origin():
     tokens = ("ud", "u", "0", "d")
     psi0 = fock_vector(tokens)
     times = [0.0, 0.4, 1.3, 0.0, 7.9]
-    out = oracle._sector_evolve(h, np.arange(len(h)), oracle.fock_index(tokens), times)
-    assert out.shape == (len(psi0), len(times))
-    assert np.array_equal(out[:, 0], psi0) and np.array_equal(out[:, 3], psi0)
+    basis, out = oracle._sector_evolve(h, oracle.fock_index(tokens), times)
+    assert out.shape == (len(basis), len(times))
+    assert np.array_equal(out[:, 0], psi0[basis]) and np.array_equal(out[:, 3], psi0[basis])
     for k, t in enumerate(times):
         reference = scipy.linalg.expm(-1j * t * h) @ psi0
-        assert np.max(np.abs(out[:, k] - reference)) < 1e-10
+        assert np.max(np.abs(out[:, k] - reference[basis])) < 1e-10
+        assert np.max(np.abs(np.delete(reference, basis))) < 1e-10
 
 
 # --- sector propagation against the full space ------------------------------
@@ -263,7 +278,8 @@ def test_sector_populations_match_full_space(geometry, tokens):
 
 def test_sector_basis_holds_the_spin_counts():
     tokens = ("u", "ud", "0", "d")
-    basis = oracle.sector_basis(oracle.fock_index(tokens), 4)
+    h = oracle.fermionic_hamiltonian(mapping.chain(4), 1.0, 2.0)
+    basis, _ = oracle._sector_evolve(h, oracle.fock_index(tokens), [0.0])
     assert len(basis) == 6 * 6  # C(4,2) up placements x C(4,2) down placements
     assert np.all(np.diff(basis) > 0)
     for spin, count in (("up", 2), ("down", 2)):
@@ -475,7 +491,8 @@ def test_retarded_gf_refuses_a_hamiltonian_that_couples_sectors_before_any_eigh(
     # the sector sums never read an entry between two sectors, so such an H
     # would give wrong numbers silently
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
-    h[0, 1] = h[1, 0] = 1e-9  # levels 0 and 1 of the last site differ in N_dn
+    # |ud,u> and |ud,ud> differ in N_dn; their sectors are the last ones cut
+    h[14, 15] = h[15, 14] = 1e-9
 
     def no_eigh(*args):
         raise AssertionError("eigh ran")
@@ -483,6 +500,33 @@ def test_retarded_gf_refuses_a_hamiltonian_that_couples_sectors_before_any_eigh(
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(SectorCoupling, match="no entry between two"):
         oracle.retarded_gf(h, 1.0, 1, 1, "up", [0.0, 1.0])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda h: oracle.exact_populations(h, ("u", "d"), [1.0]),
+    lambda h: oracle.lesser_gf(h, ("u", "d"), 1, 1, "up", [1.0]),
+], ids=["exact_populations", "lesser_gf"])
+@pytest.mark.parametrize("value", [1e-9, np.nan])
+def test_pure_state_lanes_refuse_a_hamiltonian_that_couples_the_start_sector(solve, value):
+    # each evolved only the start's sector block and returned numbers
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    start = oracle.fock_index(("u", "d"))
+    h[start, start ^ 1] = h[start ^ 1, start] = value  # flips site 2's down spin
+    with pytest.raises(SectorCoupling, match="no entry between two"):
+        solve(h)
+
+
+@pytest.mark.parametrize("beta", [np.inf, np.nan, -1000.0])
+def test_retarded_gf_refuses_a_beta_outside_zero_to_inf_before_any_eigh(monkeypatch, beta):
+    # each once returned an all-NaN series
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        oracle.retarded_gf(h, beta, 1, 1, "up", [0.0, 1.0])
 
 
 def test_retarded_gf_on_five_sites():
@@ -537,6 +581,16 @@ def test_gf_fourier_matches_direct_sum():
         damped = values * np.exp(-0.1 * times) * weights
         direct = np.exp(1j * np.outer(omegas, times)) @ damped
         assert np.max(np.abs(oracle.gf_fourier(series, 0.1, omegas) - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.5, np.nan]],
+                         ids=["zero-step", "decreasing", "nan"])
+def test_gf_fourier_refuses_a_step_that_is_not_finite_and_positive(times):
+    # once an all-zero transform, -1.81 at w = 0, and NaN
+    series = GreensSeries(np.array(times), np.ones(3, dtype=complex), 1, 1, "up", "lesser",
+                          1, 1.0, 0.0)
+    with pytest.raises(ValueError, match="time grid must be finite, increasing and uniform"):
+        oracle.gf_fourier(series, 0.1, [0.0, 1.0])
 
 
 def test_gf_fourier_single_pole():
