@@ -9,12 +9,13 @@ or, on the register's last two sites, of the view against the matrix's
 transpose (one row-major GEMM per column). Dense arrays must fit one
 memory budget (``check_budget``); for a 4^L x 4^L register operator
 (``dense_dim``) it admits L <= 6 sites. Within it, dense storage and full
-factorizations are affordable and exact to machine precision.
+factorizations are affordable and exact to machine precision. Every
+(N_up, N_dn) block of a dense H is cut, and checked, by ``sector_block``.
 """
 
 import numpy as np
 
-from .errors import DimensionTooLarge, StateSizeMismatch
+from .errors import DimensionTooLarge, SectorCoupling, StateSizeMismatch
 from .gamma import DIM
 
 DENSE_BUDGET_BYTES = 1 << 30  # one dense register operator, 1 GiB
@@ -34,6 +35,18 @@ def dense_dim(site_count: int) -> int:
     dim = 4**site_count
     check_budget(dim, dim, f"{site_count} sites")
     return dim
+
+
+def sector_block(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The block of the symmetric H on the sorted sector ``basis``;
+    SectorCoupling if a row of it has an entry (NaN too) in another sector,
+    then ValueError unless the block is exactly symmetric (eigh reads one triangle)."""
+    block = h[np.ix_(basis, basis)]
+    if np.count_nonzero(h[basis]) != np.count_nonzero(block):  # rows: a contiguous gather
+        raise SectorCoupling("H must have no entry between two (N_up, N_dn) sectors")
+    if not np.array_equal(block, block.T):
+        raise ValueError("H must be symmetric")
+    return block
 
 
 def apply_local(state: np.ndarray, blocks, site_count: int) -> np.ndarray:

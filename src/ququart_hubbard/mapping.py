@@ -15,7 +15,8 @@ nonzero per column, so c is a signed index map of register basis states:
 on a sector's basis, ``map_fermion`` scatters it into a dense image, and
 the acceptance check of the anticommutator table composes it pairwise.
 ``charges`` is the one table of each register state's (N_up, N_dn): a
-``Sector``'s basis and the charge classes of ``Sector.gather`` read it.
+``Sector``'s basis (where the spectrum check cuts the mapped H too) and
+the charge classes of ``Sector.gather`` read it.
 ``token_levels`` is the one reader of occupation tokens, each level's
 token spelled from its (n_up, n_dn), and ``token_state`` turns tokens into
 a start: its sector and its amplitudes there.
@@ -161,11 +162,6 @@ def charges(site_count: int) -> np.ndarray:
     for _ in range(site_count):
         charge = (charge[:, None] + np.array(level_occupations())).reshape(-1, 2)
     return charge
-
-
-def sector_labels(site_count: int) -> np.ndarray:
-    """N_up * (L + 1) + N_dn of every register basis state."""
-    return charges(site_count) @ (site_count + 1, 1)
 
 
 class SectorFermion(NamedTuple):

@@ -15,10 +15,11 @@ over a whole time grid.
 
 H conserves N_up and N_dn, so a pure state is propagated only under the
 block of H on its (N_up, N_dn) sector, the sorted basis indices sharing
-its spin counts (Weisse & Fehske, Lect. Notes Phys. 739 (2008)); an H
-coupling that sector to another is refused. ``lesser_gf`` evolves psi0
-and c_j psi0 in their sectors, applies c_i to the first sector's basis
-and finds the targets in the second with ``np.searchsorted``. The
+its spin counts (Weisse & Fehske, Lect. Notes Phys. 739 (2008)), cut by
+``linalg.sector_block``, which refuses an H coupling two sectors or not
+symmetric. ``lesser_gf`` evolves psi0 and c_j psi0 in their sectors,
+applies c_i to the first sector's basis and finds the targets in the
+second with ``np.searchsorted``. The
 thermal Green's function sums its Lehmann terms over pairs of sector
 blocks, one real eigendecomposition per sector, and holds one (4^L, T)
 phase table. Every circuit-lane result is validated against this module.
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, SectorCoupling, SiteOutOfRange, StateSizeMismatch
-from .linalg import check_budget, dense_dim
+from .errors import EmptySeries, SiteOutOfRange, StateSizeMismatch
+from .linalg import check_budget, dense_dim, sector_block
 from .mapping import SPIN_DOWN, SPIN_UP, SPINS, TOKENS, LatticeGeometry
 
 _TOKEN_BITS = {"0": "00", "u": "10", "d": "01", "ud": "11"}
@@ -119,15 +120,6 @@ def sector_labels(site_count: int) -> np.ndarray:
     return n_up.astype(int) * (site_count + 1) + n_dn
 
 
-def _block(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The block of the symmetric H on the sorted sector ``basis``;
-    SectorCoupling if a row of it has an entry (NaN too) in another sector."""
-    block = h[np.ix_(basis, basis)]
-    if np.count_nonzero(h[basis]) != np.count_nonzero(block):  # rows: a contiguous gather
-        raise SectorCoupling("H must have no entry between two (N_up, N_dn) sectors")
-    return block
-
-
 def _sector_evolve(h: np.ndarray, index: int, times) -> tuple:
     """(basis, amplitudes): the sorted (N_up, N_dn) sector holding ``index``
     and e^{-i H t} |index> on it, (len(basis), T), from one eigh of H's block
@@ -137,7 +129,7 @@ def _sector_evolve(h: np.ndarray, index: int, times) -> tuple:
     state = np.zeros(len(basis), dtype=complex)
     state[np.searchsorted(basis, index)] = 1.0
     times = np.asarray(times, dtype=float)
-    evals, evecs = np.linalg.eigh(_block(h, basis))
+    evals, evecs = np.linalg.eigh(sector_block(h, basis))
     out = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.conj().T @ state)[:, None])
     out[:, times == 0.0] = state[:, None]
     return basis, out
@@ -187,8 +179,8 @@ def lesser_gf(h: np.ndarray, tokens, i: int, j: int, spin: str, times) -> np.nda
     hole, sign_j = _ladder(start, j, spin, "annihilate", L)  # c_j psi0 = sign_j |hole>
     if sign_j == 0.0:
         return np.zeros(len(times), dtype=complex)
-    removed, bra = _sector_evolve(h, hole, times)
     source, ket = _sector_evolve(h, start, times)
+    removed, bra = _sector_evolve(h, hole, times)
     target_i, sign_i = _ladder(source, i, spin, "annihilate", L)
     keep = sign_i != 0.0  # c_i annihilates the rest
     rows = np.searchsorted(removed, target_i[keep])
@@ -215,8 +207,9 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     only nonzero terms have m in a sector S and n in S' with one ``spin``
     particle fewer; each such pair adds sum_n conj(Q_n) (A Q)_n, with A its
     amplitude block and Q = e^{-i E t} read from one (4^L, T) phase table.
-    Before any eigh, refuses an H that is not 4^L x 4^L (StateSizeMismatch)
-    or couples two sectors (SectorCoupling), and a beta outside [0, inf).
+    Before any eigh, refuses an H that is not 4^L x 4^L (StateSizeMismatch),
+    couples two sectors or has a block that is not symmetric
+    (`sector_block`), and a beta outside [0, inf).
     """
     L = _site_count(h)
     for site in (i, j):
@@ -226,7 +219,7 @@ def retarded_gf(h: np.ndarray, beta: float, i: int, j: int, spin: str, times) ->
     labels = sector_labels(L)
     ends = np.cumsum(np.bincount(labels))[:-1]
     bases = np.split(np.argsort(labels, kind="stable"), ends)  # each one sorted
-    evals, vecs = zip(*map(np.linalg.eigh, [_block(h, b) for b in bases]))  # cut all, then eigh
+    evals, vecs = zip(*map(np.linalg.eigh, [sector_block(h, b) for b in bases]))  # cut all first
     energies = np.concatenate(evals)
     gap = energies - energies.min()
     # eigh splits a degenerate ground level by rounding (chain(4)'s two
@@ -300,9 +293,9 @@ def gf_fourier(series: GreensSeries, eta: float, omegas) -> np.ndarray:
     if len(series.times) < 2:
         raise EmptySeries(f"cannot transform a series of {len(series.times)} samples")
     times = np.asarray(series.times, dtype=float)
-    steps = np.diff(times)
+    steps = np.diff(times) if np.isfinite(times).all() else np.array([np.nan])  # inf - inf warns
     dt = steps[0]
-    if not (np.isfinite(times).all() and dt > 0) or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1):
+    if not dt > 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1):
         raise ValueError("time grid must be finite, increasing and uniform")
     weights = np.full(len(times), dt)
     weights[-1] *= 0.5

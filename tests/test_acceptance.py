@@ -38,18 +38,24 @@ for _name, _entries in groupby(CHECKS, key=lambda c: c.name):
 
 def test_criterion_3_fails_when_a_hamiltonian_couples_sectors(monkeypatch):
     # the sector spectra never see an entry between sectors, so only the
-    # leak condition can catch it
-    dense = mapping.dense_hamiltonian
+    # coupling check can catch it; a NaN once passed as a leak of max(0, nan) = 0
+    for module, builder in ((mapping, "dense_hamiltonian"), (oracle, "fermionic_hamiltonian")):
+        for value in (1e-9, np.nan):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, builder, couple_sectors(getattr(module, builder), value))
+                result = acceptance.spectrum_equivalence()
+            assert not result.passed, (builder, value)
+            assert "no entry between two (N_up, N_dn) sectors" in result.detail
 
-    def leaky(mh):
-        h = dense(mh)
-        h[0, 1] = h[1, 0] = 1e-9  # levels 0 and 1 of the last site differ in N_dn
+
+def couple_sectors(build, value):
+    """`build` with ``value`` at H[0, 1] and H[1, 0]: in either lane, indices
+    0 and 1 differ in the last site's N_dn."""
+    def build_coupled(*args):
+        h = build(*args)
+        h[0, 1] = h[1, 0] = value
         return h
-
-    monkeypatch.setattr(mapping, "dense_hamiltonian", leaky)
-    result = acceptance.spectrum_equivalence()
-    assert not result.passed
-    assert "sector leak 1.00e-09" in result.detail
+    return build_coupled
 
 
 @pytest.mark.parametrize("plant", ["third coefficient 2e-10", "smaller coefficient x (1 + 1e-8)"])

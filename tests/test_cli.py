@@ -14,6 +14,7 @@ import pytest
 from ququart_hubbard import acceptance, cli, emulate, gates, linalg, mapping, oracle, transpile
 from ququart_hubbard.cli import main
 from ququart_hubbard.errors import ConfigInvalid
+from test_acceptance import couple_sectors
 
 
 def run_cli(*argv):
@@ -46,32 +47,33 @@ def test_map_sector_spectra_equal_the_full_spectra(geometry):
     geom = mapping.parse_geometry(geometry)
     L = geom.site_count
     mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
-    for h, labels in ((mapping.dense_hamiltonian(mh), mapping.sector_labels(L)),
-                      (oracle.fermionic_hamiltonian(geom, 1.0, 2.0), oracle.sector_labels(L))):
-        spectrum, leak = acceptance.sector_spectrum(h, labels)
-        assert leak == 0.0
+    counts = list(itertools.product(range(L + 1), repeat=2))
+    labels = oracle.sector_labels(L)
+    for h, bases in ((mapping.dense_hamiltonian(mh),
+                      [mapping.Sector(L, u, d).basis for u, d in counts]),
+                     (oracle.fermionic_hamiltonian(geom, 1.0, 2.0),
+                      [np.flatnonzero(labels == u * (L + 1) + d) for u, d in counts])):
+        spectrum = acceptance.sector_spectrum(h, bases)
         assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 1e-12
 
 
 def test_mapped_and_oracle_sector_labels_agree_on_product_states():
     for tokens in itertools.product(mapping.TOKENS, repeat=3):
-        mapped = mapping.sector_labels(3)[np.flatnonzero(mapping.product_state(tokens))[0]]
-        assert mapped == oracle.sector_labels(3)[oracle.fock_index(tokens)]
+        label = oracle.sector_labels(3)[oracle.fock_index(tokens)]
+        assert mapping.token_state(tokens)[0].counts == divmod(int(label), 3 + 1)
 
 
 def test_map_fails_when_a_hamiltonian_couples_sectors(tmp_path, capsys, monkeypatch):
-    dense = mapping.dense_hamiltonian
-
-    def leaky(mh):
-        h = dense(mh)
-        h[0, 1] = h[1, 0] = 1e-9  # levels 0 and 1 of the last site differ in N_dn
-        return h
-
-    monkeypatch.setattr(mapping, "dense_hamiltonian", leaky)
-    assert run_cli("map", "--geometry", "chain:2", "--out", str(tmp_path)) == 2
-    out = capsys.readouterr().out
-    assert "FAILED, the mapped Hamiltonian couples (N_up, N_dn) sectors" in out
-    assert "spectrum residual vs exact reference" not in out
+    # a NaN once printed a residual of 0.000e+00 and exited 0
+    for module, builder in ((mapping, "dense_hamiltonian"), (oracle, "fermionic_hamiltonian")):
+        for value in (1e-9, np.nan):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, builder, couple_sectors(getattr(module, builder), value))
+                code = run_cli("map", "--geometry", "chain:2", "--out", str(tmp_path))
+            out = capsys.readouterr().out
+            assert code == 2, (builder, value)
+            assert out.endswith("spectrum residual: FAILED, H must have no entry between two "
+                                "(N_up, N_dn) sectors\n")
 
 
 def test_map_ladder_bond_list(tmp_path, capsys):

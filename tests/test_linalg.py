@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from ququart_hubbard import linalg
+from ququart_hubbard.errors import SectorCoupling
 
 RNG = np.random.default_rng(20240517)
 
@@ -16,6 +17,23 @@ def test_phase_aligned_distance_detects_phase_equality():
     u = scipy.linalg.expm(-1j * random_hermitian(4))
     assert linalg.phase_aligned_distance(np.exp(0.7j) * u, u) < 1e-12
     assert linalg.phase_aligned_distance(u, np.eye(4)) > 0.1
+
+
+def test_sector_block_checks_coupling_then_symmetry():
+    h = np.diag([1.0, 2.0, 3.0, 4.0])
+    h[1, 3] = h[3, 1] = 0.5
+    basis = np.array([1, 3])
+    assert np.array_equal(linalg.sector_block(h, basis), [[2.0, 0.5], [0.5, 4.0]])
+    for row, col in ((1, 3), (3, 1), (1, 1)):
+        asymmetric = h.copy()
+        asymmetric[row, col] = np.nan  # a NaN is its own mirror's mismatch
+        with pytest.raises(ValueError, match="H must be symmetric"):
+            linalg.sector_block(asymmetric, basis)
+    for value in (1e-300, np.nan):
+        coupled = h.copy()
+        coupled[3, 0], coupled[1, 3] = value, 0.7  # the coupling check comes first
+        with pytest.raises(SectorCoupling, match="no entry between two"):
+            linalg.sector_block(coupled, basis)
 
 
 def random_unitary(dim, rng=RNG):

@@ -311,15 +311,18 @@ def test_sector_gather_scatters_back_to_the_register_block(sites):
 
 @pytest.mark.parametrize("L", range(1, 7))
 def test_sector_basis_is_the_label_class_of_its_counts(L):
-    # out-of-range counts have an empty basis even where their label would
-    # alias an in-range one: for L = 2, (-1, 3) and (0, 0) both have label 0
+    # out-of-range counts have an empty basis even where a label
+    # N_up (L + 1) + N_dn would alias an in-range one: for L = 2, (-1, 3)
+    # and (0, 0) both have label 0
+    charges, covered = mapping.charges(L), []
     for n_up, n_dn in itertools.product(range(-1, L + 2), repeat=2):
         basis = mapping.Sector(L, n_up, n_dn).basis
         if 0 <= n_up <= L and 0 <= n_dn <= L:
-            label = n_up * (L + 1) + n_dn
-            assert np.array_equal(basis, np.flatnonzero(mapping.sector_labels(L) == label))
+            assert np.all(charges[basis] == (n_up, n_dn)) and np.all(np.diff(basis) > 0)
+            covered.append(basis)
         else:
             assert basis.size == 0
+    assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(4**L))
 
 
 # --- serialization ----------------------------------------------------------

@@ -516,6 +516,27 @@ def test_pure_state_lanes_refuse_a_hamiltonian_that_couples_the_start_sector(sol
         solve(h)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda h: oracle.exact_populations(h, ("u", "d"), [1.0]),
+    lambda h: oracle.lesser_gf(h, ("u", "d"), 1, 1, "up", [1.0]),
+    lambda h: oracle.retarded_gf(h, 1.0, 1, 1, "up", [0.0, 1.0]),
+], ids=["exact_populations", "lesser_gf", "retarded_gf"])
+def test_exact_lanes_refuse_a_sector_block_that_is_not_symmetric_before_any_eigh(
+        monkeypatch, solve):
+    # eigh reads one triangle, so exact_populations once returned the
+    # unplanted numbers bit for bit
+    h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
+    assert [oracle.fock_index(t) for t in (("0", "ud"), ("u", "d"), ("ud", "0"))] == [3, 9, 12]
+    h[3, 12] += 0.7  # both in the start's sector [3, 6, 9, 12]
+
+    def no_eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="H must be symmetric"):
+        solve(h)
+
+
 @pytest.mark.parametrize("beta", [np.inf, np.nan, -1000.0])
 def test_retarded_gf_refuses_a_beta_outside_zero_to_inf_before_any_eigh(monkeypatch, beta):
     # each once returned an all-NaN series
@@ -583,10 +604,12 @@ def test_gf_fourier_matches_direct_sum():
         assert np.max(np.abs(oracle.gf_fourier(series, 0.1, omegas) - direct)) <= 1e-12
 
 
-@pytest.mark.parametrize("times", [[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.5, np.nan]],
-                         ids=["zero-step", "decreasing", "nan"])
+@pytest.mark.parametrize("times", [[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.5, np.nan],
+                                   [0.0, np.inf, np.inf]],
+                         ids=["zero-step", "decreasing", "nan", "inf"])
 def test_gf_fourier_refuses_a_step_that_is_not_finite_and_positive(times):
-    # once an all-zero transform, -1.81 at w = 0, and NaN
+    # once an all-zero transform, -1.81 at w = 0, NaN, and numpy's
+    # RuntimeWarning from inf - inf in place of the refusal
     series = GreensSeries(np.array(times), np.ones(3, dtype=complex), 1, 1, "up", "lesser",
                           1, 1.0, 0.0)
     with pytest.raises(ValueError, match="time grid must be finite, increasing and uniform"):
