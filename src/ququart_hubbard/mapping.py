@@ -9,14 +9,14 @@ Clifford element Gt on all preceding sites times a local ladder factor,
 
 with spin up using the (G1, G2) pair and spin down the (G3, G4) pair.
 Anticommutation of the Gt string with every local factor reproduces the
-fermionic algebra exactly. Gt is diagonal and each local factor has one
-nonzero per column, so c is a signed index map of register basis states:
-``fermion_index_map`` is its one definition. ``Sector.fermion`` reads it
-on a sector's basis, ``map_fermion`` scatters it into a dense image, and
-the acceptance check of the anticommutator table composes it pairwise.
+fermionic algebra exactly. c and each term of H are Kronecker strings of
+factors with one nonzero per column, so signed index maps of register basis
+states (``kron_index_map``): ``fermion_index_map`` and ``dense_hamiltonian``.
+``Sector.fermion`` reads c on a sector, ``map_fermion`` scatters it into a
+dense image, and the acceptance checks compose it: pairwise, and along each
+Fock state's creation string.
 ``charges`` is the one table of each register state's (N_up, N_dn): a
-``Sector``'s basis (where the spectrum check cuts the mapped H too) and
-the charge classes of ``Sector.gather`` read it.
+``Sector``'s basis and the charge classes of ``Sector.gather`` read it.
 ``token_levels`` is the one reader of occupation tokens, each level's
 token spelled from its (n_up, n_dn), and ``token_state`` turns tokens into
 a start: its sector and its amplitudes there.
@@ -114,22 +114,37 @@ def local_fermion_factor(spin: str, kind: str) -> np.ndarray:
         raise ValueError(f"spin must be up/down and kind create/annihilate, got ({spin!r}, {kind!r})")
 
 
+@lru_cache(maxsize=64)
+def _column_map(factor: bytes) -> tuple:
+    """(nonzero row - column, its entry) per column of the 4x4 complex factor with these bytes."""
+    factor = np.frombuffer(factor, dtype=complex).reshape(DIM, DIM)
+    row = np.argmax(factor != 0, axis=0)
+    return row - np.arange(DIM), factor[row, np.arange(DIM)]
+
+
+def kron_index_map(indices: np.ndarray, factors: dict, site_count: int) -> tuple:
+    """The Kronecker string of 4x4 `factors` {1-based site: factor}, identity
+    elsewhere, each with at most one nonzero per column, on register basis
+    states `indices` as (dest, coefficient): |idx> -> coefficient |dest>,
+    the factors' entries multiplied in dict order (0 on a zero column)."""
+    dest, coefficient = indices, None
+    for site, factor in factors.items():
+        shift, entry = _column_map(np.asarray(factor, dtype=complex).tobytes())
+        level = indices // DIM ** (site_count - site) % DIM
+        coefficient = entry[level] if coefficient is None else coefficient * entry[level]
+        dest = dest + shift[level] * DIM ** (site_count - site)
+    return dest, coefficient
+
+
 def fermion_index_map(indices: np.ndarray, site: int, spin: str, kind: str,
                       site_count: int) -> tuple:
     """c ("annihilate") or c^dag ("create") at 1-based `site` on register
-    basis states `indices` as (dest, coefficient), |idx> -> coefficient
-    |dest>, 0 where c annihilates it: the local factor's one nonzero per
-    column times the diagonal of the Gt string on the sites before."""
+    basis states `indices` as `kron_index_map`'s (dest, coefficient): the
+    local factor, first so that a zero keeps its sign, and Gt on each site before."""
     if not 1 <= site <= site_count:
         raise SiteOutOfRange(f"site {site} outside 1..{site_count}")
-    factor = local_fermion_factor(spin, kind)
-    new_level = np.argmax(factor != 0, axis=0)  # each column's nonzero row, 0 if none
-    step = DIM ** (site_count - site)
-    level = indices // step % DIM
-    coefficient = factor[new_level[level], level]
-    for s in range(1, site):
-        coefficient *= np.diag(GT)[indices // DIM ** (site_count - s) % DIM]
-    return indices + (new_level[level] - level) * step, coefficient
+    return kron_index_map(indices, {site: local_fermion_factor(spin, kind),
+                                    **dict.fromkeys(range(1, site), GT)}, site_count)
 
 
 def map_fermion(site: int, spin: str, kind: str, site_count: int) -> np.ndarray:
@@ -355,36 +370,19 @@ def build_mapped_hamiltonian(geometry: LatticeGeometry, J: float, v: float) -> M
     return MappedHamiltonian(geometry, J, v)
 
 
-def _add_kron_string(h: np.ndarray, factors, coefficient: float) -> None:
-    """Add coefficient * (f_1 (x) ... (x) f_L) to the real matrix h.
-
-    The product is scattered from the nonzeros of the 4x4 factors, multiplied
-    left to right as a dense Kronecker product would be. Raises
-    ArithmeticError unless every entry is exactly real.
-    """
-    rows = cols = np.zeros(1, dtype=np.intp)
-    vals = np.ones(1, dtype=complex)
-    for f in factors:
-        f = np.asarray(f, dtype=complex)
-        r, c = np.nonzero(f)
-        rows = (rows[:, None] * DIM + r).ravel()
-        cols = (cols[:, None] * DIM + c).ravel()
-        vals = (vals[:, None] * f[r, c]).ravel()
-    vals = coefficient * vals
-    if np.any(vals.imag != 0.0):
-        raise ArithmeticError("mapped Hamiltonian term has entries that are not real")
-    h[rows, cols] += vals.real  # the entries of one product have distinct positions
-
-
 def dense_hamiltonian(mh: MappedHamiltonian) -> np.ndarray:
-    """Full real (float64) 4^L matrix of the mapped Hamiltonian (within the
-    dense budget), scattered term by term from the tensor factors."""
+    """Full real (float64) 4^L matrix of the mapped H (within the dense budget),
+    each term's `kron_index_map` scattered over every column. ArithmeticError
+    if an entry is not real; a NaN passes, for `acceptance.mapping_residual`."""
     L = mh.geometry.site_count
-    dim = dense_dim(L)
-    h = np.zeros((dim, dim))
-    eye = np.eye(DIM)
+    columns = np.arange(dense_dim(L))
+    h = np.zeros((len(columns), len(columns)))
     for coefficient, factors in mh.terms():
-        _add_kron_string(h, [factors.get(s, eye) for s in range(1, L + 1)], coefficient)
+        dest, value = kron_index_map(columns, factors, L)
+        value = coefficient * value
+        if np.any(np.abs(value.imag) > 0.0):
+            raise ArithmeticError("mapped Hamiltonian term has entries that are not real")
+        h[dest, columns] += value.real  # a term's columns each have one entry
     return h
 
 

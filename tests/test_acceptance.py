@@ -11,7 +11,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from ququart_hubbard import acceptance, emulate, gates, mapping, oracle, transpile
+from ququart_hubbard import acceptance, cli, emulate, gates, mapping, oracle, transpile
 from ququart_hubbard.acceptance import CHECKS
 
 
@@ -37,15 +37,15 @@ for _name, _entries in groupby(CHECKS, key=lambda c: c.name):
 
 
 def test_criterion_3_fails_when_a_hamiltonian_couples_sectors(monkeypatch):
-    # the sector spectra never see an entry between sectors, so only the
-    # coupling check can catch it; a NaN once passed as a leak of max(0, nan) = 0
+    # the planted entry is left over in mapped H - S P H_exact P^T S^dag; a NaN
+    # once passed as a leak of max(0, nan) = 0
     for module, builder in ((mapping, "dense_hamiltonian"), (oracle, "fermionic_hamiltonian")):
         for value in (1e-9, np.nan):
             with monkeypatch.context() as patch:
                 patch.setattr(module, builder, couple_sectors(getattr(module, builder), value))
                 result = acceptance.spectrum_equivalence()
             assert not result.passed, (builder, value)
-            assert "no entry between two (N_up, N_dn) sectors" in result.detail
+            assert result.detail == f"worst {value:.2e}"
 
 
 def couple_sectors(build, value):
@@ -56,6 +56,68 @@ def couple_sectors(build, value):
         h[0, 1] = h[1, 0] = value
         return h
     return build_coupled
+
+
+def _negated(*pieces):
+    return lambda factors: {k: (-left if k in pieces else left, right)
+                            for k, (left, right) in factors.items()}
+
+
+def _nan_in_one_factor(factors):
+    left = factors[1][0].copy()
+    left.flat[np.flatnonzero(left)[0]] = np.nan
+    return {**factors, 1: (left, factors[1][1])}
+
+
+# each maps the {piece: (left, right)} factors of a bond to a mutant's
+HOPPING_MUTANTS = {
+    # J -> -J for spin up only: a gauge change, so the spectra stay equal
+    "spin-up-hopping-negated": _negated(1, 2),
+    "one-factor-negated": _negated(1),
+    "nan-in-one-factor": _nan_in_one_factor,
+}
+
+
+@pytest.mark.parametrize("mutant", [*HOPPING_MUTANTS, "interaction-negated"])
+def test_a_mutated_mapping_fails_criterion_3_and_map(mutant, monkeypatch, tmp_path, capsys):
+    if mutant in HOPPING_MUTANTS:
+        factors = HOPPING_MUTANTS[mutant](mapping.hopping_local_factors())
+        monkeypatch.setattr(mapping, "hopping_local_factors", lambda: factors)
+    else:
+        prefactor = mapping.resolve_int_prefactor()
+        monkeypatch.setattr(mapping, "resolve_int_prefactor", lambda: -prefactor)
+    result = acceptance.spectrum_equivalence()
+    assert not result.passed, result.line()
+    assert cli.main(["map", "--geometry", "chain:3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.endswith(", FAILED above 1e-10\n")
+
+
+SMALL_GEOMETRIES = [mapping.chain(L) for L in range(1, 6)] + [mapping.ladder(2, 2)]
+
+
+@pytest.mark.parametrize("geom", SMALL_GEOMETRIES, ids=lambda g: g.label)
+def test_relabelling_complements_the_fock_index_with_unit_signs(geom):
+    L = geom.site_count
+    register, sign = acceptance.relabelling(L)
+    assert np.array_equal(register, 4**L - 1 - np.arange(4**L))
+    assert np.isin(sign, (1, -1)).all()
+
+
+@pytest.mark.parametrize("geom", SMALL_GEOMETRIES[:4] + SMALL_GEOMETRIES[-1:],
+                         ids=lambda g: g.label)
+def test_mapped_fermions_are_the_relabelled_oracle_fermions(geom):
+    # mapped c on S|P(f)> is S P c_exact |f>: S[f] coefficient |dest> = sign S[t] |P(t)>
+    L = geom.site_count
+    fock = np.arange(4**L)
+    register, sign = acceptance.relabelling(L)
+    for site in range(1, L + 1):
+        for spin in mapping.SPINS:
+            for kind in ("annihilate", "create"):
+                dest, coefficient = mapping.fermion_index_map(register, site, spin, kind, L)
+                target, exact_sign = oracle._ladder(fock, site, spin, kind, L)
+                assert np.array_equal(sign * coefficient, exact_sign * sign[target])
+                alive = exact_sign != 0
+                assert np.array_equal(dest[alive], register[target[alive]])
 
 
 @pytest.mark.parametrize("plant", ["third coefficient 2e-10", "smaller coefficient x (1 + 1e-8)"])

@@ -28,8 +28,7 @@ def test_map_writes_hamiltonian_and_residual(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "mapped_hamiltonian.json").exists()
     assert "int_prefactor: 0.25" in out
-    residual = float(out.split("spectrum residual vs exact reference:")[1].split()[0])
-    assert residual < 1e-10
+    assert out.endswith("mapping residual vs exact reference: 0.000e+00\n")
 
 
 def test_map_checks_the_spectrum_within_the_dense_budget(tmp_path, capsys, monkeypatch):
@@ -38,23 +37,8 @@ def test_map_checks_the_spectrum_within_the_dense_budget(tmp_path, capsys, monke
         monkeypatch.setattr(linalg, "DENSE_BUDGET_BYTES", budget)
         assert run_cli("map", "--geometry", "chain:3", "--out", str(tmp_path)) == 0
         out = capsys.readouterr().out
-        assert ("spectrum residual vs exact reference:" in out) == checked
-        assert ("spectrum residual: skipped" in out) == (not checked)
-
-
-@pytest.mark.parametrize("geometry", ["chain:3", "ladder:2x2"])
-def test_map_sector_spectra_equal_the_full_spectra(geometry):
-    geom = mapping.parse_geometry(geometry)
-    L = geom.site_count
-    mh = mapping.build_mapped_hamiltonian(geom, 1.0, 2.0)
-    counts = list(itertools.product(range(L + 1), repeat=2))
-    labels = oracle.sector_labels(L)
-    for h, bases in ((mapping.dense_hamiltonian(mh),
-                      [mapping.Sector(L, u, d).basis for u, d in counts]),
-                     (oracle.fermionic_hamiltonian(geom, 1.0, 2.0),
-                      [np.flatnonzero(labels == u * (L + 1) + d) for u, d in counts])):
-        spectrum = acceptance.sector_spectrum(h, bases)
-        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(h))) <= 1e-12
+        assert ("mapping residual vs exact reference:" in out) == checked
+        assert ("mapping residual: skipped" in out) == (not checked)
 
 
 def test_mapped_and_oracle_sector_labels_agree_on_product_states():
@@ -72,8 +56,27 @@ def test_map_fails_when_a_hamiltonian_couples_sectors(tmp_path, capsys, monkeypa
                 code = run_cli("map", "--geometry", "chain:2", "--out", str(tmp_path))
             out = capsys.readouterr().out
             assert code == 2, (builder, value)
-            assert out.endswith("spectrum residual: FAILED, H must have no entry between two "
-                                "(N_up, N_dn) sectors\n")
+            assert out.endswith(f"mapping residual vs exact reference: {value:.3e}, "
+                                "FAILED above 1e-10\n")
+
+
+def test_every_workflow_command_parses():
+    # nothing runs the CI workflow's commands before CI does, so a renamed flag would go unnoticed
+    lines = (Path(__file__).parents[1] / ".github/workflows/tier1.yml").read_text().splitlines()
+    commands = []
+    for k, line in enumerate(lines):
+        if line.lstrip().startswith("run:"):
+            command = line.split("run:", 1)[1].strip()
+            if command == ">-":  # a folded block: the more-indented lines that follow
+                indent = len(line) - len(line.lstrip())
+                block = itertools.takewhile(lambda b: len(b) - len(b.lstrip()) > indent,
+                                            lines[k + 1:])
+                command = " ".join(b.strip() for b in block)
+            commands.append(shlex.split(command))
+    ours = [argv[1:] for argv in commands if argv[0] == "ququart-hubbard"]
+    assert len(ours) == 4
+    for argv in ours:
+        cli._build_config(cli.build_parser().parse_args(argv))
 
 
 def test_map_ladder_bond_list(tmp_path, capsys):
