@@ -151,8 +151,8 @@ def trotter_convergence(geom, tokens) -> CheckResult:
     # J=1, v=2: interaction active, dynamics well inside the plotted regime
     errors = {}
     for steps in (5, 10, 30):
-        rows = emulate.population_grid(geom, 1.0, 2.0, tokens, TAU_GRID, steps)
-        errors[steps] = emulate.max_population_error(rows)
+        circuit, exact = emulate.population_grid(geom, 1.0, 2.0, tokens, TAU_GRID, steps)
+        errors[steps] = float(np.max(np.abs(circuit - exact)))
     decreasing = errors[5] > errors[10] > errors[30]
     converged = errors[30] <= 0.05
     return CheckResult(
@@ -183,14 +183,13 @@ def greens_functions() -> CheckResult:
     # retarded-route spectral function: sum rule at the default grid, and
     # positivity on a refined grid where quadrature error sits below 1e-6
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
-    eta = 0.1
     omegas = oracle.OMEGAS
     default_times = oracle.uniform_grid(0.0, oracle.RETARDED_T_MAX, oracle.RETARDED_DT)
-    series = oracle.retarded_series(h, 1.0, 1, 1, "up", default_times, 2, 1.0, 2.0)
-    sum_rule = float(np.trapezoid(oracle.spectral(series, eta, omegas), omegas))
+    series = oracle.retarded_series(h, oracle.BETA, 1, 1, "up", default_times, 2, 1.0, 2.0)
+    sum_rule = float(np.trapezoid(oracle.spectral(series, oracle.ETA, omegas), omegas))
     fine_times = oracle.uniform_grid(0.0, 120.0, 0.01)
-    fine_series = oracle.retarded_series(h, 1.0, 1, 1, "up", fine_times, 2, 1.0, 2.0)
-    min_a = float(np.min(oracle.spectral(fine_series, eta, omegas)))
+    fine_series = oracle.retarded_series(h, oracle.BETA, 1, 1, "up", fine_times, 2, 1.0, 2.0)
+    min_a = float(np.min(oracle.spectral(fine_series, oracle.ETA, omegas)))
     spectral_ok = abs(sum_rule - 1.0) <= 0.02 and min_a >= -1e-6
     return CheckResult(
         7,

@@ -53,10 +53,10 @@ class RunConfig:
     steps: int = _option(30, "Trotter step count", bound=(">=", 1))
     pairs: str = _option("1,1,up", "Green's function pairs 'i,j,spin;...'")
     observables: tuple = _option(("lesser_gf",), f"comma list: {','.join(OBSERVABLES)}")
-    eta: float = _option(0.1, "spectral damping rate", bound=(">", 0))
+    eta: float = _option(oracle.ETA, "spectral damping rate", bound=(">", 0))
     tmax: float = _option(oracle.RETARDED_T_MAX, "time-grid extent", bound=(">", 0))
     dt: float = _option(oracle.RETARDED_DT, "time-grid spacing", bound=(">", 0))
-    beta: float = _option(1.0, "inverse temperature", bound=(">=", 0))
+    beta: float = _option(oracle.BETA, "inverse temperature", bound=(">=", 0))
     out: str = _option("out", "output directory")
 
     def validate(self) -> None:
@@ -226,14 +226,16 @@ def cmd_evolve(config: RunConfig) -> int:
     geometry = config.geometry_obj()
     taus = config.tau_grid()
     tokens = config.require_init()
-    rows = emulate.population_grid(geometry, config.J, config.v, tokens, taus, config.steps)
+    circuit, exact = emulate.population_grid(geometry, config.J, config.v, tokens, taus,
+                                             config.steps)
+    error = np.abs(circuit - exact)
     out = _ensure_out(config)
     _write_csv(out / "populations.csv",
                ["tau", "n", "site", "spin", "circuit_value", "oracle_value", "abs_error"],
-               ((r.tau, r.steps, r.site, r.spin, r.circuit_value, r.oracle_value, r.abs_error)
-                for r in rows))
-    worst = emulate.max_population_error(rows)
-    print(f"max |circuit - oracle| population error: {worst:.4f}")
+               ((taus[k], config.steps, s + 1, mapping.SPINS[c],
+                 circuit[k, s, c], exact[k, s, c], error[k, s, c])
+                for k, s, c in np.ndindex(error.shape)))
+    print(f"max |circuit - oracle| population error: {np.max(error):.4f}")
     return 0
 
 

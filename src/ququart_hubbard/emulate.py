@@ -13,12 +13,13 @@ and `lesser_gf_pair` is its one-component form beside the oracle's
 series. A grid whose fused blocks couple different charges
 is refused with SynthesisResidual. No 4^L x 4^L matrix is formed. Every
 routine here has an exact counterpart in the occupation-number reference
-(oracle module); the comparison runners return both lanes side by side.
+(oracle module); the comparison runners return both lanes side by side,
+`population_grid` as two arrays in `oracle.exact_populations`' layout.
 `circuit_populations` reads a full register state, as `gates.simulate`
 returns it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,30 +61,11 @@ def require_chain(geometry: LatticeGeometry) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PopulationRow:
-    tau: float
-    steps: int
-    site: int
-    spin: str
-    circuit_value: float
-    oracle_value: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.circuit_value - self.oracle_value)
-
-
-def population_grid(
-    geometry: LatticeGeometry,
-    J: float,
-    v: float,
-    tokens,
-    taus,
-    steps: int,
-) -> list:
-    """Trotter-circuit vs exact populations for every (tau, site, spin),
-    the circuit's read off its runs in the start state's sector."""
+def population_grid(geometry: LatticeGeometry, J: float, v: float, tokens, taus,
+                    steps: int) -> tuple:
+    """(circuit, exact) populations, each (len(taus), L, 2) and indexed
+    [tau, site - 1, mapping.SPINS.index(spin)]: the Trotter circuit's runs
+    in the start state's sector, and the oracle's exact evolution."""
     require_chain(geometry)
     mh = mapping.build_mapped_hamiltonian(geometry, J, v)
     h_exact = oracle.fermionic_hamiltonian(geometry, J, v)
@@ -91,17 +73,7 @@ def population_grid(
     grid = transpile.trotter_grid(mh, tuple(map(float, taus)), steps)
     sector, psi0 = mapping.token_state(tokens)
     probs = np.abs(gates.simulate_sector(grid, sector, psi0)) ** 2
-    pops = np.tensordot(probs, sector.occupations(), axes=1)  # (tau, site, (up, down))
-    rows = []
-    for k, tau in enumerate(taus):
-        for (s, spin), values in exact.items():
-            circuit_value = float(pops[k, s - 1, mapping.SPINS.index(spin)])
-            rows.append(PopulationRow(tau, steps, s, spin, circuit_value, float(values[k])))
-    return rows
-
-
-def max_population_error(rows) -> float:
-    return max(row.abs_error for row in rows)
+    return np.tensordot(probs, sector.occupations(), axes=1), exact
 
 
 def lesser_gf_circuit(geometry: LatticeGeometry, J: float, v: float, tokens, components,

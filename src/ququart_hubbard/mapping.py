@@ -116,17 +116,21 @@ def local_fermion_factor(spin: str, kind: str) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _column_map(factor: bytes) -> tuple:
-    """(nonzero row - column, its entry) per column of the 4x4 complex factor with these bytes."""
+    """(nonzero row - column, its entry) per column of the 4x4 complex factor
+    with these bytes; ValueError for a column with two nonzeros or more."""
     factor = np.frombuffer(factor, dtype=complex).reshape(DIM, DIM)
+    if np.any(np.count_nonzero(factor, axis=0) > 1):
+        raise ValueError("a Kronecker factor has a column with more than one nonzero entry")
     row = np.argmax(factor != 0, axis=0)
     return row - np.arange(DIM), factor[row, np.arange(DIM)]
 
 
 def kron_index_map(indices: np.ndarray, factors: dict, site_count: int) -> tuple:
     """The Kronecker string of 4x4 `factors` {1-based site: factor}, identity
-    elsewhere, each with at most one nonzero per column, on register basis
-    states `indices` as (dest, coefficient): |idx> -> coefficient |dest>,
-    the factors' entries multiplied in dict order (0 on a zero column)."""
+    elsewhere, each with at most one nonzero per column (else ValueError), on
+    register basis states `indices` as (dest, coefficient): |idx> ->
+    coefficient |dest>, the factors' entries multiplied in dict order (0 on a
+    zero column)."""
     dest, coefficient = indices, None
     for site, factor in factors.items():
         shift, entry = _column_map(np.asarray(factor, dtype=complex).tobytes())

@@ -17,10 +17,11 @@ H conserves N_up and N_dn, so a pure state is propagated only under the
 block of H on its (N_up, N_dn) sector, the sorted basis indices sharing
 its spin counts (Weisse & Fehske, Lect. Notes Phys. 739 (2008)), cut by
 ``linalg.sector_block``, which refuses an H coupling two sectors or not
-symmetric. ``lesser_gf`` evolves psi0 and c_j psi0 in their sectors,
-applies c_i to the first sector's basis and finds the targets in the
-second with ``np.searchsorted``. The
-thermal Green's function sums its Lehmann terms over pairs of sector
+symmetric. ``exact_populations`` returns <N>(t) as one (time, site,
+spin) array, the circuit lane's layout. ``lesser_gf`` evolves psi0 and
+c_j psi0 in their sectors, applies c_i to the first sector's basis and
+finds the targets in the second with ``np.searchsorted``. The thermal
+Green's function sums its Lehmann terms over pairs of sector
 blocks, one real eigendecomposition per sector, and holds one (4^L, T)
 phase table. Every circuit-lane result is validated against this module.
 """
@@ -135,14 +136,14 @@ def _sector_evolve(h: np.ndarray, index: int, times) -> tuple:
     return basis, out
 
 
-def exact_populations(h: np.ndarray, tokens, times) -> dict:
-    """{(site, spin): <N>(t) over times} from the product state ``tokens``,
-    propagated in its (N_up, N_dn) sector."""
+def exact_populations(h: np.ndarray, tokens, times) -> np.ndarray:
+    """<N>(t) from the product state ``tokens``, propagated in its (N_up,
+    N_dn) sector: (len(times), L, 2), indexed [time, site - 1, SPINS.index(spin)]."""
     L, start = _start(h, tokens)
     basis, amplitudes = _sector_evolve(h, start, times)
     probs = np.abs(amplitudes) ** 2
-    return {(s, spin): ((basis >> _bit(s, spin, L)) & 1).astype(float) @ probs
-            for s in range(1, L + 1) for spin in SPINS}
+    return np.array([[((basis >> _bit(s, spin, L)) & 1).astype(float) @ probs for spin in SPINS]
+                     for s in range(1, L + 1)]).transpose(2, 0, 1)
 
 
 # --- Green's functions ------------------------------------------------------
@@ -261,6 +262,9 @@ def retarded_series(h, beta, i, j, spin, times, site_count, J=np.nan, v=np.nan) 
 
 # extent and spacing of the default retarded-GF time grid (`greens`, criterion 7)
 RETARDED_T_MAX, RETARDED_DT = 40.0, 0.05
+
+# the default spectral damping rate and inverse temperature (`greens`, criterion 7)
+ETA, BETA = 0.1, 1.0
 
 # the spectral-function grid of `greens` and acceptance criterion 7
 OMEGAS = np.arange(-12.0, 12.0 + 1e-9, 0.01)

@@ -61,8 +61,10 @@ def test_map_fails_when_a_hamiltonian_couples_sectors(tmp_path, capsys, monkeypa
 
 
 def test_every_workflow_command_parses():
-    # nothing runs the CI workflow's commands before CI does, so a renamed flag would go unnoticed
-    lines = (Path(__file__).parents[1] / ".github/workflows/tier1.yml").read_text().splitlines()
+    # nothing runs the CI workflow's or README's commands before CI or a
+    # reader does, so a renamed flag would go unnoticed
+    root = Path(__file__).parents[1]
+    lines = (root / ".github/workflows/tier1.yml").read_text().splitlines()
     commands = []
     for k, line in enumerate(lines):
         if line.lstrip().startswith("run:"):
@@ -73,10 +75,16 @@ def test_every_workflow_command_parses():
                                             lines[k + 1:])
                 command = " ".join(b.strip() for b in block)
             commands.append(shlex.split(command))
-    ours = [argv[1:] for argv in commands if argv[0] == "ququart-hubbard"]
-    assert len(ours) == 4
-    for argv in ours:
-        cli._build_config(cli.build_parser().parse_args(argv))
+    ci = [argv for argv in commands if argv[0] == "ququart-hubbard"]
+    # README's sh blocks, with backslash continuations joined and the loop's $n set
+    blocks = (root / "README.md").read_text().split("```")[1::2]
+    script = "\n".join(b.removeprefix("sh\n") for b in blocks if b.startswith("sh\n"))
+    readme = [shlex.split(line.strip().replace("$n", "5"))
+              for line in script.replace("\\\n", " ").splitlines()
+              if line.strip().startswith("ququart-hubbard ")]
+    assert (len(ci), len(readme)) == (5, 14)
+    for argv in ci + readme:
+        cli._build_config(cli.build_parser().parse_args(argv[1:]))
 
 
 def test_map_ladder_bond_list(tmp_path, capsys):
@@ -234,10 +242,12 @@ def test_csv_byte_layout(tmp_path):
 
     cells = _csv_cells(tmp_path / "populations.csv", None)
     assert cells[0] == ["tau", "n", "site", "spin", "circuit_value", "oracle_value", "abs_error"]
-    rows = emulate.population_grid(geom, 1.0, 2.0, tokens, np.array([0.5, 1.0]), 3)
+    taus = [0.5, 1.0]
+    circuit, exact = emulate.population_grid(geom, 1.0, 2.0, tokens, np.array(taus), 3)
     assert [[float(c[0]), int(c[1]), int(c[2]), c[3], *map(float, c[4:])] for c in cells[1:]] == [
-        [r.tau, r.steps, r.site, r.spin, r.circuit_value, r.oracle_value, r.abs_error]
-        for r in rows
+        [tau, 3, site, spin, circuit[k, site - 1, m], exact[k, site - 1, m],
+         abs(circuit[k, site - 1, m] - exact[k, site - 1, m])]
+        for k, tau in enumerate(taus) for site in (1, 2) for m, spin in enumerate(mapping.SPINS)
     ]
 
     coarse = emulate.LESSER_TIMES[emulate.LESSER_TIMES <= 1.0]

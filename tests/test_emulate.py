@@ -22,30 +22,30 @@ def test_circuit_populations_initial_state():
 
 
 def test_population_grid_zero_time_exact():
-    rows = emulate.population_grid(
+    circuit, exact = emulate.population_grid(
         mapping.chain(2), 1.0, 2.0, ("u", "d"), [0.0], steps=5
     )
-    for row in rows:
-        assert row.circuit_value == pytest.approx(row.oracle_value, abs=1e-12)
-        expected = 1.0 if (row.site, row.spin) in ((1, "up"), (2, "down")) else 0.0
-        assert row.oracle_value == pytest.approx(expected, abs=1e-12)
+    assert circuit.shape == exact.shape == (1, 2, 2)
+    assert np.max(np.abs(circuit - exact)) <= 1e-12
+    # [tau, site - 1, (up, down)]: site 1 holds the up spin, site 2 the down
+    assert np.max(np.abs(exact - [[[1.0, 0.0], [0.0, 1.0]]])) <= 1e-12
 
 
 def test_population_grid_matches_oracle_at_modest_time():
-    rows = emulate.population_grid(
+    circuit, exact = emulate.population_grid(
         mapping.chain(2), 1.0, 2.0, ("u", "d"), [0.5, 1.0], steps=30
     )
-    assert emulate.max_population_error(rows) < 0.01
+    assert np.max(np.abs(circuit - exact)) < 0.01
 
 
 def test_population_row_mirror_symmetry():
     # half-filled two-site exchange: site 2 mirrors site 1 with spins swapped
-    rows = emulate.population_grid(
+    _, exact = emulate.population_grid(
         mapping.chain(2), 1.0, 2.0, ("u", "d"), [1.5], steps=30
     )
-    by_key = {(r.site, r.spin): r.oracle_value for r in rows}
-    assert by_key[(1, "up")] + by_key[(2, "up")] == pytest.approx(1.0, abs=1e-10)
-    assert by_key[(1, "down")] + by_key[(2, "down")] == pytest.approx(1.0, abs=1e-10)
+    up, down = exact[0].sum(axis=0)  # summed over the two sites
+    assert up == pytest.approx(1.0, abs=1e-10)
+    assert down == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lesser_gf_circuit_zero_time():
@@ -117,7 +117,7 @@ def test_grids_start_without_a_register_vector(monkeypatch):
         raise AssertionError("a 4^L product state was built")
 
     monkeypatch.setattr(mapping, "product_state", no_register_vector)
-    assert emulate.population_grid(*args, [0.0, 0.7], 3) == pops
+    assert all(map(np.array_equal, emulate.population_grid(*args, [0.0, 0.7], 3), pops))
     assert np.array_equal(emulate.lesser_gf_circuit(*args, [(2, 2, "up")], [0.0, 0.7], 3)[0].values,
                           series.values)
 
@@ -184,10 +184,11 @@ def assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps):
 
 def assert_population_grid_matches_full_register(geometry, v, tokens, taus, steps):
     full = assert_sector_lane_matches_full_register(geometry, v, tokens, taus, steps)
-    rows = emulate.population_grid(geometry, 1.0, v, tokens, taus, steps)
-    pops = [emulate.circuit_populations(state, geometry.site_count) for state in full]
-    by_tau = {float(tau): k for k, tau in enumerate(taus)}
-    assert max(abs(r.circuit_value - pops[by_tau[r.tau]][(r.site, r.spin)]) for r in rows) <= 1e-12
+    circuit, _ = emulate.population_grid(geometry, 1.0, v, tokens, taus, steps)
+    for k, state in enumerate(full):
+        pops = emulate.circuit_populations(state, geometry.site_count)
+        for (site, spin), value in pops.items():
+            assert abs(circuit[k, site - 1, mapping.SPINS.index(spin)] - value) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", [5, 10, 30])

@@ -246,13 +246,34 @@ def test_dense_hamiltonian_is_real_and_equals_kron_reference(geom, J, v):
     assert np.array_equal(dense, kron_all_hamiltonian(mh))
 
 
+def plant_bracket(monkeypatch, bracket):
+    # resolve_int_prefactor caches its check of the true bracket first, so
+    # only the on-site terms read the plant, whichever test runs first
+    mapping.resolve_int_prefactor()
+    monkeypatch.setattr(mapping, "interaction_bracket", lambda: bracket)
+
+
 def test_dense_hamiltonian_refuses_a_complex_term(monkeypatch):
     mh = mapping.build_mapped_hamiltonian(mapping.chain(2), 1.0, 2.0)
     tilted = mapping.interaction_bracket()  # Hermitian, but with imaginary entries
-    tilted[0, 1], tilted[1, 0] = 0.5j, -0.5j
-    monkeypatch.setattr(mapping, "interaction_bracket", lambda: tilted)
+    tilted[1, 2], tilted[2, 1] = 0.5j, -0.5j  # columns 1 and 2 of the bracket are zero
+    plant_bracket(monkeypatch, tilted)
     with pytest.raises(ArithmeticError, match="not real"):
         mapping.dense_hamiltonian(mh)
+
+
+def test_a_factor_column_with_two_nonzeros_is_refused(monkeypatch):
+    # the index map once kept the column's first nonzero and dropped the
+    # second: max |image - np.kron| = 1.0 on chain(2), with no error
+    factor = np.eye(4)
+    factor[1, 0] = 1.0
+    with pytest.raises(ValueError, match="more than one nonzero"):
+        mapping.kron_index_map(np.arange(16), {1: factor}, 2)
+    doubled = mapping.interaction_bracket()
+    doubled[1, 0] = 1.0  # below the bracket's 4
+    plant_bracket(monkeypatch, doubled)
+    with pytest.raises(ValueError, match="more than one nonzero"):
+        mapping.dense_hamiltonian(mapping.build_mapped_hamiltonian(mapping.chain(2), 1.0, 2.0))
 
 
 def test_mapped_hamiltonian_hermitian():

@@ -143,21 +143,22 @@ def test_ladder_on_given_indices_equals_the_full_map():
 def test_initial_state_populations():
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
     pops = oracle.exact_populations(h, ("u", "d"), [0.0])
-    assert pops[(1, "up")][0] == pytest.approx(1.0)
-    assert pops[(1, "down")][0] == pytest.approx(0.0)
-    assert pops[(2, "down")][0] == pytest.approx(1.0)
+    assert pops.shape == (1, 2, 2)  # [time, site - 1, (up, down)]
+    assert pops[0, 0, 0] == pytest.approx(1.0)
+    assert pops[0, 0, 1] == pytest.approx(0.0)
+    assert pops[0, 1, 1] == pytest.approx(1.0)
 
 
 def test_population_conservation_over_time():
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 2.0)
     pops = oracle.exact_populations(h, ("u", "d"), [0.3, 1.7, 4.2])
-    up_total = pops[(1, "up")] + pops[(2, "up")]
+    up_total = pops[:, 0, 0] + pops[:, 1, 0]
     assert np.max(np.abs(up_total - 1.0)) <= 1e-10
 
 
 def test_populations_bounded():
     h = oracle.fermionic_hamiltonian(mapping.chain(2), 1.0, 8.0)
-    p = oracle.exact_populations(h, ("u", "d"), np.linspace(0, 5, 11))[(1, "up")]
+    p = oracle.exact_populations(h, ("u", "d"), np.linspace(0, 5, 11))[:, 0, 0]
     assert np.all(-1e-12 <= p) and np.all(p <= 1 + 1e-12)
 
 
@@ -271,9 +272,10 @@ def test_sector_populations_match_full_space(geometry, tokens):
     h = oracle.fermionic_hamiltonian(geometry, 1.0, 2.0)
     ours = oracle.exact_populations(h, tokens, SECTOR_TIMES)
     reference = full_space_populations(h, tokens, SECTOR_TIMES)
-    assert ours.keys() == reference.keys()
-    for key in ours:
-        assert np.max(np.abs(ours[key] - reference[key])) <= 1e-12, key
+    assert ours.shape == (len(SECTOR_TIMES), len(tokens), 2)
+    for (site, spin), values in reference.items():
+        series = ours[:, site - 1, mapping.SPINS.index(spin)]
+        assert np.max(np.abs(series - values)) <= 1e-12, (site, spin)
 
 
 def test_sector_basis_holds_the_spin_counts():
